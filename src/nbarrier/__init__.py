@@ -9,9 +9,9 @@ three-species systems.
 """
 
 from .barrier import (BarrierEnvelope, ContainmentReport, TangencyResult,
-                      build_lower_barrier, build_upper_barrier,
+                      barrier_curves, build_lower_barrier, build_upper_barrier,
                       tangency_plain, tangency_weighted, verify_containment)
-from .bounds import (BoundsResult, bounds_general, bounds_m1,
+from .bounds import (BoundsResult, bounds_for, bounds_general, bounds_m1,
                      bounds_two_species_m2)
 from .exact import (CosSolution, Profile, TanhSolution, cos_family, residual,
                     tanh_family)
@@ -32,10 +32,11 @@ __all__ = [
     "CaseIVerdict", "ContainmentReport", "CosSolution", "Equilibrium",
     "HullBounds", "HypothesisReport", "NonexistenceVerdict", "Profile",
     "ReactionSpec", "SystemSpec", "TangencyResult", "TanhSolution",
-    "ThreeSpeciesParams", "Trajectory", "bounds_general", "bounds_m1",
-    "bounds_two_species_m2", "build_lower_barrier", "build_upper_barrier",
-    "check", "check_bounds", "check_case_i", "check_case_ii", "chi",
-    "cos_family", "equilibrium_defect", "evenness_index",
+    "ThreeSpeciesParams", "Trajectory", "barrier_curves", "bounds_for",
+    "bounds_general", "bounds_m1", "bounds_two_species_m2",
+    "build_lower_barrier", "build_upper_barrier", "check", "check_bounds",
+    "check_case_i", "check_case_ii", "chi", "cos_family",
+    "equilibrium_defect", "evenness_index",
     "flux_balance_defect", "hull_intercepts", "integrate", "params_from_dict",
     "reaction_eval", "residual", "system_from_dict", "system_to_dict",
     "tanh_family",

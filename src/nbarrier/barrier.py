@@ -11,9 +11,10 @@ form, derived by Lagrange multipliers on the convex form q.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Sequence
 
-from .model import REGION_REL_TOL, HullBounds, _simplex_lattice
+from .model import REGION_REL_TOL, HullBounds
 
 ORDER_REL_SLACK = 1e-12  # fp slack when validating envelope ordering
 
@@ -120,15 +121,8 @@ def tangency_plain(Theta: float, alpha: Sequence[float], d: Sequence[float],
 
         Lambda = Theta^m * (sum_i alpha_i / d_i^(1/(m-1)))^(1-m)
     """
-    _require_exponent_domain(m)
-    if Theta <= 0:
-        raise ValueError("Theta must be positive")
     _check_vectors(alpha, d)
-    e = 1.0 / (m - 1.0)
-    S = sum(a * di ** -e for a, di in zip(alpha, d))
-    Lambda = Theta ** m * S ** (1.0 - m)
-    point = tuple((Theta / S) * di ** -e for di in d)
-    return TangencyResult(Lambda=Lambda, point=point)
+    return tangency_weighted(Theta, alpha, d, tuple(1.0 / a for a in alpha), m)
 
 
 def build_lower_barrier(alpha: Sequence[float], d: Sequence[float],
@@ -201,6 +195,14 @@ def _p_value(u, alpha):
     return sum(a * ui for a, ui in zip(alpha, u))
 
 
+def _simplex_lattice(n: int, resolution: int):
+    """Integer compositions k with sum(k) == resolution, as barycentric weights."""
+    for k in product(range(resolution + 1), repeat=n - 1):
+        rest = resolution - sum(k)
+        if rest >= 0:
+            yield tuple(ki / resolution for ki in k) + (rest / resolution,)
+
+
 def _plane_points(eta, alpha, n, resolution):
     for t in _simplex_lattice(n, resolution):
         yield tuple(eta * ti / a for ti, a in zip(t, alpha))
@@ -215,6 +217,26 @@ def _ellipsoid_points(lam, alpha, d, m, n, resolution):
 def _face_points(intercepts, n, resolution):
     for t in _simplex_lattice(n, resolution):
         yield tuple(ti * ci for ti, ci in zip(t, intercepts))
+
+
+def barrier_curves(envelope: BarrierEnvelope, hull: HullBounds, samples: int) -> tuple:
+    """Lattice points on each barrier piece, as (name, points) pairs.
+
+    The sets are plane_eta1, plane_eta2, ellipsoid_lambda1, ellipsoid_lambda2
+    and hull_face (the ulow face for a lower envelope, the ubar face for an
+    upper one), each sampled at lattice resolution samples.  The point sets
+    are lazy iterators of tuples.
+    """
+    alpha, d, m = envelope.weights, envelope.d, envelope.m
+    n, r = len(alpha), samples
+    face = hull.ulow if envelope.orientation == "lower" else hull.ubar
+    return (
+        ("plane_eta1", _plane_points(envelope.eta1, alpha, n, r)),
+        ("plane_eta2", _plane_points(envelope.eta2, alpha, n, r)),
+        ("ellipsoid_lambda1", _ellipsoid_points(envelope.lambda1, alpha, d, m, n, r)),
+        ("ellipsoid_lambda2", _ellipsoid_points(envelope.lambda2, alpha, d, m, n, r)),
+        ("hull_face", _face_points(face, n, r)),
+    )
 
 
 def _check_link(name, points, outer_value, limit, tol):

@@ -20,14 +20,12 @@ from typing import Sequence
 
 from dataclasses import dataclass
 
-from .barrier import build_lower_barrier, build_upper_barrier
-from .model import HullBounds
+from .barrier import ORDER_REL_SLACK, build_lower_barrier, build_upper_barrier
+from .model import HullBounds, SystemSpec, hull_intercepts
 
 BRANCH_M1 = "m1"
 BRANCH_GENERAL = "general"
 BRANCH_TWO_SPECIES_M2 = "two_species_m2"
-
-ORDER_REL_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -83,6 +81,17 @@ def bounds_general(alpha: Sequence[float], d: Sequence[float], hull: HullBounds,
     upper = build_upper_barrier(alpha, d, hull.ubar, m).eta2
     lower = build_lower_barrier(alpha, d, hull.ulow, m).eta2 * chi
     return BoundsResult(lower=lower, upper=upper, chi=chi, branch=BRANCH_GENERAL)
+
+
+def bounds_for(spec: SystemSpec, alpha: Sequence[float], chi: int) -> BoundsResult:
+    """Band on sum_i alpha_i u_i for a system, on its intercept hull.
+
+    Dispatches to bounds_m1 at m = 1 and to bounds_general for m > 1.
+    """
+    hull = hull_intercepts(spec.reaction)
+    if spec.m == 1:
+        return bounds_m1(alpha, spec.d, hull, chi)
+    return bounds_general(alpha, spec.d, hull, spec.m, chi)
 
 
 def two_species_m2_upper(alpha1: float, alpha2: float, d1: float, d2: float,

@@ -14,9 +14,8 @@ import json
 import sys
 from pathlib import Path
 
-from .barrier import (_ellipsoid_points, _face_points, _plane_points,
-                      build_lower_barrier, build_upper_barrier)
-from .bounds import bounds_general, bounds_m1
+from .barrier import barrier_curves, build_lower_barrier, build_upper_barrier
+from .bounds import bounds_for
 from .exact import cos_family, residual, tanh_family
 from .model import hull_intercepts, system_from_dict, system_to_dict, verify_hypothesis_H
 from .nonexistence import check, params_from_dict
@@ -98,12 +97,7 @@ def _cmd_bounds(args) -> int:
     alpha = _parse_floats(args.alpha, "--alpha")
     if len(alpha) != spec.n:
         raise ValueError(f"--alpha needs {spec.n} entries, got {len(alpha)}")
-    hull = hull_intercepts(spec.reaction)
-    if spec.m == 1:
-        result = bounds_m1(alpha, spec.d, hull, args.chi)
-    else:
-        result = bounds_general(alpha, spec.d, hull, spec.m, args.chi)
-    _emit_json(result.to_dict(), args.out)
+    _emit_json(bounds_for(spec, alpha, args.chi).to_dict(), args.out)
     return 0
 
 
@@ -119,21 +113,9 @@ def _cmd_barrier(args) -> int:
         env = build_upper_barrier(alpha, spec.d, hull.ubar, spec.m)
     _emit_json(env.to_dict(), args.out)
     if args.curve_csv:
-        n, r = spec.n, args.samples
-        named = [
-            ("plane_eta1", _plane_points(env.eta1, alpha, n, r)),
-            ("plane_eta2", _plane_points(env.eta2, alpha, n, r)),
-            ("ellipsoid_lambda1",
-             _ellipsoid_points(env.lambda1, alpha, spec.d, spec.m, n, r)),
-            ("ellipsoid_lambda2",
-             _ellipsoid_points(env.lambda2, alpha, spec.d, spec.m, n, r)),
-            ("hull_face",
-             _face_points(hull.ulow if args.orientation == "lower" else hull.ubar,
-                          n, r)),
-        ]
         with open(args.curve_csv, "w") as fh:
-            fh.write(",".join(["set"] + [f"u{i + 1}" for i in range(n)]) + "\n")
-            for name, points in named:
+            fh.write(",".join(["set"] + [f"u{i + 1}" for i in range(spec.n)]) + "\n")
+            for name, points in barrier_curves(env, hull, args.samples):
                 for u in points:
                     fh.write(",".join([name] + [repr(float(v)) for v in u]) + "\n")
     return 0
@@ -229,11 +211,7 @@ def _cmd_simulate(args) -> int:
     }
     code = 0
     if args.check_bounds:
-        hull = hull_intercepts(spec.reaction)
-        if spec.m == 1:
-            bounds = bounds_m1(traj.alpha, spec.d, hull, args.chi)
-        else:
-            bounds = bounds_general(traj.alpha, spec.d, hull, spec.m, args.chi)
+        bounds = bounds_for(spec, traj.alpha, args.chi)
         report = check_bounds(traj, traj.alpha, bounds)
         summary["bounds"] = bounds.to_dict()
         summary["violations"] = [list(v) for v in report.violations]
@@ -282,9 +260,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_barrier)
 
-    p = sub.add_parser("verify-h", help="sample the sign hypothesis on the hull")
+    p = sub.add_parser("verify-h",
+                       help="check the sign hypothesis exactly at the hull vertices")
     p.add_argument("spec")
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--samples", type=int, default=50,
+                   help="accepted for compatibility; does not change the result")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_verify_h)
 

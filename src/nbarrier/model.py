@@ -3,8 +3,8 @@
 A system couples n species through degenerate diffusion d_i (u_i^m)'' and
 Lotka-Volterra competition f_i(u) = sigma_i - sum_j c_ij u_j, entering the
 wave equation as u_i^{l_i} f_i(u).  This module holds the immutable spec
-types, the axis-intercept hull of the competition planes, sampling-based
-verification of the sign hypothesis on that hull, and the boundary-state
+types, the axis-intercept hull of the competition planes, an exact check of
+the sign hypothesis on that hull at its axis vertices, and the boundary-state
 characteristic that decides whether the lower bound degenerates to zero.
 """
 
@@ -12,16 +12,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import product
 from typing import Sequence
 
 REGION_REL_TOL = 1e-9      # relative tolerance for region membership
-SIGN_ABS_TOL = 1e-12       # absolute tolerance for sign checks on samples
+SIGN_ABS_TOL = 1e-12       # absolute tolerance for sign checks at the vertices
 ZERO_STATE_TOL = 1e-12     # componentwise threshold for the zero equilibrium
-
-
-def _as_tuple(values: Sequence[float]) -> tuple:
-    return tuple(values)
 
 
 @dataclass(frozen=True)
@@ -35,8 +30,8 @@ class ReactionSpec:
     C: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma", _as_tuple(self.sigma))
-        object.__setattr__(self, "C", tuple(_as_tuple(row) for row in self.C))
+        object.__setattr__(self, "sigma", tuple(self.sigma))
+        object.__setattr__(self, "C", tuple(tuple(row) for row in self.C))
         n = len(self.sigma)
         if n == 0:
             raise ValueError("reaction needs at least one species")
@@ -64,8 +59,8 @@ class SystemSpec:
     reaction: ReactionSpec
 
     def __post_init__(self):
-        object.__setattr__(self, "d", _as_tuple(self.d))
-        object.__setattr__(self, "l", _as_tuple(self.l))
+        object.__setattr__(self, "d", tuple(self.d))
+        object.__setattr__(self, "l", tuple(self.l))
         if self.n < 1:
             raise ValueError("need at least one species")
         if self.m < 1:
@@ -91,8 +86,8 @@ class HullBounds:
     ulow: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "ubar", _as_tuple(self.ubar))
-        object.__setattr__(self, "ulow", _as_tuple(self.ulow))
+        object.__setattr__(self, "ubar", tuple(self.ubar))
+        object.__setattr__(self, "ulow", tuple(self.ulow))
         if len(self.ubar) != len(self.ulow):
             raise ValueError("ubar and ulow must have equal length")
         if any(lo <= 0 for lo in self.ulow):
@@ -117,7 +112,7 @@ class Equilibrium:
     u: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "u", _as_tuple(self.u))
+        object.__setattr__(self, "u", tuple(self.u))
         if any(ui < 0 for ui in self.u):
             raise ValueError("equilibrium components must be nonnegative")
 
@@ -165,7 +160,10 @@ def chi(e_minus: Equilibrium, e_plus: Equilibrium) -> int:
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    """Outcome of sign-hypothesis sampling on the two hull regions."""
+    """Outcome of the exact sign-hypothesis check on the two hull regions.
+
+    The worst points are the axis vertices where the extremes are attained.
+    """
 
     inner_ok: bool
     outer_ok: bool
@@ -179,32 +177,26 @@ class HypothesisReport:
         return self.inner_ok and self.outer_ok
 
 
-def _simplex_lattice(n: int, resolution: int):
-    """Integer compositions k with sum(k) == resolution, as barycentric weights."""
-    for k in product(range(resolution + 1), repeat=n - 1):
-        rest = resolution - sum(k)
-        if rest >= 0:
-            yield tuple(ki / resolution for ki in k) + (rest / resolution,)
-
-
-def _solid_lattice(n: int, resolution: int):
-    """Lattice points of the solid simplex sum(t) <= 1, vertices included."""
-    for k in product(range(resolution + 1), repeat=n):
-        if sum(k) <= resolution:
-            yield tuple(ki / resolution for ki in k)
-
-
 def verify_hypothesis_H(
     spec: SystemSpec,
     hull: HullBounds,
     samples_per_face: int,
     tol: float = SIGN_ABS_TOL,
 ) -> HypothesisReport:
-    """Check the sign hypothesis on the hull regions by deterministic sampling.
+    """Decide the sign hypothesis on the hull regions exactly, at their vertices.
 
-    Inner region (below the ulow face): every f_i must be >= -tol.  Outer
-    region (on and beyond the ubar face, out to twice the intercepts): every
-    f_i must be <= +tol.  Reports the worst offending sample per region.
+    Inner region (the solid simplex below the ulow face): every f_i must be
+    >= -tol.  Outer region (on and beyond the ubar face, out to twice the
+    intercepts): every f_i must be <= +tol.
+
+    Each f_i is affine, so its extremes over a simplex lie at the vertices,
+    and since C > 0 it strictly decreases along every ray from the origin.
+    Hence the inner minimum is attained at some ulow_k e_k (the origin gives
+    f_i = sigma_i, larger than at any axis vertex) and the outer maximum on
+    the ubar face, at some ubar_k e_k.  On a tie the vertex on the highest
+    axis is reported.
+
+    samples_per_face is still validated but no longer changes the result.
     The check refuses degenerate hulls, where the two regions touch.
     """
     if hull.n != spec.n:
@@ -215,40 +207,25 @@ def verify_hypothesis_H(
         raise ValueError("hypothesis cannot be verified on a degenerate hull")
 
     n = spec.n
-    r = samples_per_face
 
-    inner_ok = True
-    worst_inner_val = float("inf")
-    worst_inner_pt = (0.0,) * n
-    for t in _solid_lattice(n, r):
-        u = tuple(ti * lo for ti, lo in zip(t, hull.ulow))
-        low = min(reaction_eval(spec.reaction, u))
-        if low < worst_inner_val:
-            worst_inner_val, worst_inner_pt = low, u
-        if low < -tol:
-            inner_ok = False
+    def vertices(intercepts):
+        for k in reversed(range(n)):
+            yield tuple(intercepts[k] if i == k else 0.0 for i in range(n))
 
-    outer_ok = True
-    worst_outer_val = float("-inf")
-    worst_outer_pt = hull.ubar
-    scales = [1.0 + j / r for j in range(r + 1)]  # face and beyond, up to 2*ubar
-    for t in _simplex_lattice(n, r):
-        base = tuple(ti * hi for ti, hi in zip(t, hull.ubar))
-        for s in scales:
-            u = tuple(s * bi for bi in base)
-            high = max(reaction_eval(spec.reaction, u))
-            if high > worst_outer_val:
-                worst_outer_val, worst_outer_pt = high, u
-            if high > tol:
-                outer_ok = False
+    inner_val, inner_pt = min(
+        ((min(reaction_eval(spec.reaction, u)), u) for u in vertices(hull.ulow)),
+        key=lambda vu: vu[0])
+    outer_val, outer_pt = max(
+        ((max(reaction_eval(spec.reaction, u)), u) for u in vertices(hull.ubar)),
+        key=lambda vu: vu[0])
 
     return HypothesisReport(
-        inner_ok=inner_ok,
-        outer_ok=outer_ok,
-        worst_inner_point=worst_inner_pt,
-        worst_inner_value=worst_inner_val,
-        worst_outer_point=worst_outer_pt,
-        worst_outer_value=worst_outer_val,
+        inner_ok=inner_val >= -tol,
+        outer_ok=outer_val <= tol,
+        worst_inner_point=inner_pt,
+        worst_inner_value=inner_val,
+        worst_outer_point=outer_pt,
+        worst_outer_value=outer_val,
     )
 
 

@@ -68,6 +68,8 @@ def test_tangency_rejects_degenerate_exponent_and_level():
         tangency_plain(0.0, (1.0,), (1.0,), 2.0)
     with pytest.raises(ValueError):
         tangency_plain(1.0, (1.0, -1.0), (1.0, 1.0), 2.0)
+    with pytest.raises(ValueError):
+        tangency_plain(1.0, (0.0, 1.0), (1.0, 1.0), 2.0)
 
 
 @given(st.data(), exponents, st.integers(min_value=2, max_value=4))

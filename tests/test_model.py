@@ -1,7 +1,9 @@
-"""Kinetics, hull intercepts and sign-hypothesis sampling."""
+"""Kinetics, hull intercepts and the sign-hypothesis check."""
+
+from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nbarrier import (
@@ -17,6 +19,7 @@ from nbarrier import (
     system_to_dict,
     verify_hypothesis_H,
 )
+from nbarrier.model import SIGN_ABS_TOL
 
 # Classic two-species competition kinetics with crossed dominance.
 LV = ReactionSpec(sigma=(1.0, 1.0), C=((1.0, 2.0), (3.0, 1.0)))
@@ -154,6 +157,63 @@ def test_hypothesis_H_holds_for_any_intercept_hull(data, n):
                       reaction=r)
     report = verify_hypothesis_H(spec, hull, 12)
     assert report.ok
+
+
+def test_hypothesis_H_keeps_the_first_vertex_on_ties():
+    """LV ties on both regions; axis 2 is visited first and kept."""
+    hull = hull_intercepts(LV)
+    report = verify_hypothesis_H(LV_SPEC, hull, 50)
+    assert report.worst_inner_point == (0.0, 0.5)
+    assert report.worst_outer_point == (0.0, 1.0)
+    assert report.worst_inner_value == 0.0
+    assert report.worst_outer_value == 0.0
+    assert verify_hypothesis_H(LV_SPEC, hull, 1) == report
+
+
+def lattice_extremes(spec, hull, r):
+    """Brute-force sweep of both hull regions at lattice resolution r.
+
+    Returns the minimum of min_i f_i over the solid simplex below the ulow
+    face and the maximum of max_i f_i over the ubar face scaled by 1..2.
+    """
+    n = spec.n
+    grid = list(product(range(r + 1), repeat=n))
+    inner = min(
+        min(reaction_eval(spec.reaction, tuple(ki / r * lo for ki, lo in zip(k, hull.ulow))))
+        for k in grid if sum(k) <= r)
+    outer = max(
+        max(reaction_eval(spec.reaction,
+                          tuple((1.0 + j / r) * ki / r * hi for ki, hi in zip(k, hull.ubar))))
+        for k in grid if sum(k) == r for j in range(r + 1))
+    return inner, outer
+
+
+@pytest.mark.filterwarnings("ignore:degenerate hull")
+@given(st.data(), st.integers(min_value=2, max_value=4),
+       st.sampled_from((0.5, 0.9, 1.0, 1.1, 2.0)),
+       st.sampled_from((0.5, 0.9, 1.0, 1.1, 2.0)))
+@settings(max_examples=60, deadline=None)
+def test_hypothesis_H_matches_a_lattice_sweep(data, n, inner_scale, outer_scale):
+    """Exact vertex check against brute force, on intercept and moved hulls.
+
+    Scales above 1 on ulow or below 1 on ubar move the hull so that H fails.
+    """
+    r = random_reaction(data.draw, n)
+    base = hull_intercepts(r)
+    ulow = tuple(inner_scale * lo for lo in base.ulow)
+    ubar = tuple(outer_scale * hi for hi in base.ubar)
+    assume(all(hi > lo for hi, lo in zip(ubar, ulow)))
+    hull = HullBounds(ubar=ubar, ulow=ulow)
+    spec = SystemSpec(n=n, m=2.0, d=(1.0,) * n, l=(1.0,) * n, theta=0.0,
+                      reaction=r)
+    report = verify_hypothesis_H(spec, hull, 6)
+    inner, outer = lattice_extremes(spec, hull, 6)
+    assert report.inner_ok == (inner >= -SIGN_ABS_TOL)
+    assert report.outer_ok == (outer <= SIGN_ABS_TOL)
+    scale = max([1.0, *r.sigma]
+                + [2.0 * c * hi for row in r.C for c, hi in zip(row, hull.ubar)])
+    assert report.worst_inner_value == pytest.approx(inner, rel=0.0, abs=1e-12 * scale)
+    assert report.worst_outer_value == pytest.approx(outer, rel=0.0, abs=1e-12 * scale)
 
 
 def test_inner_simplex_keeps_kinetics_nonnegative():
