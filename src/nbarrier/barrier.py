@@ -227,6 +227,8 @@ def barrier_curves(envelope: BarrierEnvelope, hull: HullBounds, samples: int) ->
     upper one), each sampled at lattice resolution samples.  The point sets
     are lazy iterators of tuples.
     """
+    if samples < 1:
+        raise ValueError("samples must be positive")
     alpha, d, m = envelope.weights, envelope.d, envelope.m
     n, r = len(alpha), samples
     face = hull.ulow if envelope.orientation == "lower" else hull.ubar

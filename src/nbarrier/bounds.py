@@ -18,7 +18,7 @@ from __future__ import annotations
 from math import sqrt
 from typing import Sequence
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .barrier import ORDER_REL_SLACK, build_lower_barrier, build_upper_barrier
 from .model import HullBounds, SystemSpec, hull_intercepts
@@ -46,8 +46,7 @@ class BoundsResult:
             raise ValueError("lower bound exceeds upper bound")
 
     def to_dict(self) -> dict:
-        return {"lower": self.lower, "upper": self.upper,
-                "chi": self.chi, "branch": self.branch}
+        return asdict(self)
 
 
 def _check_positive(name: str, values: Sequence[float]):

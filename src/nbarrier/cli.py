@@ -1,17 +1,22 @@
 """Command-line entry point wiring the library together.
 
 Subcommands: bounds, barrier, verify-h, exact, residual, simulate,
-nonexistence.  JSON results go to stdout or --out; CSV side outputs are
-written only when requested.  Exit codes: 0 success, 1 domain error,
-2 usage error, 3 computation succeeded but a verification check failed.
-All output is deterministic; floats use shortest round-trip formatting.
+nonexistence.  Each subcommand returns one JSON document, which goes to
+stdout or --out; CSV side outputs are written only when requested, before
+the document is emitted.  Exit codes: 0 success, 1 domain error, 2 usage
+error (bad flags, malformed JSON, a bad or oversized --grid, an unreadable
+input or unwritable output path), 3 computation succeeded but a
+verification check failed.  All output is deterministic; floats use
+shortest round-trip formatting.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .barrier import barrier_curves, build_lower_barrier, build_upper_barrier
@@ -22,6 +27,15 @@ from .nonexistence import check, params_from_dict
 from .waves import check_bounds, integrate
 
 RESIDUAL_TOL = 1e-8
+MAX_GRID_POINTS = 10 ** 6
+
+# Family name -> (solver, its parameter names in positional order).  The
+# names double as the --flags of exact and residual.
+FAMILIES = {
+    "tanh": (tanh_family, ("d1", "d2", "c11", "c22")),
+    "cos": (cos_family, ("m1", "m2", "m3", "mu", "d1", "d2", "d3",
+                         "c12", "c13", "c21", "c23", "c31", "c32")),
+}
 
 
 class _Usage(Exception):
@@ -71,89 +85,80 @@ def _parse_grid(text: str) -> list:
         a, b, h = (float(p) for p in parts)
     except ValueError as exc:
         raise _Usage("grid must contain floats") from exc
+    if not all(math.isfinite(v) for v in (a, b, h)):
+        raise _Usage("grid A, B and H must be finite")
     if h <= 0 or b <= a:
         raise _Usage("grid needs B > A and H > 0")
-    count = int(round((b - a) / h)) + 1
+    span = (b - a) / h
+    count = round(span) + 1 if math.isfinite(span) else math.inf
+    if count > MAX_GRID_POINTS:
+        raise _Usage(f"grid would have {count:.7g} points, "
+                     f"more than the limit of {MAX_GRID_POINTS}")
     return [a + i * h for i in range(count)]
 
 
 def _emit_json(doc: dict, out: str | None):
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise _Usage(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
 
 def _write_csv(path: str, header: list, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    """Write rows of floats; str cells (set labels) are written as they are."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(v if isinstance(v, str) else repr(float(v))
+                                  for v in row) + "\n")
+    except OSError as exc:
+        raise _Usage(f"cannot write {path}: {exc}") from exc
 
 
-def _cmd_bounds(args) -> int:
+def _spec_and_alpha(args) -> tuple:
     spec = system_from_dict(_load_json(args.spec))
     alpha = _parse_floats(args.alpha, "--alpha")
     if len(alpha) != spec.n:
         raise ValueError(f"--alpha needs {spec.n} entries, got {len(alpha)}")
-    _emit_json(bounds_for(spec, alpha, args.chi).to_dict(), args.out)
-    return 0
+    return spec, alpha
 
 
-def _cmd_barrier(args) -> int:
-    spec = system_from_dict(_load_json(args.spec))
-    alpha = _parse_floats(args.alpha, "--alpha")
-    if len(alpha) != spec.n:
-        raise ValueError(f"--alpha needs {spec.n} entries, got {len(alpha)}")
+def _cmd_bounds(args) -> tuple:
+    spec, alpha = _spec_and_alpha(args)
+    return bounds_for(spec, alpha, args.chi).to_dict(), 0
+
+
+def _cmd_barrier(args) -> tuple:
+    spec, alpha = _spec_and_alpha(args)
     hull = hull_intercepts(spec.reaction)
     if args.orientation == "lower":
         env = build_lower_barrier(alpha, spec.d, hull.ulow, spec.m)
     else:
         env = build_upper_barrier(alpha, spec.d, hull.ubar, spec.m)
-    _emit_json(env.to_dict(), args.out)
     if args.curve_csv:
-        with open(args.curve_csv, "w") as fh:
-            fh.write(",".join(["set"] + [f"u{i + 1}" for i in range(spec.n)]) + "\n")
-            for name, points in barrier_curves(env, hull, args.samples):
-                for u in points:
-                    fh.write(",".join([name] + [repr(float(v)) for v in u]) + "\n")
-    return 0
+        rows = ([name, *u] for name, points in barrier_curves(env, hull, args.samples)
+                for u in points)
+        _write_csv(args.curve_csv, ["set"] + [f"u{i + 1}" for i in range(spec.n)], rows)
+    return env.to_dict(), 0
 
 
-def _cmd_verify_h(args) -> int:
+def _cmd_verify_h(args) -> tuple:
     spec = system_from_dict(_load_json(args.spec))
-    hull = hull_intercepts(spec.reaction)
-    report = verify_hypothesis_H(spec, hull, args.samples)
-    _emit_json({
-        "inner_ok": report.inner_ok,
-        "outer_ok": report.outer_ok,
-        "worst_inner_point": list(report.worst_inner_point),
-        "worst_inner_value": report.worst_inner_value,
-        "worst_outer_point": list(report.worst_outer_point),
-        "worst_outer_value": report.worst_outer_value,
-    }, args.out)
-    return 0 if report.ok else 3
+    report = verify_hypothesis_H(spec, hull_intercepts(spec.reaction), args.samples)
+    return asdict(report), 0 if report.ok else 3
 
 
 def _family_from_args(args):
-    if args.family == "tanh":
-        missing = [name for name in ("c11", "c22")
-                   if getattr(args, name) is None]
-        if missing:
-            raise _Usage("tanh family needs --" + " --".join(missing))
-        sol = tanh_family(args.d1, args.d2, args.c11, args.c22)
-    else:
-        required = ("m1", "m2", "m3", "mu", "d3", "c12", "c13", "c21", "c23",
-                    "c31", "c32")
-        missing = [name for name in required if getattr(args, name) is None]
-        if missing:
-            raise _Usage("cos family needs --" + " --".join(missing))
-        sol = cos_family(args.m1, args.m2, args.m3, args.mu,
-                         args.d1, args.d2, args.d3,
-                         args.c12, args.c13, args.c21, args.c23,
-                         args.c31, args.c32)
-    return sol
+    solve, names = FAMILIES[args.family]
+    missing = [name for name in names if getattr(args, name) is None]
+    if missing:
+        raise _Usage(f"{args.family} family needs --" + " --".join(missing))
+    return solve(*(getattr(args, name) for name in names))
 
 
 def _solution_dict(sol) -> dict:
@@ -162,9 +167,8 @@ def _solution_dict(sol) -> dict:
     return doc
 
 
-def _cmd_exact(args) -> int:
+def _cmd_exact(args) -> tuple:
     sol = _family_from_args(args)
-    _emit_json(_solution_dict(sol), args.out)
     if args.csv:
         if not args.grid:
             raise _Usage("--csv needs --grid")
@@ -172,7 +176,7 @@ def _cmd_exact(args) -> int:
         profile = sol.profile()
         rows = ([x] + list(profile.at(x).u) for x in xs)
         _write_csv(args.csv, ["x"] + [f"u{i + 1}" for i in range(profile.n)], rows)
-    return 0
+    return _solution_dict(sol), 0
 
 
 def _default_residual_grid(args, sol) -> list:
@@ -184,17 +188,16 @@ def _default_residual_grid(args, sol) -> list:
     return [i * period / 2000.0 for i in range(2001)]
 
 
-def _cmd_residual(args) -> int:
+def _cmd_residual(args) -> tuple:
     sol = _family_from_args(args)
     spec = system_from_dict(_load_json(args.spec)) if args.spec else sol.system()
     xs = _default_residual_grid(args, sol)
     worst = residual(spec, sol.profile(), xs)
     ok = all(r <= args.tol for r in worst)
-    _emit_json({"residuals": list(worst), "tol": args.tol, "ok": ok}, args.out)
-    return 0 if ok else 3
+    return {"residuals": list(worst), "tol": args.tol, "ok": ok}, 0 if ok else 3
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> tuple:
     spec = system_from_dict(_load_json(args.spec))
     u0 = _parse_floats(args.u0, "--u0")
     w0 = _parse_floats(args.w0, "--w0")
@@ -224,15 +227,11 @@ def _cmd_simulate(args) -> int:
         rows = ([traj.xs[k]] + list(traj.u[k]) + list(traj.w[k])
                 + [traj.p[k], traj.q[k]] for k in range(len(traj.xs)))
         _write_csv(args.csv, header, rows)
-    _emit_json(summary, args.out)
-    return code
+    return summary, code
 
 
-def _cmd_nonexistence(args) -> int:
-    params = params_from_dict(_load_json(args.params))
-    verdict = check(params)
-    _emit_json(verdict.to_dict(), args.out)
-    return 0
+def _cmd_nonexistence(args) -> tuple:
+    return check(params_from_dict(_load_json(args.params))).to_dict(), 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", required=True, help="comma-separated weights")
     p.add_argument("--chi", type=int, choices=(0, 1), default=1,
                    help="boundary characteristic (default 1)")
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_bounds)
 
     p = sub.add_parser("barrier", help="build one barrier envelope")
@@ -257,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100,
                    help="lattice resolution for --curve-csv")
     p.add_argument("--curve-csv", dest="curve_csv")
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_barrier)
 
     p = sub.add_parser("verify-h",
@@ -265,29 +262,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--samples", type=int, default=50,
                    help="accepted for compatibility; does not change the result")
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_verify_h)
 
+    family_flags = dict.fromkeys(name for _, names in FAMILIES.values()
+                                 for name in names)
     for cmd, fn in (("exact", _cmd_exact), ("residual", _cmd_residual)):
         p = sub.add_parser(cmd, help=("solve a closed-form family"
                                       if cmd == "exact"
                                       else "wave-equation residual of a family"))
-        p.add_argument("family", choices=("tanh", "cos"))
-        p.add_argument("--d1", type=float, required=True)
-        p.add_argument("--d2", type=float, required=True)
-        p.add_argument("--d3", type=float)
-        p.add_argument("--c11", type=float)
-        p.add_argument("--c22", type=float)
-        p.add_argument("--m1", type=float)
-        p.add_argument("--m2", type=float)
-        p.add_argument("--m3", type=float)
-        p.add_argument("--mu", type=float)
-        p.add_argument("--c12", type=float)
-        p.add_argument("--c13", type=float)
-        p.add_argument("--c21", type=float)
-        p.add_argument("--c23", type=float)
-        p.add_argument("--c31", type=float)
-        p.add_argument("--c32", type=float)
+        p.add_argument("family", choices=tuple(FAMILIES))
+        for name in family_flags:
+            p.add_argument(f"--{name}", type=float)
         p.add_argument("--grid", help="A:B:H sample grid")
         if cmd == "exact":
             p.add_argument("--csv", help="write x,u1..un samples here")
@@ -295,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--spec", help="check against this system instead "
                                           "of the induced one")
             p.add_argument("--tol", type=float, default=RESIDUAL_TOL)
-        p.add_argument("--out")
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("simulate", help="integrate a trajectory")
@@ -308,14 +292,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv")
     p.add_argument("--check-bounds", dest="check_bounds", action="store_true")
     p.add_argument("--chi", type=int, choices=(0, 1), default=1)
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("nonexistence", help="three-species wave blocking verdict")
     p.add_argument("params", help="parameter JSON (path or inline)")
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_nonexistence)
 
+    for p in sub.choices.values():
+        p.add_argument("--out")
     return parser
 
 
@@ -326,13 +310,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.fn(args)
+        doc, code = args.fn(args)
+        _emit_json(doc, args.out)
     except _Usage as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return code
 
 
 if __name__ == "__main__":

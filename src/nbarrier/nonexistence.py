@@ -15,7 +15,7 @@ they are recorded as caller-asserted flags.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .bounds import two_species_m2_lower, two_species_m2_upper
 
@@ -63,16 +63,7 @@ class CaseIVerdict:
     profile_hypotheses_asserted: bool
 
     def to_dict(self) -> dict:
-        return {
-            "applicable": self.applicable,
-            "phi1": self.phi1,
-            "phi2": self.phi2,
-            "ulow_star": self.ulow_star,
-            "vlow_star": self.vlow_star,
-            "lambda_star": self.lambda_star,
-            "blocked": self.blocked,
-            "profile_hypotheses_asserted": self.profile_hypotheses_asserted,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -93,16 +84,7 @@ class CaseIIVerdict:
     profile_hypotheses_asserted: bool
 
     def to_dict(self) -> dict:
-        return {
-            "applicable": self.applicable,
-            "ubar_star": self.ubar_star,
-            "vbar_star": self.vbar_star,
-            "lambda_star_upper": self.lambda_star_upper,
-            "threshold": self.threshold,
-            "blocked": self.blocked,
-            "conclusive": self.conclusive,
-            "profile_hypotheses_asserted": self.profile_hypotheses_asserted,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -111,7 +93,7 @@ class NonexistenceVerdict:
     case_ii: CaseIIVerdict
 
     def to_dict(self) -> dict:
-        return {"case_i": self.case_i.to_dict(), "case_ii": self.case_ii.to_dict()}
+        return asdict(self)
 
 
 def check_case_i(params: ThreeSpeciesParams,

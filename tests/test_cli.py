@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,7 @@ FIG_SPEC = json.dumps({
     "n": 2, "m": 2, "d": [3.0, 4.0], "l": [2, 2], "theta": 0.0,
     "sigma": [1.0, 1.0], "C": [[1.0, 2.0], [3.0, 1.0]],
 })
+README_FIXTURE = Path(__file__).parents[1] / "bench" / "fixtures" / "readme_cli.json"
 NONEX_PARAMS = json.dumps({
     "d": [1.0, 2.0, 1.0], "sigma": [10.0, 12.0, 40.0],
     "C": [[1.0, 1.0, 0.5], [1.0, 2.0, 0.5], [1.0, 1.0, 2.0]],
@@ -97,6 +99,32 @@ def test_json_goes_to_file_with_out(capsys, tmp_path):
     assert set(doc) == {"lambda1", "eta1", "lambda2", "eta2", "orientation"}
 
 
+@pytest.mark.parametrize("argv", [
+    ("barrier", FIG_SPEC, "--alpha", "1,2", "--orientation", "lower", "--out"),
+    ("barrier", FIG_SPEC, "--alpha", "1,2", "--orientation", "lower",
+     "--curve-csv"),
+    ("exact", "tanh", "--d1", "3", "--d2", "4", "--c11", "1", "--c22", "2",
+     "--grid=-1:1:0.5", "--csv"),
+], ids=["out", "curve-csv", "csv"])
+def test_unwritable_output_path_is_usage_error(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "file"
+    code, out, err = run(capsys, *argv, str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}:")
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_barrier_curve_samples_must_be_positive(capsys, tmp_path, samples):
+    csv_path = tmp_path / "curves.csv"
+    code, out, err = run(capsys, "barrier", FIG_SPEC, "--alpha", "1,2",
+                         "--orientation", "lower", "--samples", samples,
+                         "--curve-csv", str(csv_path))
+    assert code == 1
+    assert out == "" and not csv_path.exists()
+    assert "samples" in err
+
+
 def test_verify_h_passes_on_intercept_hull(capsys):
     code, out, _ = run(capsys, "verify-h", LV_SPEC, "--samples", "30")
     assert code == 0
@@ -120,10 +148,27 @@ def test_exact_emits_solution_and_profile_csv(capsys, tmp_path):
 
 
 def test_exact_csv_requires_grid(capsys):
-    code, _, err = run(capsys, "exact", "tanh", "--d1", "3", "--d2", "4",
-                       "--c11", "1", "--c22", "2", "--csv", "x.csv")
+    code, out, err = run(capsys, "exact", "tanh", "--d1", "3", "--d2", "4",
+                         "--c11", "1", "--c22", "2", "--csv", "x.csv")
     assert code == 2
+    assert out == ""
     assert "--grid" in err
+
+
+@pytest.mark.parametrize("grid, named", [
+    ("0:inf:1", "finite"),
+    ("nan:1:0.1", "finite"),
+    ("0:1:1e-300", "1e+300 points"),
+    ("0:1:1e-6", "1000001 points"),
+])
+def test_bad_grid_is_usage_error(capsys, tmp_path, grid, named):
+    csv_path = tmp_path / "profile.csv"
+    code, out, err = run(capsys, "exact", "tanh", "--d1", "3", "--d2", "4",
+                         "--c11", "1", "--c22", "2", f"--grid={grid}",
+                         "--csv", str(csv_path))
+    assert code == 2
+    assert out == "" and not csv_path.exists()
+    assert named in err
 
 
 def test_exact_missing_family_parameter_is_usage_error(capsys):
@@ -131,6 +176,10 @@ def test_exact_missing_family_parameter_is_usage_error(capsys):
                        "--c11", "1")
     assert code == 2
     assert "c22" in err
+    code, _, err = run(capsys, "exact", "tanh", "--d1", "3",
+                       "--c11", "1", "--c22", "2")
+    assert code == 2
+    assert err == "error: tanh family needs --d2\n"
 
 
 def test_residual_clean_and_perturbed(capsys):
@@ -226,3 +275,11 @@ def test_spec_file_path_is_accepted(capsys, tmp_path):
     code, out, _ = run(capsys, "bounds", str(path), "--alpha", "1,1")
     assert code == 0
     assert json.loads(out)["branch"] == "general"
+
+
+def test_readme_examples_replay_byte_for_byte(capsys):
+    examples = json.loads(README_FIXTURE.read_text())["examples"]
+    assert len(examples) == 7
+    for example in examples:
+        code, out, _ = run(capsys, *example["argv"])
+        assert (code, out) == (example["exit_code"], example["stdout"]), example["name"]
