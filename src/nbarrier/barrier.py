@@ -282,27 +282,21 @@ def verify_containment(envelope: BarrierEnvelope, hull: HullBounds, samples: int
     q = lambda u: _q_value(u, alpha, d, m)
     p = lambda u: _p_value(u, alpha)
 
+    # (name, boundary points, level function, level), innermost level first;
+    # each link checks one entry's boundary against the next entry's level.
+    chain = (
+        ("plane_eta2", _plane_points(envelope.eta2, alpha, n, r), p, envelope.eta2),
+        ("ellipsoid_lambda2", _ellipsoid_points(envelope.lambda2, alpha, d, m, n, r),
+         q, envelope.lambda2),
+        ("plane_eta1", _plane_points(envelope.eta1, alpha, n, r), p, envelope.eta1),
+        ("ellipsoid_lambda1", _ellipsoid_points(envelope.lambda1, alpha, d, m, n, r),
+         q, envelope.lambda1),
+    )
     if envelope.orientation == "lower":
         hull_excess = lambda u: sum(ui / lo for ui, lo in zip(u, hull.ulow))
-        links = (
-            _check_link("plane_eta2_in_ellipsoid_lambda2",
-                        _plane_points(envelope.eta2, alpha, n, r), q, envelope.lambda2, tol),
-            _check_link("ellipsoid_lambda2_in_plane_eta1",
-                        _ellipsoid_points(envelope.lambda2, alpha, d, m, n, r), p, envelope.eta1, tol),
-            _check_link("plane_eta1_in_ellipsoid_lambda1",
-                        _plane_points(envelope.eta1, alpha, n, r), q, envelope.lambda1, tol),
-            _check_link("ellipsoid_lambda1_in_inner_hull",
-                        _ellipsoid_points(envelope.lambda1, alpha, d, m, n, r), hull_excess, 1.0, tol),
-        )
+        chain += (("inner_hull", None, hull_excess, 1.0),)
     else:
-        links = (
-            _check_link("outer_hull_face_in_ellipsoid_lambda1",
-                        _face_points(hull.ubar, n, r), q, envelope.lambda1, tol),
-            _check_link("ellipsoid_lambda1_in_plane_eta1",
-                        _ellipsoid_points(envelope.lambda1, alpha, d, m, n, r), p, envelope.eta1, tol),
-            _check_link("plane_eta1_in_ellipsoid_lambda2",
-                        _plane_points(envelope.eta1, alpha, n, r), q, envelope.lambda2, tol),
-            _check_link("ellipsoid_lambda2_in_plane_eta2",
-                        _ellipsoid_points(envelope.lambda2, alpha, d, m, n, r), p, envelope.eta2, tol),
-        )
-    return ContainmentReport(links=links)
+        chain = (("outer_hull_face", _face_points(hull.ubar, n, r), None, None),) + chain[::-1]
+    return ContainmentReport(links=tuple(
+        _check_link(f"{inner}_in_{outer}", points, value, limit, tol)
+        for (inner, points, _, _), (outer, _, value, limit) in zip(chain, chain[1:])))

@@ -36,6 +36,8 @@ FAMILIES = {
     "cos": (cos_family, ("m1", "m2", "m3", "mu", "d1", "d2", "d3",
                          "c12", "c13", "c21", "c23", "c31", "c32")),
 }
+FAMILY_FLAGS = tuple(dict.fromkeys(name for _, names in FAMILIES.values()
+                                   for name in names))
 
 
 class _Usage(Exception):
@@ -43,9 +45,9 @@ class _Usage(Exception):
 
 
 def _load_json(arg: str) -> dict:
-    """Accept either a path to a JSON file or an inline JSON object."""
+    """Accept either a path to a JSON file or inline JSON (starting { or [)."""
     text = arg
-    if not arg.lstrip().startswith("{"):
+    if not arg.lstrip().startswith(("{", "[")):
         try:
             text = Path(arg).read_text()
         except OSError as exc:
@@ -155,6 +157,10 @@ def _cmd_verify_h(args) -> tuple:
 
 def _family_from_args(args):
     solve, names = FAMILIES[args.family]
+    foreign = [name for name in FAMILY_FLAGS
+               if name not in names and getattr(args, name) is not None]
+    if foreign:
+        raise _Usage(f"{args.family} family does not take --" + " --".join(foreign))
     missing = [name for name in names if getattr(args, name) is None]
     if missing:
         raise _Usage(f"{args.family} family needs --" + " --".join(missing))
@@ -169,10 +175,10 @@ def _solution_dict(sol) -> dict:
 
 def _cmd_exact(args) -> tuple:
     sol = _family_from_args(args)
+    xs = _parse_grid(args.grid) if args.grid else None
     if args.csv:
-        if not args.grid:
+        if xs is None:
             raise _Usage("--csv needs --grid")
-        xs = _parse_grid(args.grid)
         profile = sol.profile()
         rows = ([x] + list(profile.at(x).u) for x in xs)
         _write_csv(args.csv, ["x"] + [f"u{i + 1}" for i in range(profile.n)], rows)
@@ -264,14 +270,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="accepted for compatibility; does not change the result")
     p.set_defaults(fn=_cmd_verify_h)
 
-    family_flags = dict.fromkeys(name for _, names in FAMILIES.values()
-                                 for name in names)
     for cmd, fn in (("exact", _cmd_exact), ("residual", _cmd_residual)):
         p = sub.add_parser(cmd, help=("solve a closed-form family"
                                       if cmd == "exact"
                                       else "wave-equation residual of a family"))
         p.add_argument("family", choices=tuple(FAMILIES))
-        for name in family_flags:
+        for name in FAMILY_FLAGS:
             p.add_argument(f"--{name}", type=float)
         p.add_argument("--grid", help="A:B:H sample grid")
         if cmd == "exact":

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import cos, pi, sin, tanh
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .model import ReactionSpec, SystemSpec, reaction_eval
 
@@ -32,24 +32,22 @@ class ProfilePoint(NamedTuple):
 
 @dataclass(frozen=True)
 class Profile:
-    """Closed-form profile evaluator for an n-species system with exponent m."""
+    """Closed-form profile evaluator for an n-species system with exponent m.
+
+    derivs(x) returns one (u_i, u_i', u_i'') tuple per species, all three
+    from the closed form, so at(x) evaluates the family's transcendental
+    functions once per point.
+    """
 
     n: int
     m: float
-    components: tuple  # per species: (value, first, second) callables
+    derivs: Callable[[float], tuple]
 
     def at(self, x: float) -> ProfilePoint:
-        u = tuple(c[0](x) for c in self.components)
-        du = tuple(c[1](x) for c in self.components)
-        ddu = tuple(c[2](x) for c in self.components)
+        u, du, ddu = zip(*self.derivs(x))
         m = self.m
         if m == 1:
             dum, ddum = du, ddu
-        elif m == 2:
-            # quadratic chain rule stays finite where the profile touches zero
-            dum = tuple(2.0 * ui * dui for ui, dui in zip(u, du))
-            ddum = tuple(2.0 * dui * dui + 2.0 * ui * dddui
-                         for ui, dui, dddui in zip(u, du, ddu))
         else:
             dum = tuple(m * ui ** (m - 1.0) * dui for ui, dui in zip(u, du))
             ddum = tuple(m * (m - 1.0) * ui ** (m - 2.0) * dui * dui
@@ -90,30 +88,15 @@ class TanhSolution:
     def profile(self) -> Profile:
         k1, k2 = float(self.k1), float(self.k2)
 
-        def u(x):
+        def derivs(x):
             t = tanh(x)
-            return k1 * (1.0 - t) ** 2
+            s = 1.0 - t * t
+            return ((k1 * (1.0 - t) ** 2,
+                     -2.0 * k1 * (1.0 - t) * s,
+                     2.0 * k1 * s * (1.0 - t) * (1.0 + 3.0 * t)),
+                    (k2 * (1.0 + t), k2 * s, -2.0 * k2 * t * s))
 
-        def du(x):
-            t = tanh(x)
-            return -2.0 * k1 * (1.0 - t) * (1.0 - t * t)
-
-        def ddu(x):
-            t = tanh(x)
-            return 2.0 * k1 * (1.0 - t * t) * (1.0 - t) * (1.0 + 3.0 * t)
-
-        def v(x):
-            return k2 * (1.0 + tanh(x))
-
-        def dv(x):
-            t = tanh(x)
-            return k2 * (1.0 - t * t)
-
-        def ddv(x):
-            t = tanh(x)
-            return -2.0 * k2 * t * (1.0 - t * t)
-
-        return Profile(n=2, m=2.0, components=((u, du, ddu), (v, dv, ddv)))
+        return Profile(n=2, m=2.0, derivs=derivs)
 
 
 def tanh_family(d1, d2, c11, c22) -> TanhSolution:
@@ -184,21 +167,14 @@ class CosSolution:
 
     def profile(self) -> Profile:
         mu = float(self.mu)
-        comps = []
-        for k, amp in ((self.k1, self.m1), (self.k2, self.m2), (self.k3, self.m3)):
-            kf, af = float(k), float(amp)
+        levels = tuple((float(k), float(amp)) for k, amp in
+                       ((self.k1, self.m1), (self.k2, self.m2), (self.k3, self.m3)))
 
-            def value(x, kf=kf, af=af):
-                return kf + af * cos(mu * x)
+        def derivs(x):
+            c, s = cos(mu * x), sin(mu * x)
+            return tuple((k + a * c, -a * mu * s, -a * mu * mu * c) for k, a in levels)
 
-            def first(x, af=af):
-                return -af * mu * sin(mu * x)
-
-            def second(x, af=af):
-                return -af * mu * mu * cos(mu * x)
-
-            comps.append((value, first, second))
-        return Profile(n=3, m=2.0, components=tuple(comps))
+        return Profile(n=3, m=2.0, derivs=derivs)
 
 
 def cos_family(m1, m2, m3, mu, d1, d2, d3,

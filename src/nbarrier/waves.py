@@ -10,7 +10,7 @@ RK4; outputs are bit-reproducible for identical inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log
+from math import isfinite, log
 from typing import Sequence
 
 import numpy as np
@@ -19,6 +19,7 @@ from .bounds import BoundsResult
 from .model import SystemSpec
 
 POSITIVITY_FLOOR = 1e-8
+MAX_STEPS = 10 ** 6
 
 
 class _FloorHit(Exception):
@@ -61,7 +62,8 @@ def integrate(spec: SystemSpec, u0: Sequence[float], w0: Sequence[float],
         w0: initial flux state w_i = (u_i^m)'(x0) (= u_i'(x0) when m = 1).
         x_span: (x0, x1) with x1 > x0; a final short step lands exactly on x1
             when the span is not an integer multiple of step.
-        step: positive grid spacing.
+        step: positive grid spacing; x_span and step must be finite and give
+            at most MAX_STEPS steps.
         alpha: weights for the stored p and q columns (default all ones).
 
     Returns a Trajectory, truncated early if any species reaches the
@@ -77,6 +79,18 @@ def integrate(spec: SystemSpec, u0: Sequence[float], w0: Sequence[float],
     x0, x1 = float(x_span[0]), float(x_span[1])
     if not x1 > x0:
         raise ValueError("x_span must satisfy x1 > x0")
+    if not all(isfinite(v) for v in (x0, x1, step)):
+        raise ValueError(f"step {step!r} over x_span ({x0!r}, {x1!r}) gives no "
+                         "finite step count; both must be finite")
+    span = x1 - x0
+    full = span / step + 1e-9
+    # Capped before int() and before any allocation: a tiny step overflows.
+    n_full = int(min(full, MAX_STEPS + 1))
+    remainder = span - n_full * step
+    n_steps = n_full + (remainder > step * 1e-9)
+    if n_steps > MAX_STEPS:
+        raise ValueError(f"integration would take {max(full, n_steps):.7g} steps, "
+                         f"more than the limit of {MAX_STEPS}")
     if alpha is None:
         alpha = (1.0,) * n
     elif len(alpha) != n:
@@ -102,20 +116,14 @@ def integrate(spec: SystemSpec, u0: Sequence[float], w0: Sequence[float],
         dw = (-theta * du - u ** l_vec * f) / d_vec
         return du, dw
 
-    span = x1 - x0
-    n_full = int(span / step + 1e-9)
-    remainder = span - n_full * step
-    sizes = [step] * n_full
-    if remainder > step * 1e-9:
-        sizes.append(remainder)
-
     xs = [x0]
     us = [np.asarray(u0, dtype=float)]
     ws = [np.asarray(w0, dtype=float)]
     truncated = False
     reason = None
     x = x0
-    for h in sizes:
+    for k in range(n_steps):
+        h = step if k < n_full else remainder
         u, w = us[-1], ws[-1]
         try:
             k1u, k1w = rhs(u, w)

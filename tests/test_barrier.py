@@ -132,6 +132,12 @@ def test_containment_chains_on_reference_hull():
     rep_hi = verify_containment(hi, hull, 80, orientation="upper")
     assert rep_lo.ok and rep_hi.ok
     assert len(rep_lo.links) == 4 and len(rep_hi.links) == 4
+    assert [link.name for link in rep_lo.links] == [
+        "plane_eta2_in_ellipsoid_lambda2", "ellipsoid_lambda2_in_plane_eta1",
+        "plane_eta1_in_ellipsoid_lambda1", "ellipsoid_lambda1_in_inner_hull"]
+    assert [link.name for link in rep_hi.links] == [
+        "outer_hull_face_in_ellipsoid_lambda1", "ellipsoid_lambda1_in_plane_eta1",
+        "plane_eta1_in_ellipsoid_lambda2", "ellipsoid_lambda2_in_plane_eta2"]
     for link in rep_lo.links + rep_hi.links:
         assert link.worst_margin >= -1e-9
 

@@ -169,6 +169,11 @@ def test_bad_grid_is_usage_error(capsys, tmp_path, grid, named):
     assert code == 2
     assert out == "" and not csv_path.exists()
     assert named in err
+    for cmd in ("exact", "residual"):
+        code, out, err = run(capsys, cmd, "tanh", "--d1", "3", "--d2", "4",
+                             "--c11", "1", "--c22", "2", f"--grid={grid}")
+        assert (code, out) == (2, "")
+        assert named in err
 
 
 def test_exact_missing_family_parameter_is_usage_error(capsys):
@@ -180,6 +185,22 @@ def test_exact_missing_family_parameter_is_usage_error(capsys):
                        "--c11", "1", "--c22", "2")
     assert code == 2
     assert err == "error: tanh family needs --d2\n"
+
+
+@pytest.mark.parametrize("cmd", ["exact", "residual"])
+def test_flag_of_the_other_family_is_usage_error(capsys, cmd):
+    code, out, err = run(capsys, cmd, "cos",
+                         "--m1=-0.1", "--m2", str(1 / 11), "--m3", str(1 / 12),
+                         "--mu", "2", "--d1", "1", "--d2", "1", "--d3", "1",
+                         "--c12", str(1067 / 60), "--c13", "1",
+                         "--c21", str(175 / 11), "--c23", str(6 / 11),
+                         "--c31", "15", "--c32", str(11 / 12), "--c11", "99")
+    assert (code, out) == (2, "")
+    assert err == "error: cos family does not take --c11\n"
+    code, out, err = run(capsys, cmd, "tanh", "--d1", "3", "--d2", "4",
+                         "--c11", "1", "--c22", "2", "--d3", "1", "--mu", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: tanh family does not take --mu --d3\n"
 
 
 def test_residual_clean_and_perturbed(capsys):
@@ -238,6 +259,18 @@ def test_simulate_flags_out_of_bounds_start(capsys):
     assert json.loads(out)["violations"]
 
 
+@pytest.mark.parametrize("step, named", [
+    ("1e-300", "1e+300 steps"),
+    ("nan", "finite"),
+    ("inf", "finite"),
+])
+def test_simulate_step_count_is_capped(capsys, step, named):
+    code, out, err = run(capsys, "simulate", TANH_SPEC, "--u0", "1,1",
+                         "--w0", "0,0", "--span", "0:1", "--step", step)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and named in err
+
+
 def test_simulate_rejects_nonpositive_start(capsys):
     code, _, err = run(capsys, "simulate", TANH_SPEC,
                        "--u0=1,-1", "--w0", "0,0",
@@ -261,6 +294,9 @@ def test_usage_errors_exit_two(capsys):
     code, _, err = run(capsys, "bounds", "{not json", "--alpha", "1,1")
     assert code == 2
     assert "malformed JSON" in err
+    code, _, err = run(capsys, "bounds", "[1, 2]", "--alpha", "1,1")
+    assert code == 2
+    assert err == "error: top-level JSON value must be an object\n"
     code, _, err = run(capsys, "bounds", TANH_SPEC, "--alpha", "one,two")
     assert code == 2
     assert "float" in err

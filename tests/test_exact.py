@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -64,13 +65,13 @@ def test_tanh_residual_detects_perturbed_growth_rate(tanh_sol):
     assert worst[1] < 1e-8
 
 
-def test_profile_derivatives_match_finite_differences(tanh_sol):
-    prof = tanh_sol.profile()
+def test_profile_derivatives_match_finite_differences(tanh_sol, cos_sol):
     h = 1e-5
-    for x in (-2.0, -0.5, 0.0, 1.0, 2.5):
+    for prof, x in product((tanh_sol.profile(), cos_sol.profile()),
+                           (-2.0, -0.5, 0.0, 1.0, 2.5)):
         pt = prof.at(x)
         ahead, behind = prof.at(x + h), prof.at(x - h)
-        for i in range(2):
+        for i in range(prof.n):
             fd1 = (ahead.u[i] - behind.u[i]) / (2 * h)
             fd2 = (ahead.u[i] - 2 * pt.u[i] + behind.u[i]) / h ** 2
             assert pt.du[i] == pytest.approx(fd1, rel=1e-7, abs=1e-7)
@@ -83,7 +84,7 @@ def test_profile_derivatives_match_finite_differences(tanh_sol):
 
 def test_profile_m1_flux_is_the_plain_derivative():
     prof = Profile(n=1, m=1.0,
-                   components=((math.exp, math.exp, math.exp),))
+                   derivs=lambda x: ((math.exp(x),) * 3,))
     pt = prof.at(0.7)
     assert pt.dum == pt.du
     assert pt.ddum == pt.ddu

@@ -1,6 +1,7 @@
 """Fixed-step RK4 reduction of the wave system and trajectory checks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from nbarrier import (
     hull_intercepts,
     integrate,
 )
-from nbarrier.waves import flux_balance_defect
+from nbarrier import waves
+from nbarrier.waves import MAX_STEPS, flux_balance_defect
 
 LV = SystemSpec(n=2, m=1.0, d=(1.0, 1.0), l=(1.0, 1.0), theta=0.7,
                 reaction=ReactionSpec(sigma=(1.0, 1.0),
@@ -42,6 +44,28 @@ def test_integrate_validates_inputs(tanh_sol):
         integrate(spec, (1.0, 1.0), (0.0, 0.0), (0, 1), 0.0)
     with pytest.raises(ValueError):
         integrate(spec, (1.0, 1.0), (0.0, 0.0), (0, 1), 1e-2, alpha=(1.0,))
+
+
+@pytest.mark.parametrize("x_span, step, named", [
+    ((0.0, 1.0), math.nan, "finite"),
+    ((0.0, 1.0), math.inf, "finite"),
+    ((0.0, math.inf), 1e-2, "finite"),
+    ((0.0, 1.0), 1e-300, "1e+300 steps"),
+    ((-1e308, 1e308), 1.0, "inf steps"),
+    ((0.0, MAX_STEPS + 0.5), 1.0, f"{MAX_STEPS + 1} steps"),
+], ids=["nan-step", "inf-step", "inf-span", "tiny-step", "span-overflow", "partial-step"])
+def test_integrate_caps_the_step_count_before_allocating(tanh_sol, x_span, step, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        integrate(tanh_sol.system(), (1.0, 1.0), (0.0, 0.0), x_span, step)
+
+
+def test_step_cap_counts_the_final_partial_step(tanh_sol, monkeypatch):
+    monkeypatch.setattr(waves, "MAX_STEPS", 10)
+    start = tanh_sol.profile().at(0.0)
+    traj = integrate(tanh_sol.system(), start.u, start.dum, (0.0, 0.1), 1e-2)
+    assert len(traj.xs) == 11
+    with pytest.raises(ValueError, match="11 steps"):
+        integrate(tanh_sol.system(), start.u, start.dum, (0.0, 0.105), 1e-2)
 
 
 def test_coexistence_state_is_a_fixed_point_m1():
