@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import isfinite
 from typing import Sequence
 
 from .model import REGION_REL_TOL, HullBounds
@@ -56,7 +57,12 @@ class BarrierEnvelope:
         object.__setattr__(self, "d", tuple(self.d))
         if self.orientation not in ("lower", "upper"):
             raise ValueError("orientation must be 'lower' or 'upper'")
-        if min(self.lambda1, self.eta1, self.lambda2, self.eta2) <= 0:
+        levels = (self.lambda1, self.eta1, self.lambda2, self.eta2)
+        # A product of finite factors can overflow to inf for extreme weights.
+        if not all(isfinite(v) for v in levels):
+            raise ValueError(f"envelope levels must be finite, got {levels}; "
+                             "the parameters overflow floating point")
+        if min(levels) <= 0:
             raise ValueError("envelope levels must be positive")
         slack = 1.0 + ORDER_REL_SLACK
         if self.orientation == "lower":

@@ -15,7 +15,7 @@ at either end collapses it to zero.
 
 from __future__ import annotations
 
-from math import sqrt
+from math import isfinite, sqrt
 from typing import Sequence
 
 from dataclasses import asdict, dataclass
@@ -36,6 +36,10 @@ class BoundsResult:
     branch: str
 
     def __post_init__(self):
+        # Weighted intercepts can overflow to inf (and inf * chi = 0 to NaN).
+        if not (isfinite(self.lower) and isfinite(self.upper)):
+            raise ValueError(f"bounds must be finite, got lower {self.lower!r} and upper "
+                             f"{self.upper!r}; the parameters overflow floating point")
         if self.chi not in (0, 1):
             raise ValueError("chi must be 0 or 1")
         if self.chi == 0 and self.lower != 0.0:

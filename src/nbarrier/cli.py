@@ -3,9 +3,11 @@
 Subcommands: bounds, barrier, verify-h, exact, residual, simulate,
 nonexistence.  Each subcommand returns one JSON document, which goes to
 stdout or --out; CSV side outputs are written only when requested, before
-the document is emitted.  Exit codes: 0 success, 1 domain error, 2 usage
-error (bad flags, malformed JSON, a bad or oversized --grid, an unreadable
-input or unwritable output path), 3 computation succeeded but a
+the document is emitted.  Exit codes: 0 success, 1 domain error (including
+NaN or infinite parameters, arithmetic overflow, and a result that would put
+NaN or infinity into the JSON), 2 usage error (bad flags, malformed JSON, a
+non-finite --alpha, --u0 or --w0 entry, a bad or oversized --grid, an
+unreadable input or unwritable output path), 3 computation succeeded but a
 verification check failed.  All output is deterministic; floats use
 shortest round-trip formatting.
 """
@@ -64,9 +66,12 @@ def _load_json(arg: str) -> dict:
 
 def _parse_floats(text: str, what: str) -> tuple:
     try:
-        return tuple(float(part) for part in text.split(","))
+        values = tuple(float(part) for part in text.split(","))
     except ValueError as exc:
         raise _Usage(f"{what} must be a comma-separated float list") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise _Usage(f"{what} entries must be finite")
+    return values
 
 
 def _parse_pair(text: str, what: str) -> tuple:
@@ -100,7 +105,10 @@ def _parse_grid(text: str) -> list:
 
 
 def _emit_json(doc: dict, out: str | None):
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ValueError(f"result holds a NaN or infinite value ({exc})") from exc
     if out:
         try:
             Path(out).write_text(text)
@@ -321,6 +329,11 @@ def main(argv=None) -> int:
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:
+        # Finite but extreme parameters overflow a power or underflow a divisor.
+        print(f"error: parameters out of floating-point range "
+              f"({type(exc).__name__}: {exc})", file=sys.stderr)
         return 1
     return code
 

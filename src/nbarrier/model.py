@@ -12,11 +12,54 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain
+from math import isfinite
+from typing import Callable, Sequence
 
 REGION_REL_TOL = 1e-9      # relative tolerance for region membership
 SIGN_ABS_TOL = 1e-12       # absolute tolerance for sign checks at the vertices
 ZERO_STATE_TOL = 1e-12     # componentwise threshold for the zero equilibrium
+
+
+def require_finite(**fields) -> None:
+    """Raise a ValueError naming the first field with a NaN or +-inf entry.
+
+    Each keyword maps a field name to an iterable of its numbers.  NaN
+    passes every sign check (NaN <= 0 is False), so specs call this before
+    their range checks.
+    """
+    for name, values in fields.items():
+        for v in values:
+            if not isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v!r}")
+
+
+def float_vector(value) -> tuple:
+    """A document list of numbers as a tuple of floats."""
+    return tuple(float(x) for x in value)
+
+
+def float_matrix(value) -> tuple:
+    """A document list of rows as a tuple of float tuples."""
+    return tuple(float_vector(row) for row in value)
+
+
+def fields_from_dict(doc: dict, converters: dict[str, Callable], kind: str) -> dict:
+    """Convert doc[key] with converters[key] for every key, in order.
+
+    Raises a ValueError naming the key when it is missing or when its value
+    has the wrong shape or type, or is out of range for its conversion (a
+    scalar where a list belongs, Infinity where an integer belongs).
+    """
+    out = {}
+    for key, convert in converters.items():
+        if key not in doc:
+            raise ValueError(f"{kind} document is missing key {key!r}")
+        try:
+            out[key] = convert(doc[key])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{kind} document key {key!r} is malformed: {exc}") from exc
+    return out
 
 
 @dataclass(frozen=True)
@@ -32,6 +75,7 @@ class ReactionSpec:
     def __post_init__(self):
         object.__setattr__(self, "sigma", tuple(self.sigma))
         object.__setattr__(self, "C", tuple(tuple(row) for row in self.C))
+        require_finite(sigma=self.sigma, C=chain.from_iterable(self.C))
         n = len(self.sigma)
         if n == 0:
             raise ValueError("reaction needs at least one species")
@@ -61,6 +105,7 @@ class SystemSpec:
     def __post_init__(self):
         object.__setattr__(self, "d", tuple(self.d))
         object.__setattr__(self, "l", tuple(self.l))
+        require_finite(m=(self.m,), d=self.d, l=self.l, theta=(self.theta,))
         if self.n < 1:
             raise ValueError("need at least one species")
         if self.m < 1:
@@ -88,6 +133,8 @@ class HullBounds:
     def __post_init__(self):
         object.__setattr__(self, "ubar", tuple(self.ubar))
         object.__setattr__(self, "ulow", tuple(self.ulow))
+        # sigma_j / c_ji overflows to inf for extreme finite rates.
+        require_finite(ubar=self.ubar, ulow=self.ulow)
         if len(self.ubar) != len(self.ulow):
             raise ValueError("ubar and ulow must have equal length")
         if any(lo <= 0 for lo in self.ulow):
@@ -243,16 +290,10 @@ def system_to_dict(spec: SystemSpec) -> dict:
 
 
 def system_from_dict(doc: dict) -> SystemSpec:
-    """Inverse of system_to_dict; raises ValueError naming any missing key."""
-    try:
-        n = int(doc["n"])
-        m = float(doc["m"])
-        d = tuple(float(x) for x in doc["d"])
-        l = tuple(float(x) for x in doc["l"])
-        theta = float(doc["theta"])
-        sigma = tuple(float(x) for x in doc["sigma"])
-        C = tuple(tuple(float(x) for x in row) for row in doc["C"])
-    except KeyError as exc:
-        raise ValueError(f"system document is missing key {exc.args[0]!r}") from exc
-    return SystemSpec(n=n, m=m, d=d, l=l, theta=theta,
-                      reaction=ReactionSpec(sigma=sigma, C=C))
+    """Inverse of system_to_dict; raises ValueError naming any missing or
+    malformed key."""
+    f = fields_from_dict(doc, {"n": int, "m": float, "d": float_vector,
+                               "l": float_vector, "theta": float,
+                               "sigma": float_vector, "C": float_matrix}, "system")
+    return SystemSpec(n=f["n"], m=f["m"], d=f["d"], l=f["l"], theta=f["theta"],
+                      reaction=ReactionSpec(sigma=f["sigma"], C=f["C"]))

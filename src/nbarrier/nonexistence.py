@@ -16,8 +16,10 @@ they are recorded as caller-asserted flags.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import chain
 
 from .bounds import two_species_m2_lower, two_species_m2_upper
+from .model import fields_from_dict, float_matrix, float_vector, require_finite
 
 
 @dataclass(frozen=True)
@@ -35,6 +37,7 @@ class ThreeSpeciesParams:
         object.__setattr__(self, "d", tuple(self.d))
         object.__setattr__(self, "sigma", tuple(self.sigma))
         object.__setattr__(self, "C", tuple(tuple(row) for row in self.C))
+        require_finite(d=self.d, sigma=self.sigma, C=chain.from_iterable(self.C))
         if len(self.d) != 3 or len(self.sigma) != 3 or len(self.C) != 3:
             raise ValueError("three species means three of everything")
         if any(len(row) != 3 for row in self.C):
@@ -45,7 +48,10 @@ class ThreeSpeciesParams:
             raise ValueError("competition coefficients must be strictly positive")
         for name, w in (("w_minus_inf", self.w_minus_inf),
                         ("w_plus_inf", self.w_plus_inf)):
-            if w is not None and w < 0:
+            if w is None:
+                continue
+            require_finite(**{name: (w,)})
+            if w < 0:
                 raise ValueError(f"{name} must be nonnegative")
 
 
@@ -161,16 +167,12 @@ def check(params: ThreeSpeciesParams,
 
 def params_from_dict(doc: dict) -> ThreeSpeciesParams:
     """Build parameters from a JSON document with keys d, sigma, C and
-    optional w_minus_inf / w_plus_inf."""
-    try:
-        d = tuple(float(x) for x in doc["d"])
-        sigma = tuple(float(x) for x in doc["sigma"])
-        C = tuple(tuple(float(x) for x in row) for row in doc["C"])
-    except KeyError as exc:
-        raise ValueError(f"parameter document is missing key {exc.args[0]!r}") from exc
-    w_minus = doc.get("w_minus_inf")
-    w_plus = doc.get("w_plus_inf")
-    return ThreeSpeciesParams(
-        d=d, sigma=sigma, C=C,
-        w_minus_inf=None if w_minus is None else float(w_minus),
-        w_plus_inf=None if w_plus is None else float(w_plus))
+    optional w_minus_inf / w_plus_inf; raises ValueError naming any missing
+    or malformed key."""
+    def optional(value):
+        return None if value is None else float(value)
+
+    return ThreeSpeciesParams(**fields_from_dict(
+        {"w_minus_inf": None, "w_plus_inf": None, **doc},
+        {"d": float_vector, "sigma": float_vector, "C": float_matrix,
+         "w_minus_inf": optional, "w_plus_inf": optional}, "parameter"))

@@ -5,18 +5,23 @@ w_i = (u_i^m)'.  For m > 1 the back-map u_i' = w_i / (m u_i^{m-1}) is
 singular at u_i = 0, so integration stops at a small positivity floor rather
 than stepping into the degenerate set.  Stepping is classical fixed-step
 RK4; outputs are bit-reproducible for identical inputs.
+
+numpy is imported inside integrate, check_bounds and flux_balance_defect,
+not at module level, so importing the package (and every CLI subcommand
+except simulate) does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite, log
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .bounds import BoundsResult
 from .model import SystemSpec
+
+if TYPE_CHECKING:
+    import numpy as np
 
 POSITIVITY_FLOOR = 1e-8
 MAX_STEPS = 10 ** 6
@@ -33,7 +38,8 @@ class Trajectory:
     xs, u, w are the grid and states; p and q are the weighted totals
     sum alpha_i u_i and sum alpha_i d_i u_i^m for the alpha the trajectory
     was integrated with.  truncated marks an early stop at the positivity
-    floor; clamped marks any stored component lifted from below zero.
+    floor or at the first non-finite state; clamped marks any stored
+    component lifted from below zero.
     """
 
     xs: np.ndarray
@@ -67,11 +73,16 @@ def integrate(spec: SystemSpec, u0: Sequence[float], w0: Sequence[float],
         alpha: weights for the stored p and q columns (default all ones).
 
     Returns a Trajectory, truncated early if any species reaches the
-    positivity floor while m > 1.
+    positivity floor while m > 1, or cut before the first stored state with
+    a NaN or infinite component.
     """
+    import numpy as np
+
     n = spec.n
     if len(u0) != n or len(w0) != n:
         raise ValueError("initial data dimensions must match the system")
+    if not all(isfinite(v) for v in (*u0, *w0)):
+        raise ValueError("initial data must be finite")
     if any(ui <= 0 for ui in u0):
         raise ValueError("initial state must be strictly positive")
     if step <= 0:
@@ -122,36 +133,45 @@ def integrate(spec: SystemSpec, u0: Sequence[float], w0: Sequence[float],
     truncated = False
     reason = None
     x = x0
-    for k in range(n_steps):
-        h = step if k < n_full else remainder
-        u, w = us[-1], ws[-1]
-        try:
-            k1u, k1w = rhs(u, w)
-            k2u, k2w = rhs(u + 0.5 * h * k1u, w + 0.5 * h * k1w)
-            k3u, k3w = rhs(u + 0.5 * h * k2u, w + 0.5 * h * k2w)
-            k4u, k4w = rhs(u + h * k3u, w + h * k3w)
-            u_next = u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-            w_next = w + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-            if degenerate and np.any(u_next < POSITIVITY_FLOOR):
-                raise _FloorHit
-        except _FloorHit:
-            truncated = True
-            reason = (f"positivity floor {POSITIVITY_FLOOR:g} reached "
-                      f"near x = {x + h:.6g}")
-            break
-        x += h
-        xs.append(x)
-        us.append(u_next)
-        ws.append(w_next)
+    # Overflow and invalid powers are caught by the scan after the loop.
+    with np.errstate(all="ignore"):
+        for k in range(n_steps):
+            h = step if k < n_full else remainder
+            u, w = us[-1], ws[-1]
+            try:
+                k1u, k1w = rhs(u, w)
+                k2u, k2w = rhs(u + 0.5 * h * k1u, w + 0.5 * h * k1w)
+                k3u, k3w = rhs(u + 0.5 * h * k2u, w + 0.5 * h * k2w)
+                k4u, k4w = rhs(u + h * k3u, w + h * k3w)
+                u_next = u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+                w_next = w + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+                if degenerate and np.any(u_next < POSITIVITY_FLOOR):
+                    raise _FloorHit
+            except _FloorHit:
+                truncated = True
+                reason = (f"positivity floor {POSITIVITY_FLOOR:g} reached "
+                          f"near x = {x + h:.6g}")
+                break
+            x += h
+            xs.append(x)
+            us.append(u_next)
+            ws.append(w_next)
 
+    xs_arr = np.array(xs)
     u_arr = np.array(us)
     w_arr = np.array(ws)
+    finite = np.isfinite(u_arr).all(axis=1) & np.isfinite(w_arr).all(axis=1)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        truncated = True
+        reason = f"non-finite state at x = {xs_arr[first]:.6g}"
+        xs_arr, u_arr, w_arr = xs_arr[:first], u_arr[:first], w_arr[:first]
     clamped = bool(np.any(u_arr < 0.0))
     if clamped:
         u_arr = np.maximum(u_arr, 0.0)
     p_arr = u_arr @ alpha_vec
     q_arr = (u_arr ** m) @ (alpha_vec * d_vec)
-    return Trajectory(xs=np.array(xs), u=u_arr, w=w_arr, p=p_arr, q=q_arr,
+    return Trajectory(xs=xs_arr, u=u_arr, w=w_arr, p=p_arr, q=q_arr,
                       alpha=tuple(alpha), truncated=truncated,
                       truncation_reason=reason, clamped=clamped)
 
@@ -172,6 +192,8 @@ class BoundCheckReport:
 def check_bounds(traj: Trajectory, alpha: Sequence[float],
                  bounds: BoundsResult) -> BoundCheckReport:
     """Scan p(x) = sum alpha_i u_i over the stored grid against the bounds."""
+    import numpy as np
+
     if len(alpha) != traj.n:
         raise ValueError("alpha length must match the trajectory")
     p = traj.u @ np.asarray(alpha, dtype=float)
@@ -204,6 +226,8 @@ def flux_balance_defect(spec: SystemSpec, traj: Trajectory,
     the left side evaluated with trapezoidal quadrature on the stored grid;
     small means the stored states are consistent with the system.
     """
+    import numpy as np
+
     if len(alpha) != traj.n:
         raise ValueError("alpha length must match the trajectory")
     alpha_vec = np.asarray(alpha, dtype=float)

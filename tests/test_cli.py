@@ -1,11 +1,19 @@
 """Command-line interface: exit codes, JSON/CSV output, determinism."""
 
+import contextlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import nbarrier
 from nbarrier import bounds_general, hull_intercepts, system_to_dict, tanh_family
 from nbarrier.cli import main
 
@@ -319,3 +327,166 @@ def test_readme_examples_replay_byte_for_byte(capsys):
     for example in examples:
         code, out, _ = run(capsys, *example["argv"])
         assert (code, out) == (example["exit_code"], example["stdout"]), example["name"]
+
+
+# Runs every README example in one fresh interpreter and exits nonzero, naming
+# the example, as soon as one of them has loaded numpy.
+NUMPY_PROBE = """
+import json, sys
+from nbarrier.cli import main
+for example in json.load(open(sys.argv[1]))["examples"]:
+    main(example["argv"])
+    if "numpy" in sys.modules:
+        sys.exit("numpy loaded after " + example["name"])
+"""
+
+
+def test_readme_examples_run_without_numpy():
+    env = dict(os.environ, PYTHONPATH=str(Path(nbarrier.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, str(README_FIXTURE)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    examples = json.loads(README_FIXTURE.read_text())["examples"]
+    assert proc.stdout == "".join(example["stdout"] for example in examples)
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("bounds", FIG_SPEC, "--alpha", "1,nan"), "--alpha"),
+    (("barrier", FIG_SPEC, "--alpha", "inf,1", "--orientation", "upper"), "--alpha"),
+    (("simulate", TANH_SPEC, "--u0", "1,nan", "--w0", "0,0", "--span", "0:1",
+      "--step", "0.01"), "--u0"),
+    (("simulate", TANH_SPEC, "--u0", "1,1", "--w0=-inf,0", "--span", "0:1",
+      "--step", "0.01"), "--w0"),
+], ids=["bounds-alpha", "barrier-alpha", "u0", "w0"])
+def test_non_finite_float_list_is_usage_error(capsys, argv, named):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {named} entries must be finite\n"
+
+
+def _doc(base, **changes):
+    return json.dumps({**json.loads(base), **changes})
+
+
+def _reject_constant(name):
+    raise AssertionError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify-h", _doc(FIG_SPEC, sigma=[math.nan, 1.0])), "sigma must be finite, got nan"),
+    (("bounds", _doc(FIG_SPEC, m=math.inf), "--alpha", "1,2"), "m must be finite, got inf"),
+    (("nonexistence", _doc(NONEX_PARAMS, sigma=[10.0, 12.0, math.nan])),
+     "sigma must be finite, got nan"),
+    (("bounds", _doc(FIG_SPEC, n=math.inf), "--alpha", "1,2"),
+     "system document key 'n' is malformed"),
+    (("bounds", _doc(FIG_SPEC, d=5), "--alpha", "1,2"),
+     "system document key 'd' is malformed"),
+    (("nonexistence", _doc(NONEX_PARAMS, d=3)), "parameter document key 'd' is malformed"),
+], ids=["verify-h-nan-sigma", "bounds-inf-m", "nonexistence-nan-sigma3",
+        "bounds-inf-n", "bounds-scalar-d", "nonexistence-scalar-d"])
+def test_non_finite_or_malformed_document_is_domain_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}")
+
+
+def test_non_finite_result_is_not_printed(capsys):
+    # c33 tiny: the third species' ceiling sigma3/c33 overflows to inf.
+    params = _doc(NONEX_PARAMS, sigma=[1.0, 1.0, 1e308],
+                  C=[[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1e-10]])
+    code, out, err = run(capsys, "nonexistence", params)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: result holds a NaN or infinite value")
+    code, out, err = run(capsys, "residual", "tanh", "--d1", "3", "--d2", "4",
+                         "--c11", "1", "--c22", "2", "--tol", "nan")
+    assert (code, out) == (1, "")
+
+
+ONE_SPECIES = {"n": 1, "m": 1.0, "d": [131.8], "l": [1.0], "theta": 0.0,
+               "sigma": [905.9], "C": [[1.1]]}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("bounds", _doc(FIG_SPEC, d=[1e300, 1.0], sigma=[1e200, 1.0]), "--alpha", "1,1"),
+     "parameters out of floating-point range (OverflowError"),
+    (("bounds", _doc(LV_SPEC, sigma=[1e300, 1e300], C=[[1e-10, 1e-10], [1e-10, 1e-10]]),
+      "--alpha", "1,1", "--chi", "0"), "ubar must be finite, got inf"),
+    (("bounds", json.dumps(ONE_SPECIES), "--alpha=1.7e308", "--chi", "0"),
+     "bounds must be finite, got lower nan and upper inf"),
+    (("barrier", json.dumps({**ONE_SPECIES, "m": 1.88, "d": [0.5], "sigma": [1.0], "C": [[0.5]]}),
+      "--alpha=1.07e167", "--orientation", "lower"), "envelope levels must be finite"),
+], ids=["power-overflow", "hull-overflow", "m1-band-overflow", "envelope-overflow"])
+@pytest.mark.filterwarnings("ignore:degenerate hull")
+def test_float_overflow_is_domain_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1].startswith(f"error: {message}")
+
+
+def test_simulate_reports_a_non_finite_state_as_truncation(capsys):
+    spec = json.dumps({"n": 2, "m": 1.0, "d": [1, 1], "theta": 0, "l": [1.5, 1.5],
+                       "sigma": [1, 1], "C": [[1, 0.5], [0.4, 1.2]]})
+    code, out, err = run(capsys, "simulate", spec, "--u0", "0.1,0.1", "--w0=-1,-1",
+                         "--span", "0:5", "--step", "0.01")
+    assert (code, err) == (0, "")
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert doc["truncated"] is True
+    assert doc["truncation_reason"] == "non-finite state at x = 0.1"
+    assert math.isfinite(doc["min_p"]) and math.isfinite(doc["max_p"])
+
+
+# Fuzzing: a valid document with up to two entries (or whole keys) replaced
+# by a value from every class the boundary must handle: NaN, the infinities,
+# zero, negatives, subnormals, huge magnitudes and arbitrary floats.
+SPECIAL_NUMBERS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, 1e-300,
+                     1e300, 1.7e308]),
+    st.floats(),
+)
+MODERATE = st.floats(min_value=1e-3, max_value=1e3)
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(["bounds", "barrier", "verify-h", "nonexistence"]))
+    n = 3 if command == "nonexistence" else draw(st.integers(1, 3))
+
+    def vector():
+        return draw(st.lists(MODERATE, min_size=n, max_size=n))
+
+    doc = {"d": vector(), "sigma": vector(), "C": [vector() for _ in range(n)]}
+    if command == "nonexistence":
+        doc["w_minus_inf"] = draw(MODERATE)
+    else:
+        doc.update(n=n, m=draw(st.one_of(st.just(1.0), st.floats(1.0, 4.0))),
+                   l=vector(), theta=draw(MODERATE))
+    alpha = vector()
+    slots = ([(doc, key) for key in doc]
+             + [(doc[key], i) for key in ("d", "sigma", "l") if key in doc
+                for i in range(n)]
+             + [(row, j) for row in doc["C"] for j in range(n)]
+             + [(alpha, i) for i in range(n)])
+    for _ in range(draw(st.integers(0, 2))):
+        container, index = draw(st.sampled_from(slots))
+        container[index] = draw(SPECIAL_NUMBERS)
+    argv = [command, json.dumps(doc)]
+    if command in ("bounds", "barrier"):
+        argv.append("--alpha=" + ",".join(repr(float(a)) for a in alpha))
+    if command == "barrier":
+        argv += ["--orientation", draw(st.sampled_from(["lower", "upper"]))]
+    if command == "bounds":
+        argv += ["--chi", draw(st.sampled_from(["0", "1"]))]
+    return argv
+
+
+@pytest.mark.filterwarnings("ignore:degenerate hull")
+@settings(max_examples=300, deadline=None)
+@given(argv=fuzz_argv())
+def test_fuzzed_parameters_give_an_exit_code_and_strict_json(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if out.getvalue():
+        json.loads(out.getvalue(), parse_constant=_reject_constant)

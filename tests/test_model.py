@@ -1,5 +1,7 @@
 """Kinetics, hull intercepts and the sign-hypothesis check."""
 
+import math
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -237,4 +239,33 @@ def test_system_from_dict_names_missing_key():
     doc = system_to_dict(LV_SPEC)
     del doc["sigma"]
     with pytest.raises(ValueError, match="sigma"):
+        system_from_dict(doc)
+
+
+# One spec per field, with the value put into that field alone.
+NON_FINITE_FIELDS = {
+    "sigma": lambda v: replace(LV, sigma=(1.0, v)),
+    "C": lambda v: replace(LV, C=((1.0, 2.0), (v, 1.0))),
+    "m": lambda v: replace(LV_SPEC, m=v),
+    "d": lambda v: replace(LV_SPEC, d=(1.0, v)),
+    "l": lambda v: replace(LV_SPEC, l=(v, 1.0)),
+    "theta": lambda v: replace(LV_SPEC, theta=v),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", NON_FINITE_FIELDS)
+def test_specs_reject_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        NON_FINITE_FIELDS[field](value)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n", math.inf), ("n", math.nan), ("d", 5), ("C", [1.0, 2.0]),
+    ("theta", [0.0]), ("sigma", None), ("l", ["two", 2]),
+], ids=["inf-n", "nan-n", "scalar-d", "vector-C", "list-theta", "null-sigma", "text-l"])
+def test_system_from_dict_names_malformed_key(key, value):
+    doc = system_to_dict(LV_SPEC)
+    doc[key] = value
+    with pytest.raises(ValueError, match=f"^system document key '{key}' is malformed"):
         system_from_dict(doc)

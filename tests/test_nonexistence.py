@@ -1,5 +1,7 @@
 """Three-species wave-blocking criteria."""
 
+import math
+
 import pytest
 
 from nbarrier import (
@@ -127,3 +129,27 @@ def test_params_validation_and_round_trip():
     assert p.sigma == (10.0, 12.0, 4.0)
     with pytest.raises(ValueError, match="sigma"):
         params_from_dict({"d": [1, 1, 1], "C": doc["C"]})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["d", "sigma", "C", "w_minus_inf", "w_plus_inf"])
+def test_params_reject_non_finite_values(field, value):
+    doc = dict(BASE)
+    if field in ("d", "sigma"):
+        doc[field] = (1.0, value, 1.0)
+    elif field == "C":
+        doc["C"] = (BASE["C"][0], (1.0, 2.0, value), BASE["C"][2])
+    else:
+        doc[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        ThreeSpeciesParams(**doc)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("d", 3), ("sigma", [1, None, 1]), ("C", [1, 2, 3]), ("w_plus_inf", [4]),
+], ids=["scalar-d", "null-in-sigma", "vector-C", "list-w_plus_inf"])
+def test_params_from_dict_names_malformed_key(key, value):
+    doc = {"d": list(BASE["d"]), "sigma": [10, 12, 4],
+           "C": [list(r) for r in BASE["C"]], key: value}
+    with pytest.raises(ValueError, match=f"^parameter document key '{key}' is malformed"):
+        params_from_dict(doc)

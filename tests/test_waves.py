@@ -2,6 +2,8 @@
 
 import math
 import re
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -194,3 +196,27 @@ def test_evenness_index_reference_values():
         evenness_index((1.0,))
     with pytest.raises(ValueError):
         evenness_index((1.0, 0.0))
+
+
+@pytest.mark.parametrize("u0, w0", [
+    ((1.0, math.nan), (0.0, 0.0)),
+    ((math.inf, 1.0), (0.0, 0.0)),
+    ((1.0, 1.0), (0.0, -math.inf)),
+], ids=["nan-u0", "inf-u0", "inf-w0"])
+def test_integrate_rejects_non_finite_initial_data(u0, w0):
+    with pytest.raises(ValueError, match="finite"):
+        integrate(LV, u0, w0, (0.0, 1.0), 1e-2)
+
+
+def test_trajectory_is_cut_at_the_first_non_finite_state():
+    # m = 1 with l = 1.5: a stage state goes negative, u^1.5 is NaN there.
+    spec = replace(LV, l=(1.5, 1.5), theta=0.0,
+                   reaction=ReactionSpec(sigma=(1.0, 1.0), C=((1.0, 0.5), (0.4, 1.2))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate(spec, (0.1, 0.1), (-1.0, -1.0), (0.0, 5.0), 0.01)
+    assert traj.truncated
+    assert traj.truncation_reason == "non-finite state at x = 0.1"
+    assert len(traj.xs) == len(traj.u) == len(traj.w) == len(traj.p) == 10
+    for arr in (traj.xs, traj.u, traj.w, traj.p, traj.q):
+        assert np.isfinite(arr).all()
