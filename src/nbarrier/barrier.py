@@ -6,13 +6,19 @@ envelope nests plane inside ellipsoid inside plane inside ellipsoid inside
 the inner hull region; an upper envelope runs the same alternation outward
 from the outer hull face.  Each step is a tangency computation with a closed
 form, derived by Lagrange multipliers on the convex form q.
+
+verify_containment checks the chain independently of those closed forms,
+on boundary points sampled from one simplex lattice.  p is homogeneous of
+degree 1 and q of degree m, so on a level set reached by scaling a lattice
+point t the value of the next set's function is a level factor times a sum
+over t: one walk of the lattice checks all four links.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from math import isfinite
+from math import inf, isfinite
+from operator import mul
 from typing import Sequence
 
 from .model import REGION_REL_TOL, HullBounds
@@ -87,6 +93,14 @@ def _require_exponent_domain(m: float):
         raise ValueError("tangency exponents 1/(m-1) need m > 1")
 
 
+def _level(name: str, value: float) -> float:
+    """A level built from positive finite factors; 0 means it underflowed."""
+    if value == 0.0:
+        raise ValueError(f"envelope level {name} underflows to 0; "
+                         "the parameters underflow floating point")
+    return value
+
+
 def _check_vectors(*vectors: Sequence[float]):
     n = len(vectors[0])
     for v in vectors:
@@ -145,9 +159,9 @@ def build_lower_barrier(alpha: Sequence[float], d: Sequence[float],
     _check_vectors(alpha, d, ulow)
     shrink = min(a ** (m - 1.0) / di for a, di in zip(alpha, d))
     lambda1 = tangency_weighted(1.0, alpha, d, ulow, m).Lambda
-    eta1 = (lambda1 * shrink) ** (1.0 / m)
+    eta1 = _level("eta1", (lambda1 * shrink) ** (1.0 / m))
     lambda2 = tangency_plain(eta1, alpha, d, m).Lambda
-    eta2 = (lambda2 * shrink) ** (1.0 / m)
+    eta2 = _level("eta2", (lambda2 * shrink) ** (1.0 / m))
     return BarrierEnvelope(lambda1=lambda1, eta1=eta1, lambda2=lambda2, eta2=eta2,
                            orientation="lower", weights=tuple(alpha), m=m, d=tuple(d))
 
@@ -166,10 +180,10 @@ def build_upper_barrier(alpha: Sequence[float], d: Sequence[float],
     e = 1.0 / (m - 1.0)
     S = sum(a * di ** -e for a, di in zip(alpha, d))
     grow = max(di / a ** (m - 1.0) for a, di in zip(alpha, d))
-    lambda1 = max(a * di * hi ** m for a, di, hi in zip(alpha, d, ubar))
-    eta1 = lambda1 ** (1.0 / m) * S ** ((m - 1.0) / m)
-    lambda2 = eta1 ** m * grow
-    eta2 = lambda2 ** (1.0 / m) * S ** ((m - 1.0) / m)
+    lambda1 = _level("lambda1", max(a * di * hi ** m for a, di, hi in zip(alpha, d, ubar)))
+    eta1 = _level("eta1", lambda1 ** (1.0 / m) * S ** ((m - 1.0) / m))
+    lambda2 = _level("lambda2", eta1 ** m * grow)
+    eta2 = _level("eta2", lambda2 ** (1.0 / m) * S ** ((m - 1.0) / m))
     return BarrierEnvelope(lambda1=lambda1, eta1=eta1, lambda2=lambda2, eta2=eta2,
                            orientation="upper", weights=tuple(alpha), m=m, d=tuple(d))
 
@@ -197,32 +211,39 @@ def _q_value(u, alpha, d, m):
     return sum(a * di * ui ** m for a, di, ui in zip(alpha, d, u))
 
 
-def _p_value(u, alpha):
-    return sum(a * ui for a, ui in zip(alpha, u))
-
-
 def _simplex_lattice(n: int, resolution: int):
-    """Integer compositions k with sum(k) == resolution, as barycentric weights."""
-    for k in product(range(resolution + 1), repeat=n - 1):
-        rest = resolution - sum(k)
-        if rest >= 0:
-            yield tuple(ki / resolution for ki in k) + (rest / resolution,)
+    """Integer compositions k with sum(k) == resolution, as barycentric weights.
+
+    The compositions come in lexicographic order and none is made only to be
+    rejected: the successor of k moves one unit from its rightmost nonzero
+    entry k_j into k_(j-1) and puts the rest of k_j into the last entry.
+    """
+    weights = [i / resolution for i in range(resolution + 1)]
+    k = [0] * (n - 1) + [resolution]
+    while True:
+        yield tuple(map(weights.__getitem__, k))
+        j = n - 1
+        while not k[j]:
+            j -= 1
+        if j == 0:
+            return
+        rest = k[j] - 1
+        k[j] = 0
+        k[j - 1] += 1
+        k[-1] = rest
 
 
-def _plane_points(eta, alpha, n, resolution):
-    for t in _simplex_lattice(n, resolution):
-        yield tuple(eta * ti / a for ti, a in zip(t, alpha))
+def _plane_point(eta, alpha, t):
+    return tuple(eta * ti / a for ti, a in zip(t, alpha))
 
 
-def _ellipsoid_points(lam, alpha, d, m, n, resolution):
-    for t in _simplex_lattice(n, resolution):
-        scale = (lam / _q_value(t, alpha, d, m)) ** (1.0 / m)
-        yield tuple(scale * ti for ti in t)
+def _ellipsoid_point(lam, alpha, d, m, t):
+    scale = (lam / _q_value(t, alpha, d, m)) ** (1.0 / m)
+    return tuple(scale * ti for ti in t)
 
 
-def _face_points(intercepts, n, resolution):
-    for t in _simplex_lattice(n, resolution):
-        yield tuple(ti * ci for ti, ci in zip(t, intercepts))
+def _face_point(intercepts, t):
+    return tuple(ti * ci for ti, ci in zip(t, intercepts))
 
 
 def barrier_curves(envelope: BarrierEnvelope, hull: HullBounds, samples: int) -> tuple:
@@ -239,40 +260,41 @@ def barrier_curves(envelope: BarrierEnvelope, hull: HullBounds, samples: int) ->
     n, r = len(alpha), samples
     face = hull.ulow if envelope.orientation == "lower" else hull.ubar
     return (
-        ("plane_eta1", _plane_points(envelope.eta1, alpha, n, r)),
-        ("plane_eta2", _plane_points(envelope.eta2, alpha, n, r)),
-        ("ellipsoid_lambda1", _ellipsoid_points(envelope.lambda1, alpha, d, m, n, r)),
-        ("ellipsoid_lambda2", _ellipsoid_points(envelope.lambda2, alpha, d, m, n, r)),
-        ("hull_face", _face_points(face, n, r)),
+        ("plane_eta1", (_plane_point(envelope.eta1, alpha, t) for t in _simplex_lattice(n, r))),
+        ("plane_eta2", (_plane_point(envelope.eta2, alpha, t) for t in _simplex_lattice(n, r))),
+        ("ellipsoid_lambda1", (_ellipsoid_point(envelope.lambda1, alpha, d, m, t)
+                               for t in _simplex_lattice(n, r))),
+        ("ellipsoid_lambda2", (_ellipsoid_point(envelope.lambda2, alpha, d, m, t)
+                               for t in _simplex_lattice(n, r))),
+        ("hull_face", (_face_point(face, t) for t in _simplex_lattice(n, r))),
     )
-
-
-def _check_link(name, points, outer_value, limit, tol):
-    """Evaluate outer_value over points; containment means value <= limit."""
-    ok = True
-    worst_margin = float("inf")
-    worst_point = None
-    for u in points:
-        value = outer_value(u)
-        margin = (limit - value) / limit
-        if margin < worst_margin:
-            worst_margin, worst_point = margin, u
-        if value > limit * (1.0 + tol):
-            ok = False
-    return LinkReport(name=name, ok=ok, worst_margin=worst_margin,
-                      worst_point=tuple(worst_point))
 
 
 def verify_containment(envelope: BarrierEnvelope, hull: HullBounds, samples: int,
                        orientation: str | None = None,
                        tol: float = REGION_REL_TOL) -> ContainmentReport:
-    """Sample each link of the envelope's nesting chain and check containment.
+    """Check each link of the envelope's nesting chain on one simplex lattice.
 
-    samples is the lattice resolution per boundary face.  Axis intercepts of
-    every inner set are always included through the lattice vertices, which
-    is where the construction is tight, so the checks run with a relative
-    slack tol.  Passing an explicit orientation that differs from the
-    envelope's is a usage error.
+    samples is the lattice resolution.  Each boundary is the lattice of
+    points t >= 0 with sum_i t_i = 1, scaled onto its level set: eta t_i /
+    alpha_i on a plane, lambda^(1/m) t / q(t)^(1/m) on an ellipsoid and
+    ubar_i t_i on the outer hull face.  Since p has degree 1 and q degree m,
+    the value a link checks at such a point is a level factor times one of
+    three sums over t:
+
+        plane in ellipsoid         q = eta^m * sum_i d_i alpha_i^(1-m) t_i^m
+        ellipsoid in plane         p = lambda^(1/m) * p(t) / q(t)^(1/m)
+        ellipsoid in inner hull        lambda^(1/m) * sum_i (t_i / ulow_i) / q(t)^(1/m)
+        outer hull face in ellipsoid   q = sum_i alpha_i d_i ubar_i^m t_i^m
+
+    So one walk of the lattice, taking t_i^m once per point, checks every
+    link.  Each sum keeps its largest value and the first point in lattice
+    order that attains it; a link's worst margin (limit - value) / limit and
+    its worst point come from there.  Axis intercepts of every inner set are
+    lattice vertices, which is where the construction is tight, so the
+    checks run with a relative slack tol.  A link value that overflows
+    floating point raises a ValueError naming the link.  Passing an explicit
+    orientation that differs from the envelope's is a usage error.
     """
     if orientation is not None and orientation != envelope.orientation:
         raise ValueError(
@@ -283,26 +305,69 @@ def verify_containment(envelope: BarrierEnvelope, hull: HullBounds, samples: int
         raise ValueError("samples must be positive")
 
     alpha, d, m = envelope.weights, envelope.d, envelope.m
-    n = len(alpha)
-    r = samples
-    q = lambda u: _q_value(u, alpha, d, m)
-    p = lambda u: _p_value(u, alpha)
-
-    # (name, boundary points, level function, level), innermost level first;
-    # each link checks one entry's boundary against the next entry's level.
-    chain = (
-        ("plane_eta2", _plane_points(envelope.eta2, alpha, n, r), p, envelope.eta2),
-        ("ellipsoid_lambda2", _ellipsoid_points(envelope.lambda2, alpha, d, m, n, r),
-         q, envelope.lambda2),
-        ("plane_eta1", _plane_points(envelope.eta1, alpha, n, r), p, envelope.eta1),
-        ("ellipsoid_lambda1", _ellipsoid_points(envelope.lambda1, alpha, d, m, n, r),
-         q, envelope.lambda1),
-    )
-    if envelope.orientation == "lower":
-        hull_excess = lambda u: sum(ui / lo for ui, lo in zip(u, hull.ulow))
-        chain += (("inner_hull", None, hull_excess, 1.0),)
+    inv_m = 1.0 / m
+    lower = envelope.orientation == "lower"
+    w_q = tuple(a * di for a, di in zip(alpha, d))
+    w_plane = tuple(di * a ** (1.0 - m) for a, di in zip(alpha, d))
+    if lower:
+        w_hull = tuple(1.0 / lo for lo in hull.ulow)
     else:
-        chain = (("outer_hull_face", _face_points(hull.ubar, n, r), None, None),) + chain[::-1]
-    return ContainmentReport(links=tuple(
-        _check_link(f"{inner}_in_{outer}", points, value, limit, tol)
-        for (inner, points, _, _), (outer, _, value, limit) in zip(chain, chain[1:])))
+        w_hull = tuple(a * di * hi ** m for a, di, hi in zip(alpha, d, hull.ubar))
+
+    # Per sum: its largest value, the first point attaining it, and a
+    # running total, which any value that overflowed leaves non-finite.
+    plane_max = ray_max = hull_max = -inf
+    plane_t = ray_t = hull_t = None
+    plane_total = ray_total = hull_total = 0.0
+    for t in _simplex_lattice(len(alpha), samples):
+        tm = [ti ** m for ti in t]
+        q_root = sum(map(mul, w_q, tm)) ** inv_m
+        s = sum(map(mul, w_plane, tm))
+        plane_total += s
+        if s > plane_max:
+            plane_max, plane_t = s, t
+        s = sum(map(mul, alpha, t)) / q_root
+        ray_total += s
+        if s > ray_max:
+            ray_max, ray_t = s, t
+        s = sum(map(mul, w_hull, t)) / q_root if lower else sum(map(mul, w_hull, tm))
+        hull_total += s
+        if s > hull_max:
+            hull_max, hull_t = s, t
+    plane_peak = plane_max, plane_t, plane_total
+    ray_peak = ray_max, ray_t, ray_total
+    hull_peak = hull_max, hull_t, hull_total
+
+    def on_plane(eta):
+        return eta ** m, lambda t: _plane_point(eta, alpha, t)
+
+    def on_ellipsoid(lam):
+        def point(t):
+            scale = lam ** inv_m / sum(map(mul, w_q, [ti ** m for ti in t])) ** inv_m
+            return tuple(scale * ti for ti in t)
+        return lam ** inv_m, point
+
+    lam1, eta1, lam2, eta2 = envelope.lambda1, envelope.eta1, envelope.lambda2, envelope.eta2
+    # (name, peak of its sum, (level factor, boundary point of t), outer level),
+    # innermost link first.
+    if lower:
+        links = (("plane_eta2_in_ellipsoid_lambda2", plane_peak, on_plane(eta2), lam2),
+                 ("ellipsoid_lambda2_in_plane_eta1", ray_peak, on_ellipsoid(lam2), eta1),
+                 ("plane_eta1_in_ellipsoid_lambda1", plane_peak, on_plane(eta1), lam1),
+                 ("ellipsoid_lambda1_in_inner_hull", hull_peak, on_ellipsoid(lam1), 1.0))
+    else:
+        links = (("outer_hull_face_in_ellipsoid_lambda1", hull_peak,
+                  (1.0, lambda t: _face_point(hull.ubar, t)), lam1),
+                 ("ellipsoid_lambda1_in_plane_eta1", ray_peak, on_ellipsoid(lam1), eta1),
+                 ("plane_eta1_in_ellipsoid_lambda2", plane_peak, on_plane(eta1), lam2),
+                 ("ellipsoid_lambda2_in_plane_eta2", ray_peak, on_ellipsoid(lam2), eta2))
+    reports = []
+    for name, (largest, t, total), (factor, point), limit in links:
+        value = factor * largest
+        if not (isfinite(value) and isfinite(total)):
+            raise ValueError(f"containment link {name} is not finite; "
+                             "the parameters overflow floating point")
+        reports.append(LinkReport(name=name, ok=value <= limit * (1.0 + tol),
+                                  worst_margin=(limit - value) / limit,
+                                  worst_point=point(t)))
+    return ContainmentReport(links=tuple(reports))

@@ -4,10 +4,12 @@ Subcommands: bounds, barrier, verify-h, exact, residual, simulate,
 nonexistence.  Each subcommand returns one JSON document, which goes to
 stdout or --out; CSV side outputs are written only when requested, before
 the document is emitted.  Exit codes: 0 success, 1 domain error (including
-NaN or infinite parameters, arithmetic overflow, and a result that would put
-NaN or infinity into the JSON), 2 usage error (bad flags, malformed JSON, a
-non-finite --alpha, --u0 or --w0 entry, a bad or oversized --grid, an
-unreadable input or unwritable output path), 3 computation succeeded but a
+NaN or infinite parameters, document keys that are unknown or of the wrong
+type, arithmetic overflow or underflow, and a result that would put NaN or
+infinity into the JSON), 2 usage error (bad flags, malformed JSON, a
+non-finite --alpha, --u0 or --w0 entry or family flag, a --tol that is not
+positive and finite, a bad or oversized --grid, an unreadable input or
+unwritable output path), 3 computation succeeded but a
 verification check failed.  All output is deterministic; floats use
 shortest round-trip formatting.
 """
@@ -172,7 +174,11 @@ def _family_from_args(args):
     missing = [name for name in names if getattr(args, name) is None]
     if missing:
         raise _Usage(f"{args.family} family needs --" + " --".join(missing))
-    return solve(*(getattr(args, name) for name in names))
+    values = [getattr(args, name) for name in names]
+    for name, value in zip(names, values):
+        if not math.isfinite(value):
+            raise _Usage(f"--{name} must be finite")
+    return solve(*values)
 
 
 def _solution_dict(sol) -> dict:
@@ -204,6 +210,8 @@ def _default_residual_grid(args, sol) -> list:
 
 def _cmd_residual(args) -> tuple:
     sol = _family_from_args(args)
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise _Usage("--tol must be positive and finite")
     spec = system_from_dict(_load_json(args.spec)) if args.spec else sol.system()
     xs = _default_residual_grid(args, sol)
     worst = residual(spec, sol.profile(), xs)

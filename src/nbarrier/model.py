@@ -34,23 +34,52 @@ def require_finite(**fields) -> None:
                 raise ValueError(f"{name} must be finite, got {v!r}")
 
 
+def number(value) -> float:
+    """A document number as a float; JSON true, false and strings are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {type(value).__name__}")
+    return float(value)
+
+
+def integer(value) -> int:
+    """A document integer; a float is accepted only when it is integral."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected an integer, got {type(value).__name__}")
+    return int(value)
+
+
+def _list(value):
+    # A JSON string is iterable too, so "34" would otherwise read as [3, 4].
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return value
+
+
 def float_vector(value) -> tuple:
     """A document list of numbers as a tuple of floats."""
-    return tuple(float(x) for x in value)
+    return tuple(number(x) for x in _list(value))
 
 
 def float_matrix(value) -> tuple:
     """A document list of rows as a tuple of float tuples."""
-    return tuple(float_vector(row) for row in value)
+    return tuple(float_vector(row) for row in _list(value))
 
 
 def fields_from_dict(doc: dict, converters: dict[str, Callable], kind: str) -> dict:
     """Convert doc[key] with converters[key] for every key, in order.
 
-    Raises a ValueError naming the key when it is missing or when its value
-    has the wrong shape or type, or is out of range for its conversion (a
-    scalar where a list belongs, Infinity where an integer belongs).
+    Raises a ValueError naming the key when doc holds a key that converters
+    do not list, when a key is missing, or when its value has the wrong shape
+    or type, or is out of range for its conversion (a scalar where a list
+    belongs, a string or true where a number belongs, 2.5 or Infinity where
+    an integer belongs).
     """
+    unknown = [key for key in doc if key not in converters]
+    if unknown:
+        raise ValueError(f"{kind} document has unknown key "
+                         + ", ".join(repr(key) for key in unknown))
     out = {}
     for key, convert in converters.items():
         if key not in doc:
@@ -292,8 +321,8 @@ def system_to_dict(spec: SystemSpec) -> dict:
 def system_from_dict(doc: dict) -> SystemSpec:
     """Inverse of system_to_dict; raises ValueError naming any missing or
     malformed key."""
-    f = fields_from_dict(doc, {"n": int, "m": float, "d": float_vector,
-                               "l": float_vector, "theta": float,
+    f = fields_from_dict(doc, {"n": integer, "m": number, "d": float_vector,
+                               "l": float_vector, "theta": number,
                                "sigma": float_vector, "C": float_matrix}, "system")
     return SystemSpec(n=f["n"], m=f["m"], d=f["d"], l=f["l"], theta=f["theta"],
                       reaction=ReactionSpec(sigma=f["sigma"], C=f["C"]))

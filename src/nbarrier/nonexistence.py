@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 from itertools import chain
 
 from .bounds import two_species_m2_lower, two_species_m2_upper
-from .model import fields_from_dict, float_matrix, float_vector, require_finite
+from .model import fields_from_dict, float_matrix, float_vector, number, require_finite
 
 
 @dataclass(frozen=True)
@@ -170,7 +170,7 @@ def params_from_dict(doc: dict) -> ThreeSpeciesParams:
     optional w_minus_inf / w_plus_inf; raises ValueError naming any missing
     or malformed key."""
     def optional(value):
-        return None if value is None else float(value)
+        return None if value is None else number(value)
 
     return ThreeSpeciesParams(**fields_from_dict(
         {"w_minus_inf": None, "w_plus_inf": None, **doc},

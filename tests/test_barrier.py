@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,9 @@ from nbarrier import (
     tangency_weighted,
     verify_containment,
 )
+from nbarrier import barrier as barrier_module
+from nbarrier.barrier import _simplex_lattice
+from nbarrier.model import REGION_REL_TOL
 
 FIG1_ARGS = ((1.0, 2.0), (3.0, 4.0), (1 / 3, 1 / 2), 2.0)
 
@@ -174,3 +178,143 @@ def test_containment_randomized_smoke():
             build_lower_barrier(alpha, d, ulow, m), hull, 30).ok
         assert verify_containment(
             build_upper_barrier(alpha, d, ubar, m), hull, 30).ok
+
+
+def reference_lattice(n, r):
+    """The simplex lattice as a filtered product, in lexicographic order."""
+    return [tuple(ki / r for ki in k) + ((r - sum(k)) / r,)
+            for k in product(range(r + 1), repeat=n - 1) if sum(k) <= r]
+
+
+@pytest.mark.parametrize("n, r", [(1, 1), (1, 7), (2, 1), (2, 40), (3, 5), (4, 3),
+                                  (5, 8), (6, 6), (7, 2)])
+def test_simplex_lattice_matches_the_filtered_product(n, r):
+    assert list(_simplex_lattice(n, r)) == reference_lattice(n, r)
+
+
+def test_containment_walks_the_lattice_once(monkeypatch):
+    calls, points = [], []
+
+    def counting_lattice(n, r):
+        calls.append((n, r))
+        for t in _simplex_lattice(n, r):
+            points.append(t)
+            yield t
+
+    monkeypatch.setattr(barrier_module, "_simplex_lattice", counting_lattice)
+    alpha, d, m = (1.0, 2.0, 0.5), (3.0, 4.0, 1.5), 2.5
+    hull = HullBounds(ubar=(1.5, 1.0, 2.0), ulow=(1 / 3, 1 / 2, 0.7))
+    for env in (build_lower_barrier(alpha, d, hull.ulow, m),
+                build_upper_barrier(alpha, d, hull.ubar, m)):
+        calls.clear()
+        points.clear()
+        assert verify_containment(env, hull, 9).ok
+        assert calls == [(3, 9)]
+        assert len(points) == math.comb(9 + 2, 2)
+
+
+def brute_force_links(env, hull, samples, tol=REGION_REL_TOL):
+    """Each link checked point by point: build every boundary point u of the
+    inner set, evaluate the outer set's function at u, and keep the first
+    point of smallest margin.  Returns (name, ok, margins, points) per link."""
+    alpha, d, m = env.weights, env.d, env.m
+    lattice = reference_lattice(len(alpha), samples)
+    p = lambda u: sum(a * ui for a, ui in zip(alpha, u))
+    q = lambda u: q_value(u, alpha, d, m)
+    h = lambda u: sum(ui / lo for ui, lo in zip(u, hull.ulow))
+    plane = lambda eta: [tuple(eta * ti / a for ti, a in zip(t, alpha)) for t in lattice]
+    ellipsoid = lambda lam: [tuple((lam / q(t)) ** (1 / m) * ti for ti in t)
+                             for t in lattice]
+    face = [tuple(ti * hi for ti, hi in zip(t, hull.ubar)) for t in lattice]
+    lam1, eta1, lam2, eta2 = env.lambda1, env.eta1, env.lambda2, env.eta2
+    if env.orientation == "lower":
+        links = [("plane_eta2_in_ellipsoid_lambda2", plane(eta2), q, lam2),
+                 ("ellipsoid_lambda2_in_plane_eta1", ellipsoid(lam2), p, eta1),
+                 ("plane_eta1_in_ellipsoid_lambda1", plane(eta1), q, lam1),
+                 ("ellipsoid_lambda1_in_inner_hull", ellipsoid(lam1), h, 1.0)]
+    else:
+        links = [("outer_hull_face_in_ellipsoid_lambda1", face, q, lam1),
+                 ("ellipsoid_lambda1_in_plane_eta1", ellipsoid(lam1), p, eta1),
+                 ("plane_eta1_in_ellipsoid_lambda2", plane(eta1), q, lam2),
+                 ("ellipsoid_lambda2_in_plane_eta2", ellipsoid(lam2), p, eta2)]
+    return [(name, all(f(u) <= limit * (1 + tol) for u in points),
+             [(limit - f(u)) / limit for u in points], points)
+            for name, points, f, limit in links]
+
+
+@pytest.mark.filterwarnings("ignore:degenerate hull")
+@given(st.data(), exponents, st.integers(min_value=2, max_value=5),
+       st.sampled_from(["lower", "upper"]), st.sampled_from([1.0, 0.3, 0.9, 1.5]))
+@settings(max_examples=80, deadline=None)
+def test_containment_matches_a_point_by_point_sweep(data, m, n, side, scale):
+    """The homogeneity route against direct evaluation at every boundary point.
+
+    scale moves the checked hull face off the intercepts: inward it breaks
+    the hull link, outward the hull is only looser.
+    """
+    alpha = tuple(data.draw(positive) for _ in range(n))
+    d = tuple(data.draw(positive) for _ in range(n))
+    ulow = tuple(data.draw(positive) for _ in range(n))
+    ubar = tuple(lo + data.draw(positive) for lo in ulow)
+    samples = data.draw(st.integers(min_value=1, max_value={2: 30, 3: 12, 4: 6, 5: 4}[n]))
+    if side == "lower":
+        env = build_lower_barrier(alpha, d, ulow, m)
+        hull = HullBounds(ubar=tuple(max(hi, lo * scale) for hi, lo in zip(ubar, ulow)),
+                          ulow=tuple(lo * scale for lo in ulow))
+    else:
+        env = build_upper_barrier(alpha, d, ubar, m)
+        hull = HullBounds(ubar=tuple(max(hi * scale, lo) for hi, lo in zip(ubar, ulow)),
+                          ulow=ulow)
+    report = verify_containment(env, hull, samples)
+    expected = brute_force_links(env, hull, samples)
+    assert [link.name for link in report.links] == [name for name, *_ in expected]
+    for link, (name, ok, margins, points) in zip(report.links, expected):
+        assert link.ok == ok, name
+        assert link.worst_margin == pytest.approx(min(margins), rel=0, abs=1e-12), name
+        # The first point of smallest margin, unless another point lies
+        # within rounding of it: then any of those may be reported.
+        near = [u for margin, u in zip(margins, points) if margin <= min(margins) + 1e-12]
+        assert any(link.worst_point == pytest.approx(u, rel=1e-12, abs=1e-300)
+                   for u in near), name
+        if len(near) == 1:
+            assert link.worst_point == pytest.approx(near[0], rel=1e-12, abs=1e-300)
+
+
+def test_containment_keeps_the_first_lattice_point_on_ties():
+    # Symmetric in the two species: q on a plane, and the outer face's q,
+    # peak at both vertices, and the lattice visits (0, 1) first.
+    hull = HullBounds(ubar=(2.0, 2.0), ulow=(1.0, 1.0))
+    lo = build_lower_barrier((1.0, 1.0), (1.0, 1.0), hull.ulow, 2.0)
+    hi = build_upper_barrier((1.0, 1.0), (1.0, 1.0), hull.ubar, 2.0)
+    rep_lo = verify_containment(lo, hull, 10)
+    rep_hi = verify_containment(hi, hull, 10)
+    assert rep_lo.links[0].worst_point == (0.0, lo.eta2)
+    assert rep_lo.links[2].worst_point == (0.0, lo.eta1)
+    assert rep_hi.links[0].worst_point == (0.0, 2.0)
+    assert rep_hi.links[2].worst_point == (0.0, hi.eta1)
+
+
+def test_containment_gives_a_verdict_where_lambda_over_q_overflows():
+    # lambda2 / q(t) overflows at t = (1, 0); lambda2^(1/m) / q(t)^(1/m) does not.
+    hull = HullBounds(ubar=(10.0, 10.0), ulow=(1.0, 1.0))
+    env = build_upper_barrier((1e-120, 1.0), (1.0, 1.0), hull.ubar, 3.0)
+    assert env.lambda2 / 1e-120 == math.inf
+    report = verify_containment(env, hull, 10)
+    assert report.ok
+    assert all(math.isfinite(link.worst_margin) for link in report.links)
+
+
+def test_containment_refuses_a_link_value_that_overflows():
+    # eta2^m = 1e300 times q on the plane's alpha_1 vertex, 1e10, is inf.
+    env = BarrierEnvelope(lambda1=1e300, eta1=1e150, lambda2=1e300, eta2=1e150,
+                          orientation="lower", weights=(1e-10, 1.0), m=2.0, d=(1.0, 1.0))
+    hull = HullBounds(ubar=(2.0, 2.0), ulow=(1.0, 1.0))
+    with pytest.raises(ValueError, match="^containment link plane_eta2_in_ellipsoid_lambda2 "
+                                         "is not finite"):
+        verify_containment(env, hull, 10)
+
+
+def test_lower_envelope_names_a_level_that_underflows():
+    # lambda1 * shrink = 1e-120 * 1e-240 underflows, so eta1 would be 0.
+    with pytest.raises(ValueError, match="^envelope level eta1 underflows to 0"):
+        build_lower_barrier((1e-120, 1.0), (1.0, 1.0), (1.0, 1.0), 3.0)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import nbarrier
 from nbarrier import bounds_general, hull_intercepts, system_to_dict, tanh_family
-from nbarrier.cli import main
+from nbarrier.cli import FAMILIES, main
 
 TANH_SPEC = json.dumps(system_to_dict(tanh_family(3, 4, 1, 2).system()))
 LV_SPEC = json.dumps({
@@ -333,7 +333,7 @@ def test_readme_examples_replay_byte_for_byte(capsys):
 # the example, as soon as one of them has loaded numpy.
 NUMPY_PROBE = """
 import json, sys
-from nbarrier.cli import main
+from nbarrier.cli import FAMILIES, main
 for example in json.load(open(sys.argv[1]))["examples"]:
     main(example["argv"])
     if "numpy" in sys.modules:
@@ -399,7 +399,7 @@ def test_non_finite_result_is_not_printed(capsys):
     assert err.startswith("error: result holds a NaN or infinite value")
     code, out, err = run(capsys, "residual", "tanh", "--d1", "3", "--d2", "4",
                          "--c11", "1", "--c22", "2", "--tol", "nan")
-    assert (code, out) == (1, "")
+    assert (code, out, err) == (2, "", "error: --tol must be positive and finite\n")
 
 
 ONE_SPECIES = {"n": 1, "m": 1.0, "d": [131.8], "l": [1.0], "theta": 0.0,
@@ -423,6 +423,68 @@ def test_float_overflow_is_domain_error(capsys, argv, message):
     assert err.splitlines()[-1].startswith(f"error: {message}")
 
 
+UNDERFLOW_SPEC = json.dumps({"n": 2, "m": 3, "d": [1, 1], "theta": 0, "l": [1, 1],
+                             "sigma": [1, 1], "C": [[1, 0.1], [0.1, 1]]})
+
+
+@pytest.mark.parametrize("argv", [
+    ("barrier", UNDERFLOW_SPEC, "--alpha", "1e-120,1", "--orientation", "lower"),
+    ("bounds", UNDERFLOW_SPEC, "--alpha", "1e-120,1"),
+], ids=["barrier", "bounds"])
+def test_envelope_underflow_names_the_level(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == ("error: envelope level eta1 underflows to 0; "
+                   "the parameters underflow floating point\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("bounds", _doc(FIG_SPEC, m="2"), "--alpha", "1,2"),
+     "system document key 'm' is malformed: expected a number, got str"),
+    (("bounds", _doc(FIG_SPEC, m=True), "--alpha", "1,2"),
+     "system document key 'm' is malformed: expected a number, got bool"),
+    (("bounds", _doc(FIG_SPEC, n=2.7), "--alpha", "1,2"),
+     "system document key 'n' is malformed: expected an integer, got 2.7"),
+    (("verify-h", _doc(FIG_SPEC, n=True)),
+     "system document key 'n' is malformed: expected an integer, got bool"),
+    (("bounds", _doc(FIG_SPEC, d="34"), "--alpha", "1,2"),
+     "system document key 'd' is malformed: expected a list, got str"),
+    (("barrier", _doc(FIG_SPEC, sigma=[1.0, False]), "--alpha", "1,2", "--orientation",
+      "upper"), "system document key 'sigma' is malformed: expected a number, got bool"),
+    (("verify-h", _doc(FIG_SPEC, Theta=0.0)), "system document has unknown key 'Theta'"),
+    (("nonexistence", _doc(NONEX_PARAMS, w_minus_infty=4.0)),
+     "parameter document has unknown key 'w_minus_infty'"),
+    (("nonexistence", _doc(NONEX_PARAMS, w_minus_inf="4")),
+     "parameter document key 'w_minus_inf' is malformed: expected a number, got str"),
+], ids=["str-m", "bool-m", "fractional-n", "bool-n", "str-d", "bool-in-sigma",
+        "unknown-key", "misspelt-w_minus_inf", "str-w_minus_inf"])
+def test_loose_document_value_is_domain_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_integral_float_n_is_accepted(capsys):
+    assert run(capsys, "bounds", _doc(FIG_SPEC, n=2.0), "--alpha", "1,2") == \
+        run(capsys, "bounds", FIG_SPEC, "--alpha", "1,2")
+
+
+TANH_FLAGS = ("--d1", "3", "--d2", "4", "--c11", "1", "--c22", "2")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("exact", "tanh", "--d1", "nan", "--d2", "4", "--c11", "1", "--c22", "2"),
+     "--d1 must be finite"),
+    (("residual", "tanh", "--d1", "3", "--d2", "4", "--c11", "1", "--c22", "inf"),
+     "--c22 must be finite"),
+    (("residual", "tanh", *TANH_FLAGS, "--tol=-1"), "--tol must be positive and finite"),
+    (("residual", "tanh", *TANH_FLAGS, "--tol", "0"), "--tol must be positive and finite"),
+    (("residual", "tanh", *TANH_FLAGS, "--tol", "inf"), "--tol must be positive and finite"),
+], ids=["exact-nan-d1", "residual-inf-c22", "negative-tol", "zero-tol", "inf-tol"])
+def test_non_finite_family_flag_or_bad_tol_is_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_simulate_reports_a_non_finite_state_as_truncation(capsys):
     spec = json.dumps({"n": 2, "m": 1.0, "d": [1, 1], "theta": 0, "l": [1.5, 1.5],
                        "sigma": [1, 1], "C": [[1, 0.5], [0.4, 1.2]]})
@@ -435,20 +497,44 @@ def test_simulate_reports_a_non_finite_state_as_truncation(capsys):
     assert math.isfinite(doc["min_p"]) and math.isfinite(doc["max_p"])
 
 
-# Fuzzing: a valid document with up to two entries (or whole keys) replaced
-# by a value from every class the boundary must handle: NaN, the infinities,
-# zero, negatives, subnormals, huge magnitudes and arbitrary floats.
+# Fuzzing: a valid document, flag list or family flag set with up to two
+# entries (or whole keys) replaced by a value from every class the boundary
+# must handle: NaN, the infinities, zero, negatives, subnormals, huge
+# magnitudes, arbitrary floats, and JSON true/false and strings.
 SPECIAL_NUMBERS = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, 1e-300,
                      1e300, 1.7e308]),
     st.floats(),
 )
+SPECIAL_VALUES = st.one_of(SPECIAL_NUMBERS, st.booleans(),
+                           st.sampled_from(["", "2", "34", "nan", "x"]))
 MODERATE = st.floats(min_value=1e-3, max_value=1e3)
+
+
+def _flag(value):
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _family_argv(draw, command):
+    family = draw(st.sampled_from(sorted(FAMILIES)))
+    values = {name: draw(MODERATE) for name in FAMILIES[family][1]}
+    for _ in range(draw(st.integers(0, 2))):
+        values[draw(st.sampled_from(sorted(values)))] = draw(SPECIAL_VALUES)
+    argv = [command, family] + [f"--{name}={_flag(v)}" for name, v in values.items()]
+    if command == "residual":
+        tol = draw(st.one_of(st.just(1e-8), SPECIAL_VALUES))
+        argv += ["--grid=-1:1:0.1", f"--tol={_flag(tol)}"]
+    return argv, False
 
 
 @st.composite
 def fuzz_argv(draw):
-    command = draw(st.sampled_from(["bounds", "barrier", "verify-h", "nonexistence"]))
+    """An argv, and whether its document holds a JSON true/false or string
+    (which must never exit 0)."""
+    command = draw(st.sampled_from(["bounds", "barrier", "verify-h", "nonexistence",
+                                    "exact", "residual", "simulate"]))
+    if command in ("exact", "residual"):
+        return _family_argv(draw, command)
     n = 3 if command == "nonexistence" else draw(st.integers(1, 3))
 
     def vector():
@@ -460,33 +546,46 @@ def fuzz_argv(draw):
     else:
         doc.update(n=n, m=draw(st.one_of(st.just(1.0), st.floats(1.0, 4.0))),
                    l=vector(), theta=draw(MODERATE))
-    alpha = vector()
-    slots = ([(doc, key) for key in doc]
-             + [(doc[key], i) for key in ("d", "sigma", "l") if key in doc
-                for i in range(n)]
-             + [(row, j) for row in doc["C"] for j in range(n)]
-             + [(alpha, i) for i in range(n)])
+    alpha, u0, w0 = vector(), vector(), vector()
+    flags = [alpha, u0, w0] if command == "simulate" else [alpha]
+    doc_slots = ([(doc, key) for key in doc]
+                 + [(doc[key], i) for key in ("d", "sigma", "l") if key in doc
+                    for i in range(n)]
+                 + [(row, j) for row in doc["C"] for j in range(n)])
+    slots = doc_slots + [(flag, i) for flag in flags for i in range(n)]
+    loose = False
     for _ in range(draw(st.integers(0, 2))):
-        container, index = draw(st.sampled_from(slots))
-        container[index] = draw(SPECIAL_NUMBERS)
+        k = draw(st.integers(0, len(slots) - 1))
+        container, index = slots[k]
+        container[index] = draw(SPECIAL_VALUES)
+        loose |= k < len(doc_slots) and isinstance(container[index], (bool, str))
     argv = [command, json.dumps(doc)]
+    as_flag = ",".join
     if command in ("bounds", "barrier"):
-        argv.append("--alpha=" + ",".join(repr(float(a)) for a in alpha))
+        argv.append("--alpha=" + as_flag(_flag(a) for a in alpha))
     if command == "barrier":
         argv += ["--orientation", draw(st.sampled_from(["lower", "upper"]))]
     if command == "bounds":
         argv += ["--chi", draw(st.sampled_from(["0", "1"]))]
-    return argv
+    if command == "simulate":
+        argv += ["--u0=" + as_flag(_flag(u) for u in u0),
+                 "--w0=" + as_flag(_flag(w) for w in w0), "--span", "0:0.05", "--step", "0.01"]
+        if draw(st.booleans()):
+            argv += ["--alpha=" + as_flag(_flag(a) for a in alpha), "--check-bounds"]
+    return argv, loose
 
 
 @pytest.mark.filterwarnings("ignore:degenerate hull")
 @settings(max_examples=300, deadline=None)
-@given(argv=fuzz_argv())
-def test_fuzzed_parameters_give_an_exit_code_and_strict_json(argv):
+@given(case=fuzz_argv())
+def test_fuzzed_parameters_give_an_exit_code_and_strict_json(case):
+    argv, loose = case
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+    if loose:
+        assert code == 1, err.getvalue()
     if out.getvalue():
         json.loads(out.getvalue(), parse_constant=_reject_constant)

@@ -269,3 +269,31 @@ def test_system_from_dict_names_malformed_key(key, value):
     doc[key] = value
     with pytest.raises(ValueError, match=f"^system document key '{key}' is malformed"):
         system_from_dict(doc)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("m", "1", "expected a number, got str"),
+    ("m", True, "expected a number, got bool"),
+    ("n", 2.5, "expected an integer, got 2.5"),
+    ("n", False, "expected an integer, got bool"),
+    ("d", "11", "expected a list, got str"),
+    ("C", "1", "expected a list, got str"),
+    ("l", [1.0, True], "expected a number, got bool"),
+], ids=["str-m", "bool-m", "fractional-n", "bool-n", "str-d", "str-C", "bool-in-l"])
+def test_system_from_dict_rejects_loose_values(key, value, message):
+    doc = system_to_dict(LV_SPEC)
+    doc[key] = value
+    with pytest.raises(ValueError, match=f"^system document key '{key}' is malformed: "
+                                         f"{message}$"):
+        system_from_dict(doc)
+
+
+def test_system_from_dict_names_unknown_keys():
+    doc = dict(system_to_dict(LV_SPEC), sigmas=[1.0, 1.0], note="x")
+    with pytest.raises(ValueError, match="^system document has unknown key 'sigmas', 'note'$"):
+        system_from_dict(doc)
+
+
+def test_system_from_dict_accepts_integral_numbers():
+    doc = dict(system_to_dict(LV_SPEC), n=2.0, m=1, theta=0)
+    assert system_from_dict(doc) == LV_SPEC

@@ -153,3 +153,16 @@ def test_params_from_dict_names_malformed_key(key, value):
            "C": [list(r) for r in BASE["C"]], key: value}
     with pytest.raises(ValueError, match=f"^parameter document key '{key}' is malformed"):
         params_from_dict(doc)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("w_minus_infty", 4.0, "^parameter document has unknown key 'w_minus_infty'$"),
+    ("w_plus_inf", True, "^parameter document key 'w_plus_inf' is malformed: "
+                         "expected a number, got bool$"),
+    ("d", "121", "^parameter document key 'd' is malformed: expected a list, got str$"),
+], ids=["misspelt-key", "bool-w_plus_inf", "str-d"])
+def test_params_from_dict_rejects_loose_documents(key, value, message):
+    doc = {"d": list(BASE["d"]), "sigma": [10, 12, 4],
+           "C": [list(r) for r in BASE["C"]], key: value}
+    with pytest.raises(ValueError, match=message):
+        params_from_dict(doc)
