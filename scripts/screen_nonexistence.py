@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 
+from nbarrier.cli import MAX_GRID_POINTS
 from nbarrier.nonexistence import check, params_from_dict
 
 BASE = {
@@ -25,15 +27,21 @@ FIELDS = ("sigma3", "floor_applicable", "lambda_floor", "floor_blocked",
 
 
 def _grid(spec: str) -> tuple:
-    a, b, h = (float(tok) for tok in spec.split(":"))
+    """A, A + H, ... up to B, in full steps as the nbarrier CLI counts them."""
+    try:
+        a, b, h = (float(tok) for tok in spec.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError("must be A:B:H with three numbers") from None
+    if not all(math.isfinite(v) for v in (a, b, h)):
+        raise argparse.ArgumentTypeError("A, B and H must be finite")
     if h <= 0 or b < a:
-        raise ValueError("grid must be A:B:H with H > 0 and B >= A")
-    out = []
-    k = 0
-    while a + k * h <= b + 1e-12:
-        out.append(a + k * h)
-        k += 1
-    return tuple(out)
+        raise argparse.ArgumentTypeError("needs H > 0 and B >= A")
+    span = (b - a) / h
+    count = int(span + 1e-9) + 1 if math.isfinite(span) else math.inf
+    if count > MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(f"would have {count:.7g} points, "
+                                         f"more than the limit of {MAX_GRID_POINTS}")
+    return tuple(a + k * h for k in range(count))
 
 
 def _fmt(v) -> str:
@@ -46,7 +54,8 @@ def _fmt(v) -> str:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--grid", default="0.5:44.5:2.0", help="sigma3 grid A:B:H")
+    ap.add_argument("--grid", type=_grid, default="0.5:44.5:2.0",
+                    help="sigma3 grid A:B:H")
     ap.add_argument("--w-minus-inf", type=float,
                     help="invader level at the left boundary")
     ap.add_argument("--w-plus-inf", type=float,
@@ -55,7 +64,7 @@ def main() -> int:
     args = ap.parse_args()
 
     rows = []
-    for s3 in _grid(args.grid):
+    for s3 in args.grid:
         doc = dict(BASE, sigma=[BASE["sigma"][0], BASE["sigma"][1], s3])
         if args.w_minus_inf is not None:
             doc["w_minus_inf"] = args.w_minus_inf

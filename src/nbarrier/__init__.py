@@ -15,28 +15,26 @@ from .bounds import (BoundsResult, bounds_for, bounds_general, bounds_m1,
                      bounds_two_species_m2)
 from .exact import (CosSolution, Profile, TanhSolution, cos_family, residual,
                     tanh_family)
-from .model import (Equilibrium, HullBounds, HypothesisReport, ReactionSpec,
-                    SystemSpec, chi, equilibrium_defect, hull_intercepts,
-                    reaction_eval, system_from_dict, system_to_dict,
-                    verify_hypothesis_H)
+from .model import (HullBounds, HypothesisReport, ReactionSpec, SystemSpec,
+                    hull_intercepts, reaction_eval, system_from_dict,
+                    system_to_dict, verify_hypothesis_H)
 from .nonexistence import (CaseIIVerdict, CaseIVerdict, NonexistenceVerdict,
                            ThreeSpeciesParams, check, check_case_i,
                            check_case_ii, params_from_dict)
 from .waves import (BoundCheckReport, Trajectory, check_bounds,
-                    evenness_index, flux_balance_defect, integrate)
+                    flux_balance_defect, integrate)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BarrierEnvelope", "BoundCheckReport", "BoundsResult", "CaseIIVerdict",
-    "CaseIVerdict", "ContainmentReport", "CosSolution", "Equilibrium",
+    "CaseIVerdict", "ContainmentReport", "CosSolution",
     "HullBounds", "HypothesisReport", "NonexistenceVerdict", "Profile",
     "ReactionSpec", "SystemSpec", "TangencyResult", "TanhSolution",
     "ThreeSpeciesParams", "Trajectory", "barrier_curves", "bounds_for",
     "bounds_general", "bounds_m1", "bounds_two_species_m2",
     "build_lower_barrier", "build_upper_barrier", "check", "check_bounds",
-    "check_case_i", "check_case_ii", "chi", "cos_family",
-    "equilibrium_defect", "evenness_index",
+    "check_case_i", "check_case_ii", "cos_family",
     "flux_balance_defect", "hull_intercepts", "integrate", "params_from_dict",
     "reaction_eval", "residual", "system_from_dict", "system_to_dict",
     "tanh_family",

@@ -11,7 +11,8 @@ verify_containment checks the chain independently of those closed forms,
 on boundary points sampled from one simplex lattice.  p is homogeneous of
 degree 1 and q of degree m, so on a level set reached by scaling a lattice
 point t the value of the next set's function is a level factor times a sum
-over t: one walk of the lattice checks all four links.
+over t: one walk of the lattice checks all four links.  barrier_curves
+scales the same lattice onto the same five pieces.
 """
 
 from __future__ import annotations
@@ -207,10 +208,6 @@ class ContainmentReport:
         return all(link.ok for link in self.links)
 
 
-def _q_value(u, alpha, d, m):
-    return sum(a * di * ui ** m for a, di, ui in zip(alpha, d, u))
-
-
 def _simplex_lattice(n: int, resolution: int):
     """Integer compositions k with sum(k) == resolution, as barycentric weights.
 
@@ -233,17 +230,41 @@ def _simplex_lattice(n: int, resolution: int):
         k[-1] = rest
 
 
-def _plane_point(eta, alpha, t):
-    return tuple(eta * ti / a for ti, a in zip(t, alpha))
+def _pieces(envelope: BarrierEnvelope, hull: HullBounds) -> dict:
+    """The five barrier pieces by name, as (level factor, boundary point of t).
 
+    Points and factors are those verify_containment lists.  The ellipsoid
+    scale lambda^(1/m) / q(t)^(1/m) cannot overflow where (lambda / q(t))^(1/m)
+    does.  The hull face is the ulow face for a lower envelope and the ubar
+    face for an upper one.
+    """
+    alpha, d, m = envelope.weights, envelope.d, envelope.m
+    inv_m = 1.0 / m
+    w_q = tuple(a * di for a, di in zip(alpha, d))
+    face = hull.ulow if envelope.orientation == "lower" else hull.ubar
 
-def _ellipsoid_point(lam, alpha, d, m, t):
-    scale = (lam / _q_value(t, alpha, d, m)) ** (1.0 / m)
-    return tuple(scale * ti for ti in t)
+    def plane(eta):
+        try:
+            factor = eta ** m
+        except OverflowError:  # eta2^m of an upper envelope, which no link uses
+            factor = inf
+        return factor, lambda t: tuple(eta * ti / a for ti, a in zip(t, alpha))
 
+    def ellipsoid(lam):
+        root = lam ** inv_m
 
-def _face_point(intercepts, t):
-    return tuple(ti * ci for ti, ci in zip(t, intercepts))
+        def point(t):
+            scale = root / sum(map(mul, w_q, [ti ** m for ti in t])) ** inv_m
+            return tuple(scale * ti for ti in t)
+        return root, point
+
+    return {
+        "plane_eta1": plane(envelope.eta1),
+        "plane_eta2": plane(envelope.eta2),
+        "ellipsoid_lambda1": ellipsoid(envelope.lambda1),
+        "ellipsoid_lambda2": ellipsoid(envelope.lambda2),
+        "hull_face": (1.0, lambda t: tuple(ti * ci for ti, ci in zip(t, face))),
+    }
 
 
 def barrier_curves(envelope: BarrierEnvelope, hull: HullBounds, samples: int) -> tuple:
@@ -256,23 +277,13 @@ def barrier_curves(envelope: BarrierEnvelope, hull: HullBounds, samples: int) ->
     """
     if samples < 1:
         raise ValueError("samples must be positive")
-    alpha, d, m = envelope.weights, envelope.d, envelope.m
-    n, r = len(alpha), samples
-    face = hull.ulow if envelope.orientation == "lower" else hull.ubar
-    return (
-        ("plane_eta1", (_plane_point(envelope.eta1, alpha, t) for t in _simplex_lattice(n, r))),
-        ("plane_eta2", (_plane_point(envelope.eta2, alpha, t) for t in _simplex_lattice(n, r))),
-        ("ellipsoid_lambda1", (_ellipsoid_point(envelope.lambda1, alpha, d, m, t)
-                               for t in _simplex_lattice(n, r))),
-        ("ellipsoid_lambda2", (_ellipsoid_point(envelope.lambda2, alpha, d, m, t)
-                               for t in _simplex_lattice(n, r))),
-        ("hull_face", (_face_point(face, t) for t in _simplex_lattice(n, r))),
-    )
+    n = len(envelope.weights)
+    return tuple((name, map(point, _simplex_lattice(n, samples)))
+                 for name, (_, point) in _pieces(envelope, hull).items())
 
 
 def verify_containment(envelope: BarrierEnvelope, hull: HullBounds, samples: int,
-                       orientation: str | None = None,
-                       tol: float = REGION_REL_TOL) -> ContainmentReport:
+                       orientation: str | None = None) -> ContainmentReport:
     """Check each link of the envelope's nesting chain on one simplex lattice.
 
     samples is the lattice resolution.  Each boundary is the lattice of
@@ -292,9 +303,9 @@ def verify_containment(envelope: BarrierEnvelope, hull: HullBounds, samples: int
     order that attains it; a link's worst margin (limit - value) / limit and
     its worst point come from there.  Axis intercepts of every inner set are
     lattice vertices, which is where the construction is tight, so the
-    checks run with a relative slack tol.  A link value that overflows
-    floating point raises a ValueError naming the link.  Passing an explicit
-    orientation that differs from the envelope's is a usage error.
+    checks run with the relative slack REGION_REL_TOL.  A link value that
+    overflows floating point raises a ValueError naming the link.  Passing an
+    explicit orientation that differs from the envelope's is a usage error.
     """
     if orientation is not None and orientation != envelope.orientation:
         raise ValueError(
@@ -338,36 +349,27 @@ def verify_containment(envelope: BarrierEnvelope, hull: HullBounds, samples: int
     ray_peak = ray_max, ray_t, ray_total
     hull_peak = hull_max, hull_t, hull_total
 
-    def on_plane(eta):
-        return eta ** m, lambda t: _plane_point(eta, alpha, t)
-
-    def on_ellipsoid(lam):
-        def point(t):
-            scale = lam ** inv_m / sum(map(mul, w_q, [ti ** m for ti in t])) ** inv_m
-            return tuple(scale * ti for ti in t)
-        return lam ** inv_m, point
-
     lam1, eta1, lam2, eta2 = envelope.lambda1, envelope.eta1, envelope.lambda2, envelope.eta2
-    # (name, peak of its sum, (level factor, boundary point of t), outer level),
-    # innermost link first.
+    # (name, peak of its sum, inner piece, outer level), innermost link first.
     if lower:
-        links = (("plane_eta2_in_ellipsoid_lambda2", plane_peak, on_plane(eta2), lam2),
-                 ("ellipsoid_lambda2_in_plane_eta1", ray_peak, on_ellipsoid(lam2), eta1),
-                 ("plane_eta1_in_ellipsoid_lambda1", plane_peak, on_plane(eta1), lam1),
-                 ("ellipsoid_lambda1_in_inner_hull", hull_peak, on_ellipsoid(lam1), 1.0))
+        links = (("plane_eta2_in_ellipsoid_lambda2", plane_peak, "plane_eta2", lam2),
+                 ("ellipsoid_lambda2_in_plane_eta1", ray_peak, "ellipsoid_lambda2", eta1),
+                 ("plane_eta1_in_ellipsoid_lambda1", plane_peak, "plane_eta1", lam1),
+                 ("ellipsoid_lambda1_in_inner_hull", hull_peak, "ellipsoid_lambda1", 1.0))
     else:
-        links = (("outer_hull_face_in_ellipsoid_lambda1", hull_peak,
-                  (1.0, lambda t: _face_point(hull.ubar, t)), lam1),
-                 ("ellipsoid_lambda1_in_plane_eta1", ray_peak, on_ellipsoid(lam1), eta1),
-                 ("plane_eta1_in_ellipsoid_lambda2", plane_peak, on_plane(eta1), lam2),
-                 ("ellipsoid_lambda2_in_plane_eta2", ray_peak, on_ellipsoid(lam2), eta2))
+        links = (("outer_hull_face_in_ellipsoid_lambda1", hull_peak, "hull_face", lam1),
+                 ("ellipsoid_lambda1_in_plane_eta1", ray_peak, "ellipsoid_lambda1", eta1),
+                 ("plane_eta1_in_ellipsoid_lambda2", plane_peak, "plane_eta1", lam2),
+                 ("ellipsoid_lambda2_in_plane_eta2", ray_peak, "ellipsoid_lambda2", eta2))
+    pieces = _pieces(envelope, hull)
     reports = []
-    for name, (largest, t, total), (factor, point), limit in links:
+    for name, (largest, t, total), inner, limit in links:
+        factor, point = pieces[inner]
         value = factor * largest
         if not (isfinite(value) and isfinite(total)):
             raise ValueError(f"containment link {name} is not finite; "
                              "the parameters overflow floating point")
-        reports.append(LinkReport(name=name, ok=value <= limit * (1.0 + tol),
+        reports.append(LinkReport(name=name, ok=value <= limit * (1.0 + REGION_REL_TOL),
                                   worst_margin=(limit - value) / limit,
                                   worst_point=point(t)))
     return ContainmentReport(links=tuple(reports))

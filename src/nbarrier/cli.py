@@ -99,7 +99,8 @@ def _parse_grid(text: str) -> list:
     if h <= 0 or b <= a:
         raise _Usage("grid needs B > A and H > 0")
     span = (b - a) / h
-    count = round(span) + 1 if math.isfinite(span) else math.inf
+    # Full steps only, as integrate counts them: no point lies past B.
+    count = int(span + 1e-9) + 1 if math.isfinite(span) else math.inf
     if count > MAX_GRID_POINTS:
         raise _Usage(f"grid would have {count:.7g} points, "
                      f"more than the limit of {MAX_GRID_POINTS}")

@@ -3,9 +3,8 @@
 A system couples n species through degenerate diffusion d_i (u_i^m)'' and
 Lotka-Volterra competition f_i(u) = sigma_i - sum_j c_ij u_j, entering the
 wave equation as u_i^{l_i} f_i(u).  This module holds the immutable spec
-types, the axis-intercept hull of the competition planes, an exact check of
-the sign hypothesis on that hull at its axis vertices, and the boundary-state
-characteristic that decides whether the lower bound degenerates to zero.
+types, the axis-intercept hull of the competition planes, and an exact check
+of the sign hypothesis on that hull at its axis vertices.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from typing import Callable, Sequence
 
 REGION_REL_TOL = 1e-9      # relative tolerance for region membership
 SIGN_ABS_TOL = 1e-12       # absolute tolerance for sign checks at the vertices
-ZERO_STATE_TOL = 1e-12     # componentwise threshold for the zero equilibrium
 
 
 def require_finite(**fields) -> None:
@@ -181,21 +179,6 @@ class HullBounds:
         return any(hi == lo for hi, lo in zip(self.ubar, self.ulow))
 
 
-@dataclass(frozen=True)
-class Equilibrium:
-    """A candidate rest state; nonnegativity is the only intrinsic constraint."""
-
-    u: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "u", tuple(self.u))
-        if any(ui < 0 for ui in self.u):
-            raise ValueError("equilibrium components must be nonnegative")
-
-    def is_zero(self, tol: float = ZERO_STATE_TOL) -> bool:
-        return all(abs(ui) <= tol for ui in self.u)
-
-
 def reaction_eval(reaction: ReactionSpec, u: Sequence[float]) -> tuple:
     """Evaluate the affine factors f_i(u) = sigma_i - sum_j c_ij u_j.
 
@@ -210,12 +193,6 @@ def reaction_eval(reaction: ReactionSpec, u: Sequence[float]) -> tuple:
     )
 
 
-def equilibrium_defect(spec: SystemSpec, eq: Equilibrium) -> float:
-    """Max componentwise magnitude of u_i^{l_i} f_i(u) at the candidate state."""
-    f = reaction_eval(spec.reaction, eq.u)
-    return max(abs(ui ** li * fi) for ui, li, fi in zip(eq.u, spec.l, f))
-
-
 def hull_intercepts(reaction: ReactionSpec) -> HullBounds:
     """Extreme axis intercepts of the n competition planes.
 
@@ -227,11 +204,6 @@ def hull_intercepts(reaction: ReactionSpec) -> HullBounds:
     ubar = tuple(max(reaction.sigma[j] / reaction.C[j][i] for j in range(n)) for i in range(n))
     ulow = tuple(min(reaction.sigma[j] / reaction.C[j][i] for j in range(n)) for i in range(n))
     return HullBounds(ubar=ubar, ulow=ulow)
-
-
-def chi(e_minus: Equilibrium, e_plus: Equilibrium) -> int:
-    """Boundary-state characteristic: 0 if either rest state is zero, else 1."""
-    return 0 if e_minus.is_zero() or e_plus.is_zero() else 1
 
 
 @dataclass(frozen=True)
@@ -257,13 +229,12 @@ def verify_hypothesis_H(
     spec: SystemSpec,
     hull: HullBounds,
     samples_per_face: int,
-    tol: float = SIGN_ABS_TOL,
 ) -> HypothesisReport:
     """Decide the sign hypothesis on the hull regions exactly, at their vertices.
 
     Inner region (the solid simplex below the ulow face): every f_i must be
-    >= -tol.  Outer region (on and beyond the ubar face, out to twice the
-    intercepts): every f_i must be <= +tol.
+    >= -SIGN_ABS_TOL.  Outer region (on and beyond the ubar face, out to twice
+    the intercepts): every f_i must be <= +SIGN_ABS_TOL.
 
     Each f_i is affine, so its extremes over a simplex lie at the vertices,
     and since C > 0 it strictly decreases along every ray from the origin.
@@ -296,8 +267,8 @@ def verify_hypothesis_H(
         key=lambda vu: vu[0])
 
     return HypothesisReport(
-        inner_ok=inner_val >= -tol,
-        outer_ok=outer_val <= tol,
+        inner_ok=inner_val >= -SIGN_ABS_TOL,
+        outer_ok=outer_val <= SIGN_ABS_TOL,
         worst_inner_point=inner_pt,
         worst_inner_value=inner_val,
         worst_outer_point=outer_pt,

@@ -10,7 +10,8 @@ m = 2 closed forms with the third row's competition coefficients as weights.
 
 Hypotheses about the (hypothetical) profile itself, its positivity and
 boundary limits and interior minimum, cannot be computed from parameters;
-they are recorded as caller-asserted flags.
+every verdict records them as asserted (profile_hypotheses_asserted is
+always true).
 """
 
 from __future__ import annotations
@@ -102,8 +103,7 @@ class NonexistenceVerdict:
         return asdict(self)
 
 
-def check_case_i(params: ThreeSpeciesParams,
-                 assume_profile_hypotheses: bool = True) -> CaseIVerdict:
+def check_case_i(params: ThreeSpeciesParams) -> CaseIVerdict:
     """Evaluate the floor criterion.
 
     phi_i discount the first two growth rates by the third species' ceiling
@@ -119,7 +119,7 @@ def check_case_i(params: ThreeSpeciesParams,
         return CaseIVerdict(applicable=False, phi1=phi1, phi2=phi2,
                             ulow_star=None, vlow_star=None, lambda_star=None,
                             blocked=False,
-                            profile_hypotheses_asserted=assume_profile_hypotheses)
+                            profile_hypotheses_asserted=True)
     ulow_star = min(phi1 / C[0][0], phi2 / C[1][0])
     vlow_star = min(phi1 / C[0][1], phi2 / C[1][1])
     lambda_star = two_species_m2_lower(C[2][0], C[2][1], d1, d2,
@@ -127,11 +127,10 @@ def check_case_i(params: ThreeSpeciesParams,
     return CaseIVerdict(applicable=True, phi1=phi1, phi2=phi2,
                         ulow_star=ulow_star, vlow_star=vlow_star,
                         lambda_star=lambda_star, blocked=lambda_star >= s3,
-                        profile_hypotheses_asserted=assume_profile_hypotheses)
+                        profile_hypotheses_asserted=True)
 
 
-def check_case_ii(params: ThreeSpeciesParams,
-                  assume_profile_hypotheses: bool = True) -> CaseIIVerdict:
+def check_case_ii(params: ThreeSpeciesParams) -> CaseIIVerdict:
     """Evaluate the cap criterion.
 
     The intercept caps u*, v* feed the two-species m = 2 upper closed form
@@ -154,15 +153,13 @@ def check_case_ii(params: ThreeSpeciesParams,
                          vbar_star=vbar_star, lambda_star_upper=lam_upper,
                          threshold=threshold, blocked=blocked,
                          conclusive=conclusive,
-                         profile_hypotheses_asserted=assume_profile_hypotheses)
+                         profile_hypotheses_asserted=True)
 
 
-def check(params: ThreeSpeciesParams,
-          assume_profile_hypotheses: bool = True) -> NonexistenceVerdict:
+def check(params: ThreeSpeciesParams) -> NonexistenceVerdict:
     """Run both criteria and bundle the verdicts."""
     return NonexistenceVerdict(
-        case_i=check_case_i(params, assume_profile_hypotheses),
-        case_ii=check_case_ii(params, assume_profile_hypotheses))
+        case_i=check_case_i(params), case_ii=check_case_ii(params))
 
 
 def params_from_dict(doc: dict) -> ThreeSpeciesParams:

@@ -14,7 +14,7 @@ except simulate) does not load it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, log
+from math import isfinite
 from typing import TYPE_CHECKING, Sequence
 
 from .bounds import BoundsResult
@@ -202,18 +202,6 @@ def check_bounds(traj: Trajectory, alpha: Sequence[float],
                        zip(traj.xs[outside], p[outside]))
     return BoundCheckReport(min_p=float(p.min()), max_p=float(p.max()),
                             violations=violations)
-
-
-def evenness_index(u: Sequence[float]) -> float:
-    """Normalized share entropy of a positive composition, in [0, 1]."""
-    s = len(u)
-    if s < 2:
-        raise ValueError("evenness needs at least two species")
-    if any(ui <= 0 for ui in u):
-        raise ValueError("evenness needs strictly positive components")
-    total = sum(u)
-    shares = [ui / total for ui in u]
-    return -sum(sh * log(sh) for sh in shares) / log(s)
 
 
 def flux_balance_defect(spec: SystemSpec, traj: Trajectory,

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from nbarrier import (
     BarrierEnvelope,
     HullBounds,
+    barrier_curves,
     build_lower_barrier,
     build_upper_barrier,
     tangency_plain,
@@ -302,6 +303,17 @@ def test_containment_gives_a_verdict_where_lambda_over_q_overflows():
     report = verify_containment(env, hull, 10)
     assert report.ok
     assert all(math.isfinite(link.worst_margin) for link in report.links)
+
+
+def test_upper_envelope_whose_eta2_power_overflows_is_checked_and_sampled():
+    # eta2 is about 4 at m = 1001, so eta2^m overflows; no upper link uses it.
+    hull = HullBounds(ubar=(1.0, 1.0), ulow=(0.5, 0.5))
+    env = build_upper_barrier((1.0, 1.0), (1.0, 1.0), hull.ubar, 1001.0)
+    with pytest.raises(OverflowError):
+        env.eta2 ** env.m
+    assert verify_containment(env, hull, 4).ok
+    assert all(math.isfinite(x) for _, points in barrier_curves(env, hull, 4)
+               for u in points for x in u)
 
 
 def test_containment_refuses_a_link_value_that_overflows():

@@ -122,6 +122,20 @@ def test_unwritable_output_path_is_usage_error(capsys, tmp_path, argv):
     assert err.startswith(f"error: cannot write {target}:")
 
 
+def test_barrier_curves_stay_finite_where_lambda_over_q_overflows(capsys, tmp_path):
+    # lambda2 / q(t) overflows at t = (1, 0) for alpha_1 = 1e-120.
+    csv_path = tmp_path / "curves.csv"
+    spec = json.dumps({"n": 2, "m": 3, "d": [1, 1], "l": [1, 1], "theta": 0,
+                       "sigma": [1, 1], "C": [[1, 0.1], [0.1, 1]]})
+    code, _, _ = run(capsys, "barrier", spec, "--alpha", "1e-120,1",
+                     "--orientation", "upper", "--samples", "10",
+                     "--curve-csv", str(csv_path))
+    assert code == 0
+    rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+    assert len(rows) == 5 * 11
+    assert all(math.isfinite(float(v)) for row in rows for v in row[1:])
+
+
 @pytest.mark.parametrize("samples", ["0", "-1"])
 def test_barrier_curve_samples_must_be_positive(capsys, tmp_path, samples):
     csv_path = tmp_path / "curves.csv"
@@ -153,6 +167,15 @@ def test_exact_emits_solution_and_profile_csv(capsys, tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "x,u1,u2"
     assert len(lines) == 1 + 5  # grid -1:-0.5:0:0.5:1
+
+
+def test_grid_stops_at_its_last_full_step(capsys, tmp_path):
+    csv_path = tmp_path / "profile.csv"
+    code, _, _ = run(capsys, "exact", "tanh", "--d1", "3", "--d2", "4",
+                     "--c11", "1", "--c22", "2", "--grid=0:1:0.6", "--csv", str(csv_path))
+    assert code == 0
+    assert [line.split(",")[0] for line in csv_path.read_text().splitlines()[1:]] == [
+        "0.0", "0.6"]
 
 
 def test_exact_csv_requires_grid(capsys):

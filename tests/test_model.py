@@ -9,12 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nbarrier import (
-    Equilibrium,
     HullBounds,
     ReactionSpec,
     SystemSpec,
-    chi,
-    equilibrium_defect,
     hull_intercepts,
     reaction_eval,
     system_from_dict,
@@ -98,21 +95,6 @@ def test_hull_bounds_rejects_bad_ordering():
         HullBounds(ubar=(1.0, 1.0), ulow=(2.0, 0.5))
     with pytest.raises(ValueError):
         HullBounds(ubar=(1.0, 1.0), ulow=(0.0, 0.5))
-
-
-def test_chi_flags_zero_boundary_state():
-    zero = Equilibrium((0.0, 0.0))
-    pos = Equilibrium((0.2, 0.4))
-    assert chi(zero, pos) == 0
-    assert chi(pos, zero) == 0
-    assert chi(pos, pos) == 1
-    assert Equilibrium((1e-13, 0.0)).is_zero()
-
-
-def test_equilibrium_defect_vanishes_at_coexistence():
-    # 1 = u + 2v and 1 = 3u + v meet at (1/5, 2/5).
-    assert equilibrium_defect(LV_SPEC, Equilibrium((0.2, 0.4))) == 0.0
-    assert equilibrium_defect(LV_SPEC, Equilibrium((0.3, 0.4))) > 0.0
 
 
 def test_hypothesis_H_passes_on_intercept_hull():

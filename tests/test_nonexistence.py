@@ -109,8 +109,6 @@ def test_bundled_check_carries_both_verdicts():
     assert set(doc) == {"case_i", "case_ii"}
     assert doc["case_i"]["applicable"] is True
     assert doc["case_ii"]["profile_hypotheses_asserted"] is True
-    relaxed = check(params(4.0), assume_profile_hypotheses=False)
-    assert not relaxed.case_i.profile_hypotheses_asserted
 
 
 def test_params_validation_and_round_trip():

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).parents[1]
 
 
@@ -30,3 +32,11 @@ def test_reproduce_envelopes_writes_curve_files(tmp_path):
 def test_screen_nonexistence_runs():
     proc = run_script("screen_nonexistence.py", "--w-minus-inf", "4")
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("grid", ["0:inf:1", "nan:1:1", "0:1:0", "0:1:1e-7"])
+def test_screen_nonexistence_rejects_a_bad_grid(grid):
+    proc = run_script("screen_nonexistence.py", f"--grid={grid}")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "argument --grid:" in proc.stderr

@@ -14,7 +14,6 @@ from nbarrier import (
     SystemSpec,
     bounds_two_species_m2,
     check_bounds,
-    evenness_index,
     hull_intercepts,
     integrate,
 )
@@ -183,19 +182,6 @@ def test_flux_balance_holds_along_accurate_trajectories(tanh_sol):
     assert abs(defect) / scale < 1e-5
     with pytest.raises(ValueError):
         flux_balance_defect(spec, traj, (1.0,))
-
-
-def test_evenness_index_reference_values():
-    assert evenness_index((0.7, 0.7, 0.7)) == pytest.approx(1.0)
-    u = (0.3, 0.7)
-    expected = -(0.3 * math.log(0.3) + 0.7 * math.log(0.7)) / math.log(2)
-    assert evenness_index(u) == pytest.approx(expected, rel=1e-12)
-    # Lopsided compositions score lower.
-    assert evenness_index((0.01, 0.99)) < evenness_index((0.4, 0.6))
-    with pytest.raises(ValueError):
-        evenness_index((1.0,))
-    with pytest.raises(ValueError):
-        evenness_index((1.0, 0.0))
 
 
 @pytest.mark.parametrize("u0, w0", [
