@@ -8,10 +8,10 @@ NaN or infinite parameters, document keys that are unknown or of the wrong
 type, arithmetic overflow or underflow, and a result that would put NaN or
 infinity into the JSON), 2 usage error (bad flags, malformed JSON, a
 non-finite --alpha, --u0 or --w0 entry or family flag, a --tol that is not
-positive and finite, a bad or oversized --grid, an unreadable input or
-unwritable output path), 3 computation succeeded but a
-verification check failed.  All output is deterministic; floats use
-shortest round-trip formatting.
+positive and finite, a bad or oversized --grid, a barrier --samples whose
+curve lattice is oversized, an unreadable input or unwritable output path),
+3 computation succeeded but a verification check failed.  All output is
+deterministic; floats use shortest round-trip formatting.
 """
 
 from __future__ import annotations
@@ -154,6 +154,10 @@ def _cmd_barrier(args) -> tuple:
     else:
         env = build_upper_barrier(alpha, spec.d, hull.ubar, spec.m)
     if args.curve_csv:
+        count = math.comb(args.samples + spec.n - 1, spec.n - 1) if args.samples > 0 else 0
+        if count > MAX_GRID_POINTS:
+            raise _Usage(f"--samples {args.samples} gives {count} lattice points "
+                         f"per curve, more than the limit of {MAX_GRID_POINTS}")
         rows = ([name, *u] for name, points in barrier_curves(env, hull, args.samples)
                 for u in points)
         _write_csv(args.curve_csv, ["set"] + [f"u{i + 1}" for i in range(spec.n)], rows)

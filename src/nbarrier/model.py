@@ -13,6 +13,7 @@ import warnings
 from dataclasses import dataclass
 from itertools import chain
 from math import isfinite
+from operator import mul
 from typing import Callable, Sequence
 
 REGION_REL_TOL = 1e-9      # relative tolerance for region membership
@@ -191,6 +192,23 @@ def reaction_eval(reaction: ReactionSpec, u: Sequence[float]) -> tuple:
         s - sum(c * uj for c, uj in zip(row, u))
         for s, row in zip(reaction.sigma, reaction.C)
     )
+
+
+def wave_terms(spec: SystemSpec) -> Callable[[Sequence[float]], list]:
+    """The reaction terms of the wave equation as a closure over one state.
+
+    The closure maps u to [u_i^{l_i} f_i(u)], with f_i summed as
+    reaction_eval sums it, so a term is the same float either way.  It
+    checks no length: callers pass n-vectors from their own loops.
+    """
+    rows = tuple((float(li), float(s), tuple(map(float, row)))
+                 for li, s, row in zip(spec.l, spec.reaction.sigma, spec.reaction.C))
+
+    def terms(u):
+        return [ui ** li * (s - sum(map(mul, row, u)))
+                for ui, (li, s, row) in zip(u, rows)]
+
+    return terms
 
 
 def hull_intercepts(reaction: ReactionSpec) -> HullBounds:

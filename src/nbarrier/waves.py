@@ -4,11 +4,16 @@ The second-order wave system is reduced to first order in the flux variable
 w_i = (u_i^m)'.  For m > 1 the back-map u_i' = w_i / (m u_i^{m-1}) is
 singular at u_i = 0, so integration stops at a small positivity floor rather
 than stepping into the degenerate set.  Stepping is classical fixed-step
-RK4; outputs are bit-reproducible for identical inputs.
+RK4 on Python floats, with the reaction terms from model.wave_terms;
+outputs are bit-reproducible for identical inputs.
 
-numpy is imported inside integrate, check_bounds and flux_balance_defect,
-not at module level, so importing the package (and every CLI subcommand
-except simulate) does not load it.
+numpy only builds the stored Trajectory arrays, once after the loop, and
+re-runs on float64 scalars a step whose float arithmetic overflowed or
+divided by zero, so such a step ends in inf as IEEE arithmetic has it.
+check_bounds and flux_balance_defect stay vectorised over the stored
+arrays.  numpy is imported inside these three functions, not at module
+level, so importing the package (and every CLI subcommand except simulate)
+does not load it.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from math import isfinite
 from typing import TYPE_CHECKING, Sequence
 
 from .bounds import BoundsResult
-from .model import SystemSpec
+from .model import SystemSpec, wave_terms
 
 if TYPE_CHECKING:
     import numpy as np
@@ -73,8 +78,8 @@ def integrate(spec: SystemSpec, u0: Sequence[float], w0: Sequence[float],
         alpha: weights for the stored p and q columns (default all ones).
 
     Returns a Trajectory, truncated early if any species reaches the
-    positivity floor while m > 1, or cut before the first stored state with
-    a NaN or infinite component.
+    positivity floor while m > 1, or stopped at the first state with a NaN
+    or infinite component, which is not stored.
     """
     import numpy as np
 
@@ -107,65 +112,86 @@ def integrate(spec: SystemSpec, u0: Sequence[float], w0: Sequence[float],
     elif len(alpha) != n:
         raise ValueError("alpha length must match the system")
     alpha_vec = np.asarray(alpha, dtype=float)
+    d_vec = np.asarray(spec.d, dtype=float)
 
     m = spec.m
-    theta = spec.theta
-    d_vec = np.asarray(spec.d, dtype=float)
-    l_vec = np.asarray(spec.l, dtype=float)
-    sigma_vec = np.asarray(spec.reaction.sigma, dtype=float)
-    C_mat = np.asarray(spec.reaction.C, dtype=float)
+    theta = float(spec.theta)
+    d = tuple(d_vec.tolist())
+    terms = wave_terms(spec)
     degenerate = m > 1
 
     def rhs(u, w):
         if degenerate:
-            if np.any(u < POSITIVITY_FLOOR):
+            if any(ui < POSITIVITY_FLOOR for ui in u):
                 raise _FloorHit
-            du = w / (m * u ** (m - 1.0))
+            du = [wi / (m * ui ** (m - 1.0)) for wi, ui in zip(w, u)]
         else:
             du = w
-        f = sigma_vec - C_mat @ u
-        dw = (-theta * du - u ** l_vec * f) / d_vec
-        return du, dw
+        return du, [(-theta * dui - term) / di for dui, term, di in zip(du, terms(u), d)]
+
+    def rk4_step(u, w, h):
+        half = 0.5 * h
+        k1u, k1w = rhs(u, w)
+        k2u, k2w = rhs([a + half * k for a, k in zip(u, k1u)],
+                       [a + half * k for a, k in zip(w, k1w)])
+        k3u, k3w = rhs([a + half * k for a, k in zip(u, k2u)],
+                       [a + half * k for a, k in zip(w, k2w)])
+        k4u, k4w = rhs([a + h * k for a, k in zip(u, k3u)],
+                       [a + h * k for a, k in zip(w, k3w)])
+        sixth = h / 6.0
+        u_next = [a + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                  for a, k1, k2, k3, k4 in zip(u, k1u, k2u, k3u, k4u)]
+        w_next = [a + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                  for a, k1, k2, k3, k4 in zip(w, k1w, k2w, k3w, k4w)]
+        if degenerate and any(ui < POSITIVITY_FLOOR for ui in u_next):
+            raise _FloorHit
+        return u_next, w_next
+
+    def advance(u, w, h):
+        """One step as float lists, and whether every component is finite."""
+        try:
+            u_next, w_next = rk4_step(u, w, h)
+        except ArithmeticError:
+            # Python floats raise on overflow and on division by zero, where
+            # the step may still end finite (w / inf is 0).  float64 scalars
+            # give IEEE inf there, so the step is re-run on them.
+            with np.errstate(all="ignore"):
+                u_next, w_next = rk4_step(list(map(np.float64, u)),
+                                          list(map(np.float64, w)), h)
+            u_next, w_next = list(map(float, u_next)), list(map(float, w_next))
+        try:
+            return u_next, w_next, all(map(isfinite, u_next + w_next))
+        except TypeError:
+            # A complex: a negative base to a fractional power, NaN in IEEE.
+            return u_next, w_next, False
 
     xs = [x0]
-    us = [np.asarray(u0, dtype=float)]
-    ws = [np.asarray(w0, dtype=float)]
+    us = [[float(v) for v in u0]]
+    ws = [[float(v) for v in w0]]
     truncated = False
     reason = None
     x = x0
-    # Overflow and invalid powers are caught by the scan after the loop.
-    with np.errstate(all="ignore"):
-        for k in range(n_steps):
-            h = step if k < n_full else remainder
-            u, w = us[-1], ws[-1]
-            try:
-                k1u, k1w = rhs(u, w)
-                k2u, k2w = rhs(u + 0.5 * h * k1u, w + 0.5 * h * k1w)
-                k3u, k3w = rhs(u + 0.5 * h * k2u, w + 0.5 * h * k2w)
-                k4u, k4w = rhs(u + h * k3u, w + h * k3w)
-                u_next = u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-                w_next = w + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-                if degenerate and np.any(u_next < POSITIVITY_FLOOR):
-                    raise _FloorHit
-            except _FloorHit:
-                truncated = True
-                reason = (f"positivity floor {POSITIVITY_FLOOR:g} reached "
-                          f"near x = {x + h:.6g}")
-                break
-            x += h
-            xs.append(x)
-            us.append(u_next)
-            ws.append(w_next)
+    for k in range(n_steps):
+        h = step if k < n_full else remainder
+        try:
+            u_next, w_next, finite = advance(us[-1], ws[-1], h)
+        except _FloorHit:
+            truncated = True
+            reason = (f"positivity floor {POSITIVITY_FLOOR:g} reached "
+                      f"near x = {x + h:.6g}")
+            break
+        x += h
+        if not finite:
+            truncated = True
+            reason = f"non-finite state at x = {x:.6g}"
+            break
+        xs.append(x)
+        us.append(u_next)
+        ws.append(w_next)
 
     xs_arr = np.array(xs)
     u_arr = np.array(us)
     w_arr = np.array(ws)
-    finite = np.isfinite(u_arr).all(axis=1) & np.isfinite(w_arr).all(axis=1)
-    if not finite.all():
-        first = int(np.argmin(finite))
-        truncated = True
-        reason = f"non-finite state at x = {xs_arr[first]:.6g}"
-        xs_arr, u_arr, w_arr = xs_arr[:first], u_arr[:first], w_arr[:first]
     clamped = bool(np.any(u_arr < 0.0))
     if clamped:
         u_arr = np.maximum(u_arr, 0.0)

@@ -147,6 +147,24 @@ def test_barrier_curve_samples_must_be_positive(capsys, tmp_path, samples):
     assert "samples" in err
 
 
+def test_barrier_curve_lattice_is_capped_before_it_is_walked(capsys, tmp_path, monkeypatch):
+    # n = 2: comb(samples + 1, 1) = samples + 1 lattice points per curve.
+    csv_path = tmp_path / "curves.csv"
+
+    def barrier(samples):
+        return run(capsys, "barrier", FIG_SPEC, "--alpha", "1,2", "--orientation", "lower",
+                   "--samples", samples, "--curve-csv", str(csv_path))
+
+    code, out, err = barrier("1000000")
+    assert (code, out) == (2, "") and not csv_path.exists()
+    assert err == ("error: --samples 1000000 gives 1000001 lattice points per curve, "
+                   "more than the limit of 1000000\n")
+    monkeypatch.setattr("nbarrier.cli.MAX_GRID_POINTS", 65)
+    assert barrier("65")[0] == 2 and not csv_path.exists()
+    assert barrier("64")[0] == 0
+    assert len(csv_path.read_text().splitlines()) == 1 + 5 * 65
+
+
 def test_verify_h_passes_on_intercept_hull(capsys):
     code, out, _ = run(capsys, "verify-h", LV_SPEC, "--samples", "30")
     assert code == 0

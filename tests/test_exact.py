@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from nbarrier import cos_family, residual, tanh_family
+from nbarrier import cos_family, reaction_eval, residual, tanh_family
 from nbarrier.exact import Profile
 
 from conftest import COS_ARGS
@@ -134,3 +134,35 @@ def test_cos_family_rejects_infeasible_members():
 def test_residual_rejects_mismatched_profile(tanh_sol, cos_sol):
     with pytest.raises(ValueError):
         residual(cos_sol.system(), tanh_sol.profile(), [0.0])
+
+
+def residual_via_profile_points(spec, profile, grid):
+    """The residual built from Profile.at and reaction_eval, point by point."""
+    worst = [0.0] * spec.n
+    for x in grid:
+        pt = profile.at(x)
+        f = reaction_eval(spec.reaction, pt.u)
+        for i in range(spec.n):
+            res = (spec.d[i] * pt.ddum[i]
+                   + spec.theta * pt.du[i]
+                   + pt.u[i] ** spec.l[i] * f[i])
+            if abs(res) > worst[i]:
+                worst[i] = abs(res)
+    return tuple(worst)
+
+
+# The README's tanh and cos members, as the CLI parses their flags.
+README_TANH = (3.0, 4.0, 1.0, 2.0)
+README_COS = (-0.1, 0.0909090909, 0.0833333333, 2.0, 1.0, 1.0, 1.0,
+              17.7833333333, 1.0, 15.9090909091, 0.5454545455, 15.0, 0.9166666667)
+
+
+@pytest.mark.parametrize("sol, grid", [
+    (tanh_family(*README_TANH), [-20.0 + i * 0.01 for i in range(4001)]),
+    (cos_family(*README_COS),
+     [i * cos_family(*README_COS).period / 2000.0 for i in range(2001)]),
+    (cos_family(*COS_ARGS), [k * math.pi / 200 for k in range(201)]),
+], ids=["readme-tanh", "readme-cos", "exact-cos"])
+def test_residual_equals_the_profile_point_route_bit_for_bit(sol, grid):
+    spec, profile = sol.system(), sol.profile()
+    assert residual(spec, profile, grid) == residual_via_profile_points(spec, profile, grid)

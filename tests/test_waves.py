@@ -18,7 +18,7 @@ from nbarrier import (
     integrate,
 )
 from nbarrier import waves
-from nbarrier.waves import MAX_STEPS, flux_balance_defect
+from nbarrier.waves import MAX_STEPS, POSITIVITY_FLOOR, flux_balance_defect
 
 LV = SystemSpec(n=2, m=1.0, d=(1.0, 1.0), l=(1.0, 1.0), theta=0.7,
                 reaction=ReactionSpec(sigma=(1.0, 1.0),
@@ -206,3 +206,143 @@ def test_trajectory_is_cut_at_the_first_non_finite_state():
     assert len(traj.xs) == len(traj.u) == len(traj.w) == len(traj.p) == 10
     for arr in (traj.xs, traj.u, traj.w, traj.p, traj.q):
         assert np.isfinite(arr).all()
+
+
+def numpy_rk4_reference(spec, u0, w0, x_span, step):
+    """The earlier numpy stepper: RK4 stages on length-n arrays, errors ignored.
+
+    Returns (xs, u, w, truncation reason).  States are stored unclamped until
+    the end of the span or the positivity floor; the stored prefix is then
+    cut before its first non-finite state and clamped at zero.
+    """
+    m, theta = spec.m, spec.theta
+    d, l = np.asarray(spec.d, dtype=float), np.asarray(spec.l, dtype=float)
+    sigma = np.asarray(spec.reaction.sigma, dtype=float)
+    C = np.asarray(spec.reaction.C, dtype=float)
+
+    class FloorHit(Exception):
+        pass
+
+    def rhs(u, w):
+        if m > 1:
+            if np.any(u < POSITIVITY_FLOOR):
+                raise FloorHit
+            du = w / (m * u ** (m - 1.0))
+        else:
+            du = w
+        return du, (-theta * du - u ** l * (sigma - C @ u)) / d
+
+    x0, x1 = x_span
+    n_full = int((x1 - x0) / step + 1e-9)
+    remainder = (x1 - x0) - n_full * step
+    n_steps = n_full + (remainder > step * 1e-9)
+    xs, us, ws = [x0], [np.asarray(u0, dtype=float)], [np.asarray(w0, dtype=float)]
+    reason, x = None, x0
+    with np.errstate(all="ignore"):
+        for k in range(n_steps):
+            h = step if k < n_full else remainder
+            u, w = us[-1], ws[-1]
+            try:
+                k1u, k1w = rhs(u, w)
+                k2u, k2w = rhs(u + 0.5 * h * k1u, w + 0.5 * h * k1w)
+                k3u, k3w = rhs(u + 0.5 * h * k2u, w + 0.5 * h * k2w)
+                k4u, k4w = rhs(u + h * k3u, w + h * k3w)
+                u_next = u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+                w_next = w + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+                if m > 1 and np.any(u_next < POSITIVITY_FLOOR):
+                    raise FloorHit
+            except FloorHit:
+                reason = (f"positivity floor {POSITIVITY_FLOOR:g} reached "
+                          f"near x = {x + h:.6g}")
+                break
+            x += h
+            xs.append(x)
+            us.append(u_next)
+            ws.append(w_next)
+    xs, u, w = np.array(xs), np.array(us), np.array(ws)
+    finite = np.isfinite(u).all(axis=1) & np.isfinite(w).all(axis=1)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        reason = f"non-finite state at x = {xs[first]:.6g}"
+        xs, u, w = xs[:first], u[:first], w[:first]
+    return xs, np.maximum(u, 0.0), w, reason
+
+
+def _window(sol, x0, length):
+    start = sol.profile().at(x0)
+    return sol.system(), start.u, start.dum, (x0, x0 + length), 1e-3
+
+
+def _lv(m, l, u0, w0):
+    return replace(LV, m=m, l=(l, l)), u0, w0, (0.0, 1.0), 0.01
+
+
+# name -> (case built from the two family fixtures, stored points, reason)
+REFERENCE_CASES = {
+    "tanh": (lambda tanh_sol, _: _window(tanh_sol, -1.0, 2.0), 2001, None),
+    "cos": (lambda _, cos_sol: _window(cos_sol, math.pi / 4, 0.5), 501, None),
+    "lv-m1": (lambda *_: _lv(1.0, 1.0, (0.3, 0.2), (0.5, -0.4)), 101, None),
+    # u^2 overflows: a Python float power raises, numpy gave inf.
+    "power-overflow": (lambda *_: _lv(1.0, 2.0, (1e200, 1.0), (0.0, 0.0)), 1,
+                       "non-finite state at x = 0.01"),
+    # u^59 underflows to 0: a Python float division raises, numpy gave inf.
+    "zero-division": (lambda *_: _lv(60.0, 1.0, (2e-8, 1.0), (1.0, 0.0)), 1,
+                      "non-finite state at x = 0.01"),
+    # The same with w < 0 sends the next stage state to -inf, below the floor.
+    "zero-division-floor": (lambda *_: _lv(60.0, 1.0, (2e-8, 1.0), (-1.0, 0.0)), 1,
+                            "positivity floor 1e-08 reached near x = 0.01"),
+}
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_CASES))
+def test_float_stepper_matches_the_numpy_reference(tanh_sol, cos_sol, name):
+    build, points, reason = REFERENCE_CASES[name]
+    spec, u0, w0, x_span, step = build(tanh_sol, cos_sol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate(spec, u0, w0, x_span, step)
+    xs, u, w, ref_reason = numpy_rk4_reference(spec, u0, w0, x_span, step)
+    assert (len(traj.xs), traj.truncation_reason) == (points, reason)
+    assert ref_reason == reason and traj.truncated == (reason is not None)
+    assert traj.xs.tolist() == xs.tolist()
+    for got, want in ((traj.u, u), (traj.w, w)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_float_stepper_goes_on_where_numpy_divided_an_overflow_away():
+    # u^59 overflows for u = 1e6, so u' = w / (60 u^59) is 0 in IEEE
+    # arithmetic and the step stays finite; only the stored q = u^60 column
+    # overflows, as it did before.
+    spec, u0, w0, x_span, step = _lv(60.0, 1.0, (1e6, 1.0), (1.0, 0.0))
+    with np.errstate(over="ignore"):
+        traj = integrate(spec, u0, w0, x_span, step)
+    xs, u, w, reason = numpy_rk4_reference(spec, u0, w0, x_span, step)
+    assert not traj.truncated and reason is None
+    assert traj.xs.tolist() == xs.tolist()
+    assert np.max(np.abs(traj.u - u)) <= 1e-12 * np.max(np.abs(u))
+    assert np.max(np.abs(traj.w - w)) <= 1e-12 * np.max(np.abs(w))
+
+
+def test_stepping_stops_at_the_first_non_finite_state(monkeypatch):
+    # m = 1 with l = 1.5: a stage state goes negative at x = 0.1, and u^1.5 is
+    # a complex there (NaN in IEEE arithmetic); nothing after it is stepped.
+    spec = replace(LV, l=(1.5, 1.5), theta=0.0,
+                   reaction=ReactionSpec(sigma=(1.0, 1.0), C=((1.0, 0.5), (0.4, 1.2))))
+    calls = 0
+    make_terms = waves.wave_terms
+
+    def counting_wave_terms(spec):
+        terms = make_terms(spec)
+
+        def counted(u):
+            nonlocal calls
+            calls += 1
+            return terms(u)
+
+        return counted
+
+    monkeypatch.setattr(waves, "wave_terms", counting_wave_terms)
+    traj = integrate(spec, (0.1, 0.1), (-1.0, -1.0), (0.0, 100.0), 0.001)
+    assert traj.truncation_reason == "non-finite state at x = 0.1"
+    assert len(traj.xs) == 100
+    assert calls <= 4 * len(traj.xs)
