@@ -11,8 +11,13 @@ verify_containment checks the chain independently of those closed forms,
 on boundary points sampled from one simplex lattice.  p is homogeneous of
 degree 1 and q of degree m, so on a level set reached by scaling a lattice
 point t the value of the next set's function is a level factor times a sum
-over t: one walk of the lattice checks all four links.  barrier_curves
-scales the same lattice onto the same five pieces.
+over t: one walk of the lattice checks all four links.  The walk takes each
+product w_i t_i^m or w_i t_i from a per-call table indexed by coordinate and
+lattice index, so its memory is O(n * samples) whatever the lattice size.
+Lattice points that share their first n - 2 coordinates share those
+coordinates' partial sums, and an inner loop over the last two coordinates
+finishes each sum in the same left-to-right order as a point-by-point walk.
+barrier_curves scales the same lattice onto the same five pieces.
 """
 
 from __future__ import annotations
@@ -208,18 +213,17 @@ class ContainmentReport:
         return all(link.ok for link in self.links)
 
 
-def _simplex_lattice(n: int, resolution: int):
-    """Integer compositions k with sum(k) == resolution, as barycentric weights.
+def _compositions(parts: int, total: int):
+    """Integer compositions k of total into parts entries, in lexicographic order.
 
-    The compositions come in lexicographic order and none is made only to be
+    One list is yielded, updated in place, and none is made only to be
     rejected: the successor of k moves one unit from its rightmost nonzero
     entry k_j into k_(j-1) and puts the rest of k_j into the last entry.
     """
-    weights = [i / resolution for i in range(resolution + 1)]
-    k = [0] * (n - 1) + [resolution]
+    k = [0] * (parts - 1) + [total]
     while True:
-        yield tuple(map(weights.__getitem__, k))
-        j = n - 1
+        yield k
+        j = parts - 1
         while not k[j]:
             j -= 1
         if j == 0:
@@ -228,6 +232,13 @@ def _simplex_lattice(n: int, resolution: int):
         k[j] = 0
         k[j - 1] += 1
         k[-1] = rest
+
+
+def _simplex_lattice(n: int, resolution: int):
+    """The compositions of resolution into n parts, as barycentric weights."""
+    weights = [i / resolution for i in range(resolution + 1)]
+    for k in _compositions(n, resolution):
+        yield tuple(map(weights.__getitem__, k))
 
 
 def _pieces(envelope: BarrierEnvelope, hull: HullBounds) -> dict:
@@ -282,6 +293,81 @@ def barrier_curves(envelope: BarrierEnvelope, hull: HullBounds, samples: int) ->
                  for name, (_, point) in _pieces(envelope, hull).items())
 
 
+def _lattice_peaks(envelope: BarrierEnvelope, hull: HullBounds, samples: int) -> tuple:
+    """Peaks of the plane sum, p(t) / q(t)^(1/m) and the hull sum on the lattice.
+
+    Each peak is (largest value, first lattice point attaining it, running
+    total); a value that overflowed leaves the total non-finite.
+    """
+    alpha, d, m = envelope.weights, envelope.d, envelope.m
+    inv_m = 1.0 / m
+    lower = envelope.orientation == "lower"
+    n = len(alpha)
+    weights = [k / samples for k in range(samples + 1)]
+    powers = [t ** m for t in weights]
+    w_q = tuple(a * di for a, di in zip(alpha, d))
+    w_plane = tuple(di * a ** (1.0 - m) for a, di in zip(alpha, d))
+    if lower:
+        w_hull, hull_powers = tuple(1.0 / lo for lo in hull.ulow), weights
+    else:
+        w_hull = tuple(a * di * hi ** m for a, di, hi in zip(alpha, d, hull.ubar))
+        hull_powers = powers
+    # tables[sum][i][k] is coordinate i's product at t_i = k / samples in the
+    # sums q(t), plane, p(t) and hull, named q, c, p and h below.
+    tables = [[[wi * x for x in xs] for wi in w]
+              for w, xs in ((w_q, powers), (w_plane, powers), (alpha, weights),
+                            (w_hull, hull_powers))]
+    if n == 1:
+        # The lattice is the one point t = (1.0,): each sum is one product.
+        sq, sc, sp, sh = (rows[0][samples] for rows in tables)
+        root = sq ** inv_m
+        return tuple((s, (1.0,), s) for s in (sc, sp / root, sh / root if lower else sh))
+
+    head = list(zip(*(rows[:n - 2] for rows in tables)))
+    q2, c2, p2, h2 = (rows[n - 2] for rows in tables)
+    # The last coordinate's rows reversed: entry samples - rest + a is k = rest - a.
+    q1, c1, p1, h1 = (rows[n - 1][::-1] for rows in tables)
+    plane_max = ray_max = hull_max = -inf
+    plane_at = ray_at = hull_at = None
+    plane_total = ray_total = hull_total = 0.0
+    for k in _compositions(n - 1, samples):
+        # k is the first n - 2 coordinates and the rest, which the inner
+        # loop splits into a and rest - a; every sum adds left to right.
+        sq = sc = sp = sh = 0.0
+        for (qi, ci, pi, hi), ki in zip(head, k):
+            sq += qi[ki]
+            sc += ci[ki]
+            sp += pi[ki]
+            sh += hi[ki]
+        prefix, rest = tuple(k), k[-1]
+        skip = samples - rest
+        for a, xq2, xq1, xc2, xc1, xp2, xp1, xh2, xh1 in zip(
+                range(rest + 1), q2, q1[skip:], c2, c1[skip:], p2, p1[skip:], h2, h1[skip:]):
+            root = (sq + xq2 + xq1) ** inv_m
+            s = sc + xc2 + xc1
+            plane_total += s
+            if s > plane_max:
+                plane_max, plane_at = s, (prefix, a)
+            s = (sp + xp2 + xp1) / root
+            ray_total += s
+            if s > ray_max:
+                ray_max, ray_at = s, (prefix, a)
+            s = sh + xh2 + xh1
+            if lower:
+                s /= root
+            hull_total += s
+            if s > hull_max:
+                hull_max, hull_at = s, (prefix, a)
+
+    def point(at):
+        if at is None:  # every value was NaN; the total stops the link
+            return None
+        prefix, a = at
+        return tuple(map(weights.__getitem__, prefix[:-1] + (a, prefix[-1] - a)))
+    return ((plane_max, point(plane_at), plane_total), (ray_max, point(ray_at), ray_total),
+            (hull_max, point(hull_at), hull_total))
+
+
 def verify_containment(envelope: BarrierEnvelope, hull: HullBounds, samples: int,
                        orientation: str | None = None) -> ContainmentReport:
     """Check each link of the envelope's nesting chain on one simplex lattice.
@@ -298,14 +384,20 @@ def verify_containment(envelope: BarrierEnvelope, hull: HullBounds, samples: int
         ellipsoid in inner hull        lambda^(1/m) * sum_i (t_i / ulow_i) / q(t)^(1/m)
         outer hull face in ellipsoid   q = sum_i alpha_i d_i ubar_i^m t_i^m
 
-    So one walk of the lattice, taking t_i^m once per point, checks every
-    link.  Each sum keeps its largest value and the first point in lattice
-    order that attains it; a link's worst margin (limit - value) / limit and
-    its worst point come from there.  Axis intercepts of every inner set are
-    lattice vertices, which is where the construction is tight, so the
-    checks run with the relative slack REGION_REL_TOL.  A link value that
-    overflows floating point raises a ValueError naming the link.  Passing an
-    explicit orientation that differs from the envelope's is a usage error.
+    So one walk of the lattice checks every link.  The walk takes its
+    products of t_i = k / samples from tables built once per call, four rows
+    of samples + 1 entries per coordinate: memory is O(n * samples) and no
+    lattice point is stored.  The first n - 2 coordinates' partial sums are
+    formed once per prefix, and an inner loop over the last two coordinates,
+    a and rest - a, adds theirs; that is the left-to-right order of a
+    point-by-point walk, so every sum is the same float.  Each sum keeps its
+    largest value and the first point in lattice order that attains it; a
+    link's worst margin (limit - value) / limit and its worst point come
+    from there.  Axis intercepts of every inner set are lattice vertices,
+    which is where the construction is tight, so the checks run with the
+    relative slack REGION_REL_TOL.  A link value that overflows floating
+    point raises a ValueError naming the link.  Passing an explicit
+    orientation that differs from the envelope's is a usage error.
     """
     if orientation is not None and orientation != envelope.orientation:
         raise ValueError(
@@ -315,39 +407,8 @@ def verify_containment(envelope: BarrierEnvelope, hull: HullBounds, samples: int
     if samples < 1:
         raise ValueError("samples must be positive")
 
-    alpha, d, m = envelope.weights, envelope.d, envelope.m
-    inv_m = 1.0 / m
     lower = envelope.orientation == "lower"
-    w_q = tuple(a * di for a, di in zip(alpha, d))
-    w_plane = tuple(di * a ** (1.0 - m) for a, di in zip(alpha, d))
-    if lower:
-        w_hull = tuple(1.0 / lo for lo in hull.ulow)
-    else:
-        w_hull = tuple(a * di * hi ** m for a, di, hi in zip(alpha, d, hull.ubar))
-
-    # Per sum: its largest value, the first point attaining it, and a
-    # running total, which any value that overflowed leaves non-finite.
-    plane_max = ray_max = hull_max = -inf
-    plane_t = ray_t = hull_t = None
-    plane_total = ray_total = hull_total = 0.0
-    for t in _simplex_lattice(len(alpha), samples):
-        tm = [ti ** m for ti in t]
-        q_root = sum(map(mul, w_q, tm)) ** inv_m
-        s = sum(map(mul, w_plane, tm))
-        plane_total += s
-        if s > plane_max:
-            plane_max, plane_t = s, t
-        s = sum(map(mul, alpha, t)) / q_root
-        ray_total += s
-        if s > ray_max:
-            ray_max, ray_t = s, t
-        s = sum(map(mul, w_hull, t)) / q_root if lower else sum(map(mul, w_hull, tm))
-        hull_total += s
-        if s > hull_max:
-            hull_max, hull_t = s, t
-    plane_peak = plane_max, plane_t, plane_total
-    ray_peak = ray_max, ray_t, ray_total
-    hull_peak = hull_max, hull_t, hull_total
+    plane_peak, ray_peak, hull_peak = _lattice_peaks(envelope, hull, samples)
 
     lam1, eta1, lam2, eta2 = envelope.lambda1, envelope.eta1, envelope.lambda2, envelope.eta2
     # (name, peak of its sum, inner piece, outer level), innermost link first.

@@ -248,6 +248,11 @@ def _cmd_simulate(args) -> tuple:
         if not report.ok:
             code = 3
     if args.csv:
+        for x, p, q in zip(traj.xs, traj.p, traj.q):
+            for name, value in (("p", p), ("q", q)):
+                if not math.isfinite(value):
+                    raise ValueError(f"--csv column {name} is not finite at x = {float(x)!r}; "
+                                     "the weighted total overflows floating point")
         n = traj.n
         header = (["x"] + [f"u{i + 1}" for i in range(n)]
                   + [f"w{i + 1}" for i in range(n)] + ["p", "q"])

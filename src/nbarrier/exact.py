@@ -222,7 +222,8 @@ def residual(spec: SystemSpec, profile: Profile, grid: Sequence[float]) -> tuple
     evaluated from the profile's analytic derivatives.  One loop reads
     profile.derivs(x), takes (u_i^m)'' by the chain rule Profile.at uses and
     the reaction terms from model.wave_terms, so each residual is the same
-    float as the one built from Profile.at and reaction_eval.
+    float as the one built from Profile.at and reaction_eval.  A species
+    with a NaN residual at any grid point reports NaN.
     """
     if profile.n != spec.n:
         raise ValueError("profile dimension does not match system")
@@ -236,6 +237,6 @@ def residual(spec: SystemSpec, profile: Profile, grid: Sequence[float]) -> tuple
         for i, (u, du, ddu), term in zip(range(spec.n), states,
                                          terms([state[0] for state in states])):
             res = abs(d[i] * _power_derivs(m, u, du, ddu)[1] + theta * du + term)
-            if res > worst[i]:
+            if res > worst[i] or res != res:  # a NaN residual stays the maximum
                 worst[i] = res
     return tuple(worst)

@@ -195,8 +195,10 @@ def integrate(spec: SystemSpec, u0: Sequence[float], w0: Sequence[float],
     clamped = bool(np.any(u_arr < 0.0))
     if clamped:
         u_arr = np.maximum(u_arr, 0.0)
-    p_arr = u_arr @ alpha_vec
-    q_arr = (u_arr ** m) @ (alpha_vec * d_vec)
+    # u^m past the float range is inf in the stored q column, as IEEE has it.
+    with np.errstate(all="ignore"):
+        p_arr = u_arr @ alpha_vec
+        q_arr = (u_arr ** m) @ (alpha_vec * d_vec)
     return Trajectory(xs=xs_arr, u=u_arr, w=w_arr, p=p_arr, q=q_arr,
                       alpha=tuple(alpha), truncated=truncated,
                       truncation_reason=reason, clamped=clamped)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -19,7 +20,13 @@ from nbarrier import (
     verify_containment,
 )
 from nbarrier import barrier as barrier_module
-from nbarrier.barrier import _simplex_lattice
+from nbarrier.barrier import (
+    ContainmentReport,
+    LinkReport,
+    _compositions,
+    _pieces,
+    _simplex_lattice,
+)
 from nbarrier.model import REGION_REL_TOL
 
 FIG1_ARGS = ((1.0, 2.0), (3.0, 4.0), (1 / 3, 1 / 2), 2.0)
@@ -194,24 +201,28 @@ def test_simplex_lattice_matches_the_filtered_product(n, r):
 
 
 def test_containment_walks_the_lattice_once(monkeypatch):
-    calls, points = [], []
+    """One walk per call: one pass over the compositions of samples into
+    n - 1 parts, each prefix the root of rest + 1 lattice points."""
+    calls, leaves = [], []
 
-    def counting_lattice(n, r):
-        calls.append((n, r))
-        for t in _simplex_lattice(n, r):
-            points.append(t)
-            yield t
+    def counting_compositions(parts, total):
+        calls.append((parts, total))
+        for k in _compositions(parts, total):
+            leaves.append(k[-1] + 1)
+            yield k
 
-    monkeypatch.setattr(barrier_module, "_simplex_lattice", counting_lattice)
-    alpha, d, m = (1.0, 2.0, 0.5), (3.0, 4.0, 1.5), 2.5
-    hull = HullBounds(ubar=(1.5, 1.0, 2.0), ulow=(1 / 3, 1 / 2, 0.7))
-    for env in (build_lower_barrier(alpha, d, hull.ulow, m),
-                build_upper_barrier(alpha, d, hull.ubar, m)):
-        calls.clear()
-        points.clear()
-        assert verify_containment(env, hull, 9).ok
-        assert calls == [(3, 9)]
-        assert len(points) == math.comb(9 + 2, 2)
+    monkeypatch.setattr(barrier_module, "_compositions", counting_compositions)
+    for n, samples in ((2, 9), (3, 9), (5, 4)):
+        alpha, d, m = (1.0, 2.0, 0.5, 1.2, 0.8)[:n], (3.0, 4.0, 1.5, 0.7, 2.2)[:n], 2.5
+        ulow = (1 / 3, 1 / 2, 0.7, 0.4, 0.9)[:n]
+        hull = HullBounds(ubar=tuple(lo + 1.0 for lo in ulow), ulow=ulow)
+        for env in (build_lower_barrier(alpha, d, hull.ulow, m),
+                    build_upper_barrier(alpha, d, hull.ubar, m)):
+            calls.clear()
+            leaves.clear()
+            assert verify_containment(env, hull, samples).ok
+            assert calls == [(n - 1, samples)]
+            assert sum(leaves) == math.comb(samples + n - 1, n - 1)
 
 
 def brute_force_links(env, hull, samples, tol=REGION_REL_TOL):
@@ -244,7 +255,7 @@ def brute_force_links(env, hull, samples, tol=REGION_REL_TOL):
 
 
 @pytest.mark.filterwarnings("ignore:degenerate hull")
-@given(st.data(), exponents, st.integers(min_value=2, max_value=5),
+@given(st.data(), exponents, st.integers(min_value=1, max_value=6),
        st.sampled_from(["lower", "upper"]), st.sampled_from([1.0, 0.3, 0.9, 1.5]))
 @settings(max_examples=80, deadline=None)
 def test_containment_matches_a_point_by_point_sweep(data, m, n, side, scale):
@@ -257,7 +268,8 @@ def test_containment_matches_a_point_by_point_sweep(data, m, n, side, scale):
     d = tuple(data.draw(positive) for _ in range(n))
     ulow = tuple(data.draw(positive) for _ in range(n))
     ubar = tuple(lo + data.draw(positive) for lo in ulow)
-    samples = data.draw(st.integers(min_value=1, max_value={2: 30, 3: 12, 4: 6, 5: 4}[n]))
+    samples = data.draw(st.integers(
+        min_value=1, max_value={1: 5, 2: 30, 3: 12, 4: 6, 5: 4, 6: 3}[n]))
     if side == "lower":
         env = build_lower_barrier(alpha, d, ulow, m)
         hull = HullBounds(ubar=tuple(max(hi, lo * scale) for hi, lo in zip(ubar, ulow)),
@@ -279,6 +291,103 @@ def test_containment_matches_a_point_by_point_sweep(data, m, n, side, scale):
                    for u in near), name
         if len(near) == 1:
             assert link.worst_point == pytest.approx(near[0], rel=1e-12, abs=1e-300)
+
+
+def left_to_right(weights, xs):
+    """sum_i weights_i * xs_i, added in index order."""
+    total = 0.0
+    for w, x in zip(weights, xs):
+        total += w * x
+    return total
+
+
+def per_point_containment(env, hull, samples):
+    """verify_containment as a per-point walk: every lattice point builds its
+    tuple, takes its n powers and forms its four sums from scratch.
+
+    The sums add the same products in the same order as the prefix-sum walk,
+    so the two reports must be equal float for float.
+    """
+    alpha, d, m = env.weights, env.d, env.m
+    inv_m = 1.0 / m
+    lower = env.orientation == "lower"
+    w_q = tuple(a * di for a, di in zip(alpha, d))
+    w_plane = tuple(di * a ** (1.0 - m) for a, di in zip(alpha, d))
+    if lower:
+        w_hull = tuple(1.0 / lo for lo in hull.ulow)
+    else:
+        w_hull = tuple(a * di * hi ** m for a, di, hi in zip(alpha, d, hull.ubar))
+    peaks = [[-math.inf, None, 0.0] for _ in range(3)]  # plane, ray, hull
+    for t in reference_lattice(len(alpha), samples):
+        tm = [ti ** m for ti in t]
+        q_root = left_to_right(w_q, tm) ** inv_m
+        values = (left_to_right(w_plane, tm), left_to_right(alpha, t) / q_root,
+                  left_to_right(w_hull, t) / q_root if lower else left_to_right(w_hull, tm))
+        for peak, value in zip(peaks, values):
+            peak[2] += value
+            if value > peak[0]:
+                peak[0], peak[1] = value, t
+    plane, ray, hull_peak = peaks
+    lam1, eta1, lam2, eta2 = env.lambda1, env.eta1, env.lambda2, env.eta2
+    if lower:
+        links = (("plane_eta2_in_ellipsoid_lambda2", plane, "plane_eta2", lam2),
+                 ("ellipsoid_lambda2_in_plane_eta1", ray, "ellipsoid_lambda2", eta1),
+                 ("plane_eta1_in_ellipsoid_lambda1", plane, "plane_eta1", lam1),
+                 ("ellipsoid_lambda1_in_inner_hull", hull_peak, "ellipsoid_lambda1", 1.0))
+    else:
+        links = (("outer_hull_face_in_ellipsoid_lambda1", hull_peak, "hull_face", lam1),
+                 ("ellipsoid_lambda1_in_plane_eta1", ray, "ellipsoid_lambda1", eta1),
+                 ("plane_eta1_in_ellipsoid_lambda2", plane, "plane_eta1", lam2),
+                 ("ellipsoid_lambda2_in_plane_eta2", ray, "ellipsoid_lambda2", eta2))
+    pieces = _pieces(env, hull)
+    reports = []
+    for name, (largest, t, total), inner, limit in links:
+        factor, point = pieces[inner]
+        value = factor * largest
+        assert math.isfinite(value) and math.isfinite(total), name
+        reports.append(LinkReport(name=name, ok=value <= limit * (1.0 + REGION_REL_TOL),
+                                  worst_margin=(limit - value) / limit,
+                                  worst_point=point(t)))
+    return ContainmentReport(links=tuple(reports))
+
+
+@pytest.mark.filterwarnings("ignore:degenerate hull")
+@given(st.data(), exponents, st.integers(min_value=1, max_value=6),
+       st.sampled_from(["lower", "upper"]), st.sampled_from([1.0, 0.3, 0.9, 1.5]))
+@settings(max_examples=120, deadline=None)
+def test_containment_equals_the_per_point_walk(data, m, n, side, scale):
+    """The prefix-sum walk gives the per-point walk's report, bit for bit."""
+    alpha = tuple(data.draw(positive) for _ in range(n))
+    d = tuple(data.draw(positive) for _ in range(n))
+    ulow = tuple(data.draw(positive) for _ in range(n))
+    ubar = tuple(lo + data.draw(positive) for lo in ulow)
+    samples = data.draw(st.integers(
+        min_value=1, max_value={1: 5, 2: 40, 3: 20, 4: 12, 5: 8, 6: 6}[n]))
+    if side == "lower":
+        env = build_lower_barrier(alpha, d, ulow, m)
+        hull = HullBounds(ubar=tuple(max(hi, lo * scale) for hi, lo in zip(ubar, ulow)),
+                          ulow=tuple(lo * scale for lo in ulow))
+    else:
+        env = build_upper_barrier(alpha, d, ubar, m)
+        hull = HullBounds(ubar=tuple(max(hi * scale, lo) for hi, lo in zip(ubar, ulow)),
+                          ulow=ulow)
+    assert verify_containment(env, hull, samples) == per_point_containment(env, hull, samples)
+
+
+def test_containment_memory_stays_flat_in_the_lattice_size():
+    """n = 3 at samples = 300 is 45,451 lattice points: storing them would
+    take several MB, the per-coordinate product tables about 100 KB."""
+    alpha, d, m = (1.0, 2.0, 0.5), (3.0, 4.0, 1.5), 2.5
+    hull = HullBounds(ubar=(1.5, 1.0, 2.0), ulow=(1 / 3, 1 / 2, 0.7))
+    env = build_lower_barrier(alpha, d, hull.ulow, m)
+    tracemalloc.start()
+    try:
+        report = verify_containment(env, hull, 300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 1_000_000
 
 
 def test_containment_keeps_the_first_lattice_point_on_ties():

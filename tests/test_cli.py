@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -526,6 +527,28 @@ def test_non_finite_family_flag_or_bad_tol_is_usage_error(capsys, argv, message)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def test_simulate_refuses_a_csv_whose_q_column_overflows(capsys, tmp_path):
+    # u1^60 = 1e360 past the float range: the state is finite, the stored q is inf.
+    spec = json.dumps({"n": 2, "m": 60, "d": [1, 1], "l": [1, 1], "theta": 0,
+                       "sigma": [1, 1], "C": [[1, 0.5], [0.4, 1.2]]})
+    csv_path = tmp_path / "q.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "simulate", spec, "--u0", "1e6,1", "--w0", "0,0",
+                             "--span", "0:1", "--step", "0.01", "--csv", str(csv_path))
+    assert (code, out) == (1, "")
+    assert err == ("error: --csv column q is not finite at x = 0.0; "
+                   "the weighted total overflows floating point\n")
+    assert not csv_path.exists()
+
+
+def test_residual_of_a_member_with_nan_residuals_exits_1(capsys):
+    code, out, err = run(capsys, "residual", "tanh", "--d1", "1e102", "--d2", "4",
+                         "--c11", "1", "--c22", "2")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: result holds a NaN or infinite value")
+
+
 def test_simulate_reports_a_non_finite_state_as_truncation(capsys):
     spec = json.dumps({"n": 2, "m": 1.0, "d": [1, 1], "theta": 0, "l": [1.5, 1.5],
                        "sigma": [1, 1], "C": [[1, 0.5], [0.4, 1.2]]})
@@ -568,6 +591,15 @@ def _family_argv(draw, command):
     return argv, False
 
 
+def _holds_bool_or_str(value):
+    """Whether a JSON value is, or holds at any depth, a true/false or a string."""
+    if isinstance(value, (bool, str)):
+        return True
+    if isinstance(value, dict):
+        value = list(value.values())
+    return isinstance(value, list) and any(map(_holds_bool_or_str, value))
+
+
 @st.composite
 def fuzz_argv(draw):
     """An argv, and whether its document holds a JSON true/false or string
@@ -594,12 +626,12 @@ def fuzz_argv(draw):
                     for i in range(n)]
                  + [(row, j) for row in doc["C"] for j in range(n)])
     slots = doc_slots + [(flag, i) for flag in flags for i in range(n)]
-    loose = False
     for _ in range(draw(st.integers(0, 2))):
-        k = draw(st.integers(0, len(slots) - 1))
-        container, index = slots[k]
+        container, index = slots[draw(st.integers(0, len(slots) - 1))]
         container[index] = draw(SPECIAL_VALUES)
-        loose |= k < len(doc_slots) and isinstance(container[index], (bool, str))
+    # Read off the final document: a second draw may overwrite the first, and
+    # a slot of a list that a whole-key draw replaced is no longer in it.
+    loose = _holds_bool_or_str(doc)
     argv = [command, json.dumps(doc)]
     as_flag = ",".join
     if command in ("bounds", "barrier"):

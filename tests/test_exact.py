@@ -47,6 +47,16 @@ def test_tanh_residual_vanishes(tanh_sol):
     assert max(worst) < 1e-8
 
 
+def test_a_nan_residual_is_reported_as_the_maximum():
+    # At d1 = 1e102 the first residual is inf - inf at 396 of the grid points;
+    # the second species stays finite.
+    sol = tanh_family(1e102, 4, 1, 2)
+    grid = [-20 + k * 0.01 for k in range(4001)]
+    first, second = residual(sol.system(), sol.profile(), grid)
+    assert math.isnan(first)
+    assert math.isfinite(second)
+
+
 def test_tanh_residual_detects_perturbed_growth_rate(tanh_sol):
     """Shifting sigma1 by +1 adds u1(x)^2 to the first residual."""
     from nbarrier import ReactionSpec, SystemSpec

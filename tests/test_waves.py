@@ -314,10 +314,12 @@ def test_float_stepper_goes_on_where_numpy_divided_an_overflow_away():
     # arithmetic and the step stays finite; only the stored q = u^60 column
     # overflows, as it did before.
     spec, u0, w0, x_span, step = _lv(60.0, 1.0, (1e6, 1.0), (1.0, 0.0))
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         traj = integrate(spec, u0, w0, x_span, step)
     xs, u, w, reason = numpy_rk4_reference(spec, u0, w0, x_span, step)
     assert not traj.truncated and reason is None
+    assert traj.q[0] == math.inf
     assert traj.xs.tolist() == xs.tolist()
     assert np.max(np.abs(traj.u - u)) <= 1e-12 * np.max(np.abs(u))
     assert np.max(np.abs(traj.w - w)) <= 1e-12 * np.max(np.abs(w))
