@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 
-from nbarrier.cli import MAX_GRID_POINTS
+from nbarrier.cli import parse_grid
 from nbarrier.nonexistence import check, params_from_dict
 
 BASE = {
@@ -26,22 +25,12 @@ FIELDS = ("sigma3", "floor_applicable", "lambda_floor", "floor_blocked",
           "cap_applicable", "lambda_cap", "cap_threshold", "cap_blocked")
 
 
-def _grid(spec: str) -> tuple:
+def _grid(spec: str) -> list:
     """A, A + H, ... up to B, in full steps as the nbarrier CLI counts them."""
     try:
-        a, b, h = (float(tok) for tok in spec.split(":"))
-    except ValueError:
-        raise argparse.ArgumentTypeError("must be A:B:H with three numbers") from None
-    if not all(math.isfinite(v) for v in (a, b, h)):
-        raise argparse.ArgumentTypeError("A, B and H must be finite")
-    if h <= 0 or b < a:
-        raise argparse.ArgumentTypeError("needs H > 0 and B >= A")
-    span = (b - a) / h
-    count = int(span + 1e-9) + 1 if math.isfinite(span) else math.inf
-    if count > MAX_GRID_POINTS:
-        raise argparse.ArgumentTypeError(f"would have {count:.7g} points, "
-                                         f"more than the limit of {MAX_GRID_POINTS}")
-    return tuple(a + k * h for k in range(count))
+        return parse_grid(spec)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _fmt(v) -> str:

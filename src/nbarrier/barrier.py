@@ -107,6 +107,16 @@ def _level(name: str, value: float) -> float:
     return value
 
 
+def _q_weights(alpha: Sequence[float], d: Sequence[float]) -> tuple:
+    """The weights alpha_i d_i of q; 0 means a product underflowed."""
+    w_q = tuple(a * di for a, di in zip(alpha, d))
+    if 0.0 in w_q:
+        i = w_q.index(0.0) + 1
+        raise ValueError(f"weight alpha_{i} d_{i} underflows to 0; "
+                         "the parameters underflow floating point")
+    return w_q
+
+
 def _check_vectors(*vectors: Sequence[float]):
     n = len(vectors[0])
     for v in vectors:
@@ -132,10 +142,11 @@ def tangency_weighted(Theta: float, alpha: Sequence[float], d: Sequence[float],
     if Theta <= 0:
         raise ValueError("Theta must be positive")
     _check_vectors(alpha, d, ulow)
+    w_q = _q_weights(alpha, d)
     e = 1.0 / (m - 1.0)
-    S = sum((a * di * lo ** m) ** -e for a, di, lo in zip(alpha, d, ulow))
+    S = sum((w * lo ** m) ** -e for w, lo in zip(w_q, ulow))
     Lambda = Theta ** m * S ** (1.0 - m)
-    point = tuple((Theta / S) * (a * di * lo) ** -e for a, di, lo in zip(alpha, d, ulow))
+    point = tuple((Theta / S) * (w * lo) ** -e for w, lo in zip(w_q, ulow))
     return TangencyResult(Lambda=Lambda, point=point)
 
 
@@ -247,11 +258,12 @@ def _pieces(envelope: BarrierEnvelope, hull: HullBounds) -> dict:
     Points and factors are those verify_containment lists.  The ellipsoid
     scale lambda^(1/m) / q(t)^(1/m) cannot overflow where (lambda / q(t))^(1/m)
     does.  The hull face is the ulow face for a lower envelope and the ubar
-    face for an upper one.
+    face for an upper one.  A weight alpha_i d_i that underflowed to 0, which
+    would put q(t) = 0 at a vertex, raises a ValueError here.
     """
     alpha, d, m = envelope.weights, envelope.d, envelope.m
     inv_m = 1.0 / m
-    w_q = tuple(a * di for a, di in zip(alpha, d))
+    w_q = _q_weights(alpha, d)
     face = hull.ulow if envelope.orientation == "lower" else hull.ubar
 
     def plane(eta):
@@ -395,9 +407,11 @@ def verify_containment(envelope: BarrierEnvelope, hull: HullBounds, samples: int
     link's worst margin (limit - value) / limit and its worst point come
     from there.  Axis intercepts of every inner set are lattice vertices,
     which is where the construction is tight, so the checks run with the
-    relative slack REGION_REL_TOL.  A link value that overflows floating
-    point raises a ValueError naming the link.  Passing an explicit
-    orientation that differs from the envelope's is a usage error.
+    relative slack REGION_REL_TOL.  A weight alpha_i d_i that underflows
+    to 0 raises a ValueError naming it before the walk, and a link value
+    that overflows floating point raises a ValueError naming the link.
+    Passing an explicit orientation that differs from the envelope's is a
+    usage error.
     """
     if orientation is not None and orientation != envelope.orientation:
         raise ValueError(
@@ -408,6 +422,7 @@ def verify_containment(envelope: BarrierEnvelope, hull: HullBounds, samples: int
         raise ValueError("samples must be positive")
 
     lower = envelope.orientation == "lower"
+    pieces = _pieces(envelope, hull)
     plane_peak, ray_peak, hull_peak = _lattice_peaks(envelope, hull, samples)
 
     lam1, eta1, lam2, eta2 = envelope.lambda1, envelope.eta1, envelope.lambda2, envelope.eta2
@@ -422,7 +437,6 @@ def verify_containment(envelope: BarrierEnvelope, hull: HullBounds, samples: int
                  ("ellipsoid_lambda1_in_plane_eta1", ray_peak, "ellipsoid_lambda1", eta1),
                  ("plane_eta1_in_ellipsoid_lambda2", plane_peak, "plane_eta1", lam2),
                  ("ellipsoid_lambda2_in_plane_eta2", ray_peak, "ellipsoid_lambda2", eta2))
-    pieces = _pieces(envelope, hull)
     reports = []
     for name, (largest, t, total), inner, limit in links:
         factor, point = pieces[inner]

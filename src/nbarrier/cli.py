@@ -44,7 +44,7 @@ FAMILY_FLAGS = tuple(dict.fromkeys(name for _, names in FAMILIES.values()
                                    for name in names))
 
 
-class _Usage(Exception):
+class _Usage(ValueError):
     """Bad invocation or malformed input; maps to exit code 2."""
 
 
@@ -86,7 +86,12 @@ def _parse_pair(text: str, what: str) -> tuple:
         raise _Usage(f"{what} must contain floats") from exc
 
 
-def _parse_grid(text: str) -> list:
+def parse_grid(text: str) -> list:
+    """The grid A, A + H, ... of an A:B:H spec, in full steps up to B.
+
+    Raises a ValueError when the spec is malformed, not finite, has B <= A
+    or H <= 0, or would have more than MAX_GRID_POINTS points.
+    """
     parts = text.split(":")
     if len(parts) != 3:
         raise _Usage("grid must look like A:B:H")
@@ -194,7 +199,7 @@ def _solution_dict(sol) -> dict:
 
 def _cmd_exact(args) -> tuple:
     sol = _family_from_args(args)
-    xs = _parse_grid(args.grid) if args.grid else None
+    xs = parse_grid(args.grid) if args.grid else None
     if args.csv:
         if xs is None:
             raise _Usage("--csv needs --grid")
@@ -206,9 +211,9 @@ def _cmd_exact(args) -> tuple:
 
 def _default_residual_grid(args, sol) -> list:
     if args.grid:
-        return _parse_grid(args.grid)
+        return parse_grid(args.grid)
     if args.family == "tanh":
-        return _parse_grid("-20:20:0.01")
+        return parse_grid("-20:20:0.01")
     period = sol.period
     return [i * period / 2000.0 for i in range(2001)]
 

@@ -69,10 +69,6 @@ class CaseIVerdict:
     blocked: bool
     profile_hypotheses_asserted: bool
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
 @dataclass(frozen=True)
 class CaseIIVerdict:
     """Cap-based blocking: needs boundary data for the third species.
@@ -89,10 +85,6 @@ class CaseIIVerdict:
     blocked: bool
     conclusive: bool
     profile_hypotheses_asserted: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class NonexistenceVerdict:

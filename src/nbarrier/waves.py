@@ -5,7 +5,10 @@ w_i = (u_i^m)'.  For m > 1 the back-map u_i' = w_i / (m u_i^{m-1}) is
 singular at u_i = 0, so integration stops at a small positivity floor rather
 than stepping into the degenerate set.  Stepping is classical fixed-step
 RK4 on Python floats, with the reaction terms from model.wave_terms;
-outputs are bit-reproducible for identical inputs.
+outputs are bit-reproducible for identical inputs.  The state is one list
+y = u + w of 2n floats: each RK4 stage and the final combine is one pass
+over it, the loop stores one y per grid point, and the stored history is
+one array split once into its column halves, Trajectory.u and .w.
 
 numpy only builds the stored Trajectory arrays, once after the loop, and
 re-runs on float64 scalars a step whose float arithmetic overflowed or
@@ -93,11 +96,11 @@ def integrate(spec: SystemSpec, u0: Sequence[float], w0: Sequence[float],
     if step <= 0:
         raise ValueError("step must be positive")
     x0, x1 = float(x_span[0]), float(x_span[1])
-    if not x1 > x0:
-        raise ValueError("x_span must satisfy x1 > x0")
     if not all(isfinite(v) for v in (x0, x1, step)):
         raise ValueError(f"step {step!r} over x_span ({x0!r}, {x1!r}) gives no "
                          "finite step count; both must be finite")
+    if not x1 > x0:
+        raise ValueError("x_span must satisfy x1 > x0")
     span = x1 - x0
     full = span / step + 1e-9
     # Capped before int() and before any allocation: a tiny step overflows.
@@ -112,95 +115,78 @@ def integrate(spec: SystemSpec, u0: Sequence[float], w0: Sequence[float],
     elif len(alpha) != n:
         raise ValueError("alpha length must match the system")
     alpha_vec = np.asarray(alpha, dtype=float)
-    d_vec = np.asarray(spec.d, dtype=float)
 
     m = spec.m
     theta = float(spec.theta)
-    d = tuple(d_vec.tolist())
+    d = tuple(map(float, spec.d))
     terms = wave_terms(spec)
     degenerate = m > 1
 
-    def rhs(u, w):
+    def rhs(y):
+        u, w = y[:n], y[n:]
         if degenerate:
             if any(ui < POSITIVITY_FLOOR for ui in u):
                 raise _FloorHit
             du = [wi / (m * ui ** (m - 1.0)) for wi, ui in zip(w, u)]
         else:
             du = w
-        return du, [(-theta * dui - term) / di for dui, term, di in zip(du, terms(u), d)]
+        return du + [(-theta * dui - term) / di for dui, term, di in zip(du, terms(u), d)]
 
-    def rk4_step(u, w, h):
+    def rk4_step(y, h):
         half = 0.5 * h
-        k1u, k1w = rhs(u, w)
-        k2u, k2w = rhs([a + half * k for a, k in zip(u, k1u)],
-                       [a + half * k for a, k in zip(w, k1w)])
-        k3u, k3w = rhs([a + half * k for a, k in zip(u, k2u)],
-                       [a + half * k for a, k in zip(w, k2w)])
-        k4u, k4w = rhs([a + h * k for a, k in zip(u, k3u)],
-                       [a + h * k for a, k in zip(w, k3w)])
+        k1 = rhs(y)
+        k2 = rhs([a + half * k for a, k in zip(y, k1)])
+        k3 = rhs([a + half * k for a, k in zip(y, k2)])
+        k4 = rhs([a + h * k for a, k in zip(y, k3)])
         sixth = h / 6.0
-        u_next = [a + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                  for a, k1, k2, k3, k4 in zip(u, k1u, k2u, k3u, k4u)]
-        w_next = [a + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                  for a, k1, k2, k3, k4 in zip(w, k1w, k2w, k3w, k4w)]
-        if degenerate and any(ui < POSITIVITY_FLOOR for ui in u_next):
+        y_next = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        if degenerate and any(ui < POSITIVITY_FLOOR for ui in y_next[:n]):
             raise _FloorHit
-        return u_next, w_next
-
-    def advance(u, w, h):
-        """One step as float lists, and whether every component is finite."""
-        try:
-            u_next, w_next = rk4_step(u, w, h)
-        except ArithmeticError:
-            # Python floats raise on overflow and on division by zero, where
-            # the step may still end finite (w / inf is 0).  float64 scalars
-            # give IEEE inf there, so the step is re-run on them.
-            with np.errstate(all="ignore"):
-                u_next, w_next = rk4_step(list(map(np.float64, u)),
-                                          list(map(np.float64, w)), h)
-            u_next, w_next = list(map(float, u_next)), list(map(float, w_next))
-        try:
-            return u_next, w_next, all(map(isfinite, u_next + w_next))
-        except TypeError:
-            # A complex: a negative base to a fractional power, NaN in IEEE.
-            return u_next, w_next, False
+        return y_next
 
     xs = [x0]
-    us = [[float(v) for v in u0]]
-    ws = [[float(v) for v in w0]]
-    truncated = False
+    ys = [[*map(float, u0), *map(float, w0)]]
     reason = None
     x = x0
     for k in range(n_steps):
         h = step if k < n_full else remainder
         try:
-            u_next, w_next, finite = advance(us[-1], ws[-1], h)
+            try:
+                y = rk4_step(ys[-1], h)
+            except ArithmeticError:
+                # Python floats raise on overflow and on division by zero, where
+                # the step may still end finite (w / inf is 0).  float64 scalars
+                # give IEEE inf there, so the step is re-run on them.
+                with np.errstate(all="ignore"):
+                    y = list(map(float, rk4_step(list(map(np.float64, ys[-1])), h)))
         except _FloorHit:
-            truncated = True
             reason = (f"positivity floor {POSITIVITY_FLOOR:g} reached "
                       f"near x = {x + h:.6g}")
             break
         x += h
+        try:
+            finite = all(map(isfinite, y))
+        except TypeError:
+            # A complex: a negative base to a fractional power, NaN in IEEE.
+            finite = False
         if not finite:
-            truncated = True
             reason = f"non-finite state at x = {x:.6g}"
             break
         xs.append(x)
-        us.append(u_next)
-        ws.append(w_next)
+        ys.append(y)
 
-    xs_arr = np.array(xs)
-    u_arr = np.array(us)
-    w_arr = np.array(ws)
+    y_arr = np.array(ys)
+    u_arr, w_arr = y_arr[:, :n], y_arr[:, n:]
     clamped = bool(np.any(u_arr < 0.0))
     if clamped:
         u_arr = np.maximum(u_arr, 0.0)
     # u^m past the float range is inf in the stored q column, as IEEE has it.
     with np.errstate(all="ignore"):
         p_arr = u_arr @ alpha_vec
-        q_arr = (u_arr ** m) @ (alpha_vec * d_vec)
-    return Trajectory(xs=xs_arr, u=u_arr, w=w_arr, p=p_arr, q=q_arr,
-                      alpha=tuple(alpha), truncated=truncated,
+        q_arr = (u_arr ** m) @ (alpha_vec * np.array(d))
+    return Trajectory(xs=np.array(xs), u=u_arr, w=w_arr, p=p_arr, q=q_arr,
+                      alpha=tuple(alpha), truncated=reason is not None,
                       truncation_reason=reason, clamped=clamped)
 
 

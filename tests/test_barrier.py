@@ -439,3 +439,22 @@ def test_lower_envelope_names_a_level_that_underflows():
     # lambda1 * shrink = 1e-120 * 1e-240 underflows, so eta1 would be 0.
     with pytest.raises(ValueError, match="^envelope level eta1 underflows to 0"):
         build_lower_barrier((1e-120, 1.0), (1.0, 1.0), (1.0, 1.0), 3.0)
+
+
+TINY_HULL = HullBounds(ubar=(1.0, 1.0), ulow=(0.5, 0.5))
+
+
+def _tiny_upper():
+    return build_upper_barrier((1e-200, 1.0), (1e-200, 1.0), TINY_HULL.ubar, 2.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: build_lower_barrier((1e-200, 1.0), (1e-200, 1.0), TINY_HULL.ulow, 2.0),
+    lambda: verify_containment(_tiny_upper(), TINY_HULL, 4),
+    lambda: barrier_curves(_tiny_upper(), TINY_HULL, 4),
+], ids=["build_lower_barrier", "verify_containment", "barrier_curves"])
+def test_a_q_weight_that_underflows_is_named(call):
+    # alpha_1 d_1 = 1e-400 underflows to 0, so q(t) is 0 at the vertex t = (1, 0).
+    with pytest.raises(ValueError, match="^weight alpha_1 d_1 underflows to 0; "
+                                         "the parameters underflow floating point$"):
+        call()

@@ -34,7 +34,7 @@ def test_screen_nonexistence_runs():
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("grid", ["0:inf:1", "nan:1:1", "0:1:0", "0:1:1e-7"])
+@pytest.mark.parametrize("grid", ["0:inf:1", "nan:1:1", "0:1:0", "0:1:1e-7", "1:1:1"])
 def test_screen_nonexistence_rejects_a_bad_grid(grid):
     proc = run_script("screen_nonexistence.py", f"--grid={grid}")
     assert proc.returncode == 2

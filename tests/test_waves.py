@@ -51,10 +51,12 @@ def test_integrate_validates_inputs(tanh_sol):
     ((0.0, 1.0), math.nan, "finite"),
     ((0.0, 1.0), math.inf, "finite"),
     ((0.0, math.inf), 1e-2, "finite"),
+    ((0.0, math.nan), 1e-2, "finite"),
     ((0.0, 1.0), 1e-300, "1e+300 steps"),
     ((-1e308, 1e308), 1.0, "inf steps"),
     ((0.0, MAX_STEPS + 0.5), 1.0, f"{MAX_STEPS + 1} steps"),
-], ids=["nan-step", "inf-step", "inf-span", "tiny-step", "span-overflow", "partial-step"])
+], ids=["nan-step", "inf-step", "inf-span", "nan-span", "tiny-step", "span-overflow",
+        "partial-step"])
 def test_integrate_caps_the_step_count_before_allocating(tanh_sol, x_span, step, named):
     with pytest.raises(ValueError, match=re.escape(named)):
         integrate(tanh_sol.system(), (1.0, 1.0), (0.0, 0.0), x_span, step)
@@ -277,11 +279,17 @@ def _lv(m, l, u0, w0):
     return replace(LV, m=m, l=(l, l)), u0, w0, (0.0, 1.0), 0.01
 
 
+# One species with m = 2: the state list y = (u, w) splits at n = 1.
+SINGLE = SystemSpec(n=1, m=2.0, d=(1.5,), l=(1.0,), theta=0.3,
+                    reaction=ReactionSpec(sigma=(1.0,), C=((2.0,),)))
+
+
 # name -> (case built from the two family fixtures, stored points, reason)
 REFERENCE_CASES = {
     "tanh": (lambda tanh_sol, _: _window(tanh_sol, -1.0, 2.0), 2001, None),
     "cos": (lambda _, cos_sol: _window(cos_sol, math.pi / 4, 0.5), 501, None),
     "lv-m1": (lambda *_: _lv(1.0, 1.0, (0.3, 0.2), (0.5, -0.4)), 101, None),
+    "n1-m2": (lambda *_: (SINGLE, (0.2,), (0.05,), (0.0, 1.0), 0.01), 101, None),
     # u^2 overflows: a Python float power raises, numpy gave inf.
     "power-overflow": (lambda *_: _lv(1.0, 2.0, (1e200, 1.0), (0.0, 0.0)), 1,
                        "non-finite state at x = 0.01"),
