@@ -8,16 +8,12 @@ from the outer hull face.  Each step is a tangency computation with a closed
 form, derived by Lagrange multipliers on the convex form q.
 
 verify_containment checks the chain independently of those closed forms,
-on boundary points sampled from one simplex lattice.  p is homogeneous of
-degree 1 and q of degree m, so on a level set reached by scaling a lattice
-point t the value of the next set's function is a level factor times a sum
-over t: one walk of the lattice checks all four links.  The walk takes each
-product w_i t_i^m or w_i t_i from a per-call table indexed by coordinate and
-lattice index, so its memory is O(n * samples) whatever the lattice size.
-Lattice points that share their first n - 2 coordinates share those
-coordinates' partial sums, and an inner loop over the last two coordinates
-finishes each sum in the same left-to-right order as a point-by-point walk.
-barrier_curves scales the same lattice onto the same five pieces.
+by each link's exact maximum over the inner set's boundary; no lattice is
+walked.  p is homogeneous of degree 1 and q of degree m, so a link's value
+is a level factor times a function of a point t of the simplex: a convex
+sum of t_i^m, which peaks at a vertex, or a ratio sum_i a_i t_i / q(t)^(1/m),
+which peaks at its Hölder point.  barrier_curves samples the five pieces
+on one simplex lattice for plotting.
 """
 
 from __future__ import annotations
@@ -69,6 +65,7 @@ class BarrierEnvelope:
         object.__setattr__(self, "d", tuple(self.d))
         if self.orientation not in ("lower", "upper"):
             raise ValueError("orientation must be 'lower' or 'upper'")
+        _require_exponent_domain(self.m)
         levels = (self.lambda1, self.eta1, self.lambda2, self.eta2)
         # A product of finite factors can overflow to inf for extreme weights.
         if not all(isfinite(v) for v in levels):
@@ -99,21 +96,27 @@ def _require_exponent_domain(m: float):
         raise ValueError("tangency exponents 1/(m-1) need m > 1")
 
 
+def _underflow(what: str) -> ValueError:
+    return ValueError(f"{what} underflows to 0; the parameters underflow floating point")
+
+
 def _level(name: str, value: float) -> float:
     """A level built from positive finite factors; 0 means it underflowed."""
     if value == 0.0:
-        raise ValueError(f"envelope level {name} underflows to 0; "
-                         "the parameters underflow floating point")
+        raise _underflow(f"envelope level {name}")
     return value
 
 
 def _q_weights(alpha: Sequence[float], d: Sequence[float]) -> tuple:
-    """The weights alpha_i d_i of q; 0 means a product underflowed."""
+    """The weights alpha_i d_i of q; 0 or inf means a product under- or overflowed."""
     w_q = tuple(a * di for a, di in zip(alpha, d))
     if 0.0 in w_q:
         i = w_q.index(0.0) + 1
-        raise ValueError(f"weight alpha_{i} d_{i} underflows to 0; "
-                         "the parameters underflow floating point")
+        raise _underflow(f"weight alpha_{i} d_{i}")
+    if inf in w_q:
+        i = w_q.index(inf) + 1
+        raise ValueError(f"weight alpha_{i} d_{i} overflows; "
+                         "the parameters overflow floating point")
     return w_q
 
 
@@ -136,7 +139,9 @@ def tangency_weighted(Theta: float, alpha: Sequence[float], d: Sequence[float],
         Lambda = Theta^m * (sum_j (alpha_j d_j ulow_j^m)^(-1/(m-1)))^(1-m)
 
     and the minimizer u_i = Theta/S * (alpha_i d_i ulow_i)^(-1/(m-1)) with S
-    the sum above.  Requires m > 1; the exponent is singular at m = 1.
+    the sum above.  Requires m > 1; the exponent is singular at m = 1.  An
+    S, Lambda or point coordinate that underflows to 0 raises a ValueError
+    naming it.
     """
     _require_exponent_domain(m)
     if Theta <= 0:
@@ -145,8 +150,14 @@ def tangency_weighted(Theta: float, alpha: Sequence[float], d: Sequence[float],
     w_q = _q_weights(alpha, d)
     e = 1.0 / (m - 1.0)
     S = sum((w * lo ** m) ** -e for w, lo in zip(w_q, ulow))
+    if S == 0.0:
+        raise _underflow("tangency sum S")
     Lambda = Theta ** m * S ** (1.0 - m)
+    if Lambda == 0.0:
+        raise _underflow("tangency level Lambda")
     point = tuple((Theta / S) * (w * lo) ** -e for w, lo in zip(w_q, ulow))
+    if 0.0 in point:
+        raise _underflow(f"tangent point coordinate u_{point.index(0.0) + 1}")
     return TangencyResult(Lambda=Lambda, point=point)
 
 
@@ -305,113 +316,60 @@ def barrier_curves(envelope: BarrierEnvelope, hull: HullBounds, samples: int) ->
                  for name, (_, point) in _pieces(envelope, hull).items())
 
 
-def _lattice_peaks(envelope: BarrierEnvelope, hull: HullBounds, samples: int) -> tuple:
-    """Peaks of the plane sum, p(t) / q(t)^(1/m) and the hull sum on the lattice.
+def _vertex_peak(values: list) -> tuple:
+    """Largest of values and the simplex vertex attaining it, the last on ties."""
+    largest, i = max(zip(values, range(len(values))))
+    return largest, tuple(float(j == i) for j in range(len(values)))
 
-    Each peak is (largest value, first lattice point attaining it, running
-    total); a value that overflowed leaves the total non-finite.
+
+def _dual_peak(a: Sequence[float], w_q: tuple, m: float) -> tuple:
+    """Peak of sum_i a_i t_i / q(t)^(1/m) over t >= 0, and a point attaining it.
+
+    With r_i = a_i / w_i^(1/m), Hölder gives the dual norm
+    (sum_i r_i^m')^(1/m'), m' = m / (m - 1), attained at t_i proportional to
+    r_i^m' / a_i.  The largest r_i is factored out of the sum, so that r_i^m'
+    cannot overflow as m' grows near m = 1.
     """
-    alpha, d, m = envelope.weights, envelope.d, envelope.m
-    inv_m = 1.0 / m
-    lower = envelope.orientation == "lower"
-    n = len(alpha)
-    weights = [k / samples for k in range(samples + 1)]
-    powers = [t ** m for t in weights]
-    w_q = tuple(a * di for a, di in zip(alpha, d))
-    w_plane = tuple(di * a ** (1.0 - m) for a, di in zip(alpha, d))
-    if lower:
-        w_hull, hull_powers = tuple(1.0 / lo for lo in hull.ulow), weights
-    else:
-        w_hull = tuple(a * di * hi ** m for a, di, hi in zip(alpha, d, hull.ubar))
-        hull_powers = powers
-    # tables[sum][i][k] is coordinate i's product at t_i = k / samples in the
-    # sums q(t), plane, p(t) and hull, named q, c, p and h below.
-    tables = [[[wi * x for x in xs] for wi in w]
-              for w, xs in ((w_q, powers), (w_plane, powers), (alpha, weights),
-                            (w_hull, hull_powers))]
-    if n == 1:
-        # The lattice is the one point t = (1.0,): each sum is one product.
-        sq, sc, sp, sh = (rows[0][samples] for rows in tables)
-        root = sq ** inv_m
-        return tuple((s, (1.0,), s) for s in (sc, sp / root, sh / root if lower else sh))
-
-    head = list(zip(*(rows[:n - 2] for rows in tables)))
-    q2, c2, p2, h2 = (rows[n - 2] for rows in tables)
-    # The last coordinate's rows reversed: entry samples - rest + a is k = rest - a.
-    q1, c1, p1, h1 = (rows[n - 1][::-1] for rows in tables)
-    plane_max = ray_max = hull_max = -inf
-    plane_at = ray_at = hull_at = None
-    plane_total = ray_total = hull_total = 0.0
-    for k in _compositions(n - 1, samples):
-        # k is the first n - 2 coordinates and the rest, which the inner
-        # loop splits into a and rest - a; every sum adds left to right.
-        sq = sc = sp = sh = 0.0
-        for (qi, ci, pi, hi), ki in zip(head, k):
-            sq += qi[ki]
-            sc += ci[ki]
-            sp += pi[ki]
-            sh += hi[ki]
-        prefix, rest = tuple(k), k[-1]
-        skip = samples - rest
-        for a, xq2, xq1, xc2, xc1, xp2, xp1, xh2, xh1 in zip(
-                range(rest + 1), q2, q1[skip:], c2, c1[skip:], p2, p1[skip:], h2, h1[skip:]):
-            root = (sq + xq2 + xq1) ** inv_m
-            s = sc + xc2 + xc1
-            plane_total += s
-            if s > plane_max:
-                plane_max, plane_at = s, (prefix, a)
-            s = (sp + xp2 + xp1) / root
-            ray_total += s
-            if s > ray_max:
-                ray_max, ray_at = s, (prefix, a)
-            s = sh + xh2 + xh1
-            if lower:
-                s /= root
-            hull_total += s
-            if s > hull_max:
-                hull_max, hull_at = s, (prefix, a)
-
-    def point(at):
-        if at is None:  # every value was NaN; the total stops the link
-            return None
-        prefix, a = at
-        return tuple(map(weights.__getitem__, prefix[:-1] + (a, prefix[-1] - a)))
-    return ((plane_max, point(plane_at), plane_total), (ray_max, point(ray_at), ray_total),
-            (hull_max, point(hull_at), hull_total))
+    dual = m / (m - 1.0)
+    r = [ai / wi ** (1.0 / m) for ai, wi in zip(a, w_q)]
+    top = max(r)
+    if top == 0.0:  # every r_i underflowed: no ratio exceeds the smallest float
+        return _vertex_peak(r)
+    terms = [(ri / top) ** dual for ri in r]
+    t = [x / ai for x, ai in zip(terms, a)]
+    norm = sum(t)
+    return top * sum(terms) ** (1.0 / dual), tuple(ti / norm for ti in t)
 
 
 def verify_containment(envelope: BarrierEnvelope, hull: HullBounds, samples: int,
                        orientation: str | None = None) -> ContainmentReport:
-    """Check each link of the envelope's nesting chain on one simplex lattice.
+    """Check each link of the envelope's nesting chain by its exact maximum.
 
-    samples is the lattice resolution.  Each boundary is the lattice of
-    points t >= 0 with sum_i t_i = 1, scaled onto its level set: eta t_i /
-    alpha_i on a plane, lambda^(1/m) t / q(t)^(1/m) on an ellipsoid and
-    ubar_i t_i on the outer hull face.  Since p has degree 1 and q degree m,
-    the value a link checks at such a point is a level factor times one of
-    three sums over t:
+    Each boundary is the set of points t >= 0 with sum_i t_i = 1 scaled onto
+    its level set: eta t_i / alpha_i on a plane, lambda^(1/m) t / q(t)^(1/m)
+    on an ellipsoid and ubar_i t_i on the outer hull face.  Since p has
+    degree 1 and q degree m, the value a link checks at such a point is a
+    level factor times one of four functions of t, each with a closed-form
+    maximum (w_i = alpha_i d_i, m' = m / (m - 1)):
 
         plane in ellipsoid         q = eta^m * sum_i d_i alpha_i^(1-m) t_i^m
         ellipsoid in plane         p = lambda^(1/m) * p(t) / q(t)^(1/m)
         ellipsoid in inner hull        lambda^(1/m) * sum_i (t_i / ulow_i) / q(t)^(1/m)
-        outer hull face in ellipsoid   q = sum_i alpha_i d_i ubar_i^m t_i^m
+        outer hull face in ellipsoid   q = sum_i w_i ubar_i^m t_i^m
 
-    So one walk of the lattice checks every link.  The walk takes its
-    products of t_i = k / samples from tables built once per call, four rows
-    of samples + 1 entries per coordinate: memory is O(n * samples) and no
-    lattice point is stored.  The first n - 2 coordinates' partial sums are
-    formed once per prefix, and an inner loop over the last two coordinates,
-    a and rest - a, adds theirs; that is the left-to-right order of a
-    point-by-point walk, so every sum is the same float.  Each sum keeps its
-    largest value and the first point in lattice order that attains it; a
-    link's worst margin (limit - value) / limit and its worst point come
-    from there.  Axis intercepts of every inner set are lattice vertices,
-    which is where the construction is tight, so the checks run with the
-    relative slack REGION_REL_TOL.  A weight alpha_i d_i that underflows
-    to 0 raises a ValueError naming it before the walk, and a link value
-    that overflows floating point raises a ValueError naming the link.
-    Passing an explicit orientation that differs from the envelope's is a
-    usage error.
+    The two sums of t_i^m are convex, so they peak at a vertex of the
+    simplex: max_i d_i alpha_i^(1-m) and max_i w_i ubar_i^m.  The two ratios
+    peak at their Hölder point, with the dual norm (sum_i r_i^m')^(1/m') of
+    r_i = alpha_i / w_i^(1/m), or 1 / (ulow_i w_i^(1/m)) for the hull.  No
+    point is sampled: the check is O(n) and samples, still required to be
+    positive, has no effect.  A link's worst margin is (limit - value) /
+    limit, and its worst point the maximiser on the inner set, on a vertex
+    tie the vertex of the highest index.  The construction is tight on
+    every link, so the checks run with the relative slack REGION_REL_TOL.
+    A weight alpha_i d_i that underflows to 0 or overflows raises a
+    ValueError naming it, and a link value that overflows floating point
+    raises a ValueError naming the link.  Passing an explicit orientation
+    that differs from the envelope's is a usage error.
     """
     if orientation is not None and orientation != envelope.orientation:
         raise ValueError(
@@ -421,12 +379,19 @@ def verify_containment(envelope: BarrierEnvelope, hull: HullBounds, samples: int
     if samples < 1:
         raise ValueError("samples must be positive")
 
+    alpha, d, m = envelope.weights, envelope.d, envelope.m
     lower = envelope.orientation == "lower"
     pieces = _pieces(envelope, hull)
-    plane_peak, ray_peak, hull_peak = _lattice_peaks(envelope, hull, samples)
+    w_q = _q_weights(alpha, d)
+    plane_peak = _vertex_peak([di * a ** (1.0 - m) for a, di in zip(alpha, d)])
+    ray_peak = _dual_peak(alpha, w_q, m)
+    if lower:
+        hull_peak = _dual_peak([1.0 / lo for lo in hull.ulow], w_q, m)
+    else:
+        hull_peak = _vertex_peak([w * hi ** m for w, hi in zip(w_q, hull.ubar)])
 
     lam1, eta1, lam2, eta2 = envelope.lambda1, envelope.eta1, envelope.lambda2, envelope.eta2
-    # (name, peak of its sum, inner piece, outer level), innermost link first.
+    # (name, peak and maximiser t, inner piece, outer level), innermost link first.
     if lower:
         links = (("plane_eta2_in_ellipsoid_lambda2", plane_peak, "plane_eta2", lam2),
                  ("ellipsoid_lambda2_in_plane_eta1", ray_peak, "ellipsoid_lambda2", eta1),
@@ -438,10 +403,10 @@ def verify_containment(envelope: BarrierEnvelope, hull: HullBounds, samples: int
                  ("plane_eta1_in_ellipsoid_lambda2", plane_peak, "plane_eta1", lam2),
                  ("ellipsoid_lambda2_in_plane_eta2", ray_peak, "ellipsoid_lambda2", eta2))
     reports = []
-    for name, (largest, t, total), inner, limit in links:
+    for name, (largest, t), inner, limit in links:
         factor, point = pieces[inner]
         value = factor * largest
-        if not (isfinite(value) and isfinite(total)):
+        if not isfinite(value):
             raise ValueError(f"containment link {name} is not finite; "
                              "the parameters overflow floating point")
         reports.append(LinkReport(name=name, ok=value <= limit * (1.0 + REGION_REL_TOL),

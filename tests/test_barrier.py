@@ -20,13 +20,7 @@ from nbarrier import (
     verify_containment,
 )
 from nbarrier import barrier as barrier_module
-from nbarrier.barrier import (
-    ContainmentReport,
-    LinkReport,
-    _compositions,
-    _pieces,
-    _simplex_lattice,
-)
+from nbarrier.barrier import _compositions, _simplex_lattice
 from nbarrier.model import REGION_REL_TOL
 
 FIG1_ARGS = ((1.0, 2.0), (3.0, 4.0), (1 / 3, 1 / 2), 2.0)
@@ -126,6 +120,10 @@ def test_envelope_constructor_rejects_misordered_levels():
         BarrierEnvelope(lambda1=1.0, eta1=1.0, lambda2=0.5, eta2=0.5,
                         orientation="sideways", weights=(1.0, 1.0), m=2.0,
                         d=(1.0, 1.0))
+    with pytest.raises(ValueError, match="need m > 1"):
+        BarrierEnvelope(lambda1=1.0, eta1=1.0, lambda2=0.5, eta2=0.5,
+                        orientation="lower", weights=(1.0, 1.0), m=1.0,
+                        d=(1.0, 1.0))
 
 
 def test_envelope_dict_shape():
@@ -200,35 +198,31 @@ def test_simplex_lattice_matches_the_filtered_product(n, r):
     assert list(_simplex_lattice(n, r)) == reference_lattice(n, r)
 
 
-def test_containment_walks_the_lattice_once(monkeypatch):
-    """One walk per call: one pass over the compositions of samples into
-    n - 1 parts, each prefix the root of rest + 1 lattice points."""
-    calls, leaves = [], []
+def test_containment_walks_no_lattice(monkeypatch):
+    """The exact peaks sample nothing, so samples changes no report."""
+    calls = []
 
     def counting_compositions(parts, total):
         calls.append((parts, total))
-        for k in _compositions(parts, total):
-            leaves.append(k[-1] + 1)
-            yield k
+        yield from _compositions(parts, total)
 
     monkeypatch.setattr(barrier_module, "_compositions", counting_compositions)
-    for n, samples in ((2, 9), (3, 9), (5, 4)):
+    for n in (1, 2, 3, 5):
         alpha, d, m = (1.0, 2.0, 0.5, 1.2, 0.8)[:n], (3.0, 4.0, 1.5, 0.7, 2.2)[:n], 2.5
         ulow = (1 / 3, 1 / 2, 0.7, 0.4, 0.9)[:n]
         hull = HullBounds(ubar=tuple(lo + 1.0 for lo in ulow), ulow=ulow)
         for env in (build_lower_barrier(alpha, d, hull.ulow, m),
                     build_upper_barrier(alpha, d, hull.ubar, m)):
-            calls.clear()
-            leaves.clear()
-            assert verify_containment(env, hull, samples).ok
-            assert calls == [(n - 1, samples)]
-            assert sum(leaves) == math.comb(samples + n - 1, n - 1)
+            report = verify_containment(env, hull, 1)
+            assert report.ok
+            assert verify_containment(env, hull, 1000) == report
+    assert calls == []
 
 
 def brute_force_links(env, hull, samples, tol=REGION_REL_TOL):
     """Each link checked point by point: build every boundary point u of the
-    inner set, evaluate the outer set's function at u, and keep the first
-    point of smallest margin.  Returns (name, ok, margins, points) per link."""
+    inner set, evaluate the outer set's function at u, and keep the margins.
+    Returns (name, ok, margins, margin of a point) per link."""
     alpha, d, m = env.weights, env.d, env.m
     lattice = reference_lattice(len(alpha), samples)
     p = lambda u: sum(a * ui for a, ui in zip(alpha, u))
@@ -249,20 +243,31 @@ def brute_force_links(env, hull, samples, tol=REGION_REL_TOL):
                  ("ellipsoid_lambda1_in_plane_eta1", ellipsoid(lam1), p, eta1),
                  ("plane_eta1_in_ellipsoid_lambda2", plane(eta1), q, lam2),
                  ("ellipsoid_lambda2_in_plane_eta2", ellipsoid(lam2), p, eta2)]
-    return [(name, all(f(u) <= limit * (1 + tol) for u in points),
-             [(limit - f(u)) / limit for u in points], points)
-            for name, points, f, limit in links]
+    result = []
+    for name, points, f, limit in links:
+        margin = lambda u, f=f, limit=limit: (limit - f(u)) / limit
+        result.append((name, all(f(u) <= limit * (1 + tol) for u in points),
+                       [margin(u) for u in points], margin))
+    return result
+
+
+# Links whose function is a convex sum of t_i^m: the maximum is at a vertex,
+# and every vertex is a lattice point.
+VERTEX_LINKS = {"plane_eta2_in_ellipsoid_lambda2", "plane_eta1_in_ellipsoid_lambda1",
+                "outer_hull_face_in_ellipsoid_lambda1", "plane_eta1_in_ellipsoid_lambda2"}
 
 
 @pytest.mark.filterwarnings("ignore:degenerate hull")
 @given(st.data(), exponents, st.integers(min_value=1, max_value=6),
        st.sampled_from(["lower", "upper"]), st.sampled_from([1.0, 0.3, 0.9, 1.5]))
-@settings(max_examples=80, deadline=None)
-def test_containment_matches_a_point_by_point_sweep(data, m, n, side, scale):
-    """The homogeneity route against direct evaluation at every boundary point.
+@settings(max_examples=200, deadline=None)
+def test_containment_is_the_exact_peak_of_a_point_by_point_sweep(data, m, n, side, scale):
+    """The exact peaks against direct evaluation at every boundary point.
 
-    scale moves the checked hull face off the intercepts: inward it breaks
-    the hull link, outward the hull is only looser.
+    No lattice point may beat the exact worst margin, and a vertex peak is
+    a lattice point.  scale moves the checked hull face off the intercepts:
+    inward it breaks the hull link, outward the hull is only looser; on the
+    intercepts the construction is tight on every link.
     """
     alpha = tuple(data.draw(positive) for _ in range(n))
     d = tuple(data.draw(positive) for _ in range(n))
@@ -281,97 +286,36 @@ def test_containment_matches_a_point_by_point_sweep(data, m, n, side, scale):
     report = verify_containment(env, hull, samples)
     expected = brute_force_links(env, hull, samples)
     assert [link.name for link in report.links] == [name for name, *_ in expected]
-    for link, (name, ok, margins, points) in zip(report.links, expected):
-        assert link.ok == ok, name
-        assert link.worst_margin == pytest.approx(min(margins), rel=0, abs=1e-12), name
-        # The first point of smallest margin, unless another point lies
-        # within rounding of it: then any of those may be reported.
-        near = [u for margin, u in zip(margins, points) if margin <= min(margins) + 1e-12]
-        assert any(link.worst_point == pytest.approx(u, rel=1e-12, abs=1e-300)
-                   for u in near), name
-        if len(near) == 1:
-            assert link.worst_point == pytest.approx(near[0], rel=1e-12, abs=1e-300)
+    for link, (name, ok, margins, margin) in zip(report.links, expected):
+        assert min(margins) >= link.worst_margin - 1e-12, name
+        assert ok or not link.ok, name
+        if name in VERTEX_LINKS:
+            assert link.worst_margin == pytest.approx(min(margins), rel=0, abs=1e-12), name
+        if scale == 1.0:
+            assert abs(link.worst_margin) <= 1e-12, name
+        assert margin(link.worst_point) == pytest.approx(link.worst_margin,
+                                                         rel=0, abs=1e-12), name
 
 
-def left_to_right(weights, xs):
-    """sum_i weights_i * xs_i, added in index order."""
-    total = 0.0
-    for w, x in zip(weights, xs):
-        total += w * x
-    return total
+def test_containment_fails_a_hull_link_the_lattice_passes():
+    # ulow pulled inward by 0.1%: the hull ratio peaks at 1.001 between the
+    # 8-lattice's points, which all pass.
+    env = build_lower_barrier(*FIG1_ARGS)
+    hull = HullBounds(ubar=(1.0, 1.0), ulow=tuple(lo / 1.001 for lo in FIG1_ARGS[2]))
+    report = verify_containment(env, hull, 8)
+    assert [link.ok for link in report.links] == [True, True, True, False]
+    assert report.links[3].name == "ellipsoid_lambda1_in_inner_hull"
+    assert report.links[3].worst_margin == pytest.approx(-1.0e-3, rel=0, abs=1e-12)
 
 
-def per_point_containment(env, hull, samples):
-    """verify_containment as a per-point walk: every lattice point builds its
-    tuple, takes its n powers and forms its four sums from scratch.
-
-    The sums add the same products in the same order as the prefix-sum walk,
-    so the two reports must be equal float for float.
-    """
-    alpha, d, m = env.weights, env.d, env.m
-    inv_m = 1.0 / m
-    lower = env.orientation == "lower"
-    w_q = tuple(a * di for a, di in zip(alpha, d))
-    w_plane = tuple(di * a ** (1.0 - m) for a, di in zip(alpha, d))
-    if lower:
-        w_hull = tuple(1.0 / lo for lo in hull.ulow)
-    else:
-        w_hull = tuple(a * di * hi ** m for a, di, hi in zip(alpha, d, hull.ubar))
-    peaks = [[-math.inf, None, 0.0] for _ in range(3)]  # plane, ray, hull
-    for t in reference_lattice(len(alpha), samples):
-        tm = [ti ** m for ti in t]
-        q_root = left_to_right(w_q, tm) ** inv_m
-        values = (left_to_right(w_plane, tm), left_to_right(alpha, t) / q_root,
-                  left_to_right(w_hull, t) / q_root if lower else left_to_right(w_hull, tm))
-        for peak, value in zip(peaks, values):
-            peak[2] += value
-            if value > peak[0]:
-                peak[0], peak[1] = value, t
-    plane, ray, hull_peak = peaks
-    lam1, eta1, lam2, eta2 = env.lambda1, env.eta1, env.lambda2, env.eta2
-    if lower:
-        links = (("plane_eta2_in_ellipsoid_lambda2", plane, "plane_eta2", lam2),
-                 ("ellipsoid_lambda2_in_plane_eta1", ray, "ellipsoid_lambda2", eta1),
-                 ("plane_eta1_in_ellipsoid_lambda1", plane, "plane_eta1", lam1),
-                 ("ellipsoid_lambda1_in_inner_hull", hull_peak, "ellipsoid_lambda1", 1.0))
-    else:
-        links = (("outer_hull_face_in_ellipsoid_lambda1", hull_peak, "hull_face", lam1),
-                 ("ellipsoid_lambda1_in_plane_eta1", ray, "ellipsoid_lambda1", eta1),
-                 ("plane_eta1_in_ellipsoid_lambda2", plane, "plane_eta1", lam2),
-                 ("ellipsoid_lambda2_in_plane_eta2", ray, "ellipsoid_lambda2", eta2))
-    pieces = _pieces(env, hull)
-    reports = []
-    for name, (largest, t, total), inner, limit in links:
-        factor, point = pieces[inner]
-        value = factor * largest
-        assert math.isfinite(value) and math.isfinite(total), name
-        reports.append(LinkReport(name=name, ok=value <= limit * (1.0 + REGION_REL_TOL),
-                                  worst_margin=(limit - value) / limit,
-                                  worst_point=point(t)))
-    return ContainmentReport(links=tuple(reports))
-
-
-@pytest.mark.filterwarnings("ignore:degenerate hull")
-@given(st.data(), exponents, st.integers(min_value=1, max_value=6),
-       st.sampled_from(["lower", "upper"]), st.sampled_from([1.0, 0.3, 0.9, 1.5]))
-@settings(max_examples=120, deadline=None)
-def test_containment_equals_the_per_point_walk(data, m, n, side, scale):
-    """The prefix-sum walk gives the per-point walk's report, bit for bit."""
-    alpha = tuple(data.draw(positive) for _ in range(n))
-    d = tuple(data.draw(positive) for _ in range(n))
-    ulow = tuple(data.draw(positive) for _ in range(n))
-    ubar = tuple(lo + data.draw(positive) for lo in ulow)
-    samples = data.draw(st.integers(
-        min_value=1, max_value={1: 5, 2: 40, 3: 20, 4: 12, 5: 8, 6: 6}[n]))
-    if side == "lower":
-        env = build_lower_barrier(alpha, d, ulow, m)
-        hull = HullBounds(ubar=tuple(max(hi, lo * scale) for hi, lo in zip(ubar, ulow)),
-                          ulow=tuple(lo * scale for lo in ulow))
-    else:
-        env = build_upper_barrier(alpha, d, ubar, m)
-        hull = HullBounds(ubar=tuple(max(hi * scale, lo) for hi, lo in zip(ubar, ulow)),
-                          ulow=ulow)
-    assert verify_containment(env, hull, samples) == per_point_containment(env, hull, samples)
+def test_containment_scales_the_dual_norm_near_m_1():
+    # m' = 101: r_i^m' of the hull ratio, about 1e4^101, overflows unscaled.
+    alpha, d, ulow, _ = FIG1_ARGS
+    env = build_lower_barrier(alpha, d, ulow, 1.01)
+    hull = HullBounds(ubar=(1.0, 1.0), ulow=tuple(lo / 1e4 for lo in ulow))
+    report = verify_containment(env, hull, 8)
+    assert not report.ok
+    assert report.links[3].worst_margin == pytest.approx(-9999.0, rel=1e-9)
 
 
 def test_containment_memory_stays_flat_in_the_lattice_size():
@@ -425,6 +369,16 @@ def test_upper_envelope_whose_eta2_power_overflows_is_checked_and_sampled():
                for u in points for x in u)
 
 
+def test_containment_gives_a_verdict_where_every_hull_ratio_underflows():
+    # r_i = (1 / ulow_i) / (alpha_i d_i)^(1/3) is 1e-300 / 1e200^(1/3) for both species.
+    env = build_lower_barrier((1e100, 1e100), (1e100, 1e100), (1.0, 1.0), 3.0)
+    hull = HullBounds(ubar=(2e300, 2e300), ulow=(1e300, 1e300))
+    link = verify_containment(env, hull, 4).links[3]
+    assert link.ok and link.worst_margin == 1.0
+    assert link.worst_point == pytest.approx((0.0, (env.lambda1 / 1e200) ** (1 / 3)),
+                                             rel=1e-12)
+
+
 def test_containment_refuses_a_link_value_that_overflows():
     # eta2^m = 1e300 times q on the plane's alpha_1 vertex, 1e10, is inf.
     env = BarrierEnvelope(lambda1=1e300, eta1=1e150, lambda2=1e300, eta2=1e150,
@@ -458,3 +412,35 @@ def test_a_q_weight_that_underflows_is_named(call):
     with pytest.raises(ValueError, match="^weight alpha_1 d_1 underflows to 0; "
                                          "the parameters underflow floating point$"):
         call()
+
+
+def _huge_upper():
+    # The constructor checks the levels, not the weights.
+    return BarrierEnvelope(lambda1=1.0, eta1=1.0, lambda2=2.0, eta2=2.0, orientation="upper",
+                           weights=(1e200, 1.0), m=2.0, d=(1e200, 1.0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: build_lower_barrier((1e200, 1.0), (1e200, 1.0), TINY_HULL.ulow, 2.0),
+    lambda: verify_containment(_huge_upper(), TINY_HULL, 4),
+    lambda: barrier_curves(_huge_upper(), TINY_HULL, 4),
+], ids=["build_lower_barrier", "verify_containment", "barrier_curves"])
+def test_a_q_weight_that_overflows_is_named(call):
+    # alpha_1 d_1 = 1e400 overflows to inf: r_1 = alpha_1 / (alpha_1 d_1)^(1/m)
+    # would read 0, not 1, and the Hölder peak would drop it.
+    with pytest.raises(ValueError, match="^weight alpha_1 d_1 overflows; "
+                                         "the parameters overflow floating point$"):
+        call()
+
+
+@pytest.mark.parametrize("args, what", [
+    ((0.5, (1e-100, 1e100), (1.0, 1.0), (1.0, 1.0), 1.5), "tangent point coordinate u_2"),
+    ((1e-200, (1e-150, 1.0), (1.0, 1.0), (1.0, 1.0), 1.5), "tangency level Lambda"),
+    ((1.0, (1e200, 1e200), (1.0, 1.0), (1.0, 1.0), 1.5), "tangency sum S"),
+], ids=["point", "Lambda", "S"])
+def test_tangency_names_what_underflows(args, what):
+    # u_2 = (Theta / S) (alpha_2 d_2 ulow_2)^(-2) is about 5e-401; Lambda =
+    # Theta^1.5 S^(-1/2) is about 1e-300 * 1e-150; each term of S is 1e-400.
+    with pytest.raises(ValueError, match=f"^{what} underflows to 0; "
+                                         "the parameters underflow floating point$"):
+        tangency_weighted(*args)

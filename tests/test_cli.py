@@ -480,6 +480,15 @@ def test_envelope_underflow_names_the_level(capsys, argv):
                    "the parameters underflow floating point\n")
 
 
+def test_tangent_point_underflow_is_named(capsys):
+    # At m = 1.5 the tangent point's u_2 is about 1e-400.
+    code, out, err = run(capsys, "barrier", _doc(UNDERFLOW_SPEC, m=1.5),
+                         "--alpha", "1e-100,1e100", "--orientation", "lower")
+    assert (code, out) == (1, "")
+    assert err == ("error: tangent point coordinate u_2 underflows to 0; "
+                   "the parameters underflow floating point\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (("bounds", _doc(FIG_SPEC, m="2"), "--alpha", "1,2"),
      "system document key 'm' is malformed: expected a number, got str"),
