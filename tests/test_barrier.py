@@ -220,11 +220,16 @@ def test_containment_walks_no_lattice(monkeypatch):
 
 
 def brute_force_links(env, hull, samples, tol=REGION_REL_TOL):
-    """Each link checked point by point: build every boundary point u of the
-    inner set, evaluate the outer set's function at u, and keep the margins.
+    """Each link checked point by point over the simplex lattice."""
+    return links_at(env, hull, reference_lattice(len(env.weights), samples), tol)
+
+
+def links_at(env, hull, lattice, tol=REGION_REL_TOL):
+    """Each link checked point by point: build the boundary point u of the
+    inner set for every simplex point t in lattice, evaluate the outer set's
+    function at u, and keep the margins.
     Returns (name, ok, margins, margin of a point) per link."""
     alpha, d, m = env.weights, env.d, env.m
-    lattice = reference_lattice(len(alpha), samples)
     p = lambda u: sum(a * ui for a, ui in zip(alpha, u))
     q = lambda u: q_value(u, alpha, d, m)
     h = lambda u: sum(ui / lo for ui, lo in zip(u, hull.ulow))
@@ -261,7 +266,7 @@ VERTEX_LINKS = {"plane_eta2_in_ellipsoid_lambda2", "plane_eta1_in_ellipsoid_lamb
 @given(st.data(), exponents, st.integers(min_value=1, max_value=6),
        st.sampled_from(["lower", "upper"]), st.sampled_from([1.0, 0.3, 0.9, 1.5]))
 @settings(max_examples=200, deadline=None)
-def test_containment_is_the_exact_peak_of_a_point_by_point_sweep(data, m, n, side, scale):
+def test_containment_matches_a_point_by_point_sweep(data, m, n, side, scale):
     """The exact peaks against direct evaluation at every boundary point.
 
     No lattice point may beat the exact worst margin, and a vertex peak is
@@ -295,6 +300,62 @@ def test_containment_is_the_exact_peak_of_a_point_by_point_sweep(data, m, n, sid
             assert abs(link.worst_margin) <= 1e-12, name
         assert margin(link.worst_point) == pytest.approx(link.worst_margin,
                                                          rel=0, abs=1e-12), name
+
+
+def holder_point(a, w_q, m):
+    """The maximiser of sum_i a_i t_i / q(t)^(1/m) on the simplex, from
+    Lagrange's condition: t_i proportional to a_i^(1/(m-1)) / w_i^(1/(m-1))."""
+    t = [(ai / wi) ** (1 / (m - 1)) for ai, wi in zip(a, w_q)]
+    return tuple(ti / sum(t) for ti in t)
+
+
+def simplex_points(data, n):
+    """A few simplex points off the lattice, drawn as normalised positives."""
+    points = []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=8))):
+        t = [data.draw(positive) for _ in range(n)]
+        points.append(tuple(ti / sum(t) for ti in t))
+    return points
+
+
+@pytest.mark.filterwarnings("ignore:degenerate hull")
+@given(st.data(), exponents, st.integers(min_value=1, max_value=6),
+       st.sampled_from(["lower", "upper"]), st.sampled_from([1.0, 0.3, 0.9, 1.5]))
+@settings(max_examples=120, deadline=None)
+def test_containment_equals_the_per_point_walk(data, m, n, side, scale):
+    """The exact report is what a per-point walk over the candidate maxima gives.
+
+    The walk evaluates every link from scratch at the n simplex vertices and
+    at both Hölder points, the latter derived here from Lagrange's condition
+    rather than the dual norm, and takes the smallest margin.  Off-lattice
+    simplex points never beat it.
+    """
+    alpha = tuple(data.draw(positive) for _ in range(n))
+    d = tuple(data.draw(positive) for _ in range(n))
+    ulow = tuple(data.draw(positive) for _ in range(n))
+    ubar = tuple(lo + data.draw(positive) for lo in ulow)
+    if side == "lower":
+        env = build_lower_barrier(alpha, d, ulow, m)
+        hull = HullBounds(ubar=tuple(max(hi, lo * scale) for hi, lo in zip(ubar, ulow)),
+                          ulow=tuple(lo * scale for lo in ulow))
+    else:
+        env = build_upper_barrier(alpha, d, ubar, m)
+        hull = HullBounds(ubar=tuple(max(hi * scale, lo) for hi, lo in zip(ubar, ulow)),
+                          ulow=ulow)
+    w_q = tuple(a * di for a, di in zip(alpha, d))
+    vertices = [tuple(float(j == i) for j in range(n)) for i in range(n)]
+    candidates = vertices + [holder_point(alpha, w_q, m),
+                             holder_point([1 / lo for lo in hull.ulow], w_q, m)]
+    report = verify_containment(env, hull, 1)
+    walk = links_at(env, hull, candidates)
+    assert [link.name for link in report.links] == [name for name, *_ in walk]
+    for link, (name, ok, margins, _) in zip(report.links, walk):
+        assert link.worst_margin == pytest.approx(min(margins), rel=0, abs=1e-12), name
+        if abs(link.worst_margin) > 1e-12:
+            assert link.ok == ok, name
+    for link, (name, _, margins, _) in zip(report.links,
+                                             links_at(env, hull, simplex_points(data, n))):
+        assert min(margins) >= link.worst_margin - 1e-12, name
 
 
 def test_containment_fails_a_hull_link_the_lattice_passes():
