@@ -100,6 +100,10 @@ def _underflow(what: str) -> ValueError:
     return ValueError(f"{what} underflows to 0; the parameters underflow floating point")
 
 
+def _overflow(what: str) -> ValueError:
+    return ValueError(f"{what} overflows; the parameters overflow floating point")
+
+
 def _level(name: str, value: float) -> float:
     """A level built from positive finite factors; 0 means it underflowed."""
     if value == 0.0:
@@ -115,8 +119,7 @@ def _q_weights(alpha: Sequence[float], d: Sequence[float]) -> tuple:
         raise _underflow(f"weight alpha_{i} d_{i}")
     if inf in w_q:
         i = w_q.index(inf) + 1
-        raise ValueError(f"weight alpha_{i} d_{i} overflows; "
-                         "the parameters overflow floating point")
+        raise _overflow(f"weight alpha_{i} d_{i}")
     return w_q
 
 
@@ -139,9 +142,10 @@ def tangency_weighted(Theta: float, alpha: Sequence[float], d: Sequence[float],
         Lambda = Theta^m * (sum_j (alpha_j d_j ulow_j^m)^(-1/(m-1)))^(1-m)
 
     and the minimizer u_i = Theta/S * (alpha_i d_i ulow_i)^(-1/(m-1)) with S
-    the sum above.  Requires m > 1; the exponent is singular at m = 1.  An
-    S, Lambda or point coordinate that underflows to 0 raises a ValueError
-    naming it.
+    the sum above.  Requires m > 1; the exponent is singular at m = 1.  A
+    term of S that overflows, or whose base alpha_i d_i ulow_i^m underflows
+    to 0, and an S, Lambda or point coordinate that underflows to 0 raise a
+    ValueError naming it.
     """
     _require_exponent_domain(m)
     if Theta <= 0:
@@ -149,7 +153,12 @@ def tangency_weighted(Theta: float, alpha: Sequence[float], d: Sequence[float],
     _check_vectors(alpha, d, ulow)
     w_q = _q_weights(alpha, d)
     e = 1.0 / (m - 1.0)
-    S = sum((w * lo ** m) ** -e for w, lo in zip(w_q, ulow))
+    try:
+        S = sum((w * lo ** m) ** -e for w, lo in zip(w_q, ulow))
+    except ZeroDivisionError:
+        raise _underflow("a tangency base alpha_i d_i ulow_i^m") from None
+    except OverflowError:
+        raise _overflow("a term of the tangency sum S") from None
     if S == 0.0:
         raise _underflow("tangency sum S")
     Lambda = Theta ** m * S ** (1.0 - m)
@@ -185,11 +194,11 @@ def build_lower_barrier(alpha: Sequence[float], d: Sequence[float],
     """
     _require_exponent_domain(m)
     _check_vectors(alpha, d, ulow)
-    shrink = min(a ** (m - 1.0) / di for a, di in zip(alpha, d))
+    grow = max(_plane_vertices(alpha, d, m))
     lambda1 = tangency_weighted(1.0, alpha, d, ulow, m).Lambda
-    eta1 = _level("eta1", (lambda1 * shrink) ** (1.0 / m))
+    eta1 = _level("eta1", (lambda1 / grow) ** (1.0 / m))
     lambda2 = tangency_plain(eta1, alpha, d, m).Lambda
-    eta2 = _level("eta2", (lambda2 * shrink) ** (1.0 / m))
+    eta2 = _level("eta2", (lambda2 / grow) ** (1.0 / m))
     return BarrierEnvelope(lambda1=lambda1, eta1=eta1, lambda2=lambda2, eta2=eta2,
                            orientation="lower", weights=tuple(alpha), m=m, d=tuple(d))
 
@@ -207,10 +216,13 @@ def build_upper_barrier(alpha: Sequence[float], d: Sequence[float],
     _check_vectors(alpha, d, ubar)
     e = 1.0 / (m - 1.0)
     S = sum(a * di ** -e for a, di in zip(alpha, d))
-    grow = max(di / a ** (m - 1.0) for a, di in zip(alpha, d))
+    grow = max(_plane_vertices(alpha, d, m))
     lambda1 = _level("lambda1", max(a * di * hi ** m for a, di, hi in zip(alpha, d, ubar)))
     eta1 = _level("eta1", lambda1 ** (1.0 / m) * S ** ((m - 1.0) / m))
-    lambda2 = _level("lambda2", eta1 ** m * grow)
+    try:
+        lambda2 = _level("lambda2", eta1 ** m * grow)
+    except OverflowError:
+        raise _overflow("envelope level lambda2") from None
     eta2 = _level("eta2", lambda2 ** (1.0 / m) * S ** ((m - 1.0) / m))
     return BarrierEnvelope(lambda1=lambda1, eta1=eta1, lambda2=lambda2, eta2=eta2,
                            orientation="upper", weights=tuple(alpha), m=m, d=tuple(d))
@@ -322,6 +334,24 @@ def _vertex_peak(values: list) -> tuple:
     return largest, tuple(float(j == i) for j in range(len(values)))
 
 
+def _plane_vertices(alpha: Sequence[float], d: Sequence[float], m: float) -> list:
+    """q at the vertices e_i / alpha_i of the plane p = 1: [d_i alpha_i^(1-m)].
+
+    q is convex, so over the plane's simplex it peaks at the largest of
+    these.  A power alpha_i^(1-m) that overflows, or values that all
+    underflow to 0, raise a ValueError naming it, so that no caller divides
+    by a 0 peak or meets a bare OverflowError.
+    """
+    try:
+        values = [di * a ** (1.0 - m) for a, di in zip(alpha, d)]
+    except OverflowError:  # m > 1, so the smallest alpha_i overflows first
+        i = alpha.index(min(alpha)) + 1
+        raise _overflow(f"power alpha_{i}^(1-m)") from None
+    if not any(values):
+        raise _underflow("plane peak max_i d_i alpha_i^(1-m)")
+    return values
+
+
 def _dual_peak(a: Sequence[float], w_q: tuple, m: float) -> tuple:
     """Peak of sum_i a_i t_i / q(t)^(1/m) over t >= 0, and a point attaining it.
 
@@ -383,7 +413,7 @@ def verify_containment(envelope: BarrierEnvelope, hull: HullBounds, samples: int
     lower = envelope.orientation == "lower"
     pieces = _pieces(envelope, hull)
     w_q = _q_weights(alpha, d)
-    plane_peak = _vertex_peak([di * a ** (1.0 - m) for a, di in zip(alpha, d)])
+    plane_peak = _vertex_peak(_plane_vertices(alpha, d, m))
     ray_peak = _dual_peak(alpha, w_q, m)
     if lower:
         hull_peak = _dual_peak([1.0 / lo for lo in hull.ulow], w_q, m)

@@ -3,8 +3,13 @@
 A system couples n species through degenerate diffusion d_i (u_i^m)'' and
 Lotka-Volterra competition f_i(u) = sigma_i - sum_j c_ij u_j, entering the
 wave equation as u_i^{l_i} f_i(u).  This module holds the immutable spec
-types, the axis-intercept hull of the competition planes, and an exact check
-of the sign hypothesis on that hull at its axis vertices.
+types, the axis intercepts sigma_j / c_ji of the competition planes and the
+hull they bound, and an exact check of the sign hypothesis H on a hull.
+
+Since C > 0, H holds on a hull exactly when every ulow_k is at most and
+every ubar_k at least each intercept on axis k, so the verdict compares the
+hull with the intercepts and needs no tolerance; the intercept hull
+satisfies H by construction.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from operator import mul
 from typing import Callable, Sequence
 
 REGION_REL_TOL = 1e-9      # relative tolerance for region membership
-SIGN_ABS_TOL = 1e-12       # absolute tolerance for sign checks at the vertices
 
 
 def require_finite(**fields) -> None:
@@ -211,24 +215,34 @@ def wave_terms(spec: SystemSpec) -> Callable[[Sequence[float]], list]:
     return terms
 
 
+def axis_intercepts(sigma: Sequence[float], C: Sequence[Sequence[float]]) -> list:
+    """The u_i-axis intercepts [sigma_j / c_ji for each j], one list per axis i.
+
+    Plane j is sigma_j = sum_i c_ji u_i.  There is one axis per rate, and a
+    row of C may be longer than sigma: only its first len(sigma) entries
+    are read.
+    """
+    return [[s / row[i] for s, row in zip(sigma, C)] for i in range(len(sigma))]
+
+
 def hull_intercepts(reaction: ReactionSpec) -> HullBounds:
     """Extreme axis intercepts of the n competition planes.
 
-    Plane j is sigma_j = sum_i c_ji u_i; its u_i-axis intercept is
-    sigma_j / c_ji.  The hull takes the largest and smallest intercept per
-    axis.  Emits a degeneracy warning when the two coincide on some axis.
+    The hull takes the largest and smallest intercept per axis.  Emits a
+    degeneracy warning when the two coincide on some axis.
     """
-    n = reaction.n
-    ubar = tuple(max(reaction.sigma[j] / reaction.C[j][i] for j in range(n)) for i in range(n))
-    ulow = tuple(min(reaction.sigma[j] / reaction.C[j][i] for j in range(n)) for i in range(n))
-    return HullBounds(ubar=ubar, ulow=ulow)
+    axes = axis_intercepts(reaction.sigma, reaction.C)
+    return HullBounds(ubar=map(max, axes), ulow=map(min, axes))
 
 
 @dataclass(frozen=True)
 class HypothesisReport:
     """Outcome of the exact sign-hypothesis check on the two hull regions.
 
-    The worst points are the axis vertices where the extremes are attained.
+    The verdicts compare the hull with the axis intercepts.  The worst
+    points are the axis vertices where the extremes of f are attained, and
+    the worst values those extremes as computed in floating point; they are
+    informational and do not decide the verdicts.
     """
 
     inner_ok: bool
@@ -248,20 +262,32 @@ def verify_hypothesis_H(
     hull: HullBounds,
     samples_per_face: int,
 ) -> HypothesisReport:
-    """Decide the sign hypothesis on the hull regions exactly, at their vertices.
+    """Decide the sign hypothesis on the hull regions exactly.
 
-    Inner region (the solid simplex below the ulow face): every f_i must be
-    >= -SIGN_ABS_TOL.  Outer region (on and beyond the ubar face, out to twice
-    the intercepts): every f_i must be <= +SIGN_ABS_TOL.
+    Inner region (the solid simplex below the ulow face): every f_j must be
+    >= 0.  Outer region (on and beyond the ubar face, out to twice the
+    intercepts): every f_j must be <= 0.
 
-    Each f_i is affine, so its extremes over a simplex lie at the vertices,
+    Each f_j is affine, so its extremes over a simplex lie at the vertices,
     and since C > 0 it strictly decreases along every ray from the origin.
     Hence the inner minimum is attained at some ulow_k e_k (the origin gives
-    f_i = sigma_i, larger than at any axis vertex) and the outer maximum on
-    the ubar face, at some ubar_k e_k.  On a tie the vertex on the highest
-    axis is reported.
+    f_j = sigma_j, larger than at any axis vertex) and the outer maximum on
+    the ubar face, at some ubar_k e_k.  f_j(u_k e_k) = sigma_j - c_jk u_k
+    has the sign of sigma_j / c_jk - u_k, so the verdicts compare the hull
+    with the axis intercepts and need no tolerance: inner_ok holds when
+    every ulow_k <= min_j sigma_j / c_jk, and outer_ok when every
+    ubar_k >= max_j sigma_j / c_jk.  Division rounds monotonically, so a
+    hull entry on either side of a rounded intercept is on that side of the
+    exact one; an entry equal to it counts as on the plane.  The intercept
+    hull, built from the same quotients, satisfies H by construction at
+    every scale of sigma.
 
-    samples_per_face is still validated but no longer changes the result.
+    The worst values are min_j f_j and max_j f_j at those vertices, computed
+    in floating point, where sigma_j - c_jk u_k cancels; they are
+    informational floats.  On a tie the vertex on the highest axis is
+    reported.
+
+    samples_per_face is still validated but does not change the result.
     The check refuses degenerate hulls, where the two regions touch.
     """
     if hull.n != spec.n:
@@ -283,10 +309,11 @@ def verify_hypothesis_H(
     outer_val, outer_pt = max(
         ((max(reaction_eval(spec.reaction, u)), u) for u in vertices(hull.ubar)),
         key=lambda vu: vu[0])
+    axes = axis_intercepts(spec.reaction.sigma, spec.reaction.C)
 
     return HypothesisReport(
-        inner_ok=inner_val >= -SIGN_ABS_TOL,
-        outer_ok=outer_val <= SIGN_ABS_TOL,
+        inner_ok=all(lo <= min(axis) for lo, axis in zip(hull.ulow, axes)),
+        outer_ok=all(hi >= max(axis) for hi, axis in zip(hull.ubar, axes)),
         worst_inner_point=inner_pt,
         worst_inner_value=inner_val,
         worst_outer_point=outer_pt,

@@ -20,7 +20,8 @@ from dataclasses import asdict, dataclass
 from itertools import chain
 
 from .bounds import two_species_m2_lower, two_species_m2_upper
-from .model import fields_from_dict, float_matrix, float_vector, number, require_finite
+from .model import (axis_intercepts, fields_from_dict, float_matrix, float_vector, number,
+                    require_finite)
 
 
 @dataclass(frozen=True)
@@ -112,8 +113,7 @@ def check_case_i(params: ThreeSpeciesParams) -> CaseIVerdict:
                             ulow_star=None, vlow_star=None, lambda_star=None,
                             blocked=False,
                             profile_hypotheses_asserted=True)
-    ulow_star = min(phi1 / C[0][0], phi2 / C[1][0])
-    vlow_star = min(phi1 / C[0][1], phi2 / C[1][1])
+    ulow_star, vlow_star = map(min, axis_intercepts((phi1, phi2), C[:2]))
     lambda_star = two_species_m2_lower(C[2][0], C[2][1], d1, d2,
                                        ulow_star, vlow_star)
     return CaseIVerdict(applicable=True, phi1=phi1, phi2=phi2,
@@ -132,8 +132,7 @@ def check_case_ii(params: ThreeSpeciesParams) -> CaseIIVerdict:
     verdict is inconclusive rather than an error.
     """
     (d1, d2, _), (s1, s2, s3), C = params.d, params.sigma, params.C
-    ubar_star = max(s1 / C[0][0], s2 / C[1][0])
-    vbar_star = max(s1 / C[0][1], s2 / C[1][1])
+    ubar_star, vbar_star = map(max, axis_intercepts((s1, s2), C[:2]))
     lam_upper = two_species_m2_upper(C[2][0], C[2][1], d1, d2,
                                      ubar_star, vbar_star)
     applicable = lam_upper < s3

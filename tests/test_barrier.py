@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import tracemalloc
 from itertools import product
 
@@ -492,6 +493,45 @@ def test_a_q_weight_that_overflows_is_named(call):
     with pytest.raises(ValueError, match="^weight alpha_1 d_1 overflows; "
                                          "the parameters overflow floating point$"):
         call()
+
+
+def _steep_upper(weights):
+    return BarrierEnvelope(lambda1=1.0, eta1=1.0, lambda2=2.0, eta2=2.0, orientation="upper",
+                           weights=weights, m=40.0, d=(1.0, 1.0))
+
+
+ALPHA_1_POWER = "power alpha_1^(1-m) overflows; the parameters overflow floating point"
+PLANE_PEAK = ("plane peak max_i d_i alpha_i^(1-m) underflows to 0; "
+              "the parameters underflow floating point")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_upper_barrier((1e-10, 1.0), (1.0, 1.0), (1.0, 1.0), 40.0), ALPHA_1_POWER),
+    (lambda: build_lower_barrier((1e-10, 1.0), (1.0, 1.0), (1.0, 1.0), 40.0), ALPHA_1_POWER),
+    (lambda: verify_containment(_steep_upper((1e-10, 1.0)), TINY_HULL, 4), ALPHA_1_POWER),
+    (lambda: build_lower_barrier((1e10, 1.0), (1.0, 1.0), (1.0, 1.0), 40.0),
+     "a tangency base alpha_i d_i ulow_i^m underflows to 0; "
+     "the parameters underflow floating point"),
+    (lambda: build_upper_barrier((1e10, 1.0), (1.0, 1.0), (1.0, 1.0), 40.0),
+     "envelope level lambda2 overflows; the parameters overflow floating point"),
+    (lambda: build_upper_barrier((1e10, 1e10), (1.0, 1.0), (1.0, 1.0), 40.0), PLANE_PEAK),
+    (lambda: verify_containment(_steep_upper((1e10, 1e10)), TINY_HULL, 4), PLANE_PEAK),
+], ids=["upper_tiny", "lower_tiny", "containment_tiny", "lower_huge", "upper_huge",
+        "upper_all_huge", "containment_all_huge"])
+def test_a_power_alpha_i_to_m_minus_1_out_of_range_is_named(call, message):
+    # alpha_i^39 is 1e-390 or 1e390: d_i alpha_i^(1-m) overflows or underflows,
+    # and in the plain tangency so does alpha_i d_i (1 / alpha_i)^m.  Where
+    # every d_i alpha_i^(1-m) reads 0, a plane link's value would be decided
+    # by the underflow, so containment refuses it too.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_a_plane_power_that_underflows_leaves_the_other_vertex():
+    # d_1 alpha_1^(1-m) = 1e-390 reads 0, so the plane links peak at e_2.
+    links = verify_containment(_steep_upper((1e10, 1.0)), TINY_HULL, 4).links
+    assert links[2].name == "plane_eta1_in_ellipsoid_lambda2"
+    assert (links[2].ok, links[2].worst_margin, links[2].worst_point) == (True, 0.5, (0.0, 1.0))
 
 
 @pytest.mark.parametrize("args, what", [

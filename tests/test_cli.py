@@ -489,6 +489,15 @@ def test_tangent_point_underflow_is_named(capsys):
                    "the parameters underflow floating point\n")
 
 
+def test_barrier_names_a_power_out_of_range(capsys):
+    # alpha_1^(m-1) = 1e-390 underflows, so d_1 alpha_1^(1-m) overflows.
+    code, out, err = run(capsys, "barrier", _doc(UNDERFLOW_SPEC, m=40),
+                         "--alpha", "1e-10,1", "--orientation", "upper")
+    assert (code, out) == (1, "")
+    assert err == ("error: power alpha_1^(1-m) overflows; "
+                   "the parameters overflow floating point\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (("bounds", _doc(FIG_SPEC, m="2"), "--alpha", "1,2"),
      "system document key 'm' is malformed: expected a number, got str"),

@@ -18,7 +18,6 @@ from nbarrier import (
     system_to_dict,
     verify_hypothesis_H,
 )
-from nbarrier.model import SIGN_ABS_TOL
 
 # Classic two-species competition kinetics with crossed dominance.
 LV = ReactionSpec(sigma=(1.0, 1.0), C=((1.0, 2.0), (3.0, 1.0)))
@@ -192,8 +191,8 @@ def test_hypothesis_H_matches_a_lattice_sweep(data, n, inner_scale, outer_scale)
                       reaction=r)
     report = verify_hypothesis_H(spec, hull, 6)
     inner, outer = lattice_extremes(spec, hull, 6)
-    assert report.inner_ok == (inner >= -SIGN_ABS_TOL)
-    assert report.outer_ok == (outer <= SIGN_ABS_TOL)
+    assert report.inner_ok == (inner_scale <= 1.0)
+    assert report.outer_ok == (outer_scale >= 1.0)
     scale = max([1.0, *r.sigma]
                 + [2.0 * c * hi for row in r.C for c, hi in zip(row, hull.ubar)])
     assert report.worst_inner_value == pytest.approx(inner, rel=0.0, abs=1e-12 * scale)
