@@ -144,7 +144,8 @@ def tangency_weighted(Theta: float, alpha: Sequence[float], d: Sequence[float],
     and the minimizer u_i = Theta/S * (alpha_i d_i ulow_i)^(-1/(m-1)) with S
     the sum above.  Requires m > 1; the exponent is singular at m = 1.  A
     term of S that overflows, or whose base alpha_i d_i ulow_i^m underflows
-    to 0, and an S, Lambda or point coordinate that underflows to 0 raise a
+    to 0, an S, Lambda or point coordinate that underflows to 0, and a point
+    coordinate whose power (alpha_i d_i ulow_i)^(-1/(m-1)) overflows raise a
     ValueError naming it.
     """
     _require_exponent_domain(m)
@@ -164,10 +165,16 @@ def tangency_weighted(Theta: float, alpha: Sequence[float], d: Sequence[float],
     Lambda = Theta ** m * S ** (1.0 - m)
     if Lambda == 0.0:
         raise _underflow("tangency level Lambda")
-    point = tuple((Theta / S) * (w * lo) ** -e for w, lo in zip(w_q, ulow))
-    if 0.0 in point:
-        raise _underflow(f"tangent point coordinate u_{point.index(0.0) + 1}")
-    return TangencyResult(Lambda=Lambda, point=point)
+    point = []
+    for i, (w, lo) in enumerate(zip(w_q, ulow), 1):
+        try:
+            coordinate = (Theta / S) * (w * lo) ** -e
+        except OverflowError:
+            raise _overflow(f"tangent point coordinate u_{i}") from None
+        if coordinate == 0.0:
+            raise _underflow(f"tangent point coordinate u_{i}")
+        point.append(coordinate)
+    return TangencyResult(Lambda=Lambda, point=tuple(point))
 
 
 def tangency_plain(Theta: float, alpha: Sequence[float], d: Sequence[float],

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from math import cos, pi, sin, tanh
 from typing import Callable, NamedTuple, Sequence
 
-from .model import ReactionSpec, SystemSpec, wave_terms
+from .model import (ReactionSpec, SystemSpec, compiled_kernel, reaction_args,
+                    reaction_source, source_tuple)
 
 
 class ProfilePoint(NamedTuple):
@@ -215,28 +216,54 @@ def cos_family(m1, m2, m3, mu, d1, d2, d3,
                        c11=c11, c22=c22, c33=c33, theta=0)
 
 
+def _residual_source(n: int, linear: bool) -> str:
+    """Source of the residual kernel for n species; linear means m == 1.
+
+    Per grid point the kernel unpacks derivs(x) into u_i, u_i', u_i'', binds
+    every reaction term, and then per species takes (u_i^m)'' by
+    _power_derivs' chain rule (grad first, then the u^(m-2) term), the
+    residual d_i (u_i^m)'' + theta u_i' + t_i and its running maximum, which
+    a NaN residual replaces and keeps.
+    """
+    bind, terms = reaction_source(n)
+    body = [f"{source_tuple('(u{0}, du{0}, ddu{0})', n)}= derivs(x)", *terms]
+    for i in range(n):
+        if linear:
+            ddum = f"ddu{i}"
+        else:
+            body.append(f"g{i} = m * u{i} ** m1")
+            ddum = f"(mm * u{i} ** m2 * du{i} * du{i} + g{i} * ddu{i})"
+        body += [f"r{i} = abs(d{i} * {ddum} + theta * du{i} + t{i})",
+                 f"if r{i} > w{i} or r{i} != r{i}:",
+                 f"    w{i} = r{i}"]
+    return "\n".join([
+        "def kernel(derivs, grid, m, theta, d, l, s, C):",
+        *("    " + line for line in bind),
+        f"    {source_tuple('d{}', n)}= d",
+        *([] if linear else ["    m1, m2, mm = m - 1.0, m - 2.0, m * (m - 1.0)"]),
+        f"    {source_tuple('w{}', n)}= {'0.0, ' * n}",
+        "    for x in grid:",
+        *("        " + line for line in body),
+        f"    return ({source_tuple('w{}', n)})",
+        ""])
+
+
 def residual(spec: SystemSpec, profile: Profile, grid: Sequence[float]) -> tuple:
     """Max absolute wave-equation residual per species over the grid.
 
     Equation i residual at x is d_i (u_i^m)'' + theta u_i' + u_i^{l_i} f_i(u),
-    evaluated from the profile's analytic derivatives.  One loop reads
-    profile.derivs(x), takes (u_i^m)'' by the chain rule Profile.at uses and
-    the reaction terms from model.wave_terms, so each residual is the same
-    float as the one built from Profile.at and reaction_eval.  A species
-    with a NaN residual at any grid point reports NaN.
+    evaluated from the profile's analytic derivatives.  The grid loop is a
+    kernel compiled once per species count and per m == 1 or not
+    (model.compiled_kernel), straight-line code over scalars with the
+    coefficients as arguments.  It takes (u_i^m)'' by the chain rule
+    Profile.at uses, with the same operations in the same order, and the
+    reaction terms from model.reaction_source, which sums each row of C as
+    reaction_eval does; so each residual is the same float as the one built
+    from Profile.at and reaction_eval.  A species with a NaN residual at any
+    grid point reports NaN.
     """
     if profile.n != spec.n:
         raise ValueError("profile dimension does not match system")
-    terms = wave_terms(spec)
-    derivs, m = profile.derivs, profile.m
-    theta = float(spec.theta)
-    d = tuple(map(float, spec.d))
-    worst = [0.0] * spec.n
-    for x in grid:
-        states = derivs(x)
-        for i, (u, du, ddu), term in zip(range(spec.n), states,
-                                         terms([state[0] for state in states])):
-            res = abs(d[i] * _power_derivs(m, u, du, ddu)[1] + theta * du + term)
-            if res > worst[i] or res != res:  # a NaN residual stays the maximum
-                worst[i] = res
-    return tuple(worst)
+    kernel = compiled_kernel("residual", spec.n, profile.m == 1, _residual_source)
+    return kernel(profile.derivs, grid, profile.m, float(spec.theta),
+                  tuple(map(float, spec.d)), *reaction_args(spec))

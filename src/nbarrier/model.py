@@ -4,7 +4,18 @@ A system couples n species through degenerate diffusion d_i (u_i^m)'' and
 Lotka-Volterra competition f_i(u) = sigma_i - sum_j c_ij u_j, entering the
 wave equation as u_i^{l_i} f_i(u).  This module holds the immutable spec
 types, the axis intercepts sigma_j / c_ji of the competition planes and the
-hull they bound, and an exact check of the sign hypothesis H on a hull.
+hull they bound, an exact check of the sign hypothesis H on a hull, and
+the builder of the compiled wave kernels that exact.residual and
+waves.integrate run.
+
+The wave kernels are Python source written per species count n and
+variant, compiled once and cached (compiled_kernel).  Their reaction terms
+u_i^{l_i} (sigma_i - sum_j c_ij u_j) are written in one place,
+reaction_source, with coefficients bound from arguments, so the source
+holds no parameter value and one kernel serves every spec with n species.
+Up to UNROLL_LIMIT species a row of C is a + chain of scalar products;
+beyond it the row is sum(map(mul, row, u)), which keeps the source O(n).
+Either way a term is the float that reaction_eval's row gives.
 
 Since C > 0, H holds on a hull exactly when every ulow_k is at most and
 every ubar_k at least each intercept on axis k, so the verdict compares the
@@ -198,21 +209,67 @@ def reaction_eval(reaction: ReactionSpec, u: Sequence[float]) -> tuple:
     )
 
 
-def wave_terms(spec: SystemSpec) -> Callable[[Sequence[float]], list]:
-    """The reaction terms of the wave equation as a closure over one state.
+# Rows of C are written out as + chains up to this many species, and summed
+# with sum(map(mul, ...)) over one state tuple beyond it, so a kernel's source
+# stays O(n) long and its expressions shallow enough to compile at any n.
+UNROLL_LIMIT = 8
 
-    The closure maps u to [u_i^{l_i} f_i(u)], with f_i summed as
-    reaction_eval sums it, so a term is the same float either way.  It
-    checks no length: callers pass n-vectors from their own loops.
+_KERNELS: dict = {}
+
+
+def source_tuple(fmt: str, n: int) -> str:
+    """fmt.format(i) for i < n as a tuple display, with its trailing comma."""
+    return "".join(fmt.format(i) + ", " for i in range(n))
+
+
+def reaction_args(spec: SystemSpec) -> tuple:
+    """(l, sigma, C) of spec as float tuples, the arguments reaction_source binds."""
+    reaction = spec.reaction
+    return (tuple(map(float, spec.l)), tuple(map(float, reaction.sigma)),
+            tuple(tuple(map(float, row)) for row in reaction.C))
+
+
+def reaction_source(n: int) -> tuple:
+    """Kernel source lines for the n reaction terms u_i^{l_i} f_i(u): (bind, terms).
+
+    bind unpacks the arguments l, s and C (reaction_args) into scalars
+    l0.., s0.. and the rows of C; terms reads a state u0..u{n-1} and binds
+    t0..t{n-1}.  Up to UNROLL_LIMIT species row i is the + chain
+    c{i}_0 * u0 + c{i}_1 * u1 + ..., which adds left to right as
+    sum(map(mul, row, u)) does, but from the first product rather than from
+    int 0; only the sign of a zero sum can differ, and s_i - (+-0) = s_i
+    erases it since s_i > 0.  So a term is the same float as the one
+    reaction_eval's row gives.  No coefficient enters the source.
     """
-    rows = tuple((float(li), float(s), tuple(map(float, row)))
-                 for li, s, row in zip(spec.l, spec.reaction.sigma, spec.reaction.C))
+    rows = range(n)
+    bind = [f"{source_tuple('l{}', n)}= l", f"{source_tuple('s{}', n)}= s"]
+    if n <= UNROLL_LIMIT:
+        bind.append("".join(f"({source_tuple(f'c{i}_{{}}', n)}), " for i in rows) + "= C")
+        sums = [" + ".join(f"c{i}_{j} * u{j}" for j in rows) for i in rows]
+        terms = []
+    else:
+        bind.append(f"{source_tuple('C{}', n)}= C")
+        sums = [f"sum(map(mul, C{i}, U))" for i in rows]
+        terms = [f"U = ({source_tuple('u{}', n)})"]
+    terms += [f"t{i} = u{i} ** l{i} * (s{i} - ({sums[i]}))" for i in rows]
+    return bind, terms
 
-    def terms(u):
-        return [ui ** li * (s - sum(map(mul, row, u)))
-                for ui, (li, s, row) in zip(u, rows)]
 
-    return terms
+def compiled_kernel(kind: str, n: int, variant: bool,
+                    write: Callable[[int, bool], str]) -> Callable:
+    """The function named kernel in write(n, variant), compiled once per
+    (kind, n, variant) and cached.
+
+    The source may read mul; everything else a kernel uses is an argument,
+    so one compiled kernel serves every spec with n species.
+    """
+    key = (kind, n, variant)
+    kernel = _KERNELS.get(key)
+    if kernel is None:
+        namespace = {"mul": mul}
+        exec(compile(write(n, variant), f"<{kind} kernel, n = {n}>", "exec"), namespace)
+        kernel = _KERNELS[key] = namespace["kernel"]
+    return kernel
 
 
 def axis_intercepts(sigma: Sequence[float], C: Sequence[Sequence[float]]) -> list:

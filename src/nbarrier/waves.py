@@ -4,29 +4,38 @@ The second-order wave system is reduced to first order in the flux variable
 w_i = (u_i^m)'.  For m > 1 the back-map u_i' = w_i / (m u_i^{m-1}) is
 singular at u_i = 0, so integration stops at a small positivity floor rather
 than stepping into the degenerate set.  Stepping is classical fixed-step
-RK4 on Python floats, with the reaction terms from model.wave_terms;
-outputs are bit-reproducible for identical inputs.  The state is one list
-y = u + w of 2n floats: each RK4 stage and the final combine is one pass
-over it, the loop stores one y per grid point, and the stored history is
-one array split once into its column halves, Trajectory.u and .w.
+RK4 on Python floats; outputs are bit-reproducible for identical inputs.
+
+One RK4 step is a kernel compiled once per species count n and per
+m > 1 or not (model.compiled_kernel): straight-line code over scalars
+u0.., w0.. and stage derivatives, with the reaction terms written by
+model.reaction_source and every coefficient an argument.  It performs the
+operations of the list stepper it replaced, in the same order (each stage
+state, the floor check, every u_i', every reaction term, every w_i', then
+the combine and its floor check), so trajectories are bit-identical to it.
+The loop stores one state tuple y = (u.., w..) per grid point, and the
+stored history is one array split once into its column halves,
+Trajectory.u and .w.
 
 numpy only builds the stored Trajectory arrays, once after the loop, and
 re-runs on float64 scalars a step whose float arithmetic overflowed or
 divided by zero, so such a step ends in inf as IEEE arithmetic has it.
 check_bounds and flux_balance_defect stay vectorised over the stored
-arrays.  numpy is imported inside these three functions, not at module
-level, so importing the package (and every CLI subcommand except simulate)
-does not load it.
+arrays; flux_balance_defect evaluates the reaction with numpy, so it checks
+the stepper independently.  numpy is imported inside these three
+functions, not at module level, so importing the package (and every CLI
+subcommand except simulate) does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .bounds import BoundsResult
-from .model import SystemSpec, wave_terms
+from .model import (SystemSpec, compiled_kernel, reaction_args, reaction_source,
+                    source_tuple)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -63,6 +72,62 @@ class Trajectory:
     @property
     def n(self) -> int:
         return self.u.shape[1]
+
+
+def _rk4_source(n: int, degenerate: bool) -> str:
+    """Source of the RK4 kernel for n species; degenerate means m > 1.
+
+    kernel binds the coefficients and returns step(y, h), one RK4 step of
+    the state y = (u_0.., w_0..).  Stage s writes its state to scalars u_i,
+    w_i and binds its derivatives ks_0..ks_{2n-1}: when degenerate it raises
+    FloorHit if some u_i is below the floor, then takes
+    u_i' = w_i / (m u_i^(m-1)) (u_i' = w_i at m = 1) for every species,
+    then every reaction term, then w_i' = (-theta u_i' - t_i) / d_i.
+    """
+    bind, terms = reaction_source(n)
+
+    def below(name):
+        return " or ".join(f"{name}{i} < floor" for i in range(n))
+
+    rng2 = range(2 * n)
+    body = [f"{source_tuple('y{}', 2 * n)}= {source_tuple('u{}', n)}"
+            f"{source_tuple('w{}', n)}= y",
+            "half = 0.5 * h"]
+    for stage, coef in enumerate((None, "half", "half", "h"), 1):
+        if coef:
+            body += [f"{'u' if j < n else 'w'}{j % n} = y{j} + {coef} * k{stage - 1}_{j}"
+                     for j in rng2]
+        if degenerate:
+            body.append(f"if {below('u')}:")
+            body.append("    raise FloorHit")
+            body += [f"k{stage}_{i} = w{i} / (m * u{i} ** m1)" for i in range(n)]
+        else:
+            body += [f"k{stage}_{i} = w{i}" for i in range(n)]
+        body += terms
+        body += [f"k{stage}_{n + i} = (ntheta * k{stage}_{i} - t{i}) / d{i}"
+                 for i in range(n)]
+    body.append("sixth = h / 6.0")
+    body += [f"z{j} = y{j} + sixth * (k1_{j} + 2.0 * k2_{j} + 2.0 * k3_{j} + k4_{j})"
+             for j in rng2]
+    if degenerate:
+        body += [f"if {below('z')}:", "    raise FloorHit"]
+    body.append(f"return ({source_tuple('z{}', 2 * n)})")
+    return "\n".join([
+        "def kernel(FloorHit, floor, m, theta, d, l, s, C):",
+        *("    " + line for line in bind),
+        f"    {source_tuple('d{}', n)}= d",
+        "    m1, ntheta = m - 1.0, -theta" if degenerate else "    ntheta = -theta",
+        "    def step(y, h):",
+        *("        " + line for line in body),
+        "    return step",
+        ""])
+
+
+def _stepper(spec: SystemSpec) -> Callable:
+    """The compiled RK4 step (y, h) -> y' of spec, y = (u_0.., w_0..)."""
+    kernel = compiled_kernel("rk4", spec.n, spec.m > 1, _rk4_source)
+    return kernel(_FloorHit, POSITIVITY_FLOOR, spec.m, float(spec.theta),
+                  tuple(map(float, spec.d)), *reaction_args(spec))
 
 
 def integrate(spec: SystemSpec, u0: Sequence[float], w0: Sequence[float],
@@ -116,50 +181,22 @@ def integrate(spec: SystemSpec, u0: Sequence[float], w0: Sequence[float],
         raise ValueError("alpha length must match the system")
     alpha_vec = np.asarray(alpha, dtype=float)
 
-    m = spec.m
-    theta = float(spec.theta)
-    d = tuple(map(float, spec.d))
-    terms = wave_terms(spec)
-    degenerate = m > 1
-
-    def rhs(y):
-        u, w = y[:n], y[n:]
-        if degenerate:
-            if any(ui < POSITIVITY_FLOOR for ui in u):
-                raise _FloorHit
-            du = [wi / (m * ui ** (m - 1.0)) for wi, ui in zip(w, u)]
-        else:
-            du = w
-        return du + [(-theta * dui - term) / di for dui, term, di in zip(du, terms(u), d)]
-
-    def rk4_step(y, h):
-        half = 0.5 * h
-        k1 = rhs(y)
-        k2 = rhs([a + half * k for a, k in zip(y, k1)])
-        k3 = rhs([a + half * k for a, k in zip(y, k2)])
-        k4 = rhs([a + h * k for a, k in zip(y, k3)])
-        sixth = h / 6.0
-        y_next = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-        if degenerate and any(ui < POSITIVITY_FLOOR for ui in y_next[:n]):
-            raise _FloorHit
-        return y_next
-
+    step_rk4 = _stepper(spec)
     xs = [x0]
-    ys = [[*map(float, u0), *map(float, w0)]]
+    ys = [(*map(float, u0), *map(float, w0))]
     reason = None
     x = x0
     for k in range(n_steps):
         h = step if k < n_full else remainder
         try:
             try:
-                y = rk4_step(ys[-1], h)
+                y = step_rk4(ys[-1], h)
             except ArithmeticError:
                 # Python floats raise on overflow and on division by zero, where
                 # the step may still end finite (w / inf is 0).  float64 scalars
                 # give IEEE inf there, so the step is re-run on them.
                 with np.errstate(all="ignore"):
-                    y = list(map(float, rk4_step(list(map(np.float64, ys[-1])), h)))
+                    y = tuple(map(float, step_rk4(tuple(map(np.float64, ys[-1])), h)))
         except _FloorHit:
             reason = (f"positivity floor {POSITIVITY_FLOOR:g} reached "
                       f"near x = {x + h:.6g}")
@@ -184,7 +221,7 @@ def integrate(spec: SystemSpec, u0: Sequence[float], w0: Sequence[float],
     # u^m past the float range is inf in the stored q column, as IEEE has it.
     with np.errstate(all="ignore"):
         p_arr = u_arr @ alpha_vec
-        q_arr = (u_arr ** m) @ (alpha_vec * np.array(d))
+        q_arr = (u_arr ** spec.m) @ (alpha_vec * np.array(spec.d, dtype=float))
     return Trajectory(xs=np.array(xs), u=u_arr, w=w_arr, p=p_arr, q=q_arr,
                       alpha=tuple(alpha), truncated=reason is not None,
                       truncation_reason=reason, clamped=clamped)

@@ -545,3 +545,10 @@ def test_tangency_names_what_underflows(args, what):
     with pytest.raises(ValueError, match=f"^{what} underflows to 0; "
                                          "the parameters underflow floating point$"):
         tangency_weighted(*args)
+
+
+def test_tangency_names_a_point_coordinate_that_overflows():
+    # (alpha_1 d_1 ulow_1)^(-2) = (1e-200)^(-2) is past the float range.
+    with pytest.raises(ValueError, match="^tangent point coordinate u_1 overflows; "
+                                         "the parameters overflow floating point$"):
+        tangency_weighted(1.0, (1e-300, 1.0), (1.0, 1.0), (1e100, 1.0), 1.5)

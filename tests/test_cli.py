@@ -489,6 +489,16 @@ def test_tangent_point_underflow_is_named(capsys):
                    "the parameters underflow floating point\n")
 
 
+def test_tangent_point_overflow_is_named(capsys):
+    # At m = 1.5, u_1 = (alpha_1 d_1 ulow_1)^(-2) / S is about 1e400 / 1e300.
+    spec = json.dumps({"n": 2, "m": 1.5, "d": [1e-300, 1], "l": [1, 1], "theta": 0,
+                       "sigma": [1e100, 1], "C": [[1, 2e100], [2e-100, 1]]})
+    code, out, err = run(capsys, "barrier", spec, "--alpha", "1,1", "--orientation", "lower")
+    assert (code, out) == (1, "")
+    assert err == ("error: tangent point coordinate u_1 overflows; "
+                   "the parameters overflow floating point\n")
+
+
 def test_barrier_names_a_power_out_of_range(capsys):
     # alpha_1^(m-1) = 1e-390 underflows, so d_1 alpha_1^(1-m) overflows.
     code, out, err = run(capsys, "barrier", _doc(UNDERFLOW_SPEC, m=40),

@@ -1,12 +1,15 @@
 """Closed-form wave families and their induced systems."""
 
 import math
+import random
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
-from nbarrier import cos_family, reaction_eval, residual, tanh_family
+from nbarrier import (ReactionSpec, SystemSpec, cos_family, reaction_eval, residual,
+                      tanh_family)
 from nbarrier.exact import Profile
 
 from conftest import COS_ARGS
@@ -59,8 +62,6 @@ def test_a_nan_residual_is_reported_as_the_maximum():
 
 def test_tanh_residual_detects_perturbed_growth_rate(tanh_sol):
     """Shifting sigma1 by +1 adds u1(x)^2 to the first residual."""
-    from nbarrier import ReactionSpec, SystemSpec
-
     base = tanh_sol.system()
     bumped = SystemSpec(
         n=2, m=2, d=base.d, l=base.l, theta=base.theta,
@@ -167,12 +168,45 @@ README_COS = (-0.1, 0.0909090909, 0.0833333333, 2.0, 1.0, 1.0, 1.0,
               17.7833333333, 1.0, 15.9090909091, 0.5454545455, 15.0, 0.9166666667)
 
 
+def sine_member(n, m, seed):
+    """A seeded n-species system with exponent m and the positive profile
+    u_i = a_i + b_i sin(c_i x), behind system() and profile() as a family
+    member has them.
+
+    The profile solves nothing; the two residual routes only have to agree.
+    """
+    rng = random.Random(seed)
+    spec = SystemSpec(
+        n=n, m=m, d=tuple(rng.uniform(0.3, 3.0) for _ in range(n)),
+        l=tuple(rng.choice((1.0, 1.5, 2.0)) for _ in range(n)),
+        theta=rng.uniform(0.2, 1.0),
+        reaction=ReactionSpec(
+            sigma=tuple(rng.uniform(0.5, 2.0) for _ in range(n)),
+            C=tuple(tuple(rng.uniform(0.1, 2.0) for _ in range(n)) for _ in range(n))))
+    harmonics = tuple((rng.uniform(1.0, 2.0), rng.uniform(-0.5, 0.5), rng.uniform(0.5, 3.0))
+                      for _ in range(n))
+
+    def derivs(x):
+        return tuple((a + b * math.sin(c * x), b * c * math.cos(c * x),
+                      -b * c * c * math.sin(c * x)) for a, b, c in harmonics)
+
+    profile = Profile(n=n, m=m, derivs=derivs)
+    return SimpleNamespace(system=lambda: spec, profile=lambda: profile)
+
+
+SINE_GRID = [-5.0 + k * 0.05 for k in range(201)]
+
+
 @pytest.mark.parametrize("sol, grid", [
     (tanh_family(*README_TANH), [-20.0 + i * 0.01 for i in range(4001)]),
     (cos_family(*README_COS),
      [i * cos_family(*README_COS).period / 2000.0 for i in range(2001)]),
     (cos_family(*COS_ARGS), [k * math.pi / 200 for k in range(201)]),
-], ids=["readme-tanh", "readme-cos", "exact-cos"])
+    (sine_member(3, 1.0, 1), SINE_GRID),
+    (sine_member(3, 1.5, 2), SINE_GRID),
+    # Beyond the unroll limit, where rows are summed with sum(map(mul, ...)).
+    (sine_member(12, 2.0, 3), SINE_GRID),
+], ids=["readme-tanh", "readme-cos", "exact-cos", "m1", "m-fractional", "n12"])
 def test_residual_equals_the_profile_point_route_bit_for_bit(sol, grid):
     spec, profile = sol.system(), sol.profile()
     assert residual(spec, profile, grid) == residual_via_profile_points(spec, profile, grid)

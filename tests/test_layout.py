@@ -124,3 +124,32 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         imported, _, attributes = names_in(path)
         used |= imported | attributes
     assert sorted(set(nbarrier.__all__) - used - REFERENCE_ONLY) == []
+
+
+def calls_that_run_source(node, owner=None):
+    """(enclosing function, called name) for each exec, eval or compile
+    call under node, builtins.exec and the like included."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from calls_that_run_source(child, child.name)
+            continue
+        if isinstance(child, ast.Call):
+            func = child.func
+            if isinstance(func, ast.Attribute) and ast.unparse(func.value) == "builtins":
+                name = func.attr
+            else:
+                name = getattr(func, "id", None)
+            if name in ("exec", "eval", "compile"):
+                yield owner, name
+        yield from calls_that_run_source(child, owner)
+
+
+def test_only_the_kernel_builder_compiles_source():
+    """Generated source is compiled in one place, with its cache."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        calls = sorted(calls_that_run_source(ast.parse(path.read_text(), filename=str(path))))
+        if calls:
+            found[path.name] = calls
+    assert found == {"model.py": [("compiled_kernel", "compile"),
+                                  ("compiled_kernel", "exec")]}

@@ -1,9 +1,12 @@
 """Fixed-step RK4 reduction of the wave system and trajectory checks."""
 
 import math
+import operator
+import random
 import re
 import warnings
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -339,20 +342,173 @@ def test_stepping_stops_at_the_first_non_finite_state(monkeypatch):
     spec = replace(LV, l=(1.5, 1.5), theta=0.0,
                    reaction=ReactionSpec(sigma=(1.0, 1.0), C=((1.0, 0.5), (0.4, 1.2))))
     calls = 0
-    make_terms = waves.wave_terms
+    make_step = waves._stepper
 
-    def counting_wave_terms(spec):
-        terms = make_terms(spec)
+    def counting_stepper(spec):
+        step = make_step(spec)
 
-        def counted(u):
+        def counted(y, h):
             nonlocal calls
             calls += 1
-            return terms(u)
+            return step(y, h)
 
         return counted
 
-    monkeypatch.setattr(waves, "wave_terms", counting_wave_terms)
+    monkeypatch.setattr(waves, "_stepper", counting_stepper)
     traj = integrate(spec, (0.1, 0.1), (-1.0, -1.0), (0.0, 100.0), 0.001)
     assert traj.truncation_reason == "non-finite state at x = 0.1"
     assert len(traj.xs) == 100
-    assert calls <= 4 * len(traj.xs)
+    # 99 stored steps and the one that went non-finite.
+    assert calls == len(traj.xs)
+
+
+def list_stepper_reference(spec, u0, w0, x_span, step, alpha=None):
+    """integrate as it stepped before its compiled kernel: RK4 on lists.
+
+    The state is one list y = u + w of 2n floats, each stage one pass over
+    it, and the reaction terms a closure over the rows of C.  integrate's
+    input checks are left out.  Returns a Trajectory.
+    """
+    n = spec.n
+    x0, x1 = float(x_span[0]), float(x_span[1])
+    span = x1 - x0
+    full = span / step + 1e-9
+    n_full = int(min(full, MAX_STEPS + 1))
+    remainder = span - n_full * step
+    n_steps = n_full + (remainder > step * 1e-9)
+    if alpha is None:
+        alpha = (1.0,) * n
+    alpha_vec = np.asarray(alpha, dtype=float)
+
+    m = spec.m
+    theta = float(spec.theta)
+    d = tuple(map(float, spec.d))
+    rows = tuple((float(li), float(s), tuple(map(float, row)))
+                 for li, s, row in zip(spec.l, spec.reaction.sigma, spec.reaction.C))
+    degenerate = m > 1
+
+    class FloorHit(Exception):
+        pass
+
+    def terms(u):
+        return [ui ** li * (s - sum(map(operator.mul, row, u)))
+                for ui, (li, s, row) in zip(u, rows)]
+
+    def rhs(y):
+        u, w = y[:n], y[n:]
+        if degenerate:
+            if any(ui < POSITIVITY_FLOOR for ui in u):
+                raise FloorHit
+            du = [wi / (m * ui ** (m - 1.0)) for wi, ui in zip(w, u)]
+        else:
+            du = w
+        return du + [(-theta * dui - term) / di for dui, term, di in zip(du, terms(u), d)]
+
+    def rk4_step(y, h):
+        half = 0.5 * h
+        k1 = rhs(y)
+        k2 = rhs([a + half * k for a, k in zip(y, k1)])
+        k3 = rhs([a + half * k for a, k in zip(y, k2)])
+        k4 = rhs([a + h * k for a, k in zip(y, k3)])
+        sixth = h / 6.0
+        y_next = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        if degenerate and any(ui < POSITIVITY_FLOOR for ui in y_next[:n]):
+            raise FloorHit
+        return y_next
+
+    xs = [x0]
+    ys = [[*map(float, u0), *map(float, w0)]]
+    reason = None
+    x = x0
+    for k in range(n_steps):
+        h = step if k < n_full else remainder
+        try:
+            try:
+                y = rk4_step(ys[-1], h)
+            except ArithmeticError:
+                with np.errstate(all="ignore"):
+                    y = list(map(float, rk4_step(list(map(np.float64, ys[-1])), h)))
+        except FloorHit:
+            reason = (f"positivity floor {POSITIVITY_FLOOR:g} reached "
+                      f"near x = {x + h:.6g}")
+            break
+        x += h
+        try:
+            finite = all(map(math.isfinite, y))
+        except TypeError:
+            finite = False
+        if not finite:
+            reason = f"non-finite state at x = {x:.6g}"
+            break
+        xs.append(x)
+        ys.append(y)
+
+    y_arr = np.array(ys)
+    u_arr, w_arr = y_arr[:, :n], y_arr[:, n:]
+    clamped = bool(np.any(u_arr < 0.0))
+    if clamped:
+        u_arr = np.maximum(u_arr, 0.0)
+    with np.errstate(all="ignore"):
+        p_arr = u_arr @ alpha_vec
+        q_arr = (u_arr ** m) @ (alpha_vec * np.array(d))
+    return waves.Trajectory(xs=np.array(xs), u=u_arr, w=w_arr, p=p_arr, q=q_arr,
+                            alpha=tuple(alpha), truncated=reason is not None,
+                            truncation_reason=reason, clamped=clamped)
+
+
+def seeded_system(n, m, seed):
+    """A system with n species and exponent m, drawn from seed: l_i in
+    {1, 1.5, 2}, theta of either sign and away from 0, and initial data
+    that reach the end of the span, the floor or a non-finite state."""
+    rng = random.Random(seed)
+    spec = SystemSpec(
+        n=n, m=m, d=tuple(rng.uniform(0.3, 3.0) for _ in range(n)),
+        l=tuple(rng.choice((1.0, 1.5, 2.0)) for _ in range(n)),
+        theta=rng.choice((-1.0, 1.0)) * rng.uniform(0.2, 1.0),
+        reaction=ReactionSpec(
+            sigma=tuple(rng.uniform(0.5, 2.0) for _ in range(n)),
+            C=tuple(tuple(rng.uniform(0.1, 2.0) for _ in range(n)) for _ in range(n))))
+    u0 = tuple(rng.uniform(0.05, 1.5) for _ in range(n))
+    w0 = tuple(rng.uniform(-1.5, 1.0) for _ in range(n))
+    alpha = tuple(rng.uniform(0.2, 2.0) for _ in range(n))
+    return spec, u0, w0, (0.0, 1.0), 0.01, alpha
+
+
+# Every species count on both sides of the unroll limit, with every exponent.
+SEEDED = {f"n{n}-m{m:g}": seeded_system(n, m, seed)
+          for seed, (n, m) in enumerate(product(range(1, 11), (1.0, 1.5, 2.0, 3.0)))}
+
+# name -> case built from the two family fixtures, with alpha
+ORACLE_CASES = {
+    **{name: (lambda tanh_sol, cos_sol, build=build: (*build(tanh_sol, cos_sol), None))
+       for name, (build, _, _) in REFERENCE_CASES.items()},
+    # A stage state goes negative at m = 1, l = 1.5: u^1.5 is a complex.
+    "complex-power": lambda *_: (
+        replace(LV, l=(1.5, 1.5), theta=0.0,
+                reaction=ReactionSpec(sigma=(1.0, 1.0), C=((1.0, 0.5), (0.4, 1.2)))),
+        (0.1, 0.1), (-1.0, -1.0), (0.0, 5.0), 0.01, None),
+    # u^59 overflows at every stage, so every step is re-run on float64.
+    "overflow-rerun": lambda *_: (*_lv(60.0, 1.0, (1e6, 1.0), (1.0, 0.0)), (0.5, 2.0)),
+    **{name: (lambda *_, case=case: case) for name, case in SEEDED.items()},
+}
+
+
+def test_seeded_oracle_cases_reach_every_outcome():
+    trajs = [list_stepper_reference(*case) for case in SEEDED.values()]
+    reasons = {str(traj.truncation_reason).split(" ")[0] for traj in trajs}
+    assert reasons == {"None", "positivity", "non-finite"}
+    assert any(traj.clamped for traj in trajs)
+
+
+@pytest.mark.parametrize("name", list(ORACLE_CASES))
+def test_integrate_equals_the_list_stepper_bit_for_bit(tanh_sol, cos_sol, name):
+    case = ORACLE_CASES[name](tanh_sol, cos_sol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate(*case)
+    want = list_stepper_reference(*case)
+    for field in ("xs", "u", "w", "p", "q"):
+        assert getattr(traj, field).tolist() == getattr(want, field).tolist(), field
+    for field in ("alpha", "truncated", "truncation_reason", "clamped"):
+        assert getattr(traj, field) == getattr(want, field), field
