@@ -13,9 +13,12 @@ variant, compiled once and cached (compiled_kernel).  Their reaction terms
 u_i^{l_i} (sigma_i - sum_j c_ij u_j) are written in one place,
 reaction_source, with coefficients bound from arguments, so the source
 holds no parameter value and one kernel serves every spec with n species.
-Up to UNROLL_LIMIT species a row of C is a + chain of scalar products;
-beyond it the row is sum(map(mul, row, u)), which keeps the source O(n).
-Either way a term is the float that reaction_eval's row gives.
+Every row of C is added by builtin sum, as reaction_eval adds it, over the
+same products in the same order, so a term is the float reaction_eval's row
+gives on any interpreter (sum compensates its rounding from Python 3.12 on,
+where a + chain would not).  Up to UNROLL_LIMIT species the products are
+written out, sum((c0 * u0, c1 * u1, ...)); beyond it the row is
+sum(map(mul, row, u)), which keeps the source O(n).
 
 Since C > 0, H holds on a hull exactly when every ulow_k is at most and
 every ubar_k at least each intercept on axis k, so the verdict compares the
@@ -209,9 +212,12 @@ def reaction_eval(reaction: ReactionSpec, u: Sequence[float]) -> tuple:
     )
 
 
-# Rows of C are written out as + chains up to this many species, and summed
-# with sum(map(mul, ...)) over one state tuple beyond it, so a kernel's source
-# stays O(n) long and its expressions shallow enough to compile at any n.
+# Rows of C are summed over written-out products up to this many species, and
+# with sum(map(mul, ...)) over one state tuple beyond it.  The written-out row
+# is the faster one at every n measured (2 to 24: an RK4 step 10-35% faster),
+# but it makes the source O(n^2) long and its compile time grows with it (an
+# RK4 kernel at n = 24: 16-18 ms, against 6-7 ms), so above 8 species the
+# source is kept O(n); at n = 8 the written-out rows cost about 1 ms more.
 UNROLL_LIMIT = 8
 
 _KERNELS: dict = {}
@@ -234,24 +240,23 @@ def reaction_source(n: int) -> tuple:
 
     bind unpacks the arguments l, s and C (reaction_args) into scalars
     l0.., s0.. and the rows of C; terms reads a state u0..u{n-1} and binds
-    t0..t{n-1}.  Up to UNROLL_LIMIT species row i is the + chain
-    c{i}_0 * u0 + c{i}_1 * u1 + ..., which adds left to right as
-    sum(map(mul, row, u)) does, but from the first product rather than from
-    int 0; only the sign of a zero sum can differ, and s_i - (+-0) = s_i
-    erases it since s_i > 0.  So a term is the same float as the one
-    reaction_eval's row gives.  No coefficient enters the source.
+    t0..t{n-1}.  Up to UNROLL_LIMIT species row i is
+    sum((c{i}_0 * u0, c{i}_1 * u1, ...)), beyond it sum(map(mul, C{i}, U)):
+    builtin sum over the products reaction_eval's row sums, in its order, so
+    a term is the same float as the one reaction_eval gives, however the
+    interpreter's sum rounds.  No coefficient enters the source.
     """
     rows = range(n)
     bind = [f"{source_tuple('l{}', n)}= l", f"{source_tuple('s{}', n)}= s"]
     if n <= UNROLL_LIMIT:
         bind.append("".join(f"({source_tuple(f'c{i}_{{}}', n)}), " for i in rows) + "= C")
-        sums = [" + ".join(f"c{i}_{j} * u{j}" for j in rows) for i in rows]
+        sums = [f"sum(({source_tuple(f'c{i}_{{0}} * u{{0}}', n)}))" for i in rows]
         terms = []
     else:
         bind.append(f"{source_tuple('C{}', n)}= C")
         sums = [f"sum(map(mul, C{i}, U))" for i in rows]
         terms = [f"U = ({source_tuple('u{}', n)})"]
-    terms += [f"t{i} = u{i} ** l{i} * (s{i} - ({sums[i]}))" for i in rows]
+    terms += [f"t{i} = u{i} ** l{i} * (s{i} - {sums[i]})" for i in rows]
     return bind, terms
 
 

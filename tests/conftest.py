@@ -1,5 +1,8 @@
-"""Shared fixtures: the two closed-form wave families used across the suite."""
+"""Shared fixtures: the two closed-form wave families used across the suite,
+and builtin sum with the rounding it has from Python 3.12 on."""
 
+import builtins
+import math
 from fractions import Fraction
 
 import pytest
@@ -26,3 +29,30 @@ def cos_sol():
 @pytest.fixture(scope="session")
 def cos_sol_exact():
     return cos_family(*COS_ARGS)
+
+
+def compensated_sum(values, start=0):
+    """sum with Neumaier's compensation, as builtin sum adds floats from Python 3.12 on.
+
+    The first item joins start by plain +, the rest are compensated, and a
+    non-finite compensation is dropped, as there.
+    """
+    items = iter(values)
+    total = start
+    for v in items:
+        total = total + v
+        break
+    comp = 0.0
+    for v in items:
+        t = total + v
+        comp += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+@pytest.fixture
+def builtin_sum_compensated(monkeypatch):
+    """Builtin sum replaced by compensated_sum for one test, so the routes
+    that must agree bit for bit are compared under the rounding sum has on
+    Python 3.12 and later."""
+    monkeypatch.setattr(builtins, "sum", compensated_sum)

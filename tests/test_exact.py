@@ -11,6 +11,7 @@ import pytest
 from nbarrier import (ReactionSpec, SystemSpec, cos_family, reaction_eval, residual,
                       tanh_family)
 from nbarrier.exact import Profile
+from nbarrier.model import UNROLL_LIMIT
 
 from conftest import COS_ARGS
 
@@ -210,3 +211,13 @@ SINE_GRID = [-5.0 + k * 0.05 for k in range(201)]
 def test_residual_equals_the_profile_point_route_bit_for_bit(sol, grid):
     spec, profile = sol.system(), sol.profile()
     assert residual(spec, profile, grid) == residual_via_profile_points(spec, profile, grid)
+
+
+# From three species on, a compensated sum can round a row of C otherwise
+# than a left-to-right + chain does.
+@pytest.mark.parametrize("n", range(3, UNROLL_LIMIT + 3))
+def test_residual_routes_agree_under_a_compensated_sum(builtin_sum_compensated, n):
+    member = sine_member(n, 2.0, 20 + n)
+    spec, profile = member.system(), member.profile()
+    assert (residual(spec, profile, SINE_GRID)
+            == residual_via_profile_points(spec, profile, SINE_GRID))

@@ -21,6 +21,7 @@ from nbarrier import (
     integrate,
 )
 from nbarrier import waves
+from nbarrier.model import UNROLL_LIMIT
 from nbarrier.waves import MAX_STEPS, POSITIVITY_FLOOR, flux_balance_defect
 
 LV = SystemSpec(n=2, m=1.0, d=(1.0, 1.0), l=(1.0, 1.0), theta=0.7,
@@ -501,14 +502,26 @@ def test_seeded_oracle_cases_reach_every_outcome():
     assert any(traj.clamped for traj in trajs)
 
 
+def assert_same_trajectory(traj, want):
+    for field in ("xs", "u", "w", "p", "q"):
+        assert getattr(traj, field).tolist() == getattr(want, field).tolist(), field
+    for field in ("alpha", "truncated", "truncation_reason", "clamped"):
+        assert getattr(traj, field) == getattr(want, field), field
+
+
 @pytest.mark.parametrize("name", list(ORACLE_CASES))
 def test_integrate_equals_the_list_stepper_bit_for_bit(tanh_sol, cos_sol, name):
     case = ORACLE_CASES[name](tanh_sol, cos_sol)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         traj = integrate(*case)
-    want = list_stepper_reference(*case)
-    for field in ("xs", "u", "w", "p", "q"):
-        assert getattr(traj, field).tolist() == getattr(want, field).tolist(), field
-    for field in ("alpha", "truncated", "truncation_reason", "clamped"):
-        assert getattr(traj, field) == getattr(want, field), field
+    assert_same_trajectory(traj, list_stepper_reference(*case))
+
+
+# From three species on, a compensated sum can round a row of C otherwise
+# than a left-to-right + chain does.
+@pytest.mark.parametrize("n", range(3, UNROLL_LIMIT + 3))
+def test_integrate_equals_the_list_stepper_under_a_compensated_sum(
+        builtin_sum_compensated, n):
+    case = seeded_system(n, 2.0, 60 + n)
+    assert_same_trajectory(integrate(*case), list_stepper_reference(*case))
