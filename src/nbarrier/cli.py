@@ -112,11 +112,15 @@ def parse_grid(text: str) -> list:
     return [a + i * h for i in range(count)]
 
 
-def _emit_json(doc: dict, out: str | None):
+def _json_text(doc: dict) -> str:
     try:
-        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
         raise ValueError(f"result holds a NaN or infinite value ({exc})") from exc
+
+
+def _emit_json(doc: dict, out: str | None):
+    text = _json_text(doc)
     if out:
         try:
             Path(out).write_text(text)
@@ -199,14 +203,16 @@ def _solution_dict(sol) -> dict:
 
 def _cmd_exact(args) -> tuple:
     sol = _family_from_args(args)
+    if args.csv and not args.grid:
+        raise _Usage("--csv needs --grid")
     xs = parse_grid(args.grid) if args.grid else None
+    doc = _solution_dict(sol)
     if args.csv:
-        if xs is None:
-            raise _Usage("--csv needs --grid")
+        _json_text(doc)  # a document that cannot be emitted exits 1 before the CSV opens
         profile = sol.profile()
         rows = ([x] + list(profile.at(x).u) for x in xs)
         _write_csv(args.csv, ["x"] + [f"u{i + 1}" for i in range(profile.n)], rows)
-    return _solution_dict(sol), 0
+    return doc, 0
 
 
 def _default_residual_grid(args, sol) -> list:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from math import cos, pi, sin, tanh
 from typing import Callable, NamedTuple, Sequence
 
-from .model import (ReactionSpec, SystemSpec, compiled_kernel, reaction_args,
-                    reaction_source, source_tuple)
+from .kernels import residual_maxima
+from .model import ReactionSpec, SystemSpec
 
 
 class ProfilePoint(NamedTuple):
@@ -169,13 +169,14 @@ class CosSolution:
                           theta=0.0, reaction=reaction)
 
     def profile(self) -> Profile:
-        mu = float(self.mu)
-        levels = tuple((float(k), float(amp)) for k, amp in
-                       ((self.k1, self.m1), (self.k2, self.m2), (self.k3, self.m3)))
+        mu, k1, k2, k3 = float(self.mu), float(self.k1), float(self.k2), float(self.k3)
+        a1, a2, a3 = float(self.m1), float(self.m2), float(self.m3)
 
         def derivs(x):
             c, s = cos(mu * x), sin(mu * x)
-            return tuple((k + a * c, -a * mu * s, -a * mu * mu * c) for k, a in levels)
+            return ((k1 + a1 * c, -a1 * mu * s, -a1 * mu * mu * c),
+                    (k2 + a2 * c, -a2 * mu * s, -a2 * mu * mu * c),
+                    (k3 + a3 * c, -a3 * mu * s, -a3 * mu * mu * c))
 
         return Profile(n=3, m=2.0, derivs=derivs)
 
@@ -216,54 +217,14 @@ def cos_family(m1, m2, m3, mu, d1, d2, d3,
                        c11=c11, c22=c22, c33=c33, theta=0)
 
 
-def _residual_source(n: int, linear: bool) -> str:
-    """Source of the residual kernel for n species; linear means m == 1.
-
-    Per grid point the kernel unpacks derivs(x) into u_i, u_i', u_i'', binds
-    every reaction term, and then per species takes (u_i^m)'' by
-    _power_derivs' chain rule (grad first, then the u^(m-2) term), the
-    residual d_i (u_i^m)'' + theta u_i' + t_i and its running maximum, which
-    a NaN residual replaces and keeps.
-    """
-    bind, terms = reaction_source(n)
-    body = [f"{source_tuple('(u{0}, du{0}, ddu{0})', n)}= derivs(x)", *terms]
-    for i in range(n):
-        if linear:
-            ddum = f"ddu{i}"
-        else:
-            body.append(f"g{i} = m * u{i} ** m1")
-            ddum = f"(mm * u{i} ** m2 * du{i} * du{i} + g{i} * ddu{i})"
-        body += [f"r{i} = abs(d{i} * {ddum} + theta * du{i} + t{i})",
-                 f"if r{i} > w{i} or r{i} != r{i}:",
-                 f"    w{i} = r{i}"]
-    return "\n".join([
-        "def kernel(derivs, grid, m, theta, d, l, s, C):",
-        *("    " + line for line in bind),
-        f"    {source_tuple('d{}', n)}= d",
-        *([] if linear else ["    m1, m2, mm = m - 1.0, m - 2.0, m * (m - 1.0)"]),
-        f"    {source_tuple('w{}', n)}= {'0.0, ' * n}",
-        "    for x in grid:",
-        *("        " + line for line in body),
-        f"    return ({source_tuple('w{}', n)})",
-        ""])
-
-
 def residual(spec: SystemSpec, profile: Profile, grid: Sequence[float]) -> tuple:
     """Max absolute wave-equation residual per species over the grid.
 
-    Equation i residual at x is d_i (u_i^m)'' + theta u_i' + u_i^{l_i} f_i(u),
-    evaluated from the profile's analytic derivatives.  The grid loop is a
-    kernel compiled once per species count and per m == 1 or not
-    (model.compiled_kernel), straight-line code over scalars with the
-    coefficients as arguments.  It takes (u_i^m)'' by the chain rule
-    Profile.at uses, with the same operations in the same order, and the
-    reaction terms from model.reaction_source, which sums each row of C as
-    reaction_eval does; so each residual is the same float as the one built
-    from Profile.at and reaction_eval.  A species with a NaN residual at any
-    grid point reports NaN.
+    Equation i residual at x is d_i (u_i^m)'' + theta u_i' + u_i^{l_i} f_i(u)
+    with spec's own m, from the profile's analytic derivatives, by the
+    compiled kernel kernels.residual_maxima.  A species with a NaN residual
+    at any grid point reports NaN.
     """
     if profile.n != spec.n:
         raise ValueError("profile dimension does not match system")
-    kernel = compiled_kernel("residual", spec.n, profile.m == 1, _residual_source)
-    return kernel(profile.derivs, grid, profile.m, float(spec.theta),
-                  tuple(map(float, spec.d)), *reaction_args(spec))
+    return residual_maxima(spec, profile.derivs, grid)

@@ -4,21 +4,8 @@ A system couples n species through degenerate diffusion d_i (u_i^m)'' and
 Lotka-Volterra competition f_i(u) = sigma_i - sum_j c_ij u_j, entering the
 wave equation as u_i^{l_i} f_i(u).  This module holds the immutable spec
 types, the axis intercepts sigma_j / c_ji of the competition planes and the
-hull they bound, an exact check of the sign hypothesis H on a hull, and
-the builder of the compiled wave kernels that exact.residual and
-waves.integrate run.
-
-The wave kernels are Python source written per species count n and
-variant, compiled once and cached (compiled_kernel).  Their reaction terms
-u_i^{l_i} (sigma_i - sum_j c_ij u_j) are written in one place,
-reaction_source, with coefficients bound from arguments, so the source
-holds no parameter value and one kernel serves every spec with n species.
-Every row of C is added by builtin sum, as reaction_eval adds it, over the
-same products in the same order, so a term is the float reaction_eval's row
-gives on any interpreter (sum compensates its rounding from Python 3.12 on,
-where a + chain would not).  Up to UNROLL_LIMIT species the products are
-written out, sum((c0 * u0, c1 * u1, ...)); beyond it the row is
-sum(map(mul, row, u)), which keeps the source O(n).
+hull they bound, and an exact check of the sign hypothesis H on a hull.
+The compiled wave kernels live in kernels.
 
 Since C > 0, H holds on a hull exactly when every ulow_k is at most and
 every ubar_k at least each intercept on axis k, so the verdict compares the
@@ -32,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 from itertools import chain
 from math import isfinite
-from operator import mul
 from typing import Callable, Sequence
 
 REGION_REL_TOL = 1e-9      # relative tolerance for region membership
@@ -210,71 +196,6 @@ def reaction_eval(reaction: ReactionSpec, u: Sequence[float]) -> tuple:
         s - sum(c * uj for c, uj in zip(row, u))
         for s, row in zip(reaction.sigma, reaction.C)
     )
-
-
-# Rows of C are summed over written-out products up to this many species, and
-# with sum(map(mul, ...)) over one state tuple beyond it.  The written-out row
-# is the faster one at every n measured (2 to 24: an RK4 step 10-35% faster),
-# but it makes the source O(n^2) long and its compile time grows with it (an
-# RK4 kernel at n = 24: 16-18 ms, against 6-7 ms), so above 8 species the
-# source is kept O(n); at n = 8 the written-out rows cost about 1 ms more.
-UNROLL_LIMIT = 8
-
-_KERNELS: dict = {}
-
-
-def source_tuple(fmt: str, n: int) -> str:
-    """fmt.format(i) for i < n as a tuple display, with its trailing comma."""
-    return "".join(fmt.format(i) + ", " for i in range(n))
-
-
-def reaction_args(spec: SystemSpec) -> tuple:
-    """(l, sigma, C) of spec as float tuples, the arguments reaction_source binds."""
-    reaction = spec.reaction
-    return (tuple(map(float, spec.l)), tuple(map(float, reaction.sigma)),
-            tuple(tuple(map(float, row)) for row in reaction.C))
-
-
-def reaction_source(n: int) -> tuple:
-    """Kernel source lines for the n reaction terms u_i^{l_i} f_i(u): (bind, terms).
-
-    bind unpacks the arguments l, s and C (reaction_args) into scalars
-    l0.., s0.. and the rows of C; terms reads a state u0..u{n-1} and binds
-    t0..t{n-1}.  Up to UNROLL_LIMIT species row i is
-    sum((c{i}_0 * u0, c{i}_1 * u1, ...)), beyond it sum(map(mul, C{i}, U)):
-    builtin sum over the products reaction_eval's row sums, in its order, so
-    a term is the same float as the one reaction_eval gives, however the
-    interpreter's sum rounds.  No coefficient enters the source.
-    """
-    rows = range(n)
-    bind = [f"{source_tuple('l{}', n)}= l", f"{source_tuple('s{}', n)}= s"]
-    if n <= UNROLL_LIMIT:
-        bind.append("".join(f"({source_tuple(f'c{i}_{{}}', n)}), " for i in rows) + "= C")
-        sums = [f"sum(({source_tuple(f'c{i}_{{0}} * u{{0}}', n)}))" for i in rows]
-        terms = []
-    else:
-        bind.append(f"{source_tuple('C{}', n)}= C")
-        sums = [f"sum(map(mul, C{i}, U))" for i in rows]
-        terms = [f"U = ({source_tuple('u{}', n)})"]
-    terms += [f"t{i} = u{i} ** l{i} * (s{i} - {sums[i]})" for i in rows]
-    return bind, terms
-
-
-def compiled_kernel(kind: str, n: int, variant: bool,
-                    write: Callable[[int, bool], str]) -> Callable:
-    """The function named kernel in write(n, variant), compiled once per
-    (kind, n, variant) and cached.
-
-    The source may read mul; everything else a kernel uses is an argument,
-    so one compiled kernel serves every spec with n species.
-    """
-    key = (kind, n, variant)
-    kernel = _KERNELS.get(key)
-    if kernel is None:
-        namespace = {"mul": mul}
-        exec(compile(write(n, variant), f"<{kind} kernel, n = {n}>", "exec"), namespace)
-        kernel = _KERNELS[key] = namespace["kernel"]
-    return kernel
 
 
 def axis_intercepts(sigma: Sequence[float], C: Sequence[Sequence[float]]) -> list:

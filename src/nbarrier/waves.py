@@ -6,16 +6,9 @@ singular at u_i = 0, so integration stops at a small positivity floor rather
 than stepping into the degenerate set.  Stepping is classical fixed-step
 RK4 on Python floats; outputs are bit-reproducible for identical inputs.
 
-One RK4 step is a kernel compiled once per species count n and per
-m > 1 or not (model.compiled_kernel): straight-line code over scalars
-u0.., w0.. and stage derivatives, with the reaction terms written by
-model.reaction_source and every coefficient an argument.  It performs the
-operations of the list stepper it replaced, in the same order (each stage
-state, the floor check, every u_i', every reaction term, every w_i', then
-the combine and its floor check), so trajectories are bit-identical to it.
-The loop stores one state tuple y = (u.., w..) per grid point, and the
-stored history is one array split once into its column halves,
-Trajectory.u and .w.
+One RK4 step is the compiled kernel kernels.rk4_stepper.  The loop stores
+one state tuple y = (u.., w..) per grid point, and the stored history is
+one array split once into its column halves, Trajectory.u and .w.
 
 numpy only builds the stored Trajectory arrays, once after the loop, and
 re-runs on float64 scalars a step whose float arithmetic overflowed or
@@ -31,11 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .bounds import BoundsResult
-from .model import (SystemSpec, compiled_kernel, reaction_args, reaction_source,
-                    source_tuple)
+from .kernels import rk4_stepper
+from .model import SystemSpec
 
 if TYPE_CHECKING:
     import numpy as np
@@ -72,62 +65,6 @@ class Trajectory:
     @property
     def n(self) -> int:
         return self.u.shape[1]
-
-
-def _rk4_source(n: int, degenerate: bool) -> str:
-    """Source of the RK4 kernel for n species; degenerate means m > 1.
-
-    kernel binds the coefficients and returns step(y, h), one RK4 step of
-    the state y = (u_0.., w_0..).  Stage s writes its state to scalars u_i,
-    w_i and binds its derivatives ks_0..ks_{2n-1}: when degenerate it raises
-    FloorHit if some u_i is below the floor, then takes
-    u_i' = w_i / (m u_i^(m-1)) (u_i' = w_i at m = 1) for every species,
-    then every reaction term, then w_i' = (-theta u_i' - t_i) / d_i.
-    """
-    bind, terms = reaction_source(n)
-
-    def below(name):
-        return " or ".join(f"{name}{i} < floor" for i in range(n))
-
-    rng2 = range(2 * n)
-    body = [f"{source_tuple('y{}', 2 * n)}= {source_tuple('u{}', n)}"
-            f"{source_tuple('w{}', n)}= y",
-            "half = 0.5 * h"]
-    for stage, coef in enumerate((None, "half", "half", "h"), 1):
-        if coef:
-            body += [f"{'u' if j < n else 'w'}{j % n} = y{j} + {coef} * k{stage - 1}_{j}"
-                     for j in rng2]
-        if degenerate:
-            body.append(f"if {below('u')}:")
-            body.append("    raise FloorHit")
-            body += [f"k{stage}_{i} = w{i} / (m * u{i} ** m1)" for i in range(n)]
-        else:
-            body += [f"k{stage}_{i} = w{i}" for i in range(n)]
-        body += terms
-        body += [f"k{stage}_{n + i} = (ntheta * k{stage}_{i} - t{i}) / d{i}"
-                 for i in range(n)]
-    body.append("sixth = h / 6.0")
-    body += [f"z{j} = y{j} + sixth * (k1_{j} + 2.0 * k2_{j} + 2.0 * k3_{j} + k4_{j})"
-             for j in rng2]
-    if degenerate:
-        body += [f"if {below('z')}:", "    raise FloorHit"]
-    body.append(f"return ({source_tuple('z{}', 2 * n)})")
-    return "\n".join([
-        "def kernel(FloorHit, floor, m, theta, d, l, s, C):",
-        *("    " + line for line in bind),
-        f"    {source_tuple('d{}', n)}= d",
-        "    m1, ntheta = m - 1.0, -theta" if degenerate else "    ntheta = -theta",
-        "    def step(y, h):",
-        *("        " + line for line in body),
-        "    return step",
-        ""])
-
-
-def _stepper(spec: SystemSpec) -> Callable:
-    """The compiled RK4 step (y, h) -> y' of spec, y = (u_0.., w_0..)."""
-    kernel = compiled_kernel("rk4", spec.n, spec.m > 1, _rk4_source)
-    return kernel(_FloorHit, POSITIVITY_FLOOR, spec.m, float(spec.theta),
-                  tuple(map(float, spec.d)), *reaction_args(spec))
 
 
 def integrate(spec: SystemSpec, u0: Sequence[float], w0: Sequence[float],
@@ -181,7 +118,7 @@ def integrate(spec: SystemSpec, u0: Sequence[float], w0: Sequence[float],
         raise ValueError("alpha length must match the system")
     alpha_vec = np.asarray(alpha, dtype=float)
 
-    step_rk4 = _stepper(spec)
+    step_rk4 = rk4_stepper(spec, _FloorHit, POSITIVITY_FLOOR)
     xs = [x0]
     ys = [(*map(float, u0), *map(float, w0))]
     reason = None

@@ -570,6 +570,30 @@ def test_simulate_refuses_a_csv_whose_q_column_overflows(capsys, tmp_path):
     assert not csv_path.exists()
 
 
+# The README tanh member's coefficients with m = 3 or m = 1: the profile solves
+# only the m = 2 system, so a check against these must fail.
+@pytest.mark.parametrize("m", [3, 1])
+def test_residual_checks_the_profile_against_the_spec_m(capsys, m):
+    spec = json.dumps({"n": 2, "m": m, "d": [3, 4], "l": [2, 2], "theta": 0,
+                       "sigma": [240, 32], "C": [[1, 27], [0.4, 2]]})
+    code, out, _ = run(capsys, "residual", "tanh", "--d1", "3", "--d2", "4",
+                       "--c11", "1", "--c22", "2", "--spec", spec)
+    assert code == 3
+    doc = json.loads(out)
+    assert not doc["ok"] and max(doc["residuals"]) > 1e-8
+
+
+def test_exact_csv_is_not_written_when_the_document_is_not_finite(capsys, tmp_path):
+    # k1 = 20 d1 / c11 overflows to inf, so the command exits 1.
+    csv_path = tmp_path / "profile.csv"
+    code, out, err = run(capsys, "exact", "tanh", "--d1", "1e300", "--d2", "1",
+                         "--c11", "1e-10", "--c22", "1", "--grid=0:1:0.5",
+                         "--csv", str(csv_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: result holds a NaN or infinite value")
+    assert not csv_path.exists()
+
+
 def test_residual_of_a_member_with_nan_residuals_exits_1(capsys):
     code, out, err = run(capsys, "residual", "tanh", "--d1", "1e102", "--d2", "4",
                          "--c11", "1", "--c22", "2")

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from types import SimpleNamespace
@@ -11,7 +12,7 @@ import pytest
 from nbarrier import (ReactionSpec, SystemSpec, cos_family, reaction_eval, residual,
                       tanh_family)
 from nbarrier.exact import Profile
-from nbarrier.model import UNROLL_LIMIT
+from nbarrier.kernels import UNROLL_LIMIT
 
 from conftest import COS_ARGS
 
@@ -211,6 +212,18 @@ SINE_GRID = [-5.0 + k * 0.05 for k in range(201)]
 def test_residual_equals_the_profile_point_route_bit_for_bit(sol, grid):
     spec, profile = sol.system(), sol.profile()
     assert residual(spec, profile, grid) == residual_via_profile_points(spec, profile, grid)
+
+
+# The tanh front solves its system at m = 2 only; given the same coefficients
+# with another m, residual must use that m, not the profile's.
+@pytest.mark.parametrize("m", [3.0, 1.0])
+def test_residual_takes_m_from_the_system(tanh_sol, m):
+    spec = replace(tanh_sol.system(), m=m)
+    profile = tanh_sol.profile()
+    grid = [-20.0 + i * 0.01 for i in range(4001)]
+    worst = residual(spec, profile, grid)
+    assert worst == residual_via_profile_points(spec, replace(profile, m=m), grid)
+    assert min(worst) > 1e-8
 
 
 # From three species on, a compensated sum can round a row of C otherwise

@@ -7,13 +7,12 @@ import re
 
 import pytest
 
-from nbarrier import ReactionSpec, SystemSpec, integrate, model, residual
-from nbarrier.exact import Profile, _residual_source
-from nbarrier.model import UNROLL_LIMIT
-from nbarrier.waves import _rk4_source
+from nbarrier import ReactionSpec, SystemSpec, integrate, kernels, residual
+from nbarrier.exact import Profile
+from nbarrier.kernels import UNROLL_LIMIT, _residual_source, _rk4_source
 
 WRITERS = [(_residual_source, False), (_residual_source, True),
-           (_rk4_source, False), (_rk4_source, True)]
+           (_rk4_source, True), (_rk4_source, False)]
 WRITER_IDS = ["residual", "residual-m1", "rk4-m1", "rk4-degenerate"]
 
 
@@ -28,7 +27,7 @@ def drawn_system(rng, n, m):
 
 
 def test_specs_with_one_species_count_share_one_kernel_per_variant(monkeypatch):
-    monkeypatch.setattr(model, "_KERNELS", {})
+    monkeypatch.setattr(kernels, "_KERNELS", {})
     rng = random.Random(5)
     for k in range(50):
         m = (1.0, 1.5, 2.0, 3.0)[k % 4]
@@ -38,8 +37,8 @@ def test_specs_with_one_species_count_share_one_kernel_per_variant(monkeypatch):
             (a + 0.1 * math.sin(x), 0.1 * math.cos(x), -0.1 * math.sin(x)) for a in levels))
         residual(spec, profile, [0.0, 0.5, 1.0])
         integrate(spec, levels, (0.0,) * 4, (0.0, 0.05), 0.01)
-    assert sorted(model._KERNELS) == [("residual", 4, False), ("residual", 4, True),
-                                      ("rk4", 4, False), ("rk4", 4, True)]
+    assert sorted(kernels._KERNELS) == [("residual", 4, False), ("residual", 4, True),
+                                        ("rk4", 4, False), ("rk4", 4, True)]
 
 
 @pytest.mark.parametrize("write, variant", WRITERS, ids=WRITER_IDS)

@@ -151,5 +151,4 @@ def test_only_the_kernel_builder_compiles_source():
         calls = sorted(calls_that_run_source(ast.parse(path.read_text(), filename=str(path))))
         if calls:
             found[path.name] = calls
-    assert found == {"model.py": [("compiled_kernel", "compile"),
-                                  ("compiled_kernel", "exec")]}
+    assert found == {"kernels.py": [("_bind", "compile"), ("_bind", "exec")]}

@@ -21,7 +21,7 @@ from nbarrier import (
     integrate,
 )
 from nbarrier import waves
-from nbarrier.model import UNROLL_LIMIT
+from nbarrier.kernels import UNROLL_LIMIT
 from nbarrier.waves import MAX_STEPS, POSITIVITY_FLOOR, flux_balance_defect
 
 LV = SystemSpec(n=2, m=1.0, d=(1.0, 1.0), l=(1.0, 1.0), theta=0.7,
@@ -343,10 +343,10 @@ def test_stepping_stops_at_the_first_non_finite_state(monkeypatch):
     spec = replace(LV, l=(1.5, 1.5), theta=0.0,
                    reaction=ReactionSpec(sigma=(1.0, 1.0), C=((1.0, 0.5), (0.4, 1.2))))
     calls = 0
-    make_step = waves._stepper
+    make_step = waves.rk4_stepper
 
-    def counting_stepper(spec):
-        step = make_step(spec)
+    def counting_stepper(*args):
+        step = make_step(*args)
 
         def counted(y, h):
             nonlocal calls
@@ -355,7 +355,7 @@ def test_stepping_stops_at_the_first_non_finite_state(monkeypatch):
 
         return counted
 
-    monkeypatch.setattr(waves, "_stepper", counting_stepper)
+    monkeypatch.setattr(waves, "rk4_stepper", counting_stepper)
     traj = integrate(spec, (0.1, 0.1), (-1.0, -1.0), (0.0, 100.0), 0.001)
     assert traj.truncation_reason == "non-finite state at x = 0.1"
     assert len(traj.xs) == 100
