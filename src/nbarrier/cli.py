@@ -6,10 +6,11 @@ stdout or --out; CSV side outputs are written only when requested, before
 the document is emitted.  Exit codes: 0 success, 1 domain error (including
 NaN or infinite parameters, document keys that are unknown or of the wrong
 type, arithmetic overflow or underflow, and a result that would put NaN or
-infinity into the JSON), 2 usage error (bad flags, malformed JSON, a
-non-finite --alpha, --u0 or --w0 entry or family flag, a --tol that is not
-positive and finite, a bad or oversized --grid, a barrier --samples whose
-curve lattice is oversized, an unreadable input or unwritable output path),
+infinity into the JSON or into a --csv cell), 2 usage error (bad flags,
+malformed JSON, a non-finite --alpha, --u0 or --w0 entry or family flag, a
+--tol that is not positive and finite, a bad or oversized --grid, a barrier
+--samples whose curve lattice is oversized, an unreadable input or
+unwritable output path),
 3 computation succeeded but a verification check failed.  All output is
 deterministic; floats use shortest round-trip formatting.
 """
@@ -142,6 +143,16 @@ def _write_csv(path: str, header: list, rows) -> None:
         raise _Usage(f"cannot write {path}: {exc}") from exc
 
 
+def _refuse_non_finite_cells(names: list, rows, why: str) -> None:
+    """Raise a ValueError at the first row (x, v1, ...) whose value under
+    names (one per v) is NaN or infinite; run before the CSV is opened, so
+    a refused file is not left half written."""
+    for x, *values in rows:
+        for name, value in zip(names, values):
+            if not math.isfinite(value):
+                raise ValueError(f"--csv column {name} is not finite at x = {float(x)!r}; {why}")
+
+
 def _spec_and_alpha(args) -> tuple:
     spec = system_from_dict(_load_json(args.spec))
     alpha = _parse_floats(args.alpha, "--alpha")
@@ -210,8 +221,13 @@ def _cmd_exact(args) -> tuple:
     if args.csv:
         _json_text(doc)  # a document that cannot be emitted exits 1 before the CSV opens
         profile = sol.profile()
-        rows = ([x] + list(profile.at(x).u) for x in xs)
-        _write_csv(args.csv, ["x"] + [f"u{i + 1}" for i in range(profile.n)], rows)
+        header = ["x"] + [f"u{i + 1}" for i in range(profile.n)]
+
+        def rows():
+            return ([x, *(state[0] for state in profile.derivs(x))] for x in xs)
+
+        _refuse_non_finite_cells(header[1:], rows(), "the profile overflows floating point")
+        _write_csv(args.csv, header, rows())
     return doc, 0
 
 
@@ -259,11 +275,8 @@ def _cmd_simulate(args) -> tuple:
         if not report.ok:
             code = 3
     if args.csv:
-        for x, p, q in zip(traj.xs, traj.p, traj.q):
-            for name, value in (("p", p), ("q", q)):
-                if not math.isfinite(value):
-                    raise ValueError(f"--csv column {name} is not finite at x = {float(x)!r}; "
-                                     "the weighted total overflows floating point")
+        _refuse_non_finite_cells(["p", "q"], zip(traj.xs, traj.p, traj.q),
+                                 "the weighted total overflows floating point")
         n = traj.n
         header = (["x"] + [f"u{i + 1}" for i in range(n)]
                   + [f"w{i + 1}" for i in range(n)] + ["p", "q"])

@@ -223,8 +223,11 @@ def residual(spec: SystemSpec, profile: Profile, grid: Sequence[float]) -> tuple
     Equation i residual at x is d_i (u_i^m)'' + theta u_i' + u_i^{l_i} f_i(u)
     with spec's own m, from the profile's analytic derivatives, by the
     compiled kernel kernels.residual_maxima.  A species with a NaN residual
-    at any grid point reports NaN.
+    at any grid point reports NaN.  An empty grid is refused, as it would
+    report a residual of 0.0 over no points.
     """
     if profile.n != spec.n:
         raise ValueError("profile dimension does not match system")
+    if len(grid) == 0:
+        raise ValueError("residual needs a grid of at least one point, got an empty grid")
     return residual_maxima(spec, profile.derivs, grid)

@@ -9,13 +9,19 @@ constants derived from m, and one binder passes them from the spec and picks
 the variant from spec.m, so one kernel serves every spec with n species.
 
 Every row of C in a reaction term u_i^{l_i} (sigma_i - sum_j c_ij u_j) is
-added by builtin sum, as reaction_eval adds it, over the same products in
-the same order, so a term is the float reaction_eval gives on any
-interpreter (sum compensates its rounding from Python 3.12 on, where a +
-chain would not).  The residual takes (u_i^m)'' by the chain rule of
-Profile.at, and the RK4 step performs the operations of the list stepper it
-replaced, in the same order, so both give the floats of those routes bit
-for bit.
+added over the products reaction_eval adds, in its order, and rounds as its
+builtin sum does on any interpreter.  A row of one or two products is the
++ chain (0.0 + c_i0 u_0 + c_i1 u_1); a row of three up to UNROLL_LIMIT is
+sum((c_i0 u_0, ...)); a longer row is sum(map(mul, C_i, U)).  The chain is
+exact for one or two addends: plain sum (Python 3.11 and earlier) is that
+chain, 0.0 being its start, and the compensated sum of Python 3.12 on adds
+the first addend a to 0.0 exactly and keeps for the second, b, the exact
+rounding error of fl(a + b), which added back rounds to fl(a + b) again (a
+non-finite one it drops).  From three addends on the two can round
+differently, so those rows stay with sum.  The
+residual takes (u_i^m)'' by the chain rule of Profile.at, and the RK4 step
+performs the operations of the list stepper it replaced, in the same order,
+so both give the floats of those routes bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +32,8 @@ from typing import TYPE_CHECKING, Callable, Sequence
 if TYPE_CHECKING:
     from .model import SystemSpec
 
-# Rows of C are summed over written-out products up to this many species, and
+# Rows of C are added over written-out products up to this many species (as
+# a + chain for one or two, by sum over a tuple display for three on), and
 # with sum(map(mul, ...)) over one state tuple beyond it.  The written-out row
 # is the faster one at every n measured (2 to 24: an RK4 step 10-35% faster),
 # but it makes the source O(n^2) long and its compile time grows with it (an
@@ -64,11 +71,16 @@ def _kernel(head: str, n: int, linear: bool, body: list) -> str:
 
 def _reaction_terms(n: int) -> list:
     """Lines that read a state u0..u{n-1} and bind the reaction terms t0..;
-    row i of C is sum((c{i}_0 * u0, ...)), or sum(map(mul, C{i}, U)) beyond
-    UNROLL_LIMIT species."""
-    if n <= UNROLL_LIMIT:
+    row i of C is (0.0 + c{i}_0 * u0 + c{i}_1 * u1) for n <= 2, which rounds
+    as sum does with one or two addends under plain and compensated sum
+    alike, sum((c{i}_0 * u0, ...)) up to UNROLL_LIMIT species, and
+    sum(map(mul, C{i}, U)) beyond."""
+    lines = []
+    if n <= 2:
+        sums = ["(0.0" + "".join(f" + c{i}_{j} * u{j}" for j in range(n)) + ")"
+                for i in range(n)]
+    elif n <= UNROLL_LIMIT:
         sums = [f"sum(({_tuple(f'c{i}_{{0}} * u{{0}}', n)}))" for i in range(n)]
-        lines = []
     else:
         sums = [f"sum(map(mul, C{i}, U))" for i in range(n)]
         lines = [f"U = ({_tuple('u{}', n)})"]

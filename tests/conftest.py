@@ -4,6 +4,7 @@ and builtin sum with the rounding it has from Python 3.12 on."""
 import builtins
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -56,3 +57,43 @@ def builtin_sum_compensated(monkeypatch):
     that must agree bit for bit are compared under the rounding sum has on
     Python 3.12 and later."""
     monkeypatch.setattr(builtins, "sum", compensated_sum)
+
+
+@pytest.fixture(params=["plain-sum", "compensated-sum"])
+def each_sum(request):
+    """Runs a test once with builtin sum as it is and once under
+    builtin_sum_compensated."""
+    if request.param == "compensated-sum":
+        request.getfixturevalue("builtin_sum_compensated")
+
+
+# Rows of C for the kernel routes to add as builtin sum does, as their row
+# products; a row of n products is read at n species.  The one- and
+# two-product rows are the cases where a + chain written otherwise than from
+# 0.0 could differ from sum: a sign of zero, an exact cancellation, an
+# overflow and non-finite addends.  The three-product row is one that a +
+# chain (1.0) and a compensated sum (1.0000000000000002) round apart.
+_EDGE_PAIRS = {
+    "minus-zeros": (-0.0, -0.0),
+    "cancelling": (0.3, -0.3),
+    "overflowing": (1e308, 1e308),
+    "inf-minus-inf": (math.inf, -math.inf),
+    "nan": (math.nan, 1.0),
+}
+EDGE_ROWS = {
+    **{f"n{n}-{name}": pair[:n] for n in (1, 2) for name, pair in _EDGE_PAIRS.items()},
+    "n3-rounded-apart": (1.0, 1e-16, 1e-16),
+}
+
+
+def unchecked_system(n, m):
+    """The fields of an n-species SystemSpec with exponent m, unit d, l and C,
+    theta = -1 and sigma = -0.0, without SystemSpec's checks.
+
+    The kernels and the test oracles read only these fields.  A valid sigma
+    is positive and hides the sign of a zero row in sigma_i - row; -0.0 lets
+    it through to the result.
+    """
+    reaction = SimpleNamespace(n=n, sigma=(-0.0,) * n, C=((1.0,) * n,) * n)
+    return SimpleNamespace(n=n, m=m, d=(1.0,) * n, l=(1.0,) * n, theta=-1.0,
+                           reaction=reaction)

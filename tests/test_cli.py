@@ -594,6 +594,18 @@ def test_exact_csv_is_not_written_when_the_document_is_not_finite(capsys, tmp_pa
     assert not csv_path.exists()
 
 
+def test_exact_refuses_a_csv_whose_profile_overflows(capsys, tmp_path):
+    # k1 = 1e308 is finite, so the document is; k1 (1 - tanh x)^2 is not.
+    csv_path = tmp_path / "profile.csv"
+    code, out, err = run(capsys, "exact", "tanh", "--d1", "5e296", "--d2", "1",
+                         "--c11", "1e-10", "--c22", "1", "--grid=-20:-19:0.5",
+                         "--csv", str(csv_path))
+    assert (code, out) == (1, "")
+    assert err == ("error: --csv column u1 is not finite at x = -20.0; "
+                   "the profile overflows floating point\n")
+    assert not csv_path.exists()
+
+
 def test_residual_of_a_member_with_nan_residuals_exits_1(capsys):
     code, out, err = run(capsys, "residual", "tanh", "--d1", "1e102", "--d2", "4",
                          "--c11", "1", "--c22", "2")

@@ -7,6 +7,7 @@ from fractions import Fraction
 from itertools import product
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from nbarrier import (ReactionSpec, SystemSpec, cos_family, reaction_eval, residual,
@@ -14,7 +15,7 @@ from nbarrier import (ReactionSpec, SystemSpec, cos_family, reaction_eval, resid
 from nbarrier.exact import Profile
 from nbarrier.kernels import UNROLL_LIMIT
 
-from conftest import COS_ARGS
+from conftest import COS_ARGS, EDGE_ROWS, unchecked_system
 
 
 def test_tanh_coefficient_ties():
@@ -50,6 +51,18 @@ def test_tanh_residual_vanishes(tanh_sol):
     grid = [-20 + k * 0.01 for k in range(4001)]
     worst = residual(tanh_sol.system(), tanh_sol.profile(), grid)
     assert max(worst) < 1e-8
+
+
+@pytest.mark.parametrize("grid", [[], (), np.array([])], ids=["list", "tuple", "array"])
+def test_residual_refuses_an_empty_grid(tanh_sol, grid):
+    with pytest.raises(ValueError, match="empty grid"):
+        residual(tanh_sol.system(), tanh_sol.profile(), grid)
+
+
+def test_residual_reads_a_numpy_grid(tanh_sol):
+    grid = [-1.0, 0.0, 1.0]
+    spec, profile = tanh_sol.system(), tanh_sol.profile()
+    assert residual(spec, profile, np.array(grid)) == residual(spec, profile, grid)
 
 
 def test_a_nan_residual_is_reported_as_the_maximum():
@@ -150,7 +163,8 @@ def test_residual_rejects_mismatched_profile(tanh_sol, cos_sol):
 
 
 def residual_via_profile_points(spec, profile, grid):
-    """The residual built from Profile.at and reaction_eval, point by point."""
+    """The residual built from Profile.at and reaction_eval, point by point;
+    a NaN residual is kept as the maximum, as residual keeps it."""
     worst = [0.0] * spec.n
     for x in grid:
         pt = profile.at(x)
@@ -159,8 +173,9 @@ def residual_via_profile_points(spec, profile, grid):
             res = (spec.d[i] * pt.ddum[i]
                    + spec.theta * pt.du[i]
                    + pt.u[i] ** spec.l[i] * f[i])
-            if abs(res) > worst[i]:
-                worst[i] = abs(res)
+            r = abs(res)
+            if r > worst[i] or r != r:
+                worst[i] = r
     return tuple(worst)
 
 
@@ -226,11 +241,24 @@ def test_residual_takes_m_from_the_system(tanh_sol, m):
     assert min(worst) > 1e-8
 
 
-# From three species on, a compensated sum can round a row of C otherwise
-# than a left-to-right + chain does.
-@pytest.mark.parametrize("n", range(3, UNROLL_LIMIT + 3))
+# The kernel writes a row of one or two products as a + chain from 0.0, which
+# a compensated sum matches: its first addend joins 0.0 exactly, and the
+# compensation it keeps for the second is the rounding error of fl(a + b),
+# which added back rounds to fl(a + b).  From three species on the two can
+# round a row differently, so the kernel sums those rows with sum.
+@pytest.mark.parametrize("n", range(1, UNROLL_LIMIT + 3))
 def test_residual_routes_agree_under_a_compensated_sum(builtin_sum_compensated, n):
     member = sine_member(n, 2.0, 20 + n)
     spec, profile = member.system(), member.profile()
     assert (residual(spec, profile, SINE_GRID)
             == residual_via_profile_points(spec, profile, SINE_GRID))
+
+
+@pytest.mark.parametrize("products", list(EDGE_ROWS.values()), ids=list(EDGE_ROWS))
+@pytest.mark.parametrize("m", [1.0, 2.0])
+def test_residual_adds_edge_rows_as_sum_does(each_sum, m, products):
+    n = len(products)
+    spec = unchecked_system(n, m)
+    profile = Profile(n=n, m=m, derivs=lambda x: tuple((u, 0.5, 0.25) for u in products))
+    assert (repr(residual(spec, profile, [0.0]))
+            == repr(residual_via_profile_points(spec, profile, [0.0])))

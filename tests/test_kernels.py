@@ -67,3 +67,16 @@ def test_kernel_source_nests_no_deeper_as_n_grows(write, variant):
     assert ast_depth(tree) <= max(ast_depth(ast.parse(write(k, variant)))
                                   for k in (2, UNROLL_LIMIT + 1))
     compile(tree, "<kernel>", "exec")
+
+
+@pytest.mark.parametrize("write, variant", WRITERS, ids=WRITER_IDS)
+def test_only_rows_of_one_or_two_products_are_a_plus_chain(write, variant):
+    # A compensated sum (Python 3.12 on) rounds one or two addends as a +
+    # chain from 0.0 does, but may round three or more otherwise.
+    for n in (1, 2):
+        source = write(n, variant)
+        assert "sum(" not in source and "(0.0 + c0_0 * u0" in source, n
+    for n in range(3, UNROLL_LIMIT + 1):
+        rows = re.findall(r"\bt(\d+) = (.*)", write(n, variant))
+        assert {int(i) for i, _ in rows} == set(range(n)), n
+        assert all(" - sum((" in row and " + " not in row for _, row in rows), n

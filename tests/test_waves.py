@@ -20,9 +20,11 @@ from nbarrier import (
     hull_intercepts,
     integrate,
 )
-from nbarrier import waves
+from nbarrier import kernels, waves
 from nbarrier.kernels import UNROLL_LIMIT
 from nbarrier.waves import MAX_STEPS, POSITIVITY_FLOOR, flux_balance_defect
+
+from conftest import EDGE_ROWS, unchecked_system
 
 LV = SystemSpec(n=2, m=1.0, d=(1.0, 1.0), l=(1.0, 1.0), theta=0.7,
                 reaction=ReactionSpec(sigma=(1.0, 1.0),
@@ -363,33 +365,17 @@ def test_stepping_stops_at_the_first_non_finite_state(monkeypatch):
     assert calls == len(traj.xs)
 
 
-def list_stepper_reference(spec, u0, w0, x_span, step, alpha=None):
-    """integrate as it stepped before its compiled kernel: RK4 on lists.
-
-    The state is one list y = u + w of 2n floats, each stage one pass over
-    it, and the reaction terms a closure over the rows of C.  integrate's
-    input checks are left out.  Returns a Trajectory.
-    """
+def list_rk4_step(spec, floor_hit):
+    """One RK4 step (y, h) -> y' of spec on a list y = u + w of 2n floats,
+    each stage one pass over it, the reaction terms a closure over the rows
+    of C; when m > 1 it raises floor_hit below the positivity floor."""
     n = spec.n
-    x0, x1 = float(x_span[0]), float(x_span[1])
-    span = x1 - x0
-    full = span / step + 1e-9
-    n_full = int(min(full, MAX_STEPS + 1))
-    remainder = span - n_full * step
-    n_steps = n_full + (remainder > step * 1e-9)
-    if alpha is None:
-        alpha = (1.0,) * n
-    alpha_vec = np.asarray(alpha, dtype=float)
-
     m = spec.m
     theta = float(spec.theta)
     d = tuple(map(float, spec.d))
     rows = tuple((float(li), float(s), tuple(map(float, row)))
                  for li, s, row in zip(spec.l, spec.reaction.sigma, spec.reaction.C))
     degenerate = m > 1
-
-    class FloorHit(Exception):
-        pass
 
     def terms(u):
         return [ui ** li * (s - sum(map(operator.mul, row, u)))
@@ -399,7 +385,7 @@ def list_stepper_reference(spec, u0, w0, x_span, step, alpha=None):
         u, w = y[:n], y[n:]
         if degenerate:
             if any(ui < POSITIVITY_FLOOR for ui in u):
-                raise FloorHit
+                raise floor_hit
             du = [wi / (m * ui ** (m - 1.0)) for wi, ui in zip(w, u)]
         else:
             du = w
@@ -415,9 +401,32 @@ def list_stepper_reference(spec, u0, w0, x_span, step, alpha=None):
         y_next = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
                   for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
         if degenerate and any(ui < POSITIVITY_FLOOR for ui in y_next[:n]):
-            raise FloorHit
+            raise floor_hit
         return y_next
 
+    return rk4_step
+
+
+def list_stepper_reference(spec, u0, w0, x_span, step, alpha=None):
+    """integrate as it stepped before its compiled kernel: list_rk4_step
+    over the span.  integrate's input checks are left out.  Returns a
+    Trajectory.
+    """
+    n = spec.n
+    x0, x1 = float(x_span[0]), float(x_span[1])
+    span = x1 - x0
+    full = span / step + 1e-9
+    n_full = int(min(full, MAX_STEPS + 1))
+    remainder = span - n_full * step
+    n_steps = n_full + (remainder > step * 1e-9)
+    if alpha is None:
+        alpha = (1.0,) * n
+    alpha_vec = np.asarray(alpha, dtype=float)
+
+    class FloorHit(Exception):
+        pass
+
+    rk4_step = list_rk4_step(spec, FloorHit)
     xs = [x0]
     ys = [[*map(float, u0), *map(float, w0)]]
     reason = None
@@ -452,7 +461,7 @@ def list_stepper_reference(spec, u0, w0, x_span, step, alpha=None):
         u_arr = np.maximum(u_arr, 0.0)
     with np.errstate(all="ignore"):
         p_arr = u_arr @ alpha_vec
-        q_arr = (u_arr ** m) @ (alpha_vec * np.array(d))
+        q_arr = (u_arr ** spec.m) @ (alpha_vec * np.array(spec.d, dtype=float))
     return waves.Trajectory(xs=np.array(xs), u=u_arr, w=w_arr, p=p_arr, q=q_arr,
                             alpha=tuple(alpha), truncated=reason is not None,
                             truncation_reason=reason, clamped=clamped)
@@ -518,10 +527,33 @@ def test_integrate_equals_the_list_stepper_bit_for_bit(tanh_sol, cos_sol, name):
     assert_same_trajectory(traj, list_stepper_reference(*case))
 
 
-# From three species on, a compensated sum can round a row of C otherwise
-# than a left-to-right + chain does.
-@pytest.mark.parametrize("n", range(3, UNROLL_LIMIT + 3))
+# The kernel writes a row of one or two products as a + chain from 0.0, which
+# a compensated sum matches: its first addend joins 0.0 exactly, and the
+# compensation it keeps for the second is the rounding error of fl(a + b),
+# which added back rounds to fl(a + b).  From three species on the two can
+# round a row differently, so the kernel sums those rows with sum.
+@pytest.mark.parametrize("n", range(1, UNROLL_LIMIT + 3))
 def test_integrate_equals_the_list_stepper_under_a_compensated_sum(
         builtin_sum_compensated, n):
     case = seeded_system(n, 2.0, 60 + n)
     assert_same_trajectory(integrate(*case), list_stepper_reference(*case))
+
+
+def outcome(f, *args):
+    """repr of f(*args), or the name of the exception it raises."""
+    try:
+        return repr(f(*args))
+    except Exception as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("products", list(EDGE_ROWS.values()), ids=list(EDGE_ROWS))
+def test_rk4_step_adds_edge_rows_as_sum_does(each_sum, products):
+    # The first stage state has these row products; its fluxes are -0.0.
+    n = len(products)
+    spec = unchecked_system(n, 1.0)
+    y = (*products, *(-0.0,) * n)
+    step = kernels.rk4_stepper(spec, waves._FloorHit, POSITIVITY_FLOOR)
+    reference = list_rk4_step(spec, waves._FloorHit)
+    assert (outcome(step, y, 0.5)
+            == outcome(lambda y, h: tuple(reference(list(y), h)), y, 0.5))
