@@ -8,9 +8,8 @@ wave trajectories, and decides closed-form wave-blocking criteria for
 three-species systems.
 """
 
-from .barrier import (BarrierEnvelope, ContainmentReport, TangencyResult,
-                      barrier_curves, build_lower_barrier, build_upper_barrier,
-                      tangency_plain, tangency_weighted, verify_containment)
+from .barrier import (BarrierEnvelope, ContainmentReport, barrier_curves,
+                      build_lower_barrier, build_upper_barrier, verify_containment)
 from .bounds import (BoundsResult, bounds_for, bounds_general, bounds_m1,
                      bounds_two_species_m2)
 from .exact import (CosSolution, Profile, TanhSolution, cos_family, residual,
@@ -30,14 +29,12 @@ __all__ = [
     "BarrierEnvelope", "BoundCheckReport", "BoundsResult", "CaseIIVerdict",
     "CaseIVerdict", "ContainmentReport", "CosSolution",
     "HullBounds", "HypothesisReport", "NonexistenceVerdict", "Profile",
-    "ReactionSpec", "SystemSpec", "TangencyResult", "TanhSolution",
+    "ReactionSpec", "SystemSpec", "TanhSolution",
     "ThreeSpeciesParams", "Trajectory", "barrier_curves", "bounds_for",
     "bounds_general", "bounds_m1", "bounds_two_species_m2",
     "build_lower_barrier", "build_upper_barrier", "check", "check_bounds",
     "check_case_i", "check_case_ii", "cos_family",
     "flux_balance_defect", "hull_intercepts", "integrate", "params_from_dict",
     "reaction_eval", "residual", "system_from_dict", "system_to_dict",
-    "tanh_family",
-    "tangency_plain", "tangency_weighted", "verify_containment",
-    "verify_hypothesis_H",
+    "tanh_family", "verify_containment", "verify_hypothesis_H",
 ]

@@ -1,19 +1,19 @@
-"""Nested barrier geometry: tangency algebra and two-step envelope builds.
+"""Nested barrier geometry: envelope levels by Lagrange tangency, and their certificate.
 
 The two level-set families are planes p(u) = sum_i alpha_i u_i = eta and
 hyper-ellipsoids q(u) = sum_i alpha_i d_i u_i^m = lambda, m > 1.  A lower
 envelope nests plane inside ellipsoid inside plane inside ellipsoid inside
 the inner hull region; an upper envelope runs the same alternation outward
-from the outer hull face.  Each step is a tangency computation with a closed
-form, derived by Lagrange multipliers on the convex form q.
+from the outer hull face.  Each level has a closed form: a Lagrange
+tangency on the convex form q, or a vertex maximum.
 
 verify_containment checks the chain independently of those closed forms,
 by each link's exact maximum over the inner set's boundary; no lattice is
 walked.  p is homogeneous of degree 1 and q of degree m, so a link's value
 is a level factor times a function of a point t of the simplex: a convex
 sum of t_i^m, which peaks at a vertex, or a ratio sum_i a_i t_i / q(t)^(1/m),
-which peaks at its Hölder point.  barrier_curves samples the five pieces
-on one simplex lattice for plotting.
+which peaks at its Hölder point; on an ellipsoid that is the tangent point.
+barrier_curves samples the five pieces on one simplex lattice for plotting.
 """
 
 from __future__ import annotations
@@ -21,26 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import inf, isfinite
 from operator import mul
+from sys import float_info
 from typing import Sequence
 
 from .model import REGION_REL_TOL, HullBounds
 
 ORDER_REL_SLACK = 1e-12  # fp slack when validating envelope ordering
-
-
-@dataclass(frozen=True)
-class TangencyResult:
-    """Level value and point of tangency between a plane and an ellipsoid."""
-
-    Lambda: float
-    point: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "point", tuple(self.point))
-        if self.Lambda <= 0:
-            raise ValueError("tangency level must be positive")
-        if any(ui <= 0 for ui in self.point):
-            raise ValueError("tangent point must be strictly positive")
 
 
 @dataclass(frozen=True)
@@ -104,11 +90,19 @@ def _overflow(what: str) -> ValueError:
     return ValueError(f"{what} overflows; the parameters overflow floating point")
 
 
-def _level(name: str, value: float) -> float:
-    """A level built from positive finite factors; 0 means it underflowed."""
+def _normal(what: str, value: float) -> float:
+    """A sum or product of positive finite factors, if it is a normal float;
+    below that it underflowed, to 0 or to a subnormal that has lost digits."""
     if value == 0.0:
-        raise _underflow(f"envelope level {name}")
+        raise _underflow(what)
+    if value < float_info.min:
+        raise ValueError(f"{what} underflows below the smallest normal float; "
+                         "the parameters underflow floating point")
     return value
+
+
+def _level(name: str, value: float) -> float:
+    return _normal(f"envelope level {name}", value)
 
 
 def _q_weights(alpha: Sequence[float], d: Sequence[float]) -> tuple:
@@ -124,69 +118,37 @@ def _q_weights(alpha: Sequence[float], d: Sequence[float]) -> tuple:
 
 
 def _check_vectors(*vectors: Sequence[float]):
-    n = len(vectors[0])
     for v in vectors:
-        if len(v) != n:
+        if len(v) != len(vectors[0]):
             raise ValueError("vector lengths must agree")
         if any(x <= 0 for x in v):
             raise ValueError("vectors must be strictly positive")
-    return n
 
 
-def tangency_weighted(Theta: float, alpha: Sequence[float], d: Sequence[float],
-                      ulow: Sequence[float], m: float) -> TangencyResult:
-    """Tangency of the weighted plane sum_i u_i/ulow_i = Theta with q = Lambda.
-
-    Minimizing q over the plane gives the largest ellipsoid still inside it:
-
-        Lambda = Theta^m * (sum_j (alpha_j d_j ulow_j^m)^(-1/(m-1)))^(1-m)
-
-    and the minimizer u_i = Theta/S * (alpha_i d_i ulow_i)^(-1/(m-1)) with S
-    the sum above.  Requires m > 1; the exponent is singular at m = 1.  A
-    term of S that overflows, or whose base alpha_i d_i ulow_i^m underflows
-    to 0, an S, Lambda or point coordinate that underflows to 0, and a point
-    coordinate whose power (alpha_i d_i ulow_i)^(-1/(m-1)) overflows raise a
-    ValueError naming it.
-    """
-    _require_exponent_domain(m)
-    if Theta <= 0:
-        raise ValueError("Theta must be positive")
-    _check_vectors(alpha, d, ulow)
-    w_q = _q_weights(alpha, d)
-    e = 1.0 / (m - 1.0)
+def _tangency_sum(terms) -> float:
+    """The sum S of powers of exponent -1/(m-1); a base that underflows to 0,
+    a term that overflows and an S that is not normal raise a ValueError."""
     try:
-        S = sum((w * lo ** m) ** -e for w, lo in zip(w_q, ulow))
+        return _normal("tangency sum S", sum(terms))
     except ZeroDivisionError:
         raise _underflow("a tangency base alpha_i d_i ulow_i^m") from None
     except OverflowError:
         raise _overflow("a term of the tangency sum S") from None
-    if S == 0.0:
-        raise _underflow("tangency sum S")
-    Lambda = Theta ** m * S ** (1.0 - m)
-    if Lambda == 0.0:
-        raise _underflow("tangency level Lambda")
-    point = []
-    for i, (w, lo) in enumerate(zip(w_q, ulow), 1):
-        try:
-            coordinate = (Theta / S) * (w * lo) ** -e
-        except OverflowError:
-            raise _overflow(f"tangent point coordinate u_{i}") from None
-        if coordinate == 0.0:
-            raise _underflow(f"tangent point coordinate u_{i}")
-        point.append(coordinate)
-    return TangencyResult(Lambda=Lambda, point=tuple(point))
 
 
-def tangency_plain(Theta: float, alpha: Sequence[float], d: Sequence[float],
-                   m: float) -> TangencyResult:
-    """Tangency of the plane sum_i alpha_i u_i = Theta with q = Lambda.
+def _tangency_level(Theta: float, w_q: tuple, ulow: Sequence[float], m: float) -> float:
+    """Level of the largest ellipsoid q <= Lambda inside the plane sum_i u_i/ulow_i = Theta.
 
-    The weighted case with ulow_i = 1/alpha_i:
+    Minimizing q over the plane by Lagrange multipliers gives
 
-        Lambda = Theta^m * (sum_i alpha_i / d_i^(1/(m-1)))^(1-m)
+        Lambda = Theta^m * (sum_j (w_j ulow_j^m)^(-1/(m-1)))^(1-m)
+
+    with w_j = alpha_j d_j.  A fault of the sum S, as _tangency_sum names
+    it, and a Lambda below the smallest normal float raise a ValueError.
     """
-    _check_vectors(alpha, d)
-    return tangency_weighted(Theta, alpha, d, tuple(1.0 / a for a in alpha), m)
+    e = 1.0 / (m - 1.0)
+    S = _tangency_sum((w * lo ** m) ** -e for w, lo in zip(w_q, ulow))
+    return _normal("tangency level Lambda", Theta ** m * S ** (1.0 - m))
 
 
 def build_lower_barrier(alpha: Sequence[float], d: Sequence[float],
@@ -197,15 +159,18 @@ def build_lower_barrier(alpha: Sequence[float], d: Sequence[float],
     plane p <= eta1 inside it, largest ellipsoid q <= lambda2 inside that
     plane, largest plane p <= eta2 inside again.  eta2 is the closed-form
     lower bound on p along any admissible wave profile (before the boundary
-    characteristic factor).
+    characteristic factor).  The plane p = eta1 is the face of ulow_i =
+    1 / alpha_i.  The two tangent points are the worst points of the links
+    ellipsoid_lambda1_in_inner_hull and ellipsoid_lambda2_in_plane_eta1.
     """
     _require_exponent_domain(m)
     _check_vectors(alpha, d, ulow)
     grow = max(_plane_vertices(alpha, d, m))
-    lambda1 = tangency_weighted(1.0, alpha, d, ulow, m).Lambda
-    eta1 = _level("eta1", (lambda1 / grow) ** (1.0 / m))
-    lambda2 = tangency_plain(eta1, alpha, d, m).Lambda
-    eta2 = _level("eta2", (lambda2 / grow) ** (1.0 / m))
+    w_q = _q_weights(alpha, d)
+    lambda1 = _tangency_level(1.0, w_q, ulow, m)
+    eta1 = _level("eta1", lambda1 / grow) ** (1.0 / m)
+    lambda2 = _tangency_level(eta1, w_q, tuple(1.0 / a for a in alpha), m)
+    eta2 = _level("eta2", lambda2 / grow) ** (1.0 / m)
     return BarrierEnvelope(lambda1=lambda1, eta1=eta1, lambda2=lambda2, eta2=eta2,
                            orientation="lower", weights=tuple(alpha), m=m, d=tuple(d))
 
@@ -222,12 +187,15 @@ def build_upper_barrier(alpha: Sequence[float], d: Sequence[float],
     _require_exponent_domain(m)
     _check_vectors(alpha, d, ubar)
     e = 1.0 / (m - 1.0)
-    S = sum(a * di ** -e for a, di in zip(alpha, d))
+    S = _tangency_sum(a * di ** -e for a, di in zip(alpha, d))
     grow = max(_plane_vertices(alpha, d, m))
-    lambda1 = _level("lambda1", max(a * di * hi ** m for a, di, hi in zip(alpha, d, ubar)))
+    try:
+        lambda1 = _level("lambda1", max(a * di * hi ** m for a, di, hi in zip(alpha, d, ubar)))
+    except OverflowError:
+        raise _overflow("envelope level lambda1") from None
     eta1 = _level("eta1", lambda1 ** (1.0 / m) * S ** ((m - 1.0) / m))
     try:
-        lambda2 = _level("lambda2", eta1 ** m * grow)
+        lambda2 = _level("lambda2", _normal("power eta1^m", eta1 ** m) * grow)
     except OverflowError:
         raise _overflow("envelope level lambda2") from None
     eta2 = _level("eta2", lambda2 ** (1.0 / m) * S ** ((m - 1.0) / m))
@@ -282,18 +250,17 @@ def _simplex_lattice(n: int, resolution: int):
         yield tuple(map(weights.__getitem__, k))
 
 
-def _pieces(envelope: BarrierEnvelope, hull: HullBounds) -> dict:
+def _pieces(envelope: BarrierEnvelope, hull: HullBounds, w_q: tuple) -> dict:
     """The five barrier pieces by name, as (level factor, boundary point of t).
 
     Points and factors are those verify_containment lists.  The ellipsoid
     scale lambda^(1/m) / q(t)^(1/m) cannot overflow where (lambda / q(t))^(1/m)
     does.  The hull face is the ulow face for a lower envelope and the ubar
-    face for an upper one.  A weight alpha_i d_i that underflowed to 0, which
-    would put q(t) = 0 at a vertex, raises a ValueError here.
+    face for an upper one.  w_q are the weights alpha_i d_i of q, as
+    _q_weights checks them.
     """
-    alpha, d, m = envelope.weights, envelope.d, envelope.m
+    alpha, m = envelope.weights, envelope.m
     inv_m = 1.0 / m
-    w_q = _q_weights(alpha, d)
     face = hull.ulow if envelope.orientation == "lower" else hull.ubar
 
     def plane(eta):
@@ -330,9 +297,9 @@ def barrier_curves(envelope: BarrierEnvelope, hull: HullBounds, samples: int) ->
     """
     if samples < 1:
         raise ValueError("samples must be positive")
-    n = len(envelope.weights)
-    return tuple((name, map(point, _simplex_lattice(n, samples)))
-                 for name, (_, point) in _pieces(envelope, hull).items())
+    w_q = _q_weights(envelope.weights, envelope.d)
+    return tuple((name, map(point, _simplex_lattice(len(w_q), samples)))
+                 for name, (_, point) in _pieces(envelope, hull, w_q).items())
 
 
 def _vertex_peak(values: list) -> tuple:
@@ -418,8 +385,8 @@ def verify_containment(envelope: BarrierEnvelope, hull: HullBounds, samples: int
 
     alpha, d, m = envelope.weights, envelope.d, envelope.m
     lower = envelope.orientation == "lower"
-    pieces = _pieces(envelope, hull)
     w_q = _q_weights(alpha, d)
+    pieces = _pieces(envelope, hull, w_q)
     plane_peak = _vertex_peak(_plane_vertices(alpha, d, m))
     ray_peak = _dual_peak(alpha, w_q, m)
     if lower:

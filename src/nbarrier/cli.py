@@ -8,9 +8,9 @@ NaN or infinite parameters, document keys that are unknown or of the wrong
 type, arithmetic overflow or underflow, and a result that would put NaN or
 infinity into the JSON or into a --csv cell), 2 usage error (bad flags,
 malformed JSON, a non-finite --alpha, --u0 or --w0 entry or family flag, a
---tol that is not positive and finite, a bad or oversized --grid, a barrier
---samples whose curve lattice is oversized, an unreadable input or
-unwritable output path),
+--tol that is not positive and finite, a bad or oversized --grid, a
+--samples that is not a positive integer or, on barrier, whose curve lattice
+is oversized, an unreadable input or unwritable output path),
 3 computation succeeded but a verification check failed.  All output is
 deterministic; floats use shortest round-trip formatting.
 """
@@ -75,6 +75,16 @@ def _parse_floats(text: str, what: str) -> tuple:
     if not all(math.isfinite(v) for v in values):
         raise _Usage(f"{what} entries must be finite")
     return values
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of --samples; argparse names the flag in its error."""
+    try:
+        if int(text) > 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
 
 
 def _parse_pair(text: str, what: str) -> tuple:
@@ -174,7 +184,7 @@ def _cmd_barrier(args) -> tuple:
     else:
         env = build_upper_barrier(alpha, spec.d, hull.ubar, spec.m)
     if args.curve_csv:
-        count = math.comb(args.samples + spec.n - 1, spec.n - 1) if args.samples > 0 else 0
+        count = math.comb(args.samples + spec.n - 1, spec.n - 1)
         if count > MAX_GRID_POINTS:
             raise _Usage(f"--samples {args.samples} gives {count} lattice points "
                          f"per curve, more than the limit of {MAX_GRID_POINTS}")
@@ -308,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--alpha", required=True)
     p.add_argument("--orientation", choices=("lower", "upper"), required=True)
-    p.add_argument("--samples", type=int, default=100,
+    p.add_argument("--samples", type=_positive_int, default=100,
                    help="lattice resolution for --curve-csv")
     p.add_argument("--curve-csv", dest="curve_csv")
     p.set_defaults(fn=_cmd_barrier)
@@ -316,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-h",
                        help="check the sign hypothesis exactly at the hull vertices")
     p.add_argument("spec")
-    p.add_argument("--samples", type=int, default=50,
+    p.add_argument("--samples", type=_positive_int, default=50,
                    help="accepted for compatibility; does not change the result")
     p.set_defaults(fn=_cmd_verify_h)
 

@@ -173,7 +173,7 @@ class HullBounds:
             raise ValueError("ulow must be strictly positive")
         if any(hi < lo for hi, lo in zip(self.ubar, self.ulow)):
             raise ValueError("ubar must dominate ulow componentwise")
-        if any(hi == lo for hi, lo in zip(self.ubar, self.ulow)):
+        if self.is_degenerate():
             warnings.warn("degenerate hull: ubar_i == ulow_i for some i", stacklevel=3)
 
     @property

@@ -17,11 +17,10 @@ always true).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from itertools import chain
 
 from .bounds import two_species_m2_lower, two_species_m2_upper
-from .model import (axis_intercepts, fields_from_dict, float_matrix, float_vector, number,
-                    require_finite)
+from .model import (ReactionSpec, axis_intercepts, fields_from_dict, float_matrix,
+                    float_vector, number, require_finite)
 
 
 @dataclass(frozen=True)
@@ -39,15 +38,12 @@ class ThreeSpeciesParams:
         object.__setattr__(self, "d", tuple(self.d))
         object.__setattr__(self, "sigma", tuple(self.sigma))
         object.__setattr__(self, "C", tuple(tuple(row) for row in self.C))
-        require_finite(d=self.d, sigma=self.sigma, C=chain.from_iterable(self.C))
-        if len(self.d) != 3 or len(self.sigma) != 3 or len(self.C) != 3:
+        require_finite(d=self.d)
+        if len(self.d) != 3 or len(self.sigma) != 3:
             raise ValueError("three species means three of everything")
-        if any(len(row) != 3 for row in self.C):
-            raise ValueError("competition matrix must be 3x3")
-        if any(v <= 0 for v in self.d) or any(v <= 0 for v in self.sigma):
-            raise ValueError("d and sigma must be strictly positive")
-        if any(c <= 0 for row in self.C for c in row):
-            raise ValueError("competition coefficients must be strictly positive")
+        if any(v <= 0 for v in self.d):
+            raise ValueError("d must be strictly positive")
+        ReactionSpec(sigma=self.sigma, C=self.C)
         for name, w in (("w_minus_inf", self.w_minus_inf),
                         ("w_plus_inf", self.w_plus_inf)):
             if w is None:

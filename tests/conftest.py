@@ -1,8 +1,10 @@
 """Shared fixtures: the two closed-form wave families used across the suite,
-and builtin sum with the rounding it has from Python 3.12 on."""
+builtin sum with the rounding it has from Python 3.12 on, and a 50-digit
+evaluation of the barrier envelope chains."""
 
 import builtins
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -97,3 +99,43 @@ def unchecked_system(n, m):
     reaction = SimpleNamespace(n=n, sigma=(-0.0,) * n, C=((1.0,) * n,) * n)
     return SimpleNamespace(n=n, m=m, d=(1.0,) * n, l=(1.0,) * n, theta=-1.0,
                            reaction=reaction)
+
+
+def decimal_chains(alpha, d, ulow, ubar, m, digits=50):
+    """The lower and upper envelope chains of the closed forms, evaluated in
+    decimal at the given digits from the exact values of the float inputs.
+
+    Lower: grow = max_i d_i alpha_i^(1-m), S = sum_i (w_i ulow_i^m)^(-e) with
+    w_i = alpha_i d_i and e = 1/(m-1), lambda1 = S^(1-m), eta1 = (lambda1 /
+    grow)^(1/m), S_plain = sum_i (w_i alpha_i^(-m))^(-e), lambda2 = eta1^m
+    S_plain^(1-m), eta2 = (lambda2 / grow)^(1/m).  Upper: S = sum_i alpha_i
+    d_i^(-e), lambda1 = max_i w_i ubar_i^m, eta1 = lambda1^(1/m)
+    S^((m-1)/m), lambda2 = eta1^m grow, eta2 = lambda2^(1/m) S^((m-1)/m).
+    Returns two dicts of Decimal, keyed by those names.
+    """
+    with localcontext(prec=digits):
+        alpha, d, ulow, ubar = ([Decimal(x) for x in v] for v in (alpha, d, ulow, ubar))
+        m = Decimal(m)
+        e, inv_m = 1 / (m - 1), 1 / m
+        w = [a * di for a, di in zip(alpha, d)]
+        grow = max(di * a ** (1 - m) for a, di in zip(alpha, d))
+        S = sum((wi * lo ** m) ** -e for wi, lo in zip(w, ulow))
+        lambda1 = S ** (1 - m)
+        eta1 = (lambda1 / grow) ** inv_m
+        S_plain = sum((wi * a ** -m) ** -e for wi, a in zip(w, alpha))
+        lambda2 = eta1 ** m * S_plain ** (1 - m)
+        lower = {"grow": grow, "S": S, "lambda1": lambda1, "eta1": eta1,
+                 "S_plain": S_plain, "lambda2": lambda2,
+                 "eta2": (lambda2 / grow) ** inv_m}
+        S = sum(a * di ** -e for a, di in zip(alpha, d))
+        lambda1 = max(wi * hi ** m for wi, hi in zip(w, ubar))
+        eta1 = lambda1 ** inv_m * S ** ((m - 1) / m)
+        lambda2 = eta1 ** m * grow
+        upper = {"S": S, "lambda1": lambda1, "eta1": eta1, "lambda2": lambda2,
+                 "eta2": lambda2 ** inv_m * S ** ((m - 1) / m)}
+    return lower, upper
+
+
+def rel_gap(got, want):
+    """|got - want| / |want| for a float got and a Decimal want."""
+    return float(abs(Decimal(got) - want) / abs(want))

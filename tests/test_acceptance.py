@@ -23,8 +23,6 @@ from nbarrier import (
     hull_intercepts,
     integrate,
     residual,
-    tangency_plain,
-    tangency_weighted,
     tanh_family,
     verify_containment,
 )
@@ -189,6 +187,13 @@ def test_criterion_5_bounds_hold_along_the_front(capsys):
 
 
 def test_criterion_6_tangency_against_brute_force(capsys):
+    """The builder's two tangency levels and the certificate's tangent points
+    against golden-section minimisation of q along each plane.
+
+    lambda1 is the tangency with the face sum_i u_i / ulow_i = 1, so a
+    hull of theta ulow gives the level on sum_i u_i / ulow_i = theta.
+    lambda2 is the tangency with the plane p = eta1.
+    """
     def check():
         rng = random.Random(20260816)
         worst_gap = 0.0
@@ -202,22 +207,28 @@ def test_criterion_6_tangency_against_brute_force(capsys):
                 return sum(a * di * ui ** 2
                            for a, di, ui in zip(alpha, d, u))
 
-            res_w = tangency_weighted(theta, alpha, d, ulow, 2.0)
+            face = tuple(theta * lo for lo in ulow)
+            env = build_lower_barrier(alpha, d, face, 2.0)
+            hull = HullBounds(ubar=tuple(2 * lo for lo in face), ulow=face)
+            links = {link.name: link for link in verify_containment(env, hull, 1).links}
+
             seg_w = lambda t: q((ulow[0] * theta * t,
                                  ulow[1] * theta * (1 - t)))
             t_star, brute = golden_min(seg_w, 0.0, 1.0)
-            worst_gap = max(worst_gap, rel_err(res_w.Lambda, brute))
-            assert rel_err(res_w.Lambda, brute) < 1e-6
+            worst_gap = max(worst_gap, rel_err(env.lambda1, brute))
+            assert rel_err(env.lambda1, brute) < 1e-6
             point = (ulow[0] * theta * t_star, ulow[1] * theta * (1 - t_star))
-            for got, want in zip(res_w.point, point):
+            for got, want in zip(links["ellipsoid_lambda1_in_inner_hull"].worst_point, point):
                 assert rel_err(got, want) < 1e-5
 
-            res_p = tangency_plain(theta, alpha, d, 2.0)
-            seg_p = lambda t: q((theta * t / alpha[0],
-                                 theta * (1 - t) / alpha[1]))
+            seg_p = lambda t: q((env.eta1 * t / alpha[0],
+                                 env.eta1 * (1 - t) / alpha[1]))
             t_star, brute = golden_min(seg_p, 0.0, 1.0)
-            worst_gap = max(worst_gap, rel_err(res_p.Lambda, brute))
-            assert rel_err(res_p.Lambda, brute) < 1e-6
+            worst_gap = max(worst_gap, rel_err(env.lambda2, brute))
+            assert rel_err(env.lambda2, brute) < 1e-6
+            point = (env.eta1 * t_star / alpha[0], env.eta1 * (1 - t_star) / alpha[1])
+            for got, want in zip(links["ellipsoid_lambda2_in_plane_eta1"].worst_point, point):
+                assert rel_err(got, want) < 1e-5
         return f"50 cases, worst level gap {worst_gap:.1e}"
 
     run_criterion(capsys, 6, check)

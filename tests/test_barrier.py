@@ -1,4 +1,4 @@
-"""Tangency closed forms and envelope nesting."""
+"""Tangency closed forms, envelope nesting and the containment certificate."""
 
 import math
 import random
@@ -16,13 +16,13 @@ from nbarrier import (
     barrier_curves,
     build_lower_barrier,
     build_upper_barrier,
-    tangency_plain,
-    tangency_weighted,
     verify_containment,
 )
 from nbarrier import barrier as barrier_module
-from nbarrier.barrier import _compositions, _simplex_lattice
+from nbarrier.barrier import _compositions, _simplex_lattice, _tangency_level
 from nbarrier.model import REGION_REL_TOL
+
+from conftest import decimal_chains, rel_gap
 
 FIG1_ARGS = ((1.0, 2.0), (3.0, 4.0), (1 / 3, 1 / 2), 2.0)
 
@@ -52,48 +52,78 @@ def test_lower_envelope_unit_weights_quadruple():
     assert env.eta2 == pytest.approx(math.sqrt(3 / 7) / 4, rel=1e-12)
 
 
+def tangent_points(alpha, d, ulow, m):
+    """A lower envelope and the worst points of its two tangency links: on
+    ellipsoid lambda1 against the face sum_i u_i / ulow_i = 1, and on
+    ellipsoid lambda2 against the plane p = eta1."""
+    env = build_lower_barrier(alpha, d, ulow, m)
+    hull = HullBounds(ubar=tuple(2 * lo for lo in ulow), ulow=ulow)
+    links = {link.name: link for link in verify_containment(env, hull, 1).links}
+    return (env, links["ellipsoid_lambda1_in_inner_hull"].worst_point,
+            links["ellipsoid_lambda2_in_plane_eta1"].worst_point)
+
+
 def test_weighted_tangency_point_sits_on_both_level_sets():
+    # The face sum_i u_i / ulow_i = 1.3 is the unit face of 1.3 ulow.
     alpha, d, ulow, m = (0.7, 1.3, 2.1), (0.5, 2.0, 1.1), (0.4, 0.9, 1.5), 2.5
-    res = tangency_weighted(1.3, alpha, d, ulow, m)
-    assert q_value(res.point, alpha, d, m) == pytest.approx(res.Lambda, rel=1e-10)
-    assert sum(ui / lo for ui, lo in zip(res.point, ulow)) == pytest.approx(
+    env, point, _ = tangent_points(alpha, d, tuple(1.3 * lo for lo in ulow), m)
+    assert q_value(point, alpha, d, m) == pytest.approx(env.lambda1, rel=1e-10)
+    assert sum(ui / lo for ui, lo in zip(point, ulow)) == pytest.approx(
         1.3, rel=1e-10)
 
 
 def test_plain_tangency_point_sits_on_both_level_sets():
     alpha, d, m = (0.7, 1.3, 2.1), (0.5, 2.0, 1.1), 1.5
-    res = tangency_plain(0.8, alpha, d, m)
-    assert q_value(res.point, alpha, d, m) == pytest.approx(res.Lambda, rel=1e-10)
-    assert sum(a * ui for a, ui in zip(alpha, res.point)) == pytest.approx(
-        0.8, rel=1e-10)
+    env, _, point = tangent_points(alpha, d, (0.4, 0.9, 1.5), m)
+    assert q_value(point, alpha, d, m) == pytest.approx(env.lambda2, rel=1e-10)
+    assert sum(a * ui for a, ui in zip(alpha, point)) == pytest.approx(
+        env.eta1, rel=1e-10)
+
+
+def test_certificate_worst_points_are_the_lagrange_tangent_points():
+    """The minimiser of q on sum_i u_i / ulow_i = Theta is u_i = (Theta / S)
+    (w_i ulow_i)^(-1/(m-1)), w_i = alpha_i d_i, with S the tangency sum."""
+    def lagrange_point(theta, w, face, m):
+        e = 1 / (m - 1)
+        S = sum((wi * lo ** m) ** -e for wi, lo in zip(w, face))
+        return tuple(theta / S * (wi * lo) ** -e for wi, lo in zip(w, face))
+
+    rng = random.Random(16)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        m = rng.choice((1.1, 1.5, 2.0, 3.0, 7.0))
+        alpha, d, ulow = ([rng.uniform(0.2, 5.0) for _ in range(n)] for _ in range(3))
+        w = [a * di for a, di in zip(alpha, d)]
+        env, on_face, on_plane = tangent_points(alpha, d, tuple(ulow), m)
+        for got, want in ((on_face, lagrange_point(1.0, w, ulow, m)),
+                          (on_plane, lagrange_point(env.eta1, w, [1 / a for a in alpha], m))):
+            assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_tangency_rejects_degenerate_exponent_and_level():
-    with pytest.raises(ValueError):
-        tangency_weighted(1.0, (1.0,), (1.0,), (1.0,), 1.0)
-    with pytest.raises(ValueError):
-        tangency_plain(0.0, (1.0,), (1.0,), 2.0)
-    with pytest.raises(ValueError):
-        tangency_plain(1.0, (1.0, -1.0), (1.0, 1.0), 2.0)
-    with pytest.raises(ValueError):
-        tangency_plain(1.0, (0.0, 1.0), (1.0, 1.0), 2.0)
+    with pytest.raises(ValueError, match="need m > 1"):
+        build_lower_barrier((1.0,), (1.0,), (1.0,), 1.0)
+    with pytest.raises(ValueError, match="strictly positive"):
+        build_lower_barrier((1.0, -1.0), (1.0, 1.0), (1.0, 1.0), 2.0)
+    with pytest.raises(ValueError, match="strictly positive"):
+        build_lower_barrier((0.0, 1.0), (1.0, 1.0), (1.0, 1.0), 2.0)
+    with pytest.raises(ValueError, match="strictly positive"):
+        build_lower_barrier((1.0, 1.0), (1.0, 1.0), (0.0, 1.0), 2.0)
 
 
 @given(st.data(), exponents, st.integers(min_value=2, max_value=4))
 @settings(max_examples=60, deadline=None)
 def test_tangency_level_is_m_homogeneous_in_theta(data, m, n):
-    """Scaling the plane level by c scales Lambda by c^m."""
+    """Scaling the plane level by c scales Lambda by c^m, on the ulow face
+    and on the plane p, the face of ulow_i = 1 / alpha_i."""
     alpha = tuple(data.draw(positive) for _ in range(n))
     d = tuple(data.draw(positive) for _ in range(n))
     ulow = tuple(data.draw(positive) for _ in range(n))
     c = data.draw(st.floats(min_value=0.5, max_value=3.0))
-    base = tangency_weighted(1.0, alpha, d, ulow, m)
-    scaled = tangency_weighted(c, alpha, d, ulow, m)
-    assert scaled.Lambda == pytest.approx(c ** m * base.Lambda, rel=1e-9)
-    plain_base = tangency_plain(1.0, alpha, d, m)
-    plain_scaled = tangency_plain(c, alpha, d, m)
-    assert plain_scaled.Lambda == pytest.approx(
-        c ** m * plain_base.Lambda, rel=1e-9)
+    w_q = tuple(a * di for a, di in zip(alpha, d))
+    for face in (ulow, tuple(1.0 / a for a in alpha)):
+        base = _tangency_level(1.0, w_q, face, m)
+        assert _tangency_level(c, w_q, face, m) == pytest.approx(c ** m * base, rel=1e-9)
 
 
 @given(st.data(), exponents, st.integers(min_value=2, max_value=4))
@@ -535,20 +565,26 @@ def test_a_plane_power_that_underflows_leaves_the_other_vertex():
 
 
 @pytest.mark.parametrize("args, what", [
-    ((0.5, (1e-100, 1e100), (1.0, 1.0), (1.0, 1.0), 1.5), "tangent point coordinate u_2"),
-    ((1e-200, (1e-150, 1.0), (1.0, 1.0), (1.0, 1.0), 1.5), "tangency level Lambda"),
-    ((1.0, (1e200, 1e200), (1.0, 1.0), (1.0, 1.0), 1.5), "tangency sum S"),
-], ids=["point", "Lambda", "S"])
+    ((1e-200, (1e-150, 1.0), (1.0, 1.0), 1.5), "tangency level Lambda underflows to 0"),
+    ((1.0, (1e200, 1e200), (1.0, 1.0), 1.5), "tangency sum S underflows to 0"),
+    ((1e-107, (1e-150, 1.0), (1.0, 1.0), 1.5),
+     "tangency level Lambda underflows below the smallest normal float"),
+    ((1.0, (1e155, 1e155), (1.0, 1.0), 1.5),
+     "tangency sum S underflows below the smallest normal float"),
+], ids=["Lambda", "S", "Lambda-subnormal", "S-subnormal"])
 def test_tangency_names_what_underflows(args, what):
-    # u_2 = (Theta / S) (alpha_2 d_2 ulow_2)^(-2) is about 5e-401; Lambda =
-    # Theta^1.5 S^(-1/2) is about 1e-300 * 1e-150; each term of S is 1e-400.
-    with pytest.raises(ValueError, match=f"^{what} underflows to 0; "
-                                         "the parameters underflow floating point$"):
-        tangency_weighted(*args)
+    # Lambda = Theta^1.5 S^(-1/2) with S = 1e300 is about 1e-300 * 1e-150, or
+    # 1e-160.5 * 1e-150; each term of S is (w_i ulow_i^m)^(-2) = 1e-400, or 1e-310.
+    with pytest.raises(ValueError, match=f"^{what}; the parameters underflow floating point$"):
+        _tangency_level(*args)
 
 
-def test_tangency_names_a_point_coordinate_that_overflows():
-    # (alpha_1 d_1 ulow_1)^(-2) = (1e-200)^(-2) is past the float range.
-    with pytest.raises(ValueError, match="^tangent point coordinate u_1 overflows; "
-                                         "the parameters overflow floating point$"):
-        tangency_weighted(1.0, (1e-300, 1.0), (1.0, 1.0), (1e100, 1.0), 1.5)
+@pytest.mark.parametrize("alpha, ulow", [
+    ((1e-100, 1e100), (1.0, 1.0)),
+    ((1e-300, 1.0), (1e100, 1.0)),
+], ids=["point-underflow", "point-overflow"])
+def test_tangency_level_answers_where_the_tangent_point_leaves_the_float_range(alpha, ulow):
+    # At m = 1.5 the tangent point's u_2 is about 1e-400, or its power
+    # (alpha_1 ulow_1)^(-2) = 1e400 overflows; Lambda needs neither.
+    lower, _ = decimal_chains(alpha, (1.0, 1.0), ulow, ulow, 1.5)
+    assert rel_gap(_tangency_level(1.0, alpha, ulow, 1.5), lower["lambda1"]) < 1e-12

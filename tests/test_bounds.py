@@ -1,6 +1,8 @@
 """Closed-form bound branches and the cross-route identity."""
 
 import math
+import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +11,17 @@ from hypothesis import strategies as st
 from nbarrier import (
     BoundsResult,
     HullBounds,
+    ReactionSpec,
     bounds_general,
     bounds_m1,
     bounds_two_species_m2,
+    build_lower_barrier,
+    build_upper_barrier,
+    hull_intercepts,
 )
 from nbarrier.bounds import two_species_m2_lower, two_species_m2_upper
+
+from conftest import decimal_chains, rel_gap
 
 REMARK_HULL = HullBounds(ubar=(240.0, 16.0), ulow=(80.0, 80 / 9))
 
@@ -116,3 +124,39 @@ def test_scaling_covariance_of_two_species_forms():
     up1 = two_species_m2_upper(*args, 0.8, 1.2)
     up2 = two_species_m2_upper(*args, 0.8 * c, 1.2 * c)
     assert up2 == pytest.approx(c * up1, rel=1e-12)
+
+
+# A refusal names what left the float range: "<quantity> underflows ...",
+# "<quantity> overflows; ..." or "<quantity> must be finite, got ...".
+RANGE_FAULT = re.compile(r"^\S.* (underflows|overflows|must be finite)")
+
+
+@pytest.mark.filterwarnings("ignore:degenerate hull")
+def test_bands_match_a_50_digit_oracle_or_name_what_left_the_float_range():
+    """Seeded systems with every alpha_i, d_i, sigma_i and c_ij drawn as
+    10^U(-s, s): each envelope level and band end within rel 1e-12 of the
+    decimal evaluation of the same closed forms, or a ValueError naming the
+    quantity that under- or overflowed."""
+    rng = random.Random(2016)
+    answered = 0
+    for _ in range(500):
+        n = rng.randint(1, 4)
+        m = rng.choice((1.001, 1.01, 1.1, 1.5, 2.0, 3.0, 7.0, 20.0))
+        s = rng.choice((1, 3, 8))
+        alpha, d, sigma = ([10 ** rng.uniform(-s, s) for _ in range(n)] for _ in range(3))
+        C = [[10 ** rng.uniform(-s, s) for _ in range(n)] for _ in range(n)]
+        try:
+            hull = hull_intercepts(ReactionSpec(sigma, C))
+            band = bounds_general(alpha, d, hull, m, 1)
+        except ValueError as exc:
+            assert RANGE_FAULT.match(str(exc)), str(exc)
+            continue
+        lower, upper = decimal_chains(alpha, d, hull.ulow, hull.ubar, m)
+        envelopes = ((build_lower_barrier(alpha, d, hull.ulow, m), lower),
+                     (build_upper_barrier(alpha, d, hull.ubar, m), upper))
+        for env, want in envelopes:
+            for name in ("lambda1", "eta1", "lambda2", "eta2"):
+                assert rel_gap(getattr(env, name), want[name]) < 1e-12, (env, name)
+        assert (band.lower, band.upper) == (envelopes[0][0].eta2, envelopes[1][0].eta2)
+        answered += 1
+    assert answered > 300

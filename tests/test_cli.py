@@ -15,8 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nbarrier
-from nbarrier import bounds_general, hull_intercepts, system_to_dict, tanh_family
+from nbarrier import (bounds_general, hull_intercepts, system_to_dict, tanh_family,
+                      verify_containment)
 from nbarrier.cli import FAMILIES, main
+
+from conftest import decimal_chains, rel_gap
 
 TANH_SPEC = json.dumps(system_to_dict(tanh_family(3, 4, 1, 2).system()))
 LV_SPEC = json.dumps({
@@ -143,9 +146,10 @@ def test_barrier_curve_samples_must_be_positive(capsys, tmp_path, samples):
     code, out, err = run(capsys, "barrier", FIG_SPEC, "--alpha", "1,2",
                          "--orientation", "lower", "--samples", samples,
                          "--curve-csv", str(csv_path))
-    assert code == 1
+    assert code == 2
     assert out == "" and not csv_path.exists()
-    assert "samples" in err
+    assert err.endswith("error: argument --samples: must be a positive integer, "
+                        f"got '{samples}'\n")
 
 
 def test_barrier_curve_lattice_is_capped_before_it_is_walked(capsys, tmp_path, monkeypatch):
@@ -164,6 +168,14 @@ def test_barrier_curve_lattice_is_capped_before_it_is_walked(capsys, tmp_path, m
     assert barrier("65")[0] == 2 and not csv_path.exists()
     assert barrier("64")[0] == 0
     assert len(csv_path.read_text().splitlines()) == 1 + 5 * 65
+
+
+@pytest.mark.parametrize("samples", ["0", "-1", "x"])
+def test_verify_h_samples_must_be_a_positive_integer(capsys, samples):
+    code, out, err = run(capsys, "verify-h", LV_SPEC, f"--samples={samples}")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --samples: must be a positive integer, "
+                        f"got '{samples}'\n")
 
 
 def test_verify_h_passes_on_intercept_hull(capsys):
@@ -450,6 +462,8 @@ ONE_SPECIES = {"n": 1, "m": 1.0, "d": [131.8], "l": [1.0], "theta": 0.0,
 
 @pytest.mark.parametrize("argv, message", [
     (("bounds", _doc(FIG_SPEC, d=[1e300, 1.0], sigma=[1e200, 1.0]), "--alpha", "1,1"),
+     "envelope level lambda1 overflows; the parameters overflow floating point"),
+    (("nonexistence", _doc(NONEX_PARAMS, sigma=[1e200, 1e200, 1.0])),
      "parameters out of floating-point range (OverflowError"),
     (("bounds", _doc(LV_SPEC, sigma=[1e300, 1e300], C=[[1e-10, 1e-10], [1e-10, 1e-10]]),
       "--alpha", "1,1", "--chi", "0"), "ubar must be finite, got inf"),
@@ -457,7 +471,8 @@ ONE_SPECIES = {"n": 1, "m": 1.0, "d": [131.8], "l": [1.0], "theta": 0.0,
      "bounds must be finite, got lower nan and upper inf"),
     (("barrier", json.dumps({**ONE_SPECIES, "m": 1.88, "d": [0.5], "sigma": [1.0], "C": [[0.5]]}),
       "--alpha=1.07e167", "--orientation", "lower"), "envelope levels must be finite"),
-], ids=["power-overflow", "hull-overflow", "m1-band-overflow", "envelope-overflow"])
+], ids=["power-overflow", "bare-power-overflow", "hull-overflow", "m1-band-overflow",
+        "envelope-overflow"])
 @pytest.mark.filterwarnings("ignore:degenerate hull")
 def test_float_overflow_is_domain_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -480,23 +495,74 @@ def test_envelope_underflow_names_the_level(capsys, argv):
                    "the parameters underflow floating point\n")
 
 
-def test_tangent_point_underflow_is_named(capsys):
-    # At m = 1.5 the tangent point's u_2 is about 1e-400.
-    code, out, err = run(capsys, "barrier", _doc(UNDERFLOW_SPEC, m=1.5),
-                         "--alpha", "1e-100,1e100", "--orientation", "lower")
-    assert (code, out) == (1, "")
-    assert err == ("error: tangent point coordinate u_2 underflows to 0; "
-                   "the parameters underflow floating point\n")
+def _oracle_levels(spec, alpha, orientation):
+    """The envelope levels of the 50-digit oracle, on the system's intercept hull."""
+    system = nbarrier.system_from_dict(json.loads(spec))
+    hull = hull_intercepts(system.reaction)
+    lower, upper = decimal_chains(alpha, system.d, hull.ulow, hull.ubar, system.m)
+    return hull, lower if orientation == "lower" else upper
+
+
+def test_a_band_whose_tangent_point_underflows_is_answered(capsys):
+    # At m = 1.5 the tangent point's u_2 is about 1e-400; the levels are not.
+    spec, alpha = _doc(UNDERFLOW_SPEC, m=1.5), (1e-100, 1e100)
+    code, out, _ = run(capsys, "barrier", spec, "--alpha", "1e-100,1e100",
+                       "--orientation", "lower")
+    assert code == 0
+    levels = {name: json.loads(out)[name] for name in ("lambda1", "eta1", "lambda2", "eta2")}
+    hull, want = _oracle_levels(spec, alpha, "lower")
+    for name, value in levels.items():
+        assert rel_gap(value, want[name]) < 1e-12, name
+    env = nbarrier.BarrierEnvelope(**levels, orientation="lower", weights=alpha, m=1.5,
+                                   d=(1.0, 1.0))
+    assert verify_containment(env, hull, 1).ok
 
 
 def test_tangent_point_overflow_is_named(capsys):
-    # At m = 1.5, u_1 = (alpha_1 d_1 ulow_1)^(-2) / S is about 1e400 / 1e300.
+    # At m = 1.5 the plain tangency's term (alpha_1 d_1 alpha_1^(-m))^(-2) is
+    # (1e-300)^(-2), past the float range.
     spec = json.dumps({"n": 2, "m": 1.5, "d": [1e-300, 1], "l": [1, 1], "theta": 0,
                        "sigma": [1e100, 1], "C": [[1, 2e100], [2e-100, 1]]})
     code, out, err = run(capsys, "barrier", spec, "--alpha", "1,1", "--orientation", "lower")
     assert (code, out) == (1, "")
-    assert err == ("error: tangent point coordinate u_1 overflows; "
+    assert err == ("error: a term of the tangency sum S overflows; "
                    "the parameters overflow floating point\n")
+
+
+NEAR_LINEAR_SPEC = json.dumps({"n": 2, "m": 1.01, "d": [0.1, 10], "l": [1, 1], "theta": 0,
+                               "sigma": [1, 1], "C": [[1, 2], [3, 1]]})
+
+
+def test_a_band_near_m_1_is_answered(capsys):
+    # The parent refused it: the tangent point's u_2 underflowed to 0.
+    code, out, _ = run(capsys, "bounds", NEAR_LINEAR_SPEC, "--alpha", "0.1,2")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["lower"], doc["upper"]) == (3.874767745317854e-06, 17205.33230597486)
+    for side in ("lower", "upper"):
+        want = _oracle_levels(NEAR_LINEAR_SPEC, (0.1, 2.0), side)[1]["eta2"]
+        assert rel_gap(doc[side], want) < 1e-12, side
+
+
+SUBNORMAL_QUOTIENT_SPEC = json.dumps({
+    "n": 2, "m": 20, "d": [6.88015505319367e-08, 66956.63099319837], "l": [1, 1], "theta": 0,
+    "sigma": [4.2401183513624174e-05, 8.370019458604509e-05],
+    "C": [[6.223934217217279, 11257.334417771757],
+          [4.4554591551769716e-06, 5.751038250440578e-08]]})
+
+
+@pytest.mark.parametrize("command", ["bounds", "barrier"])
+def test_a_subnormal_level_quotient_is_refused_by_name(capsys, command):
+    # lambda2 / grow is about 3.3e-321, so eta2 = (lambda2 / grow)^(1/20) kept
+    # a few bits only: the band it gave, 9.455822381663464e-17, is above the
+    # exact lower bound 9.455540123520304e-17.
+    argv = [command, SUBNORMAL_QUOTIENT_SPEC, "--alpha", "127.9682054665402,0.0027324462566662563"]
+    if command == "barrier":
+        argv += ["--orientation", "lower"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == ("error: envelope level eta2 underflows below the smallest normal float; "
+                   "the parameters underflow floating point\n")
 
 
 def test_barrier_names_a_power_out_of_range(capsys):
