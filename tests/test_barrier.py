@@ -565,18 +565,31 @@ def test_a_plane_power_that_underflows_leaves_the_other_vertex():
 
 
 @pytest.mark.parametrize("args, what", [
+    ((1.0, (1e-200, 1.0), (1e-200, 1.0), 1.5),
+     "a tangency base alpha_i d_i ulow_i^m underflows to 0"),
     ((1e-200, (1e-150, 1.0), (1.0, 1.0), 1.5), "tangency level Lambda underflows to 0"),
     ((1.0, (1e200, 1e200), (1.0, 1.0), 1.5), "tangency sum S underflows to 0"),
     ((1e-107, (1e-150, 1.0), (1.0, 1.0), 1.5),
      "tangency level Lambda underflows below the smallest normal float"),
     ((1.0, (1e155, 1e155), (1.0, 1.0), 1.5),
      "tangency sum S underflows below the smallest normal float"),
-], ids=["Lambda", "S", "Lambda-subnormal", "S-subnormal"])
+], ids=["point", "Lambda", "S", "Lambda-subnormal", "S-subnormal"])
 def test_tangency_names_what_underflows(args, what):
+    # Term i of S, (w_i ulow_i^m)^(-1/(m-1)), is the tangent point's face
+    # coordinate u_i / ulow_i times S / Theta; its base w_1 ulow_1^1.5 is 1e-500.
     # Lambda = Theta^1.5 S^(-1/2) with S = 1e300 is about 1e-300 * 1e-150, or
     # 1e-160.5 * 1e-150; each term of S is (w_i ulow_i^m)^(-2) = 1e-400, or 1e-310.
-    with pytest.raises(ValueError, match=f"^{what}; the parameters underflow floating point$"):
+    message = f"{what}; the parameters underflow floating point"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         _tangency_level(*args)
+
+
+def test_tangency_names_a_point_coordinate_that_overflows():
+    # The tangent point's face coordinate u_1 / ulow_1 is Theta / S times the
+    # term (w_1 ulow_1^1.5)^(-2) of S, which is (1e-307.5)^(-2), past the float range.
+    with pytest.raises(ValueError, match="^a term of the tangency sum S overflows; "
+                                         "the parameters overflow floating point$"):
+        _tangency_level(1.0, (1e-300, 1.0), (1e-5, 1.0), 1.5)
 
 
 @pytest.mark.parametrize("alpha, ulow", [
