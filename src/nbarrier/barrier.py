@@ -19,6 +19,7 @@ barrier_curves samples the five pieces on one simplex lattice for plotting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, pairwise
 from math import inf, isfinite
 from operator import mul
 from sys import float_info
@@ -225,22 +226,13 @@ class ContainmentReport:
 def _compositions(parts: int, total: int):
     """Integer compositions k of total into parts entries, in lexicographic order.
 
-    One list is yielded, updated in place, and none is made only to be
-    rejected: the successor of k moves one unit from its rightmost nonzero
-    entry k_j into k_(j-1) and puts the rest of k_j into the last entry.
+    Stars and bars: the parts - 1 bars take increasing slots among
+    total + parts - 1, and k_j counts the slots between bar j - 1 and bar j.
+    Lexicographic bar positions give lexicographic k.
     """
-    k = [0] * (parts - 1) + [total]
-    while True:
-        yield k
-        j = parts - 1
-        while not k[j]:
-            j -= 1
-        if j == 0:
-            return
-        rest = k[j] - 1
-        k[j] = 0
-        k[j - 1] += 1
-        k[-1] = rest
+    slots = total + parts - 1
+    for bars in combinations(range(slots), parts - 1):
+        yield [b - a - 1 for a, b in pairwise((-1, *bars, slots))]
 
 
 def _simplex_lattice(n: int, resolution: int):

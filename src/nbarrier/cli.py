@@ -1,16 +1,18 @@
 """Command-line entry point wiring the library together.
 
 Subcommands: bounds, barrier, verify-h, exact, residual, simulate,
-nonexistence.  Each subcommand returns one JSON document, which goes to
-stdout or --out; CSV side outputs are written only when requested, before
-the document is emitted.  Exit codes: 0 success, 1 domain error (including
-NaN or infinite parameters, document keys that are unknown or of the wrong
-type, arithmetic overflow or underflow, and a result that would put NaN or
-infinity into the JSON or into a --csv cell), 2 usage error (bad flags,
-malformed JSON, a non-finite --alpha, --u0 or --w0 entry or family flag, a
---tol that is not positive and finite, a bad or oversized --grid, a
---samples that is not a positive integer or, on barrier, whose curve lattice
-is oversized, an unreadable input or unwritable output path),
+nonexistence.  A subcommand writes nothing: it returns one JSON document
+and at most one CSV table.  main writes outputs in this order: it formats
+the document, checks every table cell and writes the --csv or --curve-csv
+file, then emits the document to stdout or --out; a failed step writes
+nothing after it.  Exit codes: 0 success, 1 domain error (including NaN or
+infinite parameters, document keys that are unknown or of the wrong type,
+arithmetic overflow or underflow, and a result that would put NaN or
+infinity into the JSON or into a --csv or --curve-csv cell), 2 usage error
+(bad flags, malformed JSON, a non-finite --alpha, --u0 or --w0 entry or
+family flag, a --tol that is not positive and finite, a bad or oversized
+--grid, a --samples that is not a positive integer or, on barrier, whose
+curve lattice is oversized, an unreadable input or unwritable output path),
 3 computation succeeded but a verification check failed.  All output is
 deterministic; floats use shortest round-trip formatting.
 """
@@ -130,8 +132,7 @@ def _json_text(doc: dict) -> str:
         raise ValueError(f"result holds a NaN or infinite value ({exc})") from exc
 
 
-def _emit_json(doc: dict, out: str | None):
-    text = _json_text(doc)
+def _emit(text: str, out: str | None):
     if out:
         try:
             Path(out).write_text(text)
@@ -141,26 +142,24 @@ def _emit_json(doc: dict, out: str | None):
         sys.stdout.write(text)
 
 
-def _write_csv(path: str, header: list, rows) -> None:
-    """Write rows of floats; str cells (set labels) are written as they are."""
+def _write_csv(flag: str, path: str, header: list, rows, why: str) -> None:
+    """Write rows() under header; str cells (set labels) go as they are.  A
+    first rows() pass checks that every other cell is finite before path is
+    opened, so a refused file is not left half written."""
+    for row in rows():
+        for name, value in zip(header, row):
+            if not isinstance(value, str) and not math.isfinite(value):
+                at = row[0] if isinstance(row[0], str) else float(row[0])
+                raise ValueError(f"{flag} column {name} is not finite at "
+                                 f"{header[0]} = {at!r}; {why}")
     try:
         with open(path, "w") as fh:
             fh.write(",".join(header) + "\n")
-            for row in rows:
+            for row in rows():
                 fh.write(",".join(v if isinstance(v, str) else repr(float(v))
                                   for v in row) + "\n")
     except OSError as exc:
         raise _Usage(f"cannot write {path}: {exc}") from exc
-
-
-def _refuse_non_finite_cells(names: list, rows, why: str) -> None:
-    """Raise a ValueError at the first row (x, v1, ...) whose value under
-    names (one per v) is NaN or infinite; run before the CSV is opened, so
-    a refused file is not left half written."""
-    for x, *values in rows:
-        for name, value in zip(names, values):
-            if not math.isfinite(value):
-                raise ValueError(f"--csv column {name} is not finite at x = {float(x)!r}; {why}")
 
 
 def _spec_and_alpha(args) -> tuple:
@@ -173,31 +172,32 @@ def _spec_and_alpha(args) -> tuple:
 
 def _cmd_bounds(args) -> tuple:
     spec, alpha = _spec_and_alpha(args)
-    return bounds_for(spec, alpha, args.chi).to_dict(), 0
+    return bounds_for(spec, alpha, args.chi).to_dict(), 0, None
 
 
 def _cmd_barrier(args) -> tuple:
     spec, alpha = _spec_and_alpha(args)
-    hull = hull_intercepts(spec.reaction)
-    if args.orientation == "lower":
-        env = build_lower_barrier(alpha, spec.d, hull.ulow, spec.m)
-    else:
-        env = build_upper_barrier(alpha, spec.d, hull.ubar, spec.m)
     if args.curve_csv:
         count = math.comb(args.samples + spec.n - 1, spec.n - 1)
         if count > MAX_GRID_POINTS:
             raise _Usage(f"--samples {args.samples} gives {count} lattice points "
                          f"per curve, more than the limit of {MAX_GRID_POINTS}")
-        rows = ([name, *u] for name, points in barrier_curves(env, hull, args.samples)
-                for u in points)
-        _write_csv(args.curve_csv, ["set"] + [f"u{i + 1}" for i in range(spec.n)], rows)
-    return env.to_dict(), 0
+    hull = hull_intercepts(spec.reaction)
+    if args.orientation == "lower":
+        env = build_lower_barrier(alpha, spec.d, hull.ulow, spec.m)
+    else:
+        env = build_upper_barrier(alpha, spec.d, hull.ubar, spec.m)
+    table = ("--curve-csv", args.curve_csv, ["set"] + [f"u{i + 1}" for i in range(spec.n)],
+             lambda: ([name, *u] for name, points in barrier_curves(env, hull, args.samples)
+                      for u in points),
+             "the parameters overflow floating point")
+    return env.to_dict(), 0, table if args.curve_csv else None
 
 
 def _cmd_verify_h(args) -> tuple:
     spec = system_from_dict(_load_json(args.spec))
     report = verify_hypothesis_H(spec, hull_intercepts(spec.reaction), args.samples)
-    return asdict(report), 0 if report.ok else 3
+    return asdict(report), 0 if report.ok else 3, None
 
 
 def _family_from_args(args):
@@ -227,18 +227,11 @@ def _cmd_exact(args) -> tuple:
     if args.csv and not args.grid:
         raise _Usage("--csv needs --grid")
     xs = parse_grid(args.grid) if args.grid else None
-    doc = _solution_dict(sol)
-    if args.csv:
-        _json_text(doc)  # a document that cannot be emitted exits 1 before the CSV opens
-        profile = sol.profile()
-        header = ["x"] + [f"u{i + 1}" for i in range(profile.n)]
-
-        def rows():
-            return ([x, *(state[0] for state in profile.derivs(x))] for x in xs)
-
-        _refuse_non_finite_cells(header[1:], rows(), "the profile overflows floating point")
-        _write_csv(args.csv, header, rows())
-    return doc, 0
+    profile = sol.profile()
+    table = ("--csv", args.csv, ["x"] + [f"u{i + 1}" for i in range(profile.n)],
+             lambda: ([x, *(state[0] for state in profile.derivs(x))] for x in xs),
+             "the profile overflows floating point")
+    return _solution_dict(sol), 0, table if args.csv else None
 
 
 def _default_residual_grid(args, sol) -> list:
@@ -258,7 +251,7 @@ def _cmd_residual(args) -> tuple:
     xs = _default_residual_grid(args, sol)
     worst = residual(spec, sol.profile(), xs)
     ok = all(r <= args.tol for r in worst)
-    return {"residuals": list(worst), "tol": args.tol, "ok": ok}, 0 if ok else 3
+    return {"residuals": list(worst), "tol": args.tol, "ok": ok}, 0 if ok else 3, None
 
 
 def _cmd_simulate(args) -> tuple:
@@ -284,20 +277,17 @@ def _cmd_simulate(args) -> tuple:
         summary["violations"] = [list(v) for v in report.violations]
         if not report.ok:
             code = 3
-    if args.csv:
-        _refuse_non_finite_cells(["p", "q"], zip(traj.xs, traj.p, traj.q),
-                                 "the weighted total overflows floating point")
-        n = traj.n
-        header = (["x"] + [f"u{i + 1}" for i in range(n)]
-                  + [f"w{i + 1}" for i in range(n)] + ["p", "q"])
-        rows = ([traj.xs[k]] + list(traj.u[k]) + list(traj.w[k])
-                + [traj.p[k], traj.q[k]] for k in range(len(traj.xs)))
-        _write_csv(args.csv, header, rows)
-    return summary, code
+    header = (["x"] + [f"u{i + 1}" for i in range(traj.n)]
+              + [f"w{i + 1}" for i in range(traj.n)] + ["p", "q"])
+    table = ("--csv", args.csv, header,
+             lambda: ([traj.xs[k]] + list(traj.u[k]) + list(traj.w[k])
+                      + [traj.p[k], traj.q[k]] for k in range(len(traj.xs))),
+             "the weighted total overflows floating point")
+    return summary, code, table if args.csv else None
 
 
 def _cmd_nonexistence(args) -> tuple:
-    return check(params_from_dict(_load_json(args.params))).to_dict(), 0
+    return check(params_from_dict(_load_json(args.params))).to_dict(), 0, None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -374,8 +364,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        doc, code = args.fn(args)
-        _emit_json(doc, args.out)
+        doc, code, table = args.fn(args)
+        text = _json_text(doc)
+        if table:
+            _write_csv(*table)
+        _emit(text, args.out)
     except _Usage as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

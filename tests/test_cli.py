@@ -140,6 +140,20 @@ def test_barrier_curves_stay_finite_where_lambda_over_q_overflows(capsys, tmp_pa
     assert all(math.isfinite(float(v)) for row in rows for v in row[1:])
 
 
+
+def test_barrier_refuses_a_curve_csv_point_out_of_float_range(capsys, tmp_path):
+    # The plane vertex eta2 / alpha_1 = 1e150 / 1e-300 is past the float range.
+    csv_path = tmp_path / "c.csv"
+    spec = json.dumps({"n": 2, "m": 2, "d": [1, 1], "l": [1, 1], "theta": 0,
+                       "sigma": [1, 1], "C": [[1, 2], [3, 1]]})
+    code, out, err = run(capsys, "barrier", spec, "--alpha", "1e-300,1",
+                         "--orientation", "upper", "--samples", "2",
+                         "--curve-csv", str(csv_path))
+    assert (code, out) == (1, "")
+    assert err == ("error: --curve-csv column u1 is not finite at set = 'plane_eta2'; "
+                   "the parameters overflow floating point\n")
+    assert not csv_path.exists()
+
 @pytest.mark.parametrize("samples", ["0", "-1"])
 def test_barrier_curve_samples_must_be_positive(capsys, tmp_path, samples):
     csv_path = tmp_path / "curves.csv"

@@ -152,3 +152,19 @@ def test_only_the_kernel_builder_compiles_source():
         if calls:
             found[path.name] = calls
     assert found == {"kernels.py": [("_bind", "compile"), ("_bind", "exec")]}
+
+
+def test_only_main_writes_cli_outputs():
+    """Commands return their document and CSV table; main alone formats,
+    checks and writes them, so the finiteness gate has one home."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    commands = [fn for fn in tree.body
+                if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_cmd_")]
+    offenders = []
+    for fn in commands:
+        for call in ast.walk(fn):
+            if isinstance(call, ast.Call):
+                name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+                if name in {"_write_csv", "open", "write_text", "_json_text"}:
+                    offenders.append(f"{fn.name}: {name}")
+    assert len(commands) == 7 and offenders == []
