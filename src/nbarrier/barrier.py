@@ -19,9 +19,9 @@ barrier_curves samples the five pieces on one simplex lattice for plotting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, pairwise
+from itertools import combinations_with_replacement
 from math import inf, isfinite
-from operator import mul
+from operator import mul, sub
 from sys import float_info
 from typing import Sequence
 
@@ -224,15 +224,17 @@ class ContainmentReport:
 
 
 def _compositions(parts: int, total: int):
-    """Integer compositions k of total into parts entries, in lexicographic order.
+    """Integer compositions k of total into parts entries, in lexicographic
+    order, each an iterator over its entries, good for one pass.
 
-    Stars and bars: the parts - 1 bars take increasing slots among
-    total + parts - 1, and k_j counts the slots between bar j - 1 and bar j.
-    Lexicographic bar positions give lexicographic k.
+    The parts - 1 cuts 0 <= c_1 <= ... <= c_(parts-1) <= total split
+    [0, total] into k_j = c_(j+1) - c_j (c_0 = 0, c_parts = total).
+    combinations_with_replacement gives the cuts in lexicographic order, and
+    their running sums k_0 + ... + k_j order k the same way.
     """
-    slots = total + parts - 1
-    for bars in combinations(range(slots), parts - 1):
-        yield [b - a - 1 for a, b in pairwise((-1, *bars, slots))]
+    start, end = (0,), (total,)
+    for cuts in combinations_with_replacement(range(total + 1), parts - 1):
+        yield map(sub, cuts + end, start + cuts)
 
 
 def _simplex_lattice(n: int, resolution: int):

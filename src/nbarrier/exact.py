@@ -14,7 +14,7 @@ family member shows nothing but roundoff.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, pi, sin, tanh
+from math import cos, nan, pi, sin, tanh
 from typing import Callable, NamedTuple, Sequence
 
 from .kernels import residual_maxima
@@ -52,10 +52,13 @@ class Profile:
 
 
 def _power_derivs(m: float, u: float, du: float, ddu: float) -> tuple:
-    """(u^m)' and (u^m)'' of one species by the chain rule, from u, u', u''."""
+    """(u^m)' and (u^m)'' of one species by the chain rule, from u, u', u'';
+    both are NaN where a negative u to a fractional m - 1 is a complex."""
     if m == 1:
         return du, ddu
     grad = m * u ** (m - 1.0)
+    if grad.__class__ is complex:
+        return nan, nan
     return grad * du, m * (m - 1.0) * u ** (m - 2.0) * du * du + grad * ddu
 
 

@@ -2,11 +2,26 @@
 
 The wave equation d_i (u_i^m)'' + theta u_i' + u_i^{l_i} f_i(u) = 0 is
 evaluated by two kernels, the grid loop of exact.residual (residual_maxima)
-and one RK4 step of waves.integrate (rk4_stepper).  Each is straight-line
-Python source over scalars, written per species count n and per m == 1 or
-not, compiled once and cached.  One header unpacks the coefficients and the
-constants derived from m, and one binder passes them from the spec and picks
-the variant from spec.m, so one kernel serves every spec with n species.
+and the RK4 step loop of waves.integrate (rk4_march).  Each is straight-line
+Python source over scalars, written per species count n, per m == 1 or not
+and per exponent class, compiled once and cached.  One header unpacks the
+coefficients and the constants derived from m, and one binder passes them
+from the spec and picks the variant, so one kernel serves every spec with n
+species whose exponents fall in the same classes.
+
+The exponents are m - 1 and m - 2 (unless m == 1) and each l_i, and each has
+one of four classes: 0.0, 1.0, another integer, or a fraction.  A power to
+1.0 is written as its base, and a factor that is a power to 0.0 is left out.
+Both rewrites are exact for every float base, inf, NaN, -0.0 and negative
+ones included: CPython returns 1.0 for any u ** 0.0, and glibc's pow, under
+1 ulp, returns u itself for u ** 1.0.  So at m = 2 and l_i = 1 (every tanh
+and cosine family member) those powers take no pow call.  A negative base to
+a fraction is a complex; the residual reports NaN for such a species, and
+only variants with a fractional exponent carry that guard, since a negative
+base to an integer is real.  Specs whose exponents differ in class compile
+kernels of their own: at large n, where a kernel's source runs to megabytes
+(3.6 MB and 2.1 s to compile at n = 3000), every new pattern of l pays that
+compile again.
 
 Every row of C in a reaction term u_i^{l_i} (sigma_i - sum_j c_ij u_j) is
 added over the products reaction_eval adds, in its order, and rounds as its
@@ -19,13 +34,14 @@ the first addend a to 0.0 exactly and keeps for the second, b, the exact
 rounding error of fl(a + b), which added back rounds to fl(a + b) again (a
 non-finite one it drops).  From three addends on the two can round
 differently, so those rows stay with sum.  The
-residual takes (u_i^m)'' by the chain rule of Profile.at, and the RK4 step
+residual takes (u_i^m)'' by the chain rule of Profile.at, and each RK4 step
 performs the operations of the list stepper it replaced, in the same order,
 so both give the floats of those routes bit for bit.
 """
 
 from __future__ import annotations
 
+from math import inf, nan
 from operator import mul
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -42,6 +58,23 @@ if TYPE_CHECKING:
 UNROLL_LIMIT = 8
 
 _KERNELS: dict = {}
+
+
+def _exponent_class(e: float) -> str:
+    """The class of an exponent: "0" and "1" for 0.0 and 1.0, which fold,
+    "int" for another integer and "frac" for the rest."""
+    return "0" if e == 0.0 else "1" if e == 1.0 else "int" if e.is_integer() else "frac"
+
+
+def _power(base: str, exponent: str, cls: str) -> str | None:
+    """base ** exponent as its class writes it: the base alone for 1.0, None
+    (a factor left out) for 0.0."""
+    return None if cls == "0" else base if cls == "1" else f"{base} ** {exponent}"
+
+
+def _product(*factors) -> str:
+    """The factors that are not None, joined by *."""
+    return " * ".join(f for f in factors if f is not None)
 
 
 def _tuple(fmt: str, n: int) -> str:
@@ -69,11 +102,12 @@ def _kernel(head: str, n: int, linear: bool, body: list) -> str:
         ""])
 
 
-def _reaction_terms(n: int) -> list:
-    """Lines that read a state u0..u{n-1} and bind the reaction terms t0..;
-    row i of C is (0.0 + c{i}_0 * u0 + c{i}_1 * u1) for n <= 2, which rounds
-    as sum does with one or two addends under plain and compensated sum
-    alike, sum((c{i}_0 * u0, ...)) up to UNROLL_LIMIT species, and
+def _reaction_terms(n: int, l_classes: tuple) -> list:
+    """Lines that read a state u0..u{n-1} and bind the reaction terms t0..,
+    u{i} ** l{i} folded by its class; row i of C is
+    (0.0 + c{i}_0 * u0 + c{i}_1 * u1) for n <= 2, which rounds as sum does
+    with one or two addends under plain and compensated sum alike,
+    sum((c{i}_0 * u0, ...)) up to UNROLL_LIMIT species, and
     sum(map(mul, C{i}, U)) beyond."""
     lines = []
     if n <= 2:
@@ -84,27 +118,36 @@ def _reaction_terms(n: int) -> list:
     else:
         sums = [f"sum(map(mul, C{i}, U))" for i in range(n)]
         lines = [f"U = ({_tuple('u{}', n)})"]
-    return lines + [f"t{i} = u{i} ** l{i} * (s{i} - {sums[i]})" for i in range(n)]
+    return lines + [f"t{i} = " + _product(_power(f"u{i}", f"l{i}", cls), f"(s{i} - {sums[i]})")
+                    for i, cls in enumerate(l_classes)]
 
 
-def _rk4_source(n: int, linear: bool) -> str:
-    """Source of the RK4 kernel for n species; linear means m == 1.
+def _rk4_source(n: int, linear: bool, classes: tuple) -> str:
+    """Source of the RK4 kernel for n species; linear means m == 1, and
+    classes are the exponent classes of _bind.
 
-    kernel(FloorHit, floor, ...) returns step(y, h), one RK4 step of the
-    state y = (u_0.., w_0..).  Stage s writes its state to scalars u_i, w_i
-    and binds its derivatives ks_0..ks_{2n-1}: unless linear it raises
-    FloorHit if some u_i is below the floor and takes
-    u_i' = w_i / (m u_i^(m-1)) (u_i' = w_i when linear) for every species,
-    then every reaction term, then w_i' = (-theta u_i' - t_i) / d_i.
+    kernel(FloorHit, floor, ...) returns march(y, x, h, count, xs, ys),
+    which takes up to count RK4 steps of size h from the state
+    y = (u_0.., w_0..) at x and appends each finite state to ys and its x
+    to xs.  It returns True after count steps and False at the first state
+    with a NaN or infinite component, which it does not store.  A complex
+    state raises TypeError, and the steps taken before a raise stay stored.
+
+    Stage s writes its state to scalars u_i, w_i and binds its derivatives
+    ks_0..ks_{2n-1}: unless linear it raises FloorHit if some u_i is below
+    the floor and takes u_i' = w_i / (m u_i^(m-1)) (u_i' = w_i when linear)
+    for every species, then every reaction term, then
+    w_i' = (-theta u_i' - t_i) / d_i.  The stepped state raises FloorHit
+    as the stages do.
     """
-    terms = _reaction_terms(n)
+    m1, _, *l_classes = (None, None, *classes) if linear else classes
+    terms = _reaction_terms(n, l_classes)
 
     def below(name):
         return " or ".join(f"{name}{i} < floor" for i in range(n))
 
     rng2 = range(2 * n)
-    step = [f"{_tuple('y{}', 2 * n)}= {_tuple('u{}', n)}{_tuple('w{}', n)}= y",
-            "half = 0.5 * h"]
+    step = []
     for stage, coef in enumerate((None, "half", "half", "h"), 1):
         if coef:
             step += [f"{'u' if j < n else 'w'}{j % n} = y{j} + {coef} * k{stage - 1}_{j}"
@@ -113,65 +156,97 @@ def _rk4_source(n: int, linear: bool) -> str:
             step += [f"k{stage}_{i} = w{i}" for i in range(n)]
         else:
             step += [f"if {below('u')}:", "    raise FloorHit"]
-            step += [f"k{stage}_{i} = w{i} / (m * u{i} ** m1)" for i in range(n)]
+            step += [f"k{stage}_{i} = w{i} / ({_product('m', _power(f'u{i}', 'm1', m1))})"
+                     for i in range(n)]
         step += terms
         step += [f"k{stage}_{n + i} = (ntheta * k{stage}_{i} - t{i}) / d{i}"
                  for i in range(n)]
-    step.append("sixth = h / 6.0")
-    step += [f"z{j} = y{j} + sixth * (k1_{j} + 2.0 * k2_{j} + 2.0 * k3_{j} + k4_{j})"
+    # The stepped state is the next step's first stage state.
+    step += [f"{'u' if j < n else 'w'}{j % n} = y{j} = "
+             f"y{j} + sixth * (k1_{j} + 2.0 * k2_{j} + 2.0 * k3_{j} + k4_{j})"
              for j in rng2]
     if not linear:
-        step += [f"if {below('z')}:", "    raise FloorHit"]
-    step.append(f"return ({_tuple('z{}', 2 * n)})")
-    body = ["def step(y, h):", *("    " + line for line in step), "return step"]
+        step += [f"if {below('u')}:", "    raise FloorHit"]
+    # A complex component raises TypeError at its comparison.
+    step += ["x = x + h",
+             "if not (" + " and ".join(f"ninf < y{j} < inf" for j in rng2) + "):",
+             "    return False",
+             "add_x(x)",
+             f"add_y(({_tuple('y{}', 2 * n)}))"]
+    body = ["ninf = -inf",
+            "def march(y, x, h, count, xs, ys):",
+            f"    {_tuple('y{}', 2 * n)}= {_tuple('u{}', n)}{_tuple('w{}', n)}= y",
+            "    half = 0.5 * h",
+            "    sixth = h / 6.0",
+            "    add_x, add_y = xs.append, ys.append",
+            "    for _ in range(count):",
+            *("        " + line for line in step),
+            "    return True",
+            "return march"]
     return _kernel("FloorHit, floor", n, linear, body)
 
 
-def _residual_source(n: int, linear: bool) -> str:
-    """Source of the residual kernel for n species; linear means m == 1.
+def _residual_source(n: int, linear: bool, classes: tuple) -> str:
+    """Source of the residual kernel for n species; linear means m == 1, and
+    classes are the exponent classes of _bind.
 
     kernel(derivs, grid, ...) unpacks derivs(x) into u_i, u_i', u_i'' per
     grid point, binds every reaction term, and then per species takes
     (u_i^m)'' by Profile.at's chain rule (grad first, then the u^(m-2)
     term), the residual d_i (u_i^m)'' + theta u_i' + t_i and its running
-    maximum, which a NaN residual replaces and keeps.
+    maximum, which a NaN residual replaces and keeps.  A species with a
+    fractional exponent takes a complex residual as NaN.
     """
-    point = [f"{_tuple('(u{0}, du{0}, ddu{0})', n)}= derivs(x)", *_reaction_terms(n)]
+    m1, m2, *l_classes = (None, None, *classes) if linear else classes
+    point = [f"{_tuple('(u{0}, du{0}, ddu{0})', n)}= derivs(x)",
+             *_reaction_terms(n, l_classes)]
     for i in range(n):
         if linear:
             ddum = f"ddu{i}"
         else:
-            point.append(f"g{i} = m * u{i} ** m1")
-            ddum = f"(mm * u{i} ** m2 * du{i} * du{i} + g{i} * ddu{i})"
-        point += [f"r{i} = abs(d{i} * {ddum} + theta * du{i} + t{i})",
-                  f"if r{i} > w{i} or r{i} != r{i}:",
+            point.append(f"g{i} = {_product('m', _power(f'u{i}', 'm1', m1))}")
+            ddum = (f"({_product('mm', _power(f'u{i}', 'm2', m2), f'du{i}', f'du{i}')}"
+                    f" + g{i} * ddu{i})")
+        residual = f"d{i} * {ddum} + theta * du{i} + t{i}"
+        if "frac" in (m1, l_classes[i]):
+            point += [f"e{i} = {residual}",
+                      f"r{i} = nan if e{i}.__class__ is complex else abs(e{i})"]
+        else:
+            point.append(f"r{i} = abs({residual})")
+        point += [f"if r{i} > w{i} or r{i} != r{i}:",
                   f"    w{i} = r{i}"]
     body = [f"{_tuple('w{}', n)}= {'0.0, ' * n}", "for x in grid:",
             *("    " + line for line in point), f"return ({_tuple('w{}', n)})"]
     return _kernel("derivs, grid", n, linear, body)
 
 
-def _bind(kind: str, write: Callable[[int, bool], str], spec: SystemSpec, *head):
+def _bind(kind: str, write: Callable[[int, bool, tuple], str], spec: SystemSpec, *head):
     """kernel(*head, m, theta, d, l, s, C) with every coefficient from spec,
-    the kernel written by write(n, spec.m == 1) and compiled once per
-    (kind, n, variant)."""
-    n, linear = spec.n, spec.m == 1
-    kernel = _KERNELS.get((kind, n, linear))
+    the kernel written by write(n, m == 1, classes) and compiled once per
+    (kind, n, m == 1, classes), where classes are the _exponent_class of
+    m - 1 and m - 2 (unless m == 1) and of each l_i."""
+    n, m, l = spec.n, float(spec.m), tuple(map(float, spec.l))
+    linear = m == 1
+    classes = tuple(map(_exponent_class, l if linear else (m - 1.0, m - 2.0, *l)))
+    key = (kind, n, linear, classes)
+    kernel = _KERNELS.get(key)
     if kernel is None:
-        namespace = {"mul": mul}
-        exec(compile(write(n, linear), f"<{kind} kernel, n = {n}>", "exec"), namespace)
-        kernel = _KERNELS[kind, n, linear] = namespace["kernel"]
+        namespace = {"mul": mul, "inf": inf, "nan": nan}
+        source = write(n, linear, classes)
+        exec(compile(source, f"<{kind} kernel, n = {n}, {classes}>", "exec"), namespace)
+        kernel = _KERNELS[key] = namespace["kernel"]
     reaction = spec.reaction
-    return kernel(*head, float(spec.m), float(spec.theta), tuple(map(float, spec.d)),
-                  tuple(map(float, spec.l)), tuple(map(float, reaction.sigma)),
+    return kernel(*head, m, float(spec.theta), tuple(map(float, spec.d)), l,
+                  tuple(map(float, reaction.sigma)),
                   tuple(tuple(map(float, row)) for row in reaction.C))
 
 
-def rk4_stepper(spec: SystemSpec, floor_hit: type, floor: float) -> Callable:
-    """The RK4 step (y, h) -> y' of spec over y = (u_0.., w_0..).
+def rk4_march(spec: SystemSpec, floor_hit: type, floor: float) -> Callable:
+    """The RK4 step loop march(y, x, h, count, xs, ys) of spec over
+    y = (u_0.., w_0..); see _rk4_source for its contract.
 
-    When spec.m > 1 the step raises floor_hit as soon as a stage state or
-    the stepped state has some u_i below floor.
+    When spec.m > 1 it raises floor_hit as soon as a stage state or a
+    stepped state has some u_i below floor.
     """
     return _bind("rk4", _rk4_source, spec, floor_hit, floor)
 
@@ -180,5 +255,5 @@ def residual_maxima(spec: SystemSpec, derivs: Callable[[float], tuple],
                     grid: Sequence[float]) -> tuple:
     """Max |d_i (u_i^m)'' + theta u_i' + u_i^{l_i} f_i(u)| per species over
     grid, from the (u_i, u_i', u_i'') tuples of derivs(x) and spec's own m;
-    a species with a NaN residual at any point reports NaN."""
+    a species with a NaN or complex residual at any point reports NaN."""
     return _bind("residual", _residual_source, spec, derivs, grid)

@@ -6,13 +6,15 @@ singular at u_i = 0, so integration stops at a small positivity floor rather
 than stepping into the degenerate set.  Stepping is classical fixed-step
 RK4 on Python floats; outputs are bit-reproducible for identical inputs.
 
-One RK4 step is the compiled kernel kernels.rk4_stepper.  The loop stores
-one state tuple y = (u.., w..) per grid point, and the stored history is
-one array split once into its column halves, Trajectory.u and .w.
+The step loop is the compiled kernel kernels.rk4_march, called once for
+the full steps and once for a final partial step.  It stores one state
+tuple y = (u.., w..) per grid point, and the stored history is one array
+split once into its column halves, Trajectory.u and .w.
 
 numpy only builds the stored Trajectory arrays, once after the loop, and
 re-runs on float64 scalars a step whose float arithmetic overflowed or
-divided by zero, so such a step ends in inf as IEEE arithmetic has it.
+divided by zero, so such a step ends in inf as IEEE arithmetic has it; the
+march on Python floats resumes after it.
 check_bounds and flux_balance_defect stay vectorised over the stored
 arrays; flux_balance_defect evaluates the reaction with numpy, so it checks
 the stepper independently.  numpy is imported inside these three
@@ -27,7 +29,7 @@ from math import isfinite
 from typing import TYPE_CHECKING, Sequence
 
 from .bounds import BoundsResult
-from .kernels import rk4_stepper
+from .kernels import rk4_march
 from .model import SystemSpec
 
 if TYPE_CHECKING:
@@ -118,37 +120,33 @@ def integrate(spec: SystemSpec, u0: Sequence[float], w0: Sequence[float],
         raise ValueError("alpha length must match the system")
     alpha_vec = np.asarray(alpha, dtype=float)
 
-    step_rk4 = rk4_stepper(spec, _FloorHit, POSITIVITY_FLOOR)
+    march = rk4_march(spec, _FloorHit, POSITIVITY_FLOOR)
     xs = [x0]
     ys = [(*map(float, u0), *map(float, w0))]
     reason = None
-    x = x0
-    for k in range(n_steps):
-        h = step if k < n_full else remainder
-        try:
+    try:
+        while len(xs) <= n_steps:
+            done = len(xs) - 1
+            h, count = (step, n_full - done) if done < n_full else (remainder, 1)
             try:
-                y = step_rk4(ys[-1], h)
+                if march(ys[-1], xs[-1], h, count, xs, ys):
+                    continue
             except ArithmeticError:
                 # Python floats raise on overflow and on division by zero, where
                 # the step may still end finite (w / inf is 0).  float64 scalars
-                # give IEEE inf there, so the step is re-run on them.
+                # give IEEE inf there, so that step alone is re-run on them.
                 with np.errstate(all="ignore"):
-                    y = tuple(map(float, step_rk4(tuple(map(np.float64, ys[-1])), h)))
-        except _FloorHit:
-            reason = (f"positivity floor {POSITIVITY_FLOOR:g} reached "
-                      f"near x = {x + h:.6g}")
+                    if march(tuple(map(np.float64, ys[-1])), xs[-1], h, 1, xs, ys):
+                        ys[-1] = tuple(map(float, ys[-1]))
+                        continue
+            except TypeError:
+                # A complex: a negative base to a fractional power, NaN in IEEE.
+                pass
+            reason = f"non-finite state at x = {xs[-1] + h:.6g}"
             break
-        x += h
-        try:
-            finite = all(map(isfinite, y))
-        except TypeError:
-            # A complex: a negative base to a fractional power, NaN in IEEE.
-            finite = False
-        if not finite:
-            reason = f"non-finite state at x = {x:.6g}"
-            break
-        xs.append(x)
-        ys.append(y)
+    except _FloorHit:
+        reason = (f"positivity floor {POSITIVITY_FLOOR:g} reached "
+                  f"near x = {xs[-1] + h:.6g}")
 
     y_arr = np.array(ys)
     u_arr, w_arr = y_arr[:, :n], y_arr[:, n:]

@@ -229,6 +229,12 @@ def test_simplex_lattice_matches_the_filtered_product(n, r):
     assert list(_simplex_lattice(n, r)) == reference_lattice(n, r)
 
 
+def test_compositions_come_in_the_filtered_product_order():
+    for n, r in product(range(1, 7), range(1, 11)):
+        want = [k + (r - sum(k),) for k in product(range(r + 1), repeat=n - 1) if sum(k) <= r]
+        assert [tuple(k) for k in _compositions(n, r)] == want, (n, r)
+
+
 def test_containment_walks_no_lattice(monkeypatch):
     """The exact peaks sample nothing, so samples changes no report."""
     calls = []

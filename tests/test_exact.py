@@ -185,17 +185,17 @@ README_COS = (-0.1, 0.0909090909, 0.0833333333, 2.0, 1.0, 1.0, 1.0,
               17.7833333333, 1.0, 15.9090909091, 0.5454545455, 15.0, 0.9166666667)
 
 
-def sine_member(n, m, seed):
+def sine_member(n, m, seed, l=None):
     """A seeded n-species system with exponent m and the positive profile
     u_i = a_i + b_i sin(c_i x), behind system() and profile() as a family
-    member has them.
+    member has them.  Every l_i is l if given, else drawn from 1, 1.5 and 2.
 
     The profile solves nothing; the two residual routes only have to agree.
     """
     rng = random.Random(seed)
     spec = SystemSpec(
         n=n, m=m, d=tuple(rng.uniform(0.3, 3.0) for _ in range(n)),
-        l=tuple(rng.choice((1.0, 1.5, 2.0)) for _ in range(n)),
+        l=tuple(l or rng.choice((1.0, 1.5, 2.0)) for _ in range(n)),
         theta=rng.uniform(0.2, 1.0),
         reaction=ReactionSpec(
             sigma=tuple(rng.uniform(0.5, 2.0) for _ in range(n)),
@@ -223,7 +223,13 @@ SINE_GRID = [-5.0 + k * 0.05 for k in range(201)]
     (sine_member(3, 1.5, 2), SINE_GRID),
     # Beyond the unroll limit, where rows are summed with sum(map(mul, ...)).
     (sine_member(12, 2.0, 3), SINE_GRID),
-], ids=["readme-tanh", "readme-cos", "exact-cos", "m1", "m-fractional", "n12"])
+    # Folded exponents: m - 1 = 1 and m - 2 = 0 at m = 2 (every l_i = 1 in
+    # the first), m - 2 = 1 at m = 3.
+    (sine_member(3, 2.0, 4, l=1.0), SINE_GRID),
+    (sine_member(4, 2.0, 5), SINE_GRID),
+    (sine_member(3, 3.0, 6), SINE_GRID),
+], ids=["readme-tanh", "readme-cos", "exact-cos", "m1", "m-fractional", "n12",
+        "m2-l1", "m2", "m3"])
 def test_residual_equals_the_profile_point_route_bit_for_bit(sol, grid):
     spec, profile = sol.system(), sol.profile()
     assert residual(spec, profile, grid) == residual_via_profile_points(spec, profile, grid)
@@ -254,11 +260,39 @@ def test_residual_routes_agree_under_a_compensated_sum(builtin_sum_compensated, 
             == residual_via_profile_points(spec, profile, SINE_GRID))
 
 
+def outcome(f, *args):
+    """repr of f(*args), or the name of the exception it raises."""
+    try:
+        return repr(f(*args))
+    except Exception as exc:
+        return type(exc).__name__
+
+
+# At m = 3 the overflowing rows' u = 1e308 also overflows u^(m - 1), which
+# both routes raise.
 @pytest.mark.parametrize("products", list(EDGE_ROWS.values()), ids=list(EDGE_ROWS))
-@pytest.mark.parametrize("m", [1.0, 2.0])
+@pytest.mark.parametrize("m", [1.0, 2.0, 3.0])
 def test_residual_adds_edge_rows_as_sum_does(each_sum, m, products):
     n = len(products)
     spec = unchecked_system(n, m)
     profile = Profile(n=n, m=m, derivs=lambda x: tuple((u, 0.5, 0.25) for u in products))
-    assert (repr(residual(spec, profile, [0.0]))
-            == repr(residual_via_profile_points(spec, profile, [0.0])))
+    assert (outcome(residual, spec, profile, [0.0])
+            == outcome(residual_via_profile_points, spec, profile, [0.0]))
+
+
+# m = 1.5 and l = (1.5, 1.5), where a negative u_1 to either fractional power
+# is a complex, whose abs would be a finite residual.
+LV_FRACTIONAL = SystemSpec(n=2, m=1.5, d=(1.0, 1.0), l=(1.5, 1.5), theta=0.7,
+                           reaction=ReactionSpec(sigma=(1.0, 1.0), C=((1.0, 2.0), (3.0, 1.0))))
+
+
+def test_a_negative_base_to_a_fractional_power_is_a_nan_residual():
+    # u_1 = -0.5 at x = 0 only; u_2 stays positive.
+    profile = Profile(n=2, m=1.5, derivs=lambda x: ((x - 0.5, 1.0, 0.0), (1.0 + x, 1.0, 0.0)))
+    first, second = residual(LV_FRACTIONAL, profile, [0.0, 1.0])
+    assert math.isnan(first)
+    assert second == residual_via_profile_points(LV_FRACTIONAL, profile, [0.0, 1.0])[1]
+    assert math.isfinite(second)
+    point = profile.at(0.0)
+    assert math.isnan(point.dum[0]) and math.isnan(point.ddum[0])
+    assert math.isfinite(point.dum[1]) and math.isfinite(point.ddum[1])

@@ -1,9 +1,12 @@
-"""The compiled wave kernels: one per species count and variant, O(n) source."""
+"""The compiled wave kernels: one per species count, m == 1 or not and
+exponent class, O(n) source."""
 
 import ast
 import math
 import random
 import re
+from dataclasses import replace
+from itertools import product
 
 import pytest
 
@@ -11,9 +14,27 @@ from nbarrier import ReactionSpec, SystemSpec, integrate, kernels, residual
 from nbarrier.exact import Profile
 from nbarrier.kernels import UNROLL_LIMIT, _residual_source, _rk4_source
 
-WRITERS = [(_residual_source, False), (_residual_source, True),
-           (_rk4_source, True), (_rk4_source, False)]
-WRITER_IDS = ["residual", "residual-m1", "rk4-m1", "rk4-degenerate"]
+# (writer, m == 1, classes of m - 1 and m - 2, class of every l_i): the
+# variants with a pow call for every exponent, then folded ones.
+WRITERS = [(_residual_source, False, ("frac", "frac"), "frac"),
+           (_residual_source, True, (), "frac"),
+           (_rk4_source, True, (), "frac"),
+           (_rk4_source, False, ("frac", "frac"), "frac"),
+           (_residual_source, False, ("1", "0"), "1"),
+           (_residual_source, False, ("int", "1"), "int"),
+           (_residual_source, True, (), "1"),
+           (_rk4_source, False, ("1", "0"), "1"),
+           (_rk4_source, False, ("int", "1"), "int"),
+           (_rk4_source, True, (), "1")]
+WRITER_IDS = ["residual", "residual-m1", "rk4-m1", "rk4-degenerate",
+              "residual-m2-l1", "residual-m3-l2", "residual-m1-l1",
+              "rk4-m2-l1", "rk4-m3-l2", "rk4-m1-l1"]
+
+
+def written(writer, n):
+    """The source writer writes for n species in its variant."""
+    write, linear, m_classes, l_class = writer
+    return write(n, linear, m_classes + (l_class,) * n)
 
 
 def drawn_system(rng, n, m):
@@ -26,57 +47,73 @@ def drawn_system(rng, n, m):
             C=tuple(tuple(rng.uniform(0.1, 2.0) for _ in range(n)) for _ in range(n))))
 
 
+# The class of m - 1 and m - 2 per m, and of l_i per l.
+M_CLASSES = {1.0: (), 1.5: ("frac", "frac"), 2.0: ("1", "0"), 3.0: ("int", "1")}
+L_CLASSES = {(1.0, 1.0, 1.0, 1.0): ("1", "1", "1", "1"),
+             (1.5, 2.0, 1.0, 2.0): ("frac", "int", "1", "int")}
+
+
 def test_specs_with_one_species_count_share_one_kernel_per_variant(monkeypatch):
     monkeypatch.setattr(kernels, "_KERNELS", {})
     rng = random.Random(5)
     for k in range(50):
-        m = (1.0, 1.5, 2.0, 3.0)[k % 4]
-        spec = drawn_system(rng, 4, m)
+        m = tuple(M_CLASSES)[k % 4]
+        spec = replace(drawn_system(rng, 4, m), l=tuple(L_CLASSES)[k // 4 % 2])
         levels = tuple(rng.uniform(1.0, 2.0) for _ in range(4))
         profile = Profile(n=4, m=m, derivs=lambda x, levels=levels: tuple(
             (a + 0.1 * math.sin(x), 0.1 * math.cos(x), -0.1 * math.sin(x)) for a in levels))
         residual(spec, profile, [0.0, 0.5, 1.0])
         integrate(spec, levels, (0.0,) * 4, (0.0, 0.05), 0.01)
-    assert sorted(kernels._KERNELS) == [("residual", 4, False), ("residual", 4, True),
-                                        ("rk4", 4, False), ("rk4", 4, True)]
+    assert sorted(kernels._KERNELS) == sorted(
+        (kind, 4, m == 1, m_classes + l_classes)
+        for kind, (m, m_classes), l_classes
+        in product(("residual", "rk4"), M_CLASSES.items(), L_CLASSES.values()))
 
 
-@pytest.mark.parametrize("write, variant", WRITERS, ids=WRITER_IDS)
-def test_kernel_source_holds_no_coefficient(write, variant):
+@pytest.mark.parametrize("writer", WRITERS, ids=WRITER_IDS)
+def test_kernel_source_holds_no_coefficient(writer):
     # The only numbers are RK4's stage weights and the residual's initial 0.0.
-    numbers = set(re.findall(r"(?<![\w.])\d+\.\d*", write(3, variant)))
+    numbers = set(re.findall(r"(?<![\w.])\d+\.\d*", written(writer, 3)))
     assert numbers <= {"0.0", "0.5", "1.0", "2.0", "6.0"}
 
 
-@pytest.mark.parametrize("write, variant", WRITERS, ids=WRITER_IDS)
-def test_kernel_source_grows_linearly_beyond_the_unroll_limit(write, variant):
+@pytest.mark.parametrize("writer", WRITERS, ids=WRITER_IDS)
+def test_kernel_source_grows_linearly_beyond_the_unroll_limit(writer):
     for n in (UNROLL_LIMIT + 1, 20, 100, 400):
-        assert len(write(2 * n, variant)) <= 2.2 * len(write(n, variant)), n
+        assert len(written(writer, 2 * n)) <= 2.2 * len(written(writer, n)), n
 
 
 def ast_depth(node):
     return 1 + max(map(ast_depth, ast.iter_child_nodes(node)), default=0)
 
 
-@pytest.mark.parametrize("write, variant", WRITERS, ids=WRITER_IDS)
-def test_kernel_source_nests_no_deeper_as_n_grows(write, variant):
+@pytest.mark.parametrize("writer", WRITERS, ids=WRITER_IDS)
+def test_kernel_source_nests_no_deeper_as_n_grows(writer):
     # A + chain of n products nests n deep, and the compiler's recursion
     # limit rejects one of about 3000; a kernel holds no expression whose
     # depth grows with n, so it compiles at any n.
-    tree = ast.parse(write(200, variant))
-    assert ast_depth(tree) <= max(ast_depth(ast.parse(write(k, variant)))
+    tree = ast.parse(written(writer, 200))
+    assert ast_depth(tree) <= max(ast_depth(ast.parse(written(writer, k)))
                                   for k in (2, UNROLL_LIMIT + 1))
     compile(tree, "<kernel>", "exec")
 
 
-@pytest.mark.parametrize("write, variant", WRITERS, ids=WRITER_IDS)
-def test_only_rows_of_one_or_two_products_are_a_plus_chain(write, variant):
+@pytest.mark.parametrize("writer", WRITERS, ids=WRITER_IDS)
+def test_only_rows_of_one_or_two_products_are_a_plus_chain(writer):
     # A compensated sum (Python 3.12 on) rounds one or two addends as a +
     # chain from 0.0 does, but may round three or more otherwise.
     for n in (1, 2):
-        source = write(n, variant)
+        source = written(writer, n)
         assert "sum(" not in source and "(0.0 + c0_0 * u0" in source, n
     for n in range(3, UNROLL_LIMIT + 1):
-        rows = re.findall(r"\bt(\d+) = (.*)", write(n, variant))
+        rows = re.findall(r"\bt(\d+) = (.*)", written(writer, n))
         assert {int(i) for i, _ in rows} == set(range(n)), n
         assert all(" - sum((" in row and " + " not in row for _, row in rows), n
+
+
+@pytest.mark.parametrize("writer", WRITERS, ids=WRITER_IDS)
+def test_only_a_fractional_exponent_guards_the_residual_against_a_complex(writer):
+    # A negative base to an integer power is real, so those variants pay nothing.
+    write, _, m_classes, l_class = writer
+    fractional = "frac" in (*m_classes, l_class)
+    assert ("complex" in written(writer, 3)) == (write is _residual_source and fractional)

@@ -6,6 +6,7 @@ import random
 import re
 import warnings
 from dataclasses import replace
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -339,30 +340,50 @@ def test_float_stepper_goes_on_where_numpy_divided_an_overflow_away():
     assert np.max(np.abs(traj.w - w)) <= 1e-12 * np.max(np.abs(w))
 
 
+def route_marches(monkeypatch, wrapper):
+    """Makes integrate call wrapper(march, y, x, h, count, xs, ys) in place
+    of each march(y, x, h, count, xs, ys)."""
+    make_march = waves.rk4_march
+    monkeypatch.setattr(waves, "rk4_march", lambda *args: partial(wrapper, make_march(*args)))
+
+
+class CountedStep(float):
+    """A step size that counts the x + h with which each step taken ends."""
+
+    def __init__(self, value):
+        self.taken = 0
+
+    def __radd__(self, x):
+        self.taken += 1
+        return x + float(self)
+
+
 def test_stepping_stops_at_the_first_non_finite_state(monkeypatch):
     # m = 1 with l = 1.5: a stage state goes negative at x = 0.1, and u^1.5 is
-    # a complex there (NaN in IEEE arithmetic); nothing after it is stepped.
-    spec = replace(LV, l=(1.5, 1.5), theta=0.0,
-                   reaction=ReactionSpec(sigma=(1.0, 1.0), C=((1.0, 0.5), (0.4, 1.2))))
-    calls = 0
-    make_step = waves.rk4_stepper
+    # a complex there (NaN in IEEE arithmetic), which the march raises as a
+    # TypeError.  With l = 1 and a large start the state overflows to inf at
+    # x = 0.697 without raising, and the march returns there.  Nothing after
+    # either is stepped.
+    complex_power = (replace(LV, l=(1.5, 1.5), theta=0.0,
+                             reaction=ReactionSpec(sigma=(1.0, 1.0), C=((1.0, 0.5), (0.4, 1.2)))),
+                     (0.1, 0.1), (-1.0, -1.0))
+    blow_up = (LV, (5.0, 5.0), (5.0, 5.0))
 
-    def counting_stepper(*args):
-        step = make_step(*args)
+    def counted(march, y, x, h, count, xs, ys):
+        counts.append(count)
+        steps.append(CountedStep(h))
+        return march(y, x, steps[-1], count, xs, ys)
 
-        def counted(y, h):
-            nonlocal calls
-            calls += 1
-            return step(y, h)
-
-        return counted
-
-    monkeypatch.setattr(waves, "rk4_stepper", counting_stepper)
-    traj = integrate(spec, (0.1, 0.1), (-1.0, -1.0), (0.0, 100.0), 0.001)
-    assert traj.truncation_reason == "non-finite state at x = 0.1"
-    assert len(traj.xs) == 100
-    # 99 stored steps and the one that went non-finite.
-    assert calls == len(traj.xs)
+    route_marches(monkeypatch, counted)
+    for (spec, u0, w0), at, stored in ((complex_power, "0.1", 100), (blow_up, "0.697", 697)):
+        counts, steps = [], []
+        traj = integrate(spec, u0, w0, (0.0, 100.0), 0.001)
+        assert traj.truncation_reason == f"non-finite state at x = {at}"
+        assert len(traj.xs) == stored
+        # One march over the span, which took the stored steps and the one
+        # that went non-finite.
+        assert counts == [100000]
+        assert steps[0].taken == len(traj.xs)
 
 
 def list_rk4_step(spec, floor_hit):
@@ -489,6 +510,10 @@ def seeded_system(n, m, seed):
 SEEDED = {f"n{n}-m{m:g}": seeded_system(n, m, seed)
           for seed, (n, m) in enumerate(product(range(1, 11), (1.0, 1.5, 2.0, 3.0)))}
 
+# Stage 4 of the 19th step overflows u^49, so that step alone needs float64.
+RERUN_ONCE = SystemSpec(n=1, m=50.0, d=(0.209092,), l=(1.0,), theta=8.5396,
+                        reaction=ReactionSpec(sigma=(14.747076,), C=((1.302177,),)))
+
 # name -> case built from the two family fixtures, with alpha
 ORACLE_CASES = {
     **{name: (lambda tanh_sol, cos_sol, build=build: (*build(tanh_sol, cos_sol), None))
@@ -500,6 +525,11 @@ ORACLE_CASES = {
         (0.1, 0.1), (-1.0, -1.0), (0.0, 5.0), 0.01, None),
     # u^59 overflows at every stage, so every step is re-run on float64.
     "overflow-rerun": lambda *_: (*_lv(60.0, 1.0, (1e6, 1.0), (1.0, 0.0)), (0.5, 2.0)),
+    # The state overflows to inf at x = 0.697 without raising.
+    "blow-up": lambda *_: (LV, (5.0, 5.0), (5.0, 5.0), (0.0, 1.0), 0.001, None),
+    # One step mid-span overflows u^49 at a stage and is re-run on float64;
+    # the march resumes on Python floats after it.
+    "rerun-mid-span": lambda *_: (RERUN_ONCE, (0.98127,), (3.396215,), (0.0, 1.0), 0.01, None),
     **{name: (lambda *_, case=case: case) for name, case in SEEDED.items()},
 }
 
@@ -509,6 +539,29 @@ def test_seeded_oracle_cases_reach_every_outcome():
     reasons = {str(traj.truncation_reason).split(" ")[0] for traj in trajs}
     assert reasons == {"None", "positivity", "non-finite"}
     assert any(traj.clamped for traj in trajs)
+
+
+def test_a_float64_rerun_mid_span_resumes_the_march(monkeypatch):
+    calls = []
+
+    def recorded(march, y, x, h, count, xs, ys):
+        call = (type(y[0]).__name__, count, len(xs))
+        try:
+            finished = march(y, x, h, count, xs, ys)
+        except ArithmeticError as exc:
+            calls.append((*call, len(xs), type(exc).__name__))
+            raise
+        calls.append((*call, len(xs), finished))
+        return finished
+
+    route_marches(monkeypatch, recorded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate(*ORACLE_CASES["rerun-mid-span"]())
+    assert not traj.truncated and len(traj.xs) == 101
+    # (state type, count, points stored before and after, outcome) per march
+    assert calls == [("float", 100, 1, 19, "OverflowError"), ("float64", 1, 19, 20, True),
+                     ("float", 81, 20, 101, True)]
 
 
 def assert_same_trajectory(traj, want):
@@ -550,10 +603,19 @@ def outcome(f, *args):
 @pytest.mark.parametrize("products", list(EDGE_ROWS.values()), ids=list(EDGE_ROWS))
 def test_rk4_step_adds_edge_rows_as_sum_does(each_sum, products):
     # The first stage state has these row products; its fluxes are -0.0.
+    # One step is a march with count = 1, which stores only a finite state.
     n = len(products)
     spec = unchecked_system(n, 1.0)
     y = (*products, *(-0.0,) * n)
-    step = kernels.rk4_stepper(spec, waves._FloorHit, POSITIVITY_FLOOR)
+    march = kernels.rk4_march(spec, waves._FloorHit, POSITIVITY_FLOOR)
     reference = list_rk4_step(spec, waves._FloorHit)
-    assert (outcome(step, y, 0.5)
-            == outcome(lambda y, h: tuple(reference(list(y), h)), y, 0.5))
+
+    def step(y, h):
+        xs, ys = [], []
+        return (*xs, *ys) if march(y, 0.0, h, 1, xs, ys) else "non-finite"
+
+    def reference_step(y, h):
+        z = tuple(reference(list(y), h))
+        return (h, z) if all(map(math.isfinite, z)) else "non-finite"
+
+    assert outcome(step, y, 0.5) == outcome(reference_step, y, 0.5)
