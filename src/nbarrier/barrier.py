@@ -25,7 +25,7 @@ from operator import mul, sub
 from sys import float_info
 from typing import Sequence
 
-from .model import REGION_REL_TOL, HullBounds
+from .model import REGION_REL_TOL, HullBounds, require_positive
 
 ORDER_REL_SLACK = 1e-12  # fp slack when validating envelope ordering
 
@@ -118,12 +118,14 @@ def _q_weights(alpha: Sequence[float], d: Sequence[float]) -> tuple:
     return w_q
 
 
-def _check_vectors(*vectors: Sequence[float]):
-    for v in vectors:
-        if len(v) != len(vectors[0]):
-            raise ValueError("vector lengths must agree")
-        if any(x <= 0 for x in v):
-            raise ValueError("vectors must be strictly positive")
+def _check_vectors(**vectors: Sequence[float]):
+    """Refuse vectors whose lengths disagree or that hold an entry <= 0,
+    naming the lengths or the vector."""
+    lengths = {name: len(v) for name, v in vectors.items()}
+    if len(set(lengths.values())) > 1:
+        raise ValueError("vector lengths must agree, got "
+                         + ", ".join(f"len({name}) = {k}" for name, k in lengths.items()))
+    require_positive(**vectors)
 
 
 def _tangency_sum(terms) -> float:
@@ -165,7 +167,7 @@ def build_lower_barrier(alpha: Sequence[float], d: Sequence[float],
     ellipsoid_lambda1_in_inner_hull and ellipsoid_lambda2_in_plane_eta1.
     """
     _require_exponent_domain(m)
-    _check_vectors(alpha, d, ulow)
+    _check_vectors(alpha=alpha, d=d, ulow=ulow)
     grow = max(_plane_vertices(alpha, d, m))
     w_q = _q_weights(alpha, d)
     lambda1 = _tangency_level(1.0, w_q, ulow, m)
@@ -186,7 +188,7 @@ def build_upper_barrier(alpha: Sequence[float], d: Sequence[float],
     eta2 is the closed-form upper bound on p.
     """
     _require_exponent_domain(m)
-    _check_vectors(alpha, d, ubar)
+    _check_vectors(alpha=alpha, d=d, ubar=ubar)
     e = 1.0 / (m - 1.0)
     S = _tangency_sum(a * di ** -e for a, di in zip(alpha, d))
     grow = max(_plane_vertices(alpha, d, m))

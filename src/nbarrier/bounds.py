@@ -21,7 +21,7 @@ from typing import Sequence
 from dataclasses import asdict, dataclass
 
 from .barrier import ORDER_REL_SLACK, build_lower_barrier, build_upper_barrier
-from .model import HullBounds, SystemSpec, hull_intercepts
+from .model import HullBounds, SystemSpec, hull_intercepts, require_positive
 
 BRANCH_M1 = "m1"
 BRANCH_GENERAL = "general"
@@ -53,16 +53,10 @@ class BoundsResult:
         return asdict(self)
 
 
-def _check_positive(name: str, values: Sequence[float]):
-    if any(v <= 0 for v in values):
-        raise ValueError(f"{name} must be strictly positive")
-
-
 def bounds_m1(alpha: Sequence[float], d: Sequence[float], hull: HullBounds,
               chi: int) -> BoundsResult:
     """Linear-diffusion bounds: extremal weighted intercepts times d-contrast."""
-    _check_positive("alpha", alpha)
-    _check_positive("d", d)
+    require_positive(alpha=alpha, d=d)
     if len(alpha) != hull.n or len(d) != hull.n:
         raise ValueError("alpha, d and hull dimensions must agree")
     dmax, dmin = max(d), min(d)
@@ -100,7 +94,7 @@ def bounds_for(spec: SystemSpec, alpha: Sequence[float], chi: int) -> BoundsResu
 def two_species_m2_upper(alpha1: float, alpha2: float, d1: float, d2: float,
                          ubar1: float, ubar2: float) -> float:
     """Direct transcription of the two-species m = 2 upper closed form."""
-    _check_positive("parameters", (alpha1, alpha2, d1, d2, ubar1, ubar2))
+    require_positive(parameters=(alpha1, alpha2, d1, d2, ubar1, ubar2))
     return (alpha1 / d1 + alpha2 / d2) * sqrt(
         max(d1 / alpha1, d2 / alpha2)
         * max(alpha1 * d1 * ubar1 ** 2, alpha2 * d2 * ubar2 ** 2))
@@ -109,7 +103,7 @@ def two_species_m2_upper(alpha1: float, alpha2: float, d1: float, d2: float,
 def two_species_m2_lower(alpha1: float, alpha2: float, d1: float, d2: float,
                          ulow1: float, ulow2: float) -> float:
     """Direct transcription of the two-species m = 2 lower closed form."""
-    _check_positive("parameters", (alpha1, alpha2, d1, d2, ulow1, ulow2))
+    require_positive(parameters=(alpha1, alpha2, d1, d2, ulow1, ulow2))
     return (d1 * d2 * ulow1 * ulow2
             * min(alpha1 / d1, alpha2 / d2)
             * sqrt(alpha1 * alpha2

@@ -188,9 +188,10 @@ def cos_family(m1, m2, m3, mu, d1, d2, d3,
                c12, c13, c21, c23, c31, c32) -> CosSolution:
     """Solve the coefficient ties of the cosine family, rejecting infeasible signs.
 
-    The profile floor k_i - |m_i| must be nonnegative and the derived diagonal
-    competition coefficients positive, otherwise the family member is not a
-    valid profile and a ValueError is raised.  Exact number types are
+    k_1 = -m_1, k_2 = m_2, k_3 = m_3 and the derived diagonal competition
+    coefficients must be positive, otherwise the family member is not a valid
+    profile and a ValueError is raised.  So the profile floor k_i - |m_i| is
+    always 0: every cos profile touches zero.  Exact number types are
     preserved in the derived coefficients.
     """
     if m1 == 0 or m2 == 0 or m3 == 0:
@@ -205,14 +206,10 @@ def cos_family(m1, m2, m3, mu, d1, d2, d3,
     c22 = -(c21 * m1 + c23 * m3 + 4 * d2 * musq * m2) / m2
     sigma3 = -2 * (c31 * m1 + 3 * d3 * musq * m3)
     c33 = -(c31 * m1 + c32 * m2 + 4 * d3 * musq * m3) / m3
-    for name, k, amp in (("k1", k1, m1), ("k2", k2, m2), ("k3", k3, m3)):
-        if k <= 0:
-            raise ValueError(f"infeasible family member: {name} = {k} is not positive")
-        if abs(amp) > k:
-            raise ValueError(f"infeasible family member: |amplitude| exceeds {name}")
-    for name, c in (("c11", c11), ("c22", c22), ("c33", c33)):
-        if c <= 0:
-            raise ValueError(f"infeasible family member: {name} = {c} is not positive")
+    for name, value in (("k1", k1), ("k2", k2), ("k3", k3),
+                        ("c11", c11), ("c22", c22), ("c33", c33)):
+        if value <= 0:
+            raise ValueError(f"infeasible family member: {name} = {value} is not positive")
     return CosSolution(m1=m1, m2=m2, m3=m3, mu=mu, d1=d1, d2=d2, d3=d3,
                        c12=c12, c13=c13, c21=c21, c23=c23, c31=c31, c32=c32,
                        k1=k1, k2=k2, k3=k3,

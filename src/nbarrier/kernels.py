@@ -3,25 +3,27 @@
 The wave equation d_i (u_i^m)'' + theta u_i' + u_i^{l_i} f_i(u) = 0 is
 evaluated by two kernels, the grid loop of exact.residual (residual_maxima)
 and the RK4 step loop of waves.integrate (rk4_march).  Each is straight-line
-Python source over scalars, written per species count n, per m == 1 or not
-and per exponent class, compiled once and cached.  One header unpacks the
+Python source over scalars, written per species count n and exponent
+class, and compiled once per distinct source.  One header unpacks the
 coefficients and the constants derived from m, and one binder passes them
-from the spec and picks the variant, so one kernel serves every spec with n
-species whose exponents fall in the same classes.
+from the spec and picks the source, so one kernel serves every spec with n
+species whose exponents write the same source.
 
-The exponents are m - 1 and m - 2 (unless m == 1) and each l_i, and each has
-one of four classes: 0.0, 1.0, another integer, or a fraction.  A power to
-1.0 is written as its base, and a factor that is a power to 0.0 is left out.
+The exponents are m - 1, m - 2 and each l_i, and each has one of four
+classes: 0.0, 1.0, another integer, or a fraction.  A power to 1.0 is
+written as its base, and a factor that is a power to 0.0 is left out.
 Both rewrites are exact for every float base, inf, NaN, -0.0 and negative
 ones included: CPython returns 1.0 for any u ** 0.0, and glibc's pow, under
 1 ulp, returns u itself for u ** 1.0.  So at m = 2 and l_i = 1 (every tanh
-and cosine family member) those powers take no pow call.  A negative base to
-a fraction is a complex; the residual reports NaN for such a species, and
-only variants with a fractional exponent carry that guard, since a negative
-base to an integer is real.  Specs whose exponents differ in class compile
-kernels of their own: at large n, where a kernel's source runs to megabytes
-(3.6 MB and 2.1 s to compile at n = 3000), every new pattern of l pays that
-compile again.
+and cosine family member) those powers take no pow call, and m - 1 of class
+0.0 (m = 1, linear diffusion) gives u_i' = w_i and (u_i^m)'' = u_i''.  A
+negative base to a fraction is a complex; the residual reports NaN for such
+a species, and only sources with a fractional exponent carry that guard,
+since a negative base to an integer is real.  Classes that a writer does not
+tell apart (RK4 reads no m - 2 and writes an integer power as a fraction)
+share one compile, but a new source pays one: at large n, where a source
+runs to megabytes (3.6 MB and 2.1 s to compile at n = 3000), every new
+pattern of l pays that compile again.
 
 Every row of C in a reaction term u_i^{l_i} (sigma_i - sum_j c_ij u_j) is
 added over the products reaction_eval adds, in its order, and rounds as its
@@ -33,14 +35,14 @@ chain, 0.0 being its start, and the compensated sum of Python 3.12 on adds
 the first addend a to 0.0 exactly and keeps for the second, b, the exact
 rounding error of fl(a + b), which added back rounds to fl(a + b) again (a
 non-finite one it drops).  From three addends on the two can round
-differently, so those rows stay with sum.  The
-residual takes (u_i^m)'' by the chain rule of Profile.at, and each RK4 step
-performs the operations of the list stepper it replaced, in the same order,
-so both give the floats of those routes bit for bit.
+differently, so those rows stay with sum.  The residual takes (u_i^m)'' by
+the chain rule of Profile.at, and each RK4 step performs the operations of
+the list stepper it replaced, in the same order, so both give the floats of those routes bit for bit.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import inf, nan
 from operator import mul
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -82,10 +84,10 @@ def _tuple(fmt: str, n: int) -> str:
     return "".join(fmt.format(i) + ", " for i in range(n))
 
 
-def _kernel(head: str, n: int, linear: bool, body: list) -> str:
+def _kernel(head: str, n: int, body: list) -> str:
     """Source of def kernel(<head>, m, theta, d, l, s, C) running body, with
     d, l, s and C unpacked into scalars (rows C{i} beyond UNROLL_LIMIT), and
-    ntheta = -theta and, unless linear, m1, m2 = m - 1, m - 2, mm = m m1."""
+    ntheta = -theta, m1, m2 = m - 1, m - 2 and mm = m m1."""
     if n <= UNROLL_LIMIT:
         rows = "".join(f"({_tuple(f'c{i}_{{}}', n)}), " for i in range(n))
     else:
@@ -97,7 +99,7 @@ def _kernel(head: str, n: int, linear: bool, body: list) -> str:
         f"    {_tuple('s{}', n)}= s",
         f"    {rows}= C",
         "    ntheta = -theta",
-        *([] if linear else ["    m1, m2, mm = m - 1.0, m - 2.0, m * (m - 1.0)"]),
+        "    m1, m2, mm = m - 1.0, m - 2.0, m * (m - 1.0)",
         *("    " + line for line in body),
         ""])
 
@@ -122,9 +124,10 @@ def _reaction_terms(n: int, l_classes: tuple) -> list:
                     for i, cls in enumerate(l_classes)]
 
 
-def _rk4_source(n: int, linear: bool, classes: tuple) -> str:
-    """Source of the RK4 kernel for n species; linear means m == 1, and
-    classes are the exponent classes of _bind.
+@lru_cache(maxsize=None)
+def _rk4_source(n: int, classes: tuple) -> str:
+    """Source of the RK4 kernel for n species, classes being the exponent
+    classes of _bind.
 
     kernel(FloorHit, floor, ...) returns march(y, x, h, count, xs, ys),
     which takes up to count RK4 steps of size h from the state
@@ -134,13 +137,13 @@ def _rk4_source(n: int, linear: bool, classes: tuple) -> str:
     state raises TypeError, and the steps taken before a raise stay stored.
 
     Stage s writes its state to scalars u_i, w_i and binds its derivatives
-    ks_0..ks_{2n-1}: unless linear it raises FloorHit if some u_i is below
-    the floor and takes u_i' = w_i / (m u_i^(m-1)) (u_i' = w_i when linear)
-    for every species, then every reaction term, then
+    ks_0..ks_{2n-1}: unless m - 1 is of class 0.0 it raises FloorHit if
+    some u_i is below the floor and takes u_i' = w_i / (m u_i^(m-1)) (else
+    u_i' = w_i) for every species, then every reaction term, then
     w_i' = (-theta u_i' - t_i) / d_i.  The stepped state raises FloorHit
     as the stages do.
     """
-    m1, _, *l_classes = (None, None, *classes) if linear else classes
+    m1, _, *l_classes = classes
     terms = _reaction_terms(n, l_classes)
 
     def below(name):
@@ -152,7 +155,7 @@ def _rk4_source(n: int, linear: bool, classes: tuple) -> str:
         if coef:
             step += [f"{'u' if j < n else 'w'}{j % n} = y{j} + {coef} * k{stage - 1}_{j}"
                      for j in rng2]
-        if linear:
+        if m1 == "0":
             step += [f"k{stage}_{i} = w{i}" for i in range(n)]
         else:
             step += [f"if {below('u')}:", "    raise FloorHit"]
@@ -165,7 +168,7 @@ def _rk4_source(n: int, linear: bool, classes: tuple) -> str:
     step += [f"{'u' if j < n else 'w'}{j % n} = y{j} = "
              f"y{j} + sixth * (k1_{j} + 2.0 * k2_{j} + 2.0 * k3_{j} + k4_{j})"
              for j in rng2]
-    if not linear:
+    if m1 != "0":
         step += [f"if {below('u')}:", "    raise FloorHit"]
     # A complex component raises TypeError at its comparison.
     step += ["x = x + h",
@@ -183,12 +186,13 @@ def _rk4_source(n: int, linear: bool, classes: tuple) -> str:
             *("        " + line for line in step),
             "    return True",
             "return march"]
-    return _kernel("FloorHit, floor", n, linear, body)
+    return _kernel("FloorHit, floor", n, body)
 
 
-def _residual_source(n: int, linear: bool, classes: tuple) -> str:
-    """Source of the residual kernel for n species; linear means m == 1, and
-    classes are the exponent classes of _bind.
+@lru_cache(maxsize=None)
+def _residual_source(n: int, classes: tuple) -> str:
+    """Source of the residual kernel for n species, classes being the
+    exponent classes of _bind.
 
     kernel(derivs, grid, ...) unpacks derivs(x) into u_i, u_i', u_i'' per
     grid point, binds every reaction term, and then per species takes
@@ -197,11 +201,11 @@ def _residual_source(n: int, linear: bool, classes: tuple) -> str:
     maximum, which a NaN residual replaces and keeps.  A species with a
     fractional exponent takes a complex residual as NaN.
     """
-    m1, m2, *l_classes = (None, None, *classes) if linear else classes
+    m1, m2, *l_classes = classes
     point = [f"{_tuple('(u{0}, du{0}, ddu{0})', n)}= derivs(x)",
              *_reaction_terms(n, l_classes)]
     for i in range(n):
-        if linear:
+        if m1 == "0":
             ddum = f"ddu{i}"
         else:
             point.append(f"g{i} = {_product('m', _power(f'u{i}', 'm1', m1))}")
@@ -217,24 +221,20 @@ def _residual_source(n: int, linear: bool, classes: tuple) -> str:
                   f"    w{i} = r{i}"]
     body = [f"{_tuple('w{}', n)}= {'0.0, ' * n}", "for x in grid:",
             *("    " + line for line in point), f"return ({_tuple('w{}', n)})"]
-    return _kernel("derivs, grid", n, linear, body)
+    return _kernel("derivs, grid", n, body)
 
 
-def _bind(kind: str, write: Callable[[int, bool, tuple], str], spec: SystemSpec, *head):
+def _bind(kind: str, write: Callable[[int, tuple], str], spec: SystemSpec, *head):
     """kernel(*head, m, theta, d, l, s, C) with every coefficient from spec,
-    the kernel written by write(n, m == 1, classes) and compiled once per
-    (kind, n, m == 1, classes), where classes are the _exponent_class of
-    m - 1 and m - 2 (unless m == 1) and of each l_i."""
+    the kernel written by write(n, _exponent_class of m - 1, m - 2 and each
+    l_i) and compiled once per distinct source."""
     n, m, l = spec.n, float(spec.m), tuple(map(float, spec.l))
-    linear = m == 1
-    classes = tuple(map(_exponent_class, l if linear else (m - 1.0, m - 2.0, *l)))
-    key = (kind, n, linear, classes)
-    kernel = _KERNELS.get(key)
+    source = write(n, tuple(map(_exponent_class, (m - 1.0, m - 2.0, *l))))
+    kernel = _KERNELS.get(source)
     if kernel is None:
         namespace = {"mul": mul, "inf": inf, "nan": nan}
-        source = write(n, linear, classes)
-        exec(compile(source, f"<{kind} kernel, n = {n}, {classes}>", "exec"), namespace)
-        kernel = _KERNELS[key] = namespace["kernel"]
+        exec(compile(source, f"<{kind} kernel, n = {n}>", "exec"), namespace)
+        kernel = _KERNELS[source] = namespace["kernel"]
     reaction = spec.reaction
     return kernel(*head, m, float(spec.theta), tuple(map(float, spec.d)), l,
                   tuple(map(float, reaction.sigma)),
@@ -245,7 +245,7 @@ def rk4_march(spec: SystemSpec, floor_hit: type, floor: float) -> Callable:
     """The RK4 step loop march(y, x, h, count, xs, ys) of spec over
     y = (u_0.., w_0..); see _rk4_source for its contract.
 
-    When spec.m > 1 it raises floor_hit as soon as a stage state or a
+    Unless spec.m is 1 it raises floor_hit as soon as a stage state or a
     stepped state has some u_i below floor.
     """
     return _bind("rk4", _rk4_source, spec, floor_hit, floor)

@@ -37,6 +37,13 @@ def require_finite(**fields) -> None:
                 raise ValueError(f"{name} must be finite, got {v!r}")
 
 
+def require_positive(**fields) -> None:
+    """Raise a ValueError naming the first field with an entry <= 0."""
+    for name, values in fields.items():
+        if any(v <= 0 for v in values):
+            raise ValueError(f"{name} must be strictly positive")
+
+
 def number(value) -> float:
     """A document number as a float; JSON true, false and strings are not numbers."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -169,8 +176,7 @@ class HullBounds:
         require_finite(ubar=self.ubar, ulow=self.ulow)
         if len(self.ubar) != len(self.ulow):
             raise ValueError("ubar and ulow must have equal length")
-        if any(lo <= 0 for lo in self.ulow):
-            raise ValueError("ulow must be strictly positive")
+        require_positive(ulow=self.ulow)
         if any(hi < lo for hi, lo in zip(self.ubar, self.ulow)):
             raise ValueError("ubar must dominate ulow componentwise")
         if self.is_degenerate():

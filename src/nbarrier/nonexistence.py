@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 from .bounds import two_species_m2_lower, two_species_m2_upper
 from .model import (ReactionSpec, axis_intercepts, fields_from_dict, float_matrix,
-                    float_vector, number, require_finite)
+                    float_vector, number, require_finite, require_positive)
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,7 @@ class ThreeSpeciesParams:
         require_finite(d=self.d)
         if len(self.d) != 3 or len(self.sigma) != 3:
             raise ValueError("three species means three of everything")
-        if any(v <= 0 for v in self.d):
-            raise ValueError("d must be strictly positive")
+        require_positive(d=self.d)
         ReactionSpec(sigma=self.sigma, C=self.C)
         for name, w in (("w_minus_inf", self.w_minus_inf),
                         ("w_plus_inf", self.w_plus_inf)):

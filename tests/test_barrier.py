@@ -109,6 +109,11 @@ def test_tangency_rejects_degenerate_exponent_and_level():
         build_lower_barrier((0.0, 1.0), (1.0, 1.0), (1.0, 1.0), 2.0)
     with pytest.raises(ValueError, match="strictly positive"):
         build_lower_barrier((1.0, 1.0), (1.0, 1.0), (0.0, 1.0), 2.0)
+    with pytest.raises(ValueError, match="^d must be strictly positive$"):
+        build_upper_barrier((1.0, 1.0), (1.0, -1.0), (1.0, 1.0), 2.0)
+    with pytest.raises(ValueError, match=re.escape("got len(alpha) = 2, len(d) = 1, "
+                                                   "len(ulow) = 2")):
+        build_lower_barrier((1.0, 1.0), (1.0,), (1.0, 1.0), 2.0)
 
 
 @given(st.data(), exponents, st.integers(min_value=2, max_value=4))
@@ -155,6 +160,10 @@ def test_envelope_constructor_rejects_misordered_levels():
         BarrierEnvelope(lambda1=1.0, eta1=1.0, lambda2=0.5, eta2=0.5,
                         orientation="lower", weights=(1.0, 1.0), m=1.0,
                         d=(1.0, 1.0))
+    with pytest.raises(ValueError, match="levels must be positive"):
+        BarrierEnvelope(lambda1=1.0, eta1=1.0, lambda2=0.5, eta2=-0.5,
+                        orientation="lower", weights=(1.0, 1.0), m=2.0,
+                        d=(1.0, 1.0))
 
 
 def test_envelope_dict_shape():
@@ -188,6 +197,18 @@ def test_containment_orientation_mismatch_is_an_error():
     hull = HullBounds(ubar=(1.0, 1.0), ulow=(1 / 3, 1 / 2))
     with pytest.raises(ValueError):
         verify_containment(lo, hull, 10, orientation="upper")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda env, hull: verify_containment(env, HullBounds(ubar=(1.0,), ulow=(0.5,)), 10),
+     "hull dimension does not match envelope"),
+    (lambda env, hull: verify_containment(env, hull, 0), "samples must be positive"),
+    (lambda env, hull: barrier_curves(env, hull, 0), "samples must be positive"),
+], ids=["containment-hull", "containment-samples", "curves-samples"])
+def test_containment_and_curves_refuse_a_malformed_call(call, message):
+    hull = HullBounds(ubar=(1.0, 1.0), ulow=(1 / 3, 1 / 2))
+    with pytest.raises(ValueError, match=message):
+        call(build_lower_barrier(*FIG1_ARGS), hull)
 
 
 def test_containment_flags_hull_pulled_inside_the_envelope():

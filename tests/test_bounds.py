@@ -66,6 +66,16 @@ def test_m1_branch_hand_values():
     assert res.branch == "m1"
 
 
+@pytest.mark.parametrize("alpha, d, message", [
+    ((0.0, 1.0), (1.0, 1.0), "alpha must be strictly positive"),
+    ((1.0, 1.0), (1.0, -2.0), "d must be strictly positive"),
+    ((1.0, 1.0, 1.0), (1.0, 1.0, 1.0), "alpha, d and hull dimensions must agree"),
+], ids=["alpha", "d", "length"])
+def test_m1_branch_refuses_bad_vectors(alpha, d, message):
+    with pytest.raises(ValueError, match=message):
+        bounds_m1(alpha, d, REMARK_HULL, 1)
+
+
 def test_zero_characteristic_collapses_lower_bound():
     res = bounds_two_species_m2(0.5, 1 / 3, 3.0, 4.0, REMARK_HULL, 0)
     assert res.lower == 0.0
@@ -93,6 +103,8 @@ def test_bounds_result_validation():
         BoundsResult(lower=0.5, upper=1.0, chi=0, branch="general")
     with pytest.raises(ValueError):
         BoundsResult(lower=2.0, upper=1.0, chi=1, branch="general")
+    with pytest.raises(ValueError, match="upper bound must be positive"):
+        BoundsResult(lower=0.0, upper=0.0, chi=0, branch="general")
     doc = BoundsResult(lower=0.5, upper=1.0, chi=1, branch="general").to_dict()
     assert set(doc) == {"lower", "upper", "chi", "branch"}
 

@@ -236,6 +236,9 @@ def test_exact_csv_requires_grid(capsys):
     ("nan:1:0.1", "finite"),
     ("0:1:1e-300", "1e+300 points"),
     ("0:1:1e-6", "1000001 points"),
+    ("0:1", "A:B:H"),
+    ("0:one:0.1", "must contain floats"),
+    ("1:0:0.1", "B > A"),
 ])
 def test_bad_grid_is_usage_error(capsys, tmp_path, grid, named):
     csv_path = tmp_path / "profile.csv"
@@ -379,6 +382,21 @@ def test_usage_errors_exit_two(capsys):
     code, _, err = run(capsys, "simulate", TANH_SPEC, "--u0", "1,1",
                        "--w0", "0,0", "--span", "0-1", "--step", "0.01")
     assert code == 2
+    code, _, err = run(capsys, "simulate", TANH_SPEC, "--u0", "1,1",
+                       "--w0", "0,0", "--span", "0:one", "--step", "0.01")
+    assert (code, err) == (2, "error: --span must contain floats\n")
+    code, _, err = run(capsys, "bounds", "no-such-spec.json", "--alpha", "1,1")
+    assert code == 2 and err.startswith("error: cannot read no-such-spec.json")
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("bounds", FIG_SPEC, "--alpha", "0,1"), "alpha"),
+    (("barrier", FIG_SPEC, "--alpha", "1,-1", "--orientation", "upper"), "alpha"),
+    (("bounds", LV_SPEC, "--alpha", "1,0"), "alpha"),
+], ids=["bounds", "barrier", "bounds-m1"])
+def test_a_nonpositive_vector_is_named(capsys, argv, named):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {named} must be strictly positive\n")
 
 
 def test_spec_file_path_is_accepted(capsys, tmp_path):

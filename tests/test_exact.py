@@ -9,6 +9,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nbarrier import (ReactionSpec, SystemSpec, cos_family, reaction_eval, residual,
                       tanh_family)
@@ -155,6 +157,21 @@ def test_cos_family_rejects_infeasible_members():
     with pytest.raises(ValueError, match="infeasible"):
         cos_family(args[0], args[1], args[2], args[3], args[4], args[5],
                    args[6], 0.01, *args[8:])
+
+
+POSITIVE = st.one_of(st.floats(0.01, 10.0), st.fractions(Fraction(1, 100), 10))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(*[POSITIVE] * 13))
+def test_every_feasible_cos_member_has_floor_zero(draw):
+    # c12, c21 and c31 are set so that c11, c22 and c33 come out as
+    # (e1 + c13 a3) / a1, e2 / a2 and e3 / a3, so every draw is feasible.
+    a1, a2, a3, mu, d1, d2, d3, c13, c23, c32, e1, e2, e3 = draw
+    w1, w2, w3 = (4 * d * mu * mu * a for d, a in ((d1, a1), (d2, a2), (d3, a3)))
+    sol = cos_family(-a1, a2, a3, mu, d1, d2, d3, (w1 + e1) / a2, c13,
+                     (c23 * a3 + w2 + e2) / a1, c23, (c32 * a2 + w3 + e3) / a1, c32)
+    assert (sol.k1, sol.k2, sol.k3) == (abs(sol.m1), abs(sol.m2), abs(sol.m3))
 
 
 def test_residual_rejects_mismatched_profile(tanh_sol, cos_sol):

@@ -1,5 +1,5 @@
-"""The compiled wave kernels: one per species count, m == 1 or not and
-exponent class, O(n) source."""
+"""The compiled wave kernels: one per distinct source, written per species
+count and exponent class, O(n) source."""
 
 import ast
 import math
@@ -14,18 +14,19 @@ from nbarrier import ReactionSpec, SystemSpec, integrate, kernels, residual
 from nbarrier.exact import Profile
 from nbarrier.kernels import UNROLL_LIMIT, _residual_source, _rk4_source
 
-# (writer, m == 1, classes of m - 1 and m - 2, class of every l_i): the
-# variants with a pow call for every exponent, then folded ones.
-WRITERS = [(_residual_source, False, ("frac", "frac"), "frac"),
-           (_residual_source, True, (), "frac"),
-           (_rk4_source, True, (), "frac"),
-           (_rk4_source, False, ("frac", "frac"), "frac"),
-           (_residual_source, False, ("1", "0"), "1"),
-           (_residual_source, False, ("int", "1"), "int"),
-           (_residual_source, True, (), "1"),
-           (_rk4_source, False, ("1", "0"), "1"),
-           (_rk4_source, False, ("int", "1"), "int"),
-           (_rk4_source, True, (), "1")]
+# (writer, classes of m - 1 and m - 2, class of every l_i): the variants
+# with a pow call for every exponent, then folded ones; m - 1 of class "0"
+# is m = 1.
+WRITERS = [(_residual_source, ("frac", "frac"), "frac"),
+           (_residual_source, ("0", "int"), "frac"),
+           (_rk4_source, ("0", "int"), "frac"),
+           (_rk4_source, ("frac", "frac"), "frac"),
+           (_residual_source, ("1", "0"), "1"),
+           (_residual_source, ("int", "1"), "int"),
+           (_residual_source, ("0", "int"), "1"),
+           (_rk4_source, ("1", "0"), "1"),
+           (_rk4_source, ("int", "1"), "int"),
+           (_rk4_source, ("0", "int"), "1")]
 WRITER_IDS = ["residual", "residual-m1", "rk4-m1", "rk4-degenerate",
               "residual-m2-l1", "residual-m3-l2", "residual-m1-l1",
               "rk4-m2-l1", "rk4-m3-l2", "rk4-m1-l1"]
@@ -33,8 +34,8 @@ WRITER_IDS = ["residual", "residual-m1", "rk4-m1", "rk4-degenerate",
 
 def written(writer, n):
     """The source writer writes for n species in its variant."""
-    write, linear, m_classes, l_class = writer
-    return write(n, linear, m_classes + (l_class,) * n)
+    write, m_classes, l_class = writer
+    return write(n, m_classes + (l_class,) * n)
 
 
 def drawn_system(rng, n, m):
@@ -48,7 +49,7 @@ def drawn_system(rng, n, m):
 
 
 # The class of m - 1 and m - 2 per m, and of l_i per l.
-M_CLASSES = {1.0: (), 1.5: ("frac", "frac"), 2.0: ("1", "0"), 3.0: ("int", "1")}
+M_CLASSES = {1.0: ("0", "int"), 1.5: ("frac", "frac"), 2.0: ("1", "0"), 3.0: ("int", "1")}
 L_CLASSES = {(1.0, 1.0, 1.0, 1.0): ("1", "1", "1", "1"),
              (1.5, 2.0, 1.0, 2.0): ("frac", "int", "1", "int")}
 
@@ -64,10 +65,19 @@ def test_specs_with_one_species_count_share_one_kernel_per_variant(monkeypatch):
             (a + 0.1 * math.sin(x), 0.1 * math.cos(x), -0.1 * math.sin(x)) for a in levels))
         residual(spec, profile, [0.0, 0.5, 1.0])
         integrate(spec, levels, (0.0,) * 4, (0.0, 0.05), 0.01)
-    assert sorted(kernels._KERNELS) == sorted(
-        (kind, 4, m == 1, m_classes + l_classes)
-        for kind, (m, m_classes), l_classes
-        in product(("residual", "rk4"), M_CLASSES.items(), L_CLASSES.values()))
+    assert set(kernels._KERNELS) == {
+        write(4, m_classes + l_classes) for write, m_classes, l_classes
+        in product((_residual_source, _rk4_source), M_CLASSES.values(), L_CLASSES.values())}
+
+
+def test_specs_whose_classes_write_one_source_share_one_compile(monkeypatch):
+    # RK4 reads no m - 2 and writes l_i = 2 and 1.5 alike, so these four
+    # specs write two sources.
+    monkeypatch.setattr(kernels, "_KERNELS", {})
+    for m, l in ((3.0, (1.0, 1.0)), (4.0, (1.0, 1.0)), (3.0, (2.0, 2.0)), (3.0, (1.5, 1.5))):
+        spec = replace(drawn_system(random.Random(1), 2, m), l=l)
+        integrate(spec, (0.5, 0.5), (0.0, 0.0), (0.0, 0.05), 0.01)
+    assert len(set(kernels._KERNELS.values())) == 2
 
 
 @pytest.mark.parametrize("writer", WRITERS, ids=WRITER_IDS)
@@ -114,6 +124,6 @@ def test_only_rows_of_one_or_two_products_are_a_plus_chain(writer):
 @pytest.mark.parametrize("writer", WRITERS, ids=WRITER_IDS)
 def test_only_a_fractional_exponent_guards_the_residual_against_a_complex(writer):
     # A negative base to an integer power is real, so those variants pay nothing.
-    write, _, m_classes, l_class = writer
+    write, m_classes, l_class = writer
     fractional = "frac" in (*m_classes, l_class)
     assert ("complex" in written(writer, 3)) == (write is _residual_source and fractional)

@@ -52,6 +52,8 @@ def test_reaction_spec_rejects_nonpositive_rates():
         ReactionSpec(sigma=(1.0, 1.0), C=((1.0, -2.0), (1.0, 1.0)))
     with pytest.raises(ValueError):
         ReactionSpec(sigma=(1.0, 1.0), C=((1.0,), (1.0, 1.0)))
+    with pytest.raises(ValueError, match="at least one species"):
+        ReactionSpec(sigma=(), C=())
 
 
 def test_system_spec_validation():
@@ -61,6 +63,10 @@ def test_system_spec_validation():
         SystemSpec(n=2, m=2.0, d=(1,), l=(1, 1), theta=0.0, reaction=LV)
     with pytest.raises(ValueError):
         SystemSpec(n=3, m=2.0, d=(1, 1, 1), l=(1, 1, 1), theta=0.0, reaction=LV)
+    with pytest.raises(ValueError, match="need at least one species"):
+        SystemSpec(n=0, m=2.0, d=(), l=(), theta=0.0, reaction=LV)
+    with pytest.raises(ValueError, match="l must be a positive vector"):
+        SystemSpec(n=2, m=2.0, d=(1, 1), l=(1, 0), theta=0.0, reaction=LV)
 
 
 def test_hull_intercepts_hand_values():
@@ -94,6 +100,8 @@ def test_hull_bounds_rejects_bad_ordering():
         HullBounds(ubar=(1.0, 1.0), ulow=(2.0, 0.5))
     with pytest.raises(ValueError):
         HullBounds(ubar=(1.0, 1.0), ulow=(0.0, 0.5))
+    with pytest.raises(ValueError, match="equal length"):
+        HullBounds(ubar=(1.0, 1.0), ulow=(0.5,))
 
 
 def test_hypothesis_H_passes_on_intercept_hull():
@@ -118,6 +126,15 @@ def test_hypothesis_H_detects_undersized_outer_region():
     assert report.inner_ok
     assert not report.outer_ok
     assert report.worst_outer_value > 0
+
+
+@pytest.mark.parametrize("hull, samples, message", [
+    (HullBounds(ubar=(1.0,), ulow=(0.5,)), 10, "hull dimension does not match system"),
+    (HullBounds(ubar=(1.0, 1.0), ulow=(0.5, 0.5)), 0, "samples_per_face must be positive"),
+], ids=["dimension", "samples"])
+def test_hypothesis_H_refuses_a_malformed_call(hull, samples, message):
+    with pytest.raises(ValueError, match=message):
+        verify_hypothesis_H(LV_SPEC, hull, samples)
 
 
 def test_hypothesis_H_refuses_degenerate_hull():
