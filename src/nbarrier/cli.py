@@ -227,11 +227,13 @@ def _cmd_exact(args) -> tuple:
     if args.csv and not args.grid:
         raise _Usage("--csv needs --grid")
     xs = parse_grid(args.grid) if args.grid else None
+    if not args.csv:
+        return _solution_dict(sol), 0, None
     profile = sol.profile()
     table = ("--csv", args.csv, ["x"] + [f"u{i + 1}" for i in range(profile.n)],
              lambda: ([x, *(state[0] for state in profile.derivs(x))] for x in xs),
              "the profile overflows floating point")
-    return _solution_dict(sol), 0, table if args.csv else None
+    return _solution_dict(sol), 0, table
 
 
 def _default_residual_grid(args, sol) -> list:

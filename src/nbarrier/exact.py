@@ -8,16 +8,22 @@ arithmetic so exact number types (fractions.Fraction) pass through unchanged.
 
 Profiles carry analytic first and second derivatives; residuals of the wave
 equation are evaluated from those, never from finite differences, so a true
-family member shows nothing but roundoff.
+family member shows nothing but roundoff.  Each family writes its closed
+form once, as the statements of a kernels.ClosedForm (TANH_FORM, COS_FORM);
+the residual kernel inlines them in its grid loop, and Profile.derivs runs
+the same statements.  profile() computes the member constants they read,
+each factor that hoists exactly computed once with the operands and order of
+the written expression, so the floats are those of the expression itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, nan, pi, sin, tanh
+from functools import partial
+from math import nan, pi
 from typing import Callable, NamedTuple, Sequence
 
-from .kernels import residual_maxima
+from .kernels import ClosedForm, call_form, residual_maxima
 from .model import ReactionSpec, SystemSpec
 
 
@@ -31,18 +37,66 @@ class ProfilePoint(NamedTuple):
     ddum: tuple
 
 
+# u = k1 (1 - tanh x)^2, v = k2 (1 + tanh x), with s = 1 - t^2 = tanh'(x).
+# cf_n2k1, cf_2k1 and cf_n2k2 are -2.0 * k1, 2.0 * k1 and -2.0 * k2, the
+# leading products of the derivatives, which * takes first from the left,
+# so computing them once per member changes no float.
+TANH_FORM = ClosedForm(n=2, names=(
+    "cf_k1", "cf_k2", "cf_n2k1", "cf_2k1", "cf_n2k2"), source="""\
+cf_t = tanh(x)
+cf_s = 1.0 - cf_t * cf_t
+cf_r = 1.0 - cf_t
+u0 = cf_k1 * cf_r ** 2
+du0 = cf_n2k1 * cf_r * cf_s
+ddu0 = cf_2k1 * cf_s * cf_r * (1.0 + 3.0 * cf_t)
+u1 = cf_k2 * (1.0 + cf_t)
+du1 = cf_k2 * cf_s
+ddu1 = cf_n2k2 * cf_t * cf_s""")
+
+# u_i = k_i + a_i cos(mu x), a_i being the amplitude m_i.  cf_na{i}mu and
+# cf_na{i}mu2 are -a_i * mu and -a_i * mu * mu, the leading products of the
+# derivatives, likewise computed once per member.
+COS_FORM = ClosedForm(n=3, names=(
+    "cf_mu", "cf_k1", "cf_k2", "cf_k3", "cf_a1", "cf_a2", "cf_a3",
+    "cf_na1mu", "cf_na2mu", "cf_na3mu", "cf_na1mu2", "cf_na2mu2", "cf_na3mu2"), source="""\
+cf_z = cf_mu * x
+cf_c = cos(cf_z)
+cf_s = sin(cf_z)
+u0 = cf_k1 + cf_a1 * cf_c
+du0 = cf_na1mu * cf_s
+ddu0 = cf_na1mu2 * cf_c
+u1 = cf_k2 + cf_a2 * cf_c
+du1 = cf_na2mu * cf_s
+ddu1 = cf_na2mu2 * cf_c
+u2 = cf_k3 + cf_a3 * cf_c
+du2 = cf_na3mu * cf_s
+ddu2 = cf_na3mu2 * cf_c""")
+
+
 @dataclass(frozen=True)
 class Profile:
     """Closed-form profile evaluator for an n-species system with exponent m.
 
     derivs(x) returns one (u_i, u_i', u_i'') tuple per species, all three
     from the closed form, so at(x) evaluates the family's transcendental
-    functions once per point.
+    functions once per point.  A family member's profile is its family's
+    form with the member's constants, and derivs runs the form's statements.
+    A profile built from a bare callable derivs has the form whose one
+    statement calls it, with constants (derivs,).
     """
 
     n: int
     m: float
-    derivs: Callable[[float], tuple]
+    derivs: Callable[[float], tuple] | None = None
+    form: ClosedForm | None = None
+    constants: tuple = ()
+
+    def __post_init__(self):
+        if self.form is None:
+            object.__setattr__(self, "form", call_form(self.n))
+            object.__setattr__(self, "constants", (self.derivs,))
+        elif self.derivs is None:
+            object.__setattr__(self, "derivs", partial(self.form.at, self.constants))
 
     def at(self, x: float) -> ProfilePoint:
         states = self.derivs(x)
@@ -93,16 +147,8 @@ class TanhSolution:
 
     def profile(self) -> Profile:
         k1, k2 = float(self.k1), float(self.k2)
-
-        def derivs(x):
-            t = tanh(x)
-            s = 1.0 - t * t
-            return ((k1 * (1.0 - t) ** 2,
-                     -2.0 * k1 * (1.0 - t) * s,
-                     2.0 * k1 * s * (1.0 - t) * (1.0 + 3.0 * t)),
-                    (k2 * (1.0 + t), k2 * s, -2.0 * k2 * t * s))
-
-        return Profile(n=2, m=2.0, derivs=derivs)
+        return Profile(n=2, m=2.0, form=TANH_FORM,
+                       constants=(k1, k2, -2.0 * k1, 2.0 * k1, -2.0 * k2))
 
 
 def tanh_family(d1, d2, c11, c22) -> TanhSolution:
@@ -172,16 +218,11 @@ class CosSolution:
                           theta=0.0, reaction=reaction)
 
     def profile(self) -> Profile:
-        mu, k1, k2, k3 = float(self.mu), float(self.k1), float(self.k2), float(self.k3)
-        a1, a2, a3 = float(self.m1), float(self.m2), float(self.m3)
-
-        def derivs(x):
-            c, s = cos(mu * x), sin(mu * x)
-            return ((k1 + a1 * c, -a1 * mu * s, -a1 * mu * mu * c),
-                    (k2 + a2 * c, -a2 * mu * s, -a2 * mu * mu * c),
-                    (k3 + a3 * c, -a3 * mu * s, -a3 * mu * mu * c))
-
-        return Profile(n=3, m=2.0, derivs=derivs)
+        mu = float(self.mu)
+        levels = (float(self.k1), float(self.k2), float(self.k3))
+        amps = (float(self.m1), float(self.m2), float(self.m3))
+        return Profile(n=3, m=2.0, form=COS_FORM, constants=(
+            mu, *levels, *amps, *(-a * mu for a in amps), *(-a * mu * mu for a in amps)))
 
 
 def cos_family(m1, m2, m3, mu, d1, d2, d3,
@@ -230,4 +271,4 @@ def residual(spec: SystemSpec, profile: Profile, grid: Sequence[float]) -> tuple
         raise ValueError("profile dimension does not match system")
     if len(grid) == 0:
         raise ValueError("residual needs a grid of at least one point, got an empty grid")
-    return residual_maxima(spec, profile.derivs, grid)
+    return residual_maxima(spec, profile.form, profile.constants, grid)

@@ -9,6 +9,14 @@ coefficients and the constants derived from m, and one binder passes them
 from the spec and picks the source, so one kernel serves every spec with n
 species whose exponents write the same source.
 
+The residual kernel inlines the family's closed form: a ClosedForm is the
+statements that bind u_i, u_i' and u_i'' at x from named member constants,
+written once in exact.py, and the grid loop runs them in place of a call.
+The constants are an argument of the kernel, so every member of a family
+shares one kernel per exponent-class pattern, and the same statements,
+compiled on first use, are the family's derivs(x).  A profile given as a
+bare callable has the form whose one statement calls it.
+
 The exponents are m - 1, m - 2 and each l_i, and each has one of four
 classes: 0.0, 1.0, another integer, or a fraction.  A power to 1.0 is
 written as its base, and a factor that is a power to 0.0 is left out.
@@ -42,8 +50,8 @@ the list stepper it replaced, in the same order, so both give the floats of thos
 
 from __future__ import annotations
 
-from functools import lru_cache
-from math import inf, nan
+import math
+from functools import cached_property, lru_cache
 from operator import mul
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -60,6 +68,70 @@ if TYPE_CHECKING:
 UNROLL_LIMIT = 8
 
 _KERNELS: dict = {}
+
+# What compiled source reads besides its own names: mul and math's functions
+# and constants (inf, nan, tanh, cos, ...).
+_GLOBALS = {"mul": mul, **{k: v for k, v in vars(math).items() if not k.startswith("_")}}
+
+# Every name of a closed form but x, u_i, du_i and ddu_i starts with this,
+# and no kernel name does.
+FORM_PREFIX = "cf_"
+
+
+def _compile(source: str, label: str) -> Callable:
+    """The function named kernel that source defines, compiled once per
+    distinct source."""
+    kernel = _KERNELS.get(source)
+    if kernel is None:
+        namespace = dict(_GLOBALS)
+        exec(compile(source, f"<{label}>", "exec"), namespace)
+        kernel = _KERNELS[source] = namespace["kernel"]
+    return kernel
+
+
+class ClosedForm:
+    """A family's closed form for n species, written once as statements.
+
+    source is straight-line statements that read x, math's names and the
+    member constants named in names, and bind u_i, du_i and ddu_i (u_i, u_i'
+    and u_i'') for each species i < n.  Every other name that they bind, and
+    every name in names, starts with FORM_PREFIX, so that none of them
+    shadows a kernel name.  The residual kernel writes the statements into
+    its grid loop, and at(constants, x) runs them.  A plain class, not a
+    dataclass: every CLI process builds it at import.
+    """
+
+    def __init__(self, n: int, names: tuple, source: str):
+        self.n, self.names, self.source = n, names, source
+
+    def at(self, constants: tuple, x: float) -> tuple:
+        """One (u_i, u_i', u_i'') tuple per species at x, for the member
+        whose values of names are constants."""
+        return self._derivs(constants, x)
+
+    @cached_property
+    def _derivs(self) -> Callable:
+        # Compiled on first use, so a process that only takes residuals
+        # never compiles it.
+        return _compile("\n".join([
+            "def kernel(constants, x):",
+            f"    {_unpack(self)}",
+            *("    " + line for line in self.source.splitlines()),
+            f"    return ({_tuple('(u{0}, du{0}, ddu{0})', self.n)})",
+            ""]), f"derivs, n = {self.n}")
+
+
+def _unpack(form: ClosedForm) -> str:
+    """The statement that unpacks the argument constants into form's names."""
+    return "".join(name + ", " for name in form.names) + "= constants"
+
+
+@lru_cache(maxsize=None)
+def call_form(n: int) -> ClosedForm:
+    """The closed form of a profile given as a bare callable: one statement
+    that unpacks cf_derivs(x), the callable being the one constant."""
+    return ClosedForm(n, (f"{FORM_PREFIX}derivs",),
+                      f"{_tuple('(u{0}, du{0}, ddu{0})', n)}= {FORM_PREFIX}derivs(x)")
 
 
 def _exponent_class(e: float) -> str:
@@ -190,20 +262,20 @@ def _rk4_source(n: int, classes: tuple) -> str:
 
 
 @lru_cache(maxsize=None)
-def _residual_source(n: int, classes: tuple) -> str:
-    """Source of the residual kernel for n species, classes being the
-    exponent classes of _bind.
+def _residual_source(form: ClosedForm, classes: tuple) -> str:
+    """Source of the residual kernel for form's n species, classes being
+    the exponent classes of _bind.
 
-    kernel(derivs, grid, ...) unpacks derivs(x) into u_i, u_i', u_i'' per
-    grid point, binds every reaction term, and then per species takes
-    (u_i^m)'' by Profile.at's chain rule (grad first, then the u^(m-2)
-    term), the residual d_i (u_i^m)'' + theta u_i' + t_i and its running
-    maximum, which a NaN residual replaces and keeps.  A species with a
-    fractional exponent takes a complex residual as NaN.
+    kernel(constants, grid, ...) unpacks constants into form's names and
+    per grid point runs form's statements, binds every reaction term, and
+    then per species takes (u_i^m)'' by Profile.at's chain rule (grad
+    first, then the u^(m-2) term), the residual d_i (u_i^m)'' + theta u_i'
+    + t_i and its running maximum, which a NaN residual replaces and keeps.
+    A species with a fractional exponent takes a complex residual as NaN.
     """
+    n = form.n
     m1, m2, *l_classes = classes
-    point = [f"{_tuple('(u{0}, du{0}, ddu{0})', n)}= derivs(x)",
-             *_reaction_terms(n, l_classes)]
+    point = [*form.source.splitlines(), *_reaction_terms(n, l_classes)]
     for i in range(n):
         if m1 == "0":
             ddum = f"ddu{i}"
@@ -219,22 +291,19 @@ def _residual_source(n: int, classes: tuple) -> str:
             point.append(f"r{i} = abs({residual})")
         point += [f"if r{i} > w{i} or r{i} != r{i}:",
                   f"    w{i} = r{i}"]
-    body = [f"{_tuple('w{}', n)}= {'0.0, ' * n}", "for x in grid:",
+    body = [_unpack(form),
+            f"{_tuple('w{}', n)}= {'0.0, ' * n}", "for x in grid:",
             *("    " + line for line in point), f"return ({_tuple('w{}', n)})"]
-    return _kernel("derivs, grid", n, body)
+    return _kernel("constants, grid", n, body)
 
 
-def _bind(kind: str, write: Callable[[int, tuple], str], spec: SystemSpec, *head):
+def _bind(kind: str, write: Callable[[object, tuple], str], shape, spec: SystemSpec, *head):
     """kernel(*head, m, theta, d, l, s, C) with every coefficient from spec,
-    the kernel written by write(n, _exponent_class of m - 1, m - 2 and each
-    l_i) and compiled once per distinct source."""
+    the kernel written by write(shape, _exponent_class of m - 1, m - 2 and
+    each l_i) and compiled once per distinct source."""
     n, m, l = spec.n, float(spec.m), tuple(map(float, spec.l))
-    source = write(n, tuple(map(_exponent_class, (m - 1.0, m - 2.0, *l))))
-    kernel = _KERNELS.get(source)
-    if kernel is None:
-        namespace = {"mul": mul, "inf": inf, "nan": nan}
-        exec(compile(source, f"<{kind} kernel, n = {n}>", "exec"), namespace)
-        kernel = _KERNELS[source] = namespace["kernel"]
+    kernel = _compile(write(shape, tuple(map(_exponent_class, (m - 1.0, m - 2.0, *l)))),
+                      f"{kind} kernel, n = {n}")
     reaction = spec.reaction
     return kernel(*head, m, float(spec.theta), tuple(map(float, spec.d)), l,
                   tuple(map(float, reaction.sigma)),
@@ -248,12 +317,13 @@ def rk4_march(spec: SystemSpec, floor_hit: type, floor: float) -> Callable:
     Unless spec.m is 1 it raises floor_hit as soon as a stage state or a
     stepped state has some u_i below floor.
     """
-    return _bind("rk4", _rk4_source, spec, floor_hit, floor)
+    return _bind("rk4", _rk4_source, spec.n, spec, floor_hit, floor)
 
 
-def residual_maxima(spec: SystemSpec, derivs: Callable[[float], tuple],
+def residual_maxima(spec: SystemSpec, form: ClosedForm, constants: tuple,
                     grid: Sequence[float]) -> tuple:
     """Max |d_i (u_i^m)'' + theta u_i' + u_i^{l_i} f_i(u)| per species over
-    grid, from the (u_i, u_i', u_i'') tuples of derivs(x) and spec's own m;
-    a species with a NaN or complex residual at any point reports NaN."""
-    return _bind("residual", _residual_source, spec, derivs, grid)
+    grid, from the u_i, u_i', u_i'' that form's statements bind with
+    constants and from spec's own m; a species with a NaN or complex
+    residual at any point reports NaN."""
+    return _bind("residual", _residual_source, form, spec, constants, grid)

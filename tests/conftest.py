@@ -1,6 +1,7 @@
 """Shared fixtures: the two closed-form wave families used across the suite,
-builtin sum with the rounding it has from Python 3.12 on, and a 50-digit
-evaluation of the barrier envelope chains."""
+seeded members from the benchmark's parameter ranges, builtin sum with the
+rounding it has from Python 3.12 on, and a 50-digit evaluation of the
+barrier envelope chains."""
 
 import builtins
 import math
@@ -17,6 +18,28 @@ COS_ARGS = (Fraction(-1, 10), Fraction(1, 11), Fraction(1, 12), 2,
             1, 1, 1,
             Fraction(1067, 60), 1, Fraction(175, 11), Fraction(6, 11),
             15, Fraction(11, 12))
+
+
+def bench_range_member(rng, kind):
+    """A seeded tanh or cos family member drawn from the ranges the
+    wave_verify benchmark draws from (k1 = 20 d1 / c11 at most 60; cos
+    amplitudes m1 < 0 < m2, m3 with c11, c22, c33 positive by a margin),
+    with a grid over its front or one period."""
+    if kind == "tanh":
+        sol = tanh_family(rng.uniform(0.5, 3.0), rng.uniform(0.5, 4.0),
+                          rng.uniform(1.0, 4.0), rng.uniform(1.0, 4.0))
+        return sol, [-20.0 + i * 0.4 for i in range(101)]
+    m1 = -rng.uniform(0.05, 0.2)
+    m2, m3 = rng.uniform(0.05, 0.2), rng.uniform(0.05, 0.2)
+    mu = rng.uniform(0.5, 3.0)
+    d1, d2, d3 = (rng.uniform(0.5, 2.0) for _ in range(3))
+    c13, c23, c32 = (rng.uniform(0.2, 2.0) for _ in range(3))
+    w = mu * mu
+    c12 = (4 * d1 * w * -m1 + rng.uniform(0.05, 0.5)) / m2
+    c21 = (c23 * m3 + 4 * d2 * w * m2 + rng.uniform(0.05, 0.5)) / -m1
+    c31 = (c32 * m2 + 4 * d3 * w * m3 + rng.uniform(0.05, 0.5)) / -m1
+    sol = cos_family(m1, m2, m3, mu, d1, d2, d3, c12, c13, c21, c23, c31, c32)
+    return sol, [i * sol.period / 100 for i in range(101)]
 
 
 @pytest.fixture(scope="session")

@@ -214,6 +214,16 @@ def test_exact_emits_solution_and_profile_csv(capsys, tmp_path):
     assert len(lines) == 1 + 5  # grid -1:-0.5:0:0.5:1
 
 
+def test_exact_builds_no_profile_without_csv(capsys, monkeypatch):
+    # Only the CSV table reads the profile.
+    def refuse(sol):
+        raise AssertionError("profile built")
+    monkeypatch.setattr(nbarrier.exact.TanhSolution, "profile", refuse)
+    code, out, _ = run(capsys, "exact", "tanh", "--d1", "3", "--d2", "4",
+                       "--c11", "1", "--c22", "2", "--grid=-1:1:0.5")
+    assert code == 0 and json.loads(out)["k1"] == 60.0
+
+
 def test_grid_stops_at_its_last_full_step(capsys, tmp_path):
     csv_path = tmp_path / "profile.csv"
     code, _, _ = run(capsys, "exact", "tanh", "--d1", "3", "--d2", "4",

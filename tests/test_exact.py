@@ -1,5 +1,6 @@
 """Closed-form wave families and their induced systems."""
 
+import ast
 import math
 import random
 from dataclasses import replace
@@ -12,12 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nbarrier import (ReactionSpec, SystemSpec, cos_family, reaction_eval, residual,
-                      tanh_family)
-from nbarrier.exact import Profile
-from nbarrier.kernels import UNROLL_LIMIT
+from nbarrier import (ReactionSpec, SystemSpec, cos_family, kernels, reaction_eval,
+                      residual, tanh_family)
+from nbarrier.exact import COS_FORM, TANH_FORM, Profile, TanhSolution
+from nbarrier.kernels import FORM_PREFIX, UNROLL_LIMIT, ClosedForm
 
-from conftest import COS_ARGS, EDGE_ROWS, unchecked_system
+from conftest import COS_ARGS, EDGE_ROWS, bench_range_member, unchecked_system
 
 
 def test_tanh_coefficient_ties():
@@ -313,3 +314,113 @@ def test_a_negative_base_to_a_fractional_power_is_a_nan_residual():
     point = profile.at(0.0)
     assert math.isnan(point.dum[0]) and math.isnan(point.ddum[0])
     assert math.isfinite(point.dum[1]) and math.isfinite(point.ddum[1])
+
+
+def closed_form_by_hand(sol):
+    """The member's (u_i, u_i', u_i'') tuples at x, each family's closed form
+    written out as its own expressions, independent of its ClosedForm."""
+    if isinstance(sol, TanhSolution):
+        k1, k2 = float(sol.k1), float(sol.k2)
+
+        def derivs(x):
+            t = math.tanh(x)
+            s = 1.0 - t * t
+            return ((k1 * (1.0 - t) ** 2,
+                     -2.0 * k1 * (1.0 - t) * s,
+                     2.0 * k1 * s * (1.0 - t) * (1.0 + 3.0 * t)),
+                    (k2 * (1.0 + t), k2 * s, -2.0 * k2 * t * s))
+        return derivs
+    mu = float(sol.mu)
+    members = [(float(k), float(a)) for k, a in ((sol.k1, sol.m1), (sol.k2, sol.m2),
+                                                (sol.k3, sol.m3))]
+
+    def derivs(x):
+        c, s = math.cos(mu * x), math.sin(mu * x)
+        return tuple((k + a * c, -a * mu * s, -a * mu * mu * c) for k, a in members)
+    return derivs
+
+
+def test_inlined_closed_forms_give_the_profile_point_residual_bit_for_bit():
+    # 150 tanh and 50 cos members against their own system (m = 2), the same
+    # coefficients at m = 3 and m = 1, and at a fractional l, so the
+    # inlined statements meet m - 1 of class 1, int and 0 and l of class 1,
+    # int and frac (the complex guard).  The profile points are those of the
+    # closed form written out by hand.
+    rng = random.Random(2016)
+    for k in range(200):
+        sol, grid = bench_range_member(rng, "cos" if k % 4 == 3 else "tanh")
+        spec, profile = sol.system(), sol.profile()
+        by_hand = closed_form_by_hand(sol)
+        for x in grid:
+            assert profile.derivs(x) == by_hand(x), (k, x)
+        for variant in (spec, replace(spec, m=3.0), replace(spec, m=1.0),
+                        replace(spec, l=(1.5,) * spec.n)):
+            assert (residual(variant, profile, grid)
+                    == residual_via_profile_points(variant, replace(profile, m=variant.m),
+                                                   grid)), (k, variant.m, variant.l)
+
+
+# Profile.at(x).u, .du and .ddu of the README tanh and cos members, as the
+# closed forms gave them when each family was its own Python function; the
+# statements now written once must reproduce every float.
+PINNED_POINTS = {
+    ("tanh", -20.0): ((240.0, 0.0), (-0.0, 0.0), (-0.0, 0.0)),
+    ("tanh", -1.0): ((186.1928382178502, 1.9072467523538812),
+                     (-88.7789215006366, 3.359794732912209),
+                     (-114.06160186018472, 5.117600067593797)),
+    ("tanh", 0.0): ((60.0, 8.0), (-120.0, 8.0), (120.0, -0.0)),
+    ("tanh", 0.5): ((17.35907715084318, 11.696937258080078),
+                    (-50.762009072896056, 6.291581863727419),
+                    (121.13599506161668, -5.814895851068698)),
+    ("tanh", 20.0): ((0.0, 16.0), (-0.0, 0.0), (0.0, -0.0)),
+    ("cos", -20.0): ((0.1666938061652262, 0.030278358028584723, 0.027755161517876117),
+                     (-0.14902263209586977, 0.13547512007360682, 0.12418552669688394),
+                     (-0.26677522466090475, 0.24252293148566112, 0.22231268712849556)),
+    ("cos", -1.0): ((0.14161468365471425, 0.053077560308588394, 0.048654430268276365),
+                    (-0.18185948536513635, 0.165326804860864, 0.1515495710769938),
+                    (-0.16645873461885696, 0.15132612236564644, 0.13871561212689457)),
+    ("cos", 0.0): ((0.0, 0.1818181818, 0.1666666666), (0.0, -0.0, -0.0),
+                   (0.4, -0.3636363636, -0.3333333332)),
+    ("cos", 0.5): ((0.04596976941318603, 0.14002748233764634, 0.12835852543766824),
+                   (0.16829419696157932, -0.15299472449522716, -0.14024516407855137),
+                   (0.2161209223472559, -0.1964735657505853, -0.18010076855067297)),
+    ("cos", 20.0): ((0.1666938061652262, 0.030278358028584723, 0.027755161517876117),
+                    (0.14902263209586977, -0.13547512007360682, -0.12418552669688394),
+                    (-0.26677522466090475, 0.24252293148566112, 0.22231268712849556)),
+}
+
+
+@pytest.mark.parametrize("family, x", list(PINNED_POINTS),
+                         ids=[f"{f}{x:g}" for f, x in PINNED_POINTS])
+def test_profile_points_of_the_readme_members_are_pinned(family, x):
+    sol = tanh_family(*README_TANH) if family == "tanh" else cos_family(*README_COS)
+    point = sol.profile().at(x)
+    got = (point.u, point.du, point.ddu)
+    # repr tells -0.0 from 0.0, which == does not.
+    assert repr(got) == repr(PINNED_POINTS[family, x])
+
+
+def test_a_forms_derivs_is_compiled_on_first_call_only(monkeypatch):
+    monkeypatch.setattr(kernels, "_KERNELS", {})
+    form = ClosedForm(TANH_FORM.n, TANH_FORM.names, TANH_FORM.source)
+    sol = tanh_family(*README_TANH)
+    profile = replace(sol.profile(), form=form, derivs=None)
+    residual(sol.system(), profile, [0.0, 1.0])
+    assert len(kernels._KERNELS) == 1
+    assert profile.at(0.5) == sol.profile().at(0.5)
+    assert profile.at(-1.0) == sol.profile().at(-1.0)
+    assert len(kernels._KERNELS) == 2
+
+
+@pytest.mark.parametrize("form", [TANH_FORM, COS_FORM], ids=["tanh", "cos"])
+def test_closed_forms_bind_only_prefixed_names_and_the_species_state(form):
+    # So that no statement inlined into a kernel shadows one of its names.
+    tree = ast.parse(form.source)
+    bound = {node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    state = {f"{v}{i}" for v in ("u", "du", "ddu") for i in range(form.n)}
+    assert state <= bound
+    assert all(name.startswith(FORM_PREFIX) for name in (bound - state) | set(form.names))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert read - bound - set(form.names) <= {"x", "tanh", "cos", "sin"}

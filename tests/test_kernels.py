@@ -11,8 +11,10 @@ from itertools import product
 import pytest
 
 from nbarrier import ReactionSpec, SystemSpec, integrate, kernels, residual
-from nbarrier.exact import Profile
-from nbarrier.kernels import UNROLL_LIMIT, _residual_source, _rk4_source
+from nbarrier.exact import COS_FORM, TANH_FORM, Profile
+from nbarrier.kernels import UNROLL_LIMIT, _residual_source, _rk4_source, call_form
+
+from conftest import bench_range_member
 
 # (writer, classes of m - 1 and m - 2, class of every l_i): the variants
 # with a pow call for every exponent, then folded ones; m - 1 of class "0"
@@ -33,9 +35,16 @@ WRITER_IDS = ["residual", "residual-m1", "rk4-m1", "rk4-degenerate",
 
 
 def written(writer, n):
-    """The source writer writes for n species in its variant."""
+    """The source writer writes for n species in its variant; the residual
+    writer's is the kernel of a profile given as a bare callable."""
     write, m_classes, l_class = writer
-    return write(n, m_classes + (l_class,) * n)
+    return write(shape(write, n), m_classes + (l_class,) * n)
+
+
+def shape(write, n):
+    """What write takes first: the closed form of a bare callable for the
+    residual writer, n for the RK4 writer."""
+    return call_form(n) if write is _residual_source else n
 
 
 def drawn_system(rng, n, m):
@@ -66,7 +75,7 @@ def test_specs_with_one_species_count_share_one_kernel_per_variant(monkeypatch):
         residual(spec, profile, [0.0, 0.5, 1.0])
         integrate(spec, levels, (0.0,) * 4, (0.0, 0.05), 0.01)
     assert set(kernels._KERNELS) == {
-        write(4, m_classes + l_classes) for write, m_classes, l_classes
+        write(shape(write, 4), m_classes + l_classes) for write, m_classes, l_classes
         in product((_residual_source, _rk4_source), M_CLASSES.values(), L_CLASSES.values())}
 
 
@@ -127,3 +136,19 @@ def test_only_a_fractional_exponent_guards_the_residual_against_a_complex(writer
     write, m_classes, l_class = writer
     fractional = "frac" in (*m_classes, l_class)
     assert ("complex" in written(writer, 3)) == (write is _residual_source and fractional)
+
+
+def test_family_members_share_one_residual_kernel_per_class_pattern(monkeypatch):
+    # The members' constants are an argument, not source, so 50 tanh and 50
+    # cos members at m = 2 and m = 3 compile four residual kernels in all,
+    # and taking residuals compiles no family's derivs.
+    monkeypatch.setattr(kernels, "_KERNELS", {})
+    rng = random.Random(9)
+    for k in range(100):
+        sol, _ = bench_range_member(rng, "cos" if k % 2 else "tanh")
+        spec = replace(sol.system(), m=(2.0, 3.0)[k // 2 % 2])
+        residual(spec, sol.profile(), [0.0, 0.5, 1.0])
+    assert set(kernels._KERNELS) == {
+        _residual_source(form, m_classes + l_classes)
+        for form, l_classes in ((TANH_FORM, ("int", "int")), (COS_FORM, ("1", "1", "1")))
+        for m_classes in (M_CLASSES[2.0], M_CLASSES[3.0])}

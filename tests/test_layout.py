@@ -151,7 +151,7 @@ def test_only_the_kernel_builder_compiles_source():
         calls = sorted(calls_that_run_source(ast.parse(path.read_text(), filename=str(path))))
         if calls:
             found[path.name] = calls
-    assert found == {"kernels.py": [("_bind", "compile"), ("_bind", "exec")]}
+    assert found == {"kernels.py": [("_compile", "compile"), ("_compile", "exec")]}
 
 
 def test_only_main_writes_cli_outputs():
