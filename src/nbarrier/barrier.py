@@ -35,7 +35,8 @@ class BarrierEnvelope:
     """The four nested level values of one barrier, with their build data.
 
     lambda1/eta1 are the outer pair and lambda2/eta2 the inner pair for the
-    lower orientation; the upper orientation reverses the ordering.
+    lower orientation; the upper orientation reverses the ordering.  weights
+    and d are the alpha and d it was built from, positive and of one length.
     """
 
     lambda1: float
@@ -50,6 +51,7 @@ class BarrierEnvelope:
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(self.weights))
         object.__setattr__(self, "d", tuple(self.d))
+        _check_vectors(weights=self.weights, d=self.d)
         if self.orientation not in ("lower", "upper"):
             raise ValueError("orientation must be 'lower' or 'upper'")
         _require_exponent_domain(self.m)

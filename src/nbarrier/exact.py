@@ -19,7 +19,6 @@ the written expression, so the floats are those of the expression itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from math import nan, pi
 from typing import Callable, NamedTuple, Sequence
 
@@ -75,28 +74,35 @@ ddu2 = cf_na3mu2 * cf_c""")
 
 @dataclass(frozen=True)
 class Profile:
-    """Closed-form profile evaluator for an n-species system with exponent m.
+    """Closed-form profile with exponent m: a ClosedForm of form.n species
+    and the member constants its statements read, one per form.names.
 
-    derivs(x) returns one (u_i, u_i', u_i'') tuple per species, all three
-    from the closed form, so at(x) evaluates the family's transcendental
-    functions once per point.  A family member's profile is its family's
-    form with the member's constants, and derivs runs the form's statements.
-    A profile built from a bare callable derivs has the form whose one
-    statement calls it, with constants (derivs,).
+    derivs(x) runs the statements, one (u_i, u_i', u_i'') tuple per species,
+    so at(x) evaluates the family's transcendental functions once per point,
+    and residual inlines the same statements with the same constants.
+    Profile.of(n, m, derivs) makes a bare callable a profile.
     """
 
-    n: int
     m: float
-    derivs: Callable[[float], tuple] | None = None
-    form: ClosedForm | None = None
-    constants: tuple = ()
+    form: ClosedForm
+    constants: tuple
 
     def __post_init__(self):
-        if self.form is None:
-            object.__setattr__(self, "form", call_form(self.n))
-            object.__setattr__(self, "constants", (self.derivs,))
-        elif self.derivs is None:
-            object.__setattr__(self, "derivs", partial(self.form.at, self.constants))
+        if len(self.constants) != len(self.form.names):
+            raise ValueError(f"profile constants must match the form's names, got "
+                             f"{len(self.constants)} for {len(self.form.names)} names")
+
+    @classmethod
+    def of(cls, n: int, m: float, derivs: Callable[[float], tuple]) -> Profile:
+        """The profile whose derivs(x) is the callable derivs, over n species."""
+        return cls(m, call_form(n), (derivs,))
+
+    @property
+    def n(self) -> int:
+        return self.form.n
+
+    def derivs(self, x: float) -> tuple:
+        return self.form.at(self.constants, x)
 
     def at(self, x: float) -> ProfilePoint:
         states = self.derivs(x)
@@ -147,7 +153,7 @@ class TanhSolution:
 
     def profile(self) -> Profile:
         k1, k2 = float(self.k1), float(self.k2)
-        return Profile(n=2, m=2.0, form=TANH_FORM,
+        return Profile(m=2.0, form=TANH_FORM,
                        constants=(k1, k2, -2.0 * k1, 2.0 * k1, -2.0 * k2))
 
 
@@ -221,7 +227,7 @@ class CosSolution:
         mu = float(self.mu)
         levels = (float(self.k1), float(self.k2), float(self.k3))
         amps = (float(self.m1), float(self.m2), float(self.m3))
-        return Profile(n=3, m=2.0, form=COS_FORM, constants=(
+        return Profile(m=2.0, form=COS_FORM, constants=(
             mu, *levels, *amps, *(-a * mu for a in amps), *(-a * mu * mu for a in amps)))
 
 

@@ -14,8 +14,8 @@ statements that bind u_i, u_i' and u_i'' at x from named member constants,
 written once in exact.py, and the grid loop runs them in place of a call.
 The constants are an argument of the kernel, so every member of a family
 shares one kernel per exponent-class pattern, and the same statements,
-compiled on first use, are the family's derivs(x).  A profile given as a
-bare callable has the form whose one statement calls it.
+compiled on first use, are the family's derivs(x).  Profile.of makes a bare
+callable a profile with call_form(n), whose one statement calls it.
 
 The exponents are m - 1, m - 2 and each l_i, and each has one of four
 classes: 0.0, 1.0, another integer, or a fraction.  A power to 1.0 is
@@ -201,25 +201,22 @@ def _rk4_source(n: int, classes: tuple) -> str:
     """Source of the RK4 kernel for n species, classes being the exponent
     classes of _bind.
 
-    kernel(FloorHit, floor, ...) returns march(y, x, h, count, xs, ys),
-    which takes up to count RK4 steps of size h from the state
-    y = (u_0.., w_0..) at x and appends each finite state to ys and its x
-    to xs.  It returns True after count steps and False at the first state
-    with a NaN or infinite component, which it does not store.  A complex
-    state raises TypeError, and the steps taken before a raise stay stored.
+    kernel(floor, ...) returns march(y, x, h, count, xs, ys), which takes
+    up to count RK4 steps of size h from the state y = (u_0.., w_0..) at x,
+    appends each finite state to ys and its x to xs, and returns how it
+    stopped: True after count steps, False at a state with a NaN or infinite
+    component and None at a state below the floor, neither of them stored.
+    A complex state raises TypeError; the steps taken before stay stored.
 
     Stage s writes its state to scalars u_i, w_i and binds its derivatives
-    ks_0..ks_{2n-1}: unless m - 1 is of class 0.0 it raises FloorHit if
-    some u_i is below the floor and takes u_i' = w_i / (m u_i^(m-1)) (else
-    u_i' = w_i) for every species, then every reaction term, then
-    w_i' = (-theta u_i' - t_i) / d_i.  The stepped state raises FloorHit
-    as the stages do.
+    ks_0..ks_{2n-1}: unless m - 1 is of class 0.0 it returns None if some
+    u_i is below the floor, as the stepped state does, and takes
+    u_i' = w_i / (m u_i^(m-1)) (else u_i' = w_i) for every species, then
+    every reaction term, then w_i' = (-theta u_i' - t_i) / d_i.
     """
     m1, _, *l_classes = classes
     terms = _reaction_terms(n, l_classes)
-
-    def below(name):
-        return " or ".join(f"{name}{i} < floor" for i in range(n))
+    floor_exit = [f"if {' or '.join(f'u{i} < floor' for i in range(n))}:", "    return None"]
 
     rng2 = range(2 * n)
     step = []
@@ -230,7 +227,7 @@ def _rk4_source(n: int, classes: tuple) -> str:
         if m1 == "0":
             step += [f"k{stage}_{i} = w{i}" for i in range(n)]
         else:
-            step += [f"if {below('u')}:", "    raise FloorHit"]
+            step += floor_exit
             step += [f"k{stage}_{i} = w{i} / ({_product('m', _power(f'u{i}', 'm1', m1))})"
                      for i in range(n)]
         step += terms
@@ -241,7 +238,7 @@ def _rk4_source(n: int, classes: tuple) -> str:
              f"y{j} + sixth * (k1_{j} + 2.0 * k2_{j} + 2.0 * k3_{j} + k4_{j})"
              for j in rng2]
     if m1 != "0":
-        step += [f"if {below('u')}:", "    raise FloorHit"]
+        step += floor_exit
     # A complex component raises TypeError at its comparison.
     step += ["x = x + h",
              "if not (" + " and ".join(f"ninf < y{j} < inf" for j in rng2) + "):",
@@ -258,7 +255,7 @@ def _rk4_source(n: int, classes: tuple) -> str:
             *("        " + line for line in step),
             "    return True",
             "return march"]
-    return _kernel("FloorHit, floor", n, body)
+    return _kernel("floor", n, body)
 
 
 @lru_cache(maxsize=None)
@@ -310,14 +307,12 @@ def _bind(kind: str, write: Callable[[object, tuple], str], shape, spec: SystemS
                   tuple(tuple(map(float, row)) for row in reaction.C))
 
 
-def rk4_march(spec: SystemSpec, floor_hit: type, floor: float) -> Callable:
+def rk4_march(spec: SystemSpec, floor: float) -> Callable:
     """The RK4 step loop march(y, x, h, count, xs, ys) of spec over
-    y = (u_0.., w_0..); see _rk4_source for its contract.
-
-    Unless spec.m is 1 it raises floor_hit as soon as a stage state or a
-    stepped state has some u_i below floor.
-    """
-    return _bind("rk4", _rk4_source, spec.n, spec, floor_hit, floor)
+    y = (u_0.., w_0..), as _rk4_source writes it: True after count steps,
+    False at a non-finite state and, unless spec.m is 1, None at a stage or
+    stepped state with some u_i below floor."""
+    return _bind("rk4", _rk4_source, spec.n, spec, floor)
 
 
 def residual_maxima(spec: SystemSpec, form: ClosedForm, constants: tuple,

@@ -7,9 +7,10 @@ than stepping into the degenerate set.  Stepping is classical fixed-step
 RK4 on Python floats; outputs are bit-reproducible for identical inputs.
 
 The step loop is the compiled kernel kernels.rk4_march, called once for
-the full steps and once for a final partial step.  It stores one state
-tuple y = (u.., w..) per grid point, and the stored history is one array
-split once into its column halves, Trajectory.u and .w.
+the full steps and once for a final partial step; each call returns how it
+stopped, which names the truncation.  It stores one state tuple
+y = (u.., w..) per grid point, and the stored history is one array split
+once into its column halves, Trajectory.u and .w.
 
 numpy only builds the stored Trajectory arrays, once after the loop, and
 re-runs on float64 scalars a step whose float arithmetic overflowed or
@@ -37,10 +38,6 @@ if TYPE_CHECKING:
 
 POSITIVITY_FLOOR = 1e-8
 MAX_STEPS = 10 ** 6
-
-
-class _FloorHit(Exception):
-    """Internal: a stage state fell below the positivity floor."""
 
 
 @dataclass(frozen=True)
@@ -120,33 +117,31 @@ def integrate(spec: SystemSpec, u0: Sequence[float], w0: Sequence[float],
         raise ValueError("alpha length must match the system")
     alpha_vec = np.asarray(alpha, dtype=float)
 
-    march = rk4_march(spec, _FloorHit, POSITIVITY_FLOOR)
+    march = rk4_march(spec, POSITIVITY_FLOOR)
     xs = [x0]
     ys = [(*map(float, u0), *map(float, w0))]
-    reason = None
-    try:
-        while len(xs) <= n_steps:
-            done = len(xs) - 1
-            h, count = (step, n_full - done) if done < n_full else (remainder, 1)
-            try:
-                if march(ys[-1], xs[-1], h, count, xs, ys):
-                    continue
-            except ArithmeticError:
-                # Python floats raise on overflow and on division by zero, where
-                # the step may still end finite (w / inf is 0).  float64 scalars
-                # give IEEE inf there, so that step alone is re-run on them.
-                with np.errstate(all="ignore"):
-                    if march(tuple(map(np.float64, ys[-1])), xs[-1], h, 1, xs, ys):
-                        ys[-1] = tuple(map(float, ys[-1]))
-                        continue
-            except TypeError:
-                # A complex: a negative base to a fractional power, NaN in IEEE.
-                pass
-            reason = f"non-finite state at x = {xs[-1] + h:.6g}"
-            break
-    except _FloorHit:
+    finished = True
+    while finished and len(xs) <= n_steps:
+        done = len(xs) - 1
+        h, count = (step, n_full - done) if done < n_full else (remainder, 1)
+        try:
+            finished = march(ys[-1], xs[-1], h, count, xs, ys)
+        except ArithmeticError:
+            # Python floats raise on overflow and on division by zero, where
+            # the step may still end finite (w / inf is 0).  float64 scalars
+            # give IEEE inf there, so that step alone is re-run on them.
+            with np.errstate(all="ignore"):
+                finished = march(tuple(map(np.float64, ys[-1])), xs[-1], h, 1, xs, ys)
+            if finished:
+                ys[-1] = tuple(map(float, ys[-1]))
+        except TypeError:
+            # A complex: a negative base to a fractional power, NaN in IEEE.
+            finished = False
+    if finished is None:
         reason = (f"positivity floor {POSITIVITY_FLOOR:g} reached "
                   f"near x = {xs[-1] + h:.6g}")
+    else:
+        reason = None if finished else f"non-finite state at x = {xs[-1] + h:.6g}"
 
     y_arr = np.array(ys)
     u_arr, w_arr = y_arr[:, :n], y_arr[:, n:]

@@ -4,6 +4,7 @@ import math
 import random
 import re
 import tracemalloc
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -164,6 +165,21 @@ def test_envelope_constructor_rejects_misordered_levels():
         BarrierEnvelope(lambda1=1.0, eta1=1.0, lambda2=0.5, eta2=-0.5,
                         orientation="lower", weights=(1.0, 1.0), m=2.0,
                         d=(1.0, 1.0))
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("d", (3.0,), r"vector lengths must agree, got len\(weights\) = 2, len\(d\) = 1"),
+    ("weights", (1.0, 2.0, 1.0),
+     r"vector lengths must agree, got len\(weights\) = 3, len\(d\) = 2"),
+    ("weights", (1.0, 0.0), "weights must be strictly positive"),
+    ("d", (3.0, -4.0), "d must be strictly positive"),
+], ids=["short-d", "long-weights", "zero-weight", "negative-d"])
+def test_envelope_refuses_weights_and_d_no_barrier_is_built_from(field, value, message):
+    # The README lower envelope with one d dropped would pass the containment
+    # check with one-dimensional worst points, certifying a truncated problem.
+    env = build_lower_barrier(*FIG1_ARGS)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        replace(env, **{field: value})
 
 
 def test_envelope_dict_shape():

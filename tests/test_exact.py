@@ -112,8 +112,7 @@ def test_profile_derivatives_match_finite_differences(tanh_sol, cos_sol):
 
 
 def test_profile_m1_flux_is_the_plain_derivative():
-    prof = Profile(n=1, m=1.0,
-                   derivs=lambda x: ((math.exp(x),) * 3,))
+    prof = Profile.of(1, 1.0, lambda x: ((math.exp(x),) * 3,))
     pt = prof.at(0.7)
     assert pt.dum == pt.du
     assert pt.ddum == pt.ddu
@@ -182,7 +181,8 @@ def test_residual_rejects_mismatched_profile(tanh_sol, cos_sol):
 
 def residual_via_profile_points(spec, profile, grid):
     """The residual built from Profile.at and reaction_eval, point by point;
-    a NaN residual is kept as the maximum, as residual keeps it."""
+    a complex residual (a negative base to a fractional power) is NaN, and a
+    NaN residual is kept as the maximum, as residual keeps it."""
     worst = [0.0] * spec.n
     for x in grid:
         pt = profile.at(x)
@@ -191,7 +191,7 @@ def residual_via_profile_points(spec, profile, grid):
             res = (spec.d[i] * pt.ddum[i]
                    + spec.theta * pt.du[i]
                    + pt.u[i] ** spec.l[i] * f[i])
-            r = abs(res)
+            r = math.nan if isinstance(res, complex) else abs(res)
             if r > worst[i] or r != r:
                 worst[i] = r
     return tuple(worst)
@@ -225,7 +225,7 @@ def sine_member(n, m, seed, l=None):
         return tuple((a + b * math.sin(c * x), b * c * math.cos(c * x),
                       -b * c * c * math.sin(c * x)) for a, b, c in harmonics)
 
-    profile = Profile(n=n, m=m, derivs=derivs)
+    profile = Profile.of(n, m, derivs)
     return SimpleNamespace(system=lambda: spec, profile=lambda: profile)
 
 
@@ -293,7 +293,7 @@ def outcome(f, *args):
 def test_residual_adds_edge_rows_as_sum_does(each_sum, m, products):
     n = len(products)
     spec = unchecked_system(n, m)
-    profile = Profile(n=n, m=m, derivs=lambda x: tuple((u, 0.5, 0.25) for u in products))
+    profile = Profile.of(n, m, lambda x: tuple((u, 0.5, 0.25) for u in products))
     assert (outcome(residual, spec, profile, [0.0])
             == outcome(residual_via_profile_points, spec, profile, [0.0]))
 
@@ -305,15 +305,45 @@ LV_FRACTIONAL = SystemSpec(n=2, m=1.5, d=(1.0, 1.0), l=(1.5, 1.5), theta=0.7,
 
 
 def test_a_negative_base_to_a_fractional_power_is_a_nan_residual():
-    # u_1 = -0.5 at x = 0 only; u_2 stays positive.
-    profile = Profile(n=2, m=1.5, derivs=lambda x: ((x - 0.5, 1.0, 0.0), (1.0 + x, 1.0, 0.0)))
-    first, second = residual(LV_FRACTIONAL, profile, [0.0, 1.0])
-    assert math.isnan(first)
-    assert second == residual_via_profile_points(LV_FRACTIONAL, profile, [0.0, 1.0])[1]
-    assert math.isfinite(second)
-    point = profile.at(0.0)
-    assert math.isnan(point.dum[0]) and math.isnan(point.ddum[0])
-    assert math.isfinite(point.dum[1]) and math.isfinite(point.ddum[1])
+    # u_1 = -0.5 at x = 0 only; u_2 stays positive.  At m = 1.5 both
+    # u_1^(m - 1) and u_1^1.5 are a complex there, at m = 2 only u_1^1.5.
+    for m in (1.5, 2.0):
+        spec = replace(LV_FRACTIONAL, m=m)
+        profile = Profile.of(2, m, lambda x: ((x - 0.5, 1.0, 0.0), (1.0 + x, 1.0, 0.0)))
+        worst = residual(spec, profile, [0.0, 1.0])
+        # repr, since nan != nan.
+        assert repr(worst) == repr(residual_via_profile_points(spec, profile, [0.0, 1.0])), m
+        assert math.isnan(worst[0]) and math.isfinite(worst[1]), m
+        point = profile.at(0.0)
+        assert math.isnan(point.dum[0]) == math.isnan(point.ddum[0]) == (m == 1.5)
+        assert math.isfinite(point.dum[1]) and math.isfinite(point.ddum[1])
+
+
+def test_a_profile_checks_the_function_it_shows(tanh_sol):
+    # The README tanh front with u scaled by 1.01 solves nothing, so its
+    # residual is far above the 1e-8 that the front itself meets.
+    front = tanh_sol.profile()
+    scaled = Profile.of(2, 2.0, lambda x: tuple(
+        tuple(1.01 * v for v in state) for state in front.derivs(x)))
+    grid = [-20.0 + i * 0.01 for i in range(4001)]
+    assert max(residual(tanh_sol.system(), front, grid)) < 1e-8
+    assert min(residual(tanh_sol.system(), scaled, grid)) > 1e-8
+    assert scaled.at(0.5).u == tuple(1.01 * u for u in front.at(0.5).u)
+    # A profile holds its closed form and constants only; no other function
+    # can be put beside them.
+    with pytest.raises(TypeError):
+        replace(front, derivs=scaled.derivs)
+
+
+@pytest.mark.parametrize("form, constants", [
+    (TANH_FORM, (60.0, 8.0, -120.0, 120.0)),
+    (COS_FORM, ()),
+    (kernels.call_form(2), (None, None)),
+], ids=["tanh-short", "cos-empty", "callable-long"])
+def test_a_profile_refuses_constants_that_do_not_match_its_form(form, constants):
+    with pytest.raises(ValueError, match="^profile constants must match the form's names, "
+                                         f"got {len(constants)} for {len(form.names)} names$"):
+        Profile(m=2.0, form=form, constants=constants)
 
 
 def closed_form_by_hand(sol):
@@ -404,7 +434,7 @@ def test_a_forms_derivs_is_compiled_on_first_call_only(monkeypatch):
     monkeypatch.setattr(kernels, "_KERNELS", {})
     form = ClosedForm(TANH_FORM.n, TANH_FORM.names, TANH_FORM.source)
     sol = tanh_family(*README_TANH)
-    profile = replace(sol.profile(), form=form, derivs=None)
+    profile = replace(sol.profile(), form=form)
     residual(sol.system(), profile, [0.0, 1.0])
     assert len(kernels._KERNELS) == 1
     assert profile.at(0.5) == sol.profile().at(0.5)

@@ -70,7 +70,7 @@ def test_specs_with_one_species_count_share_one_kernel_per_variant(monkeypatch):
         m = tuple(M_CLASSES)[k % 4]
         spec = replace(drawn_system(rng, 4, m), l=tuple(L_CLASSES)[k // 4 % 2])
         levels = tuple(rng.uniform(1.0, 2.0) for _ in range(4))
-        profile = Profile(n=4, m=m, derivs=lambda x, levels=levels: tuple(
+        profile = Profile.of(4, m, lambda x, levels=levels: tuple(
             (a + 0.1 * math.sin(x), 0.1 * math.cos(x), -0.1 * math.sin(x)) for a in levels))
         residual(spec, profile, [0.0, 0.5, 1.0])
         integrate(spec, levels, (0.0,) * 4, (0.0, 0.05), 0.01)

@@ -607,8 +607,12 @@ def test_rk4_step_adds_edge_rows_as_sum_does(each_sum, products):
     n = len(products)
     spec = unchecked_system(n, 1.0)
     y = (*products, *(-0.0,) * n)
-    march = kernels.rk4_march(spec, waves._FloorHit, POSITIVITY_FLOOR)
-    reference = list_rk4_step(spec, waves._FloorHit)
+    march = kernels.rk4_march(spec, POSITIVITY_FLOOR)
+
+    class FloorHit(Exception):
+        pass
+
+    reference = list_rk4_step(spec, FloorHit)
 
     def step(y, h):
         xs, ys = [], []
