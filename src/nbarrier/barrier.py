@@ -25,7 +25,7 @@ from operator import mul, sub
 from sys import float_info
 from typing import Sequence
 
-from .model import REGION_REL_TOL, HullBounds, require_positive
+from .model import REGION_REL_TOL, HullBounds, require_positive, vertex_peak
 
 ORDER_REL_SLACK = 1e-12  # fp slack when validating envelope ordering
 
@@ -300,12 +300,6 @@ def barrier_curves(envelope: BarrierEnvelope, hull: HullBounds, samples: int) ->
                  for name, (_, point) in _pieces(envelope, hull, w_q).items())
 
 
-def _vertex_peak(values: list) -> tuple:
-    """Largest of values and the simplex vertex attaining it, the last on ties."""
-    largest, i = max(zip(values, range(len(values))))
-    return largest, tuple(float(j == i) for j in range(len(values)))
-
-
 def _plane_vertices(alpha: Sequence[float], d: Sequence[float], m: float) -> list:
     """q at the vertices e_i / alpha_i of the plane p = 1: [d_i alpha_i^(1-m)].
 
@@ -336,7 +330,7 @@ def _dual_peak(a: Sequence[float], w_q: tuple, m: float) -> tuple:
     r = [ai / wi ** (1.0 / m) for ai, wi in zip(a, w_q)]
     top = max(r)
     if top == 0.0:  # every r_i underflowed: no ratio exceeds the smallest float
-        return _vertex_peak(r)
+        return vertex_peak(r)
     terms = [(ri / top) ** dual for ri in r]
     t = [x / ai for x, ai in zip(terms, a)]
     norm = sum(t)
@@ -385,12 +379,12 @@ def verify_containment(envelope: BarrierEnvelope, hull: HullBounds, samples: int
     lower = envelope.orientation == "lower"
     w_q = _q_weights(alpha, d)
     pieces = _pieces(envelope, hull, w_q)
-    plane_peak = _vertex_peak(_plane_vertices(alpha, d, m))
+    plane_peak = vertex_peak(_plane_vertices(alpha, d, m))
     ray_peak = _dual_peak(alpha, w_q, m)
     if lower:
         hull_peak = _dual_peak([1.0 / lo for lo in hull.ulow], w_q, m)
     else:
-        hull_peak = _vertex_peak([w * hi ** m for w, hi in zip(w_q, hull.ubar)])
+        hull_peak = vertex_peak([w * hi ** m for w, hi in zip(w_q, hull.ubar)])
 
     lam1, eta1, lam2, eta2 = envelope.lambda1, envelope.eta1, envelope.lambda2, envelope.eta2
     # (name, peak and maximiser t, inner piece, outer level), innermost link first.

@@ -15,7 +15,7 @@ written once in exact.py, and the grid loop runs them in place of a call.
 The constants are an argument of the kernel, so every member of a family
 shares one kernel per exponent-class pattern, and the same statements,
 compiled on first use, are the family's derivs(x).  Profile.of makes a bare
-callable a profile with call_form(n), whose one statement calls it.
+callable a profile with call_form(n), which calls it and checks its count.
 
 The exponents are m - 1, m - 2 and each l_i, and each has one of four
 classes: 0.0, 1.0, another integer, or a fraction.  A power to 1.0 is
@@ -128,10 +128,12 @@ def _unpack(form: ClosedForm) -> str:
 
 @lru_cache(maxsize=None)
 def call_form(n: int) -> ClosedForm:
-    """The closed form of a profile given as a bare callable: one statement
-    that unpacks cf_derivs(x), the callable being the one constant."""
-    return ClosedForm(n, (f"{FORM_PREFIX}derivs",),
-                      f"{_tuple('(u{0}, du{0}, ddu{0})', n)}= {FORM_PREFIX}derivs(x)")
+    """The closed form of a profile given as a bare callable, the one constant:
+    call cf_derivs(x), refuse other than n states by name, and unpack them."""
+    return ClosedForm(n, ("cf_derivs",), f"""cf_states = cf_derivs(x)
+if len(cf_states) != {n}:
+    raise ValueError(f"profile derivs returned {{len(cf_states)}} species, expected {n}")
+{_tuple('(u{0}, du{0}, ddu{0})', n)}= cf_states""")
 
 
 def _exponent_class(e: float) -> str:

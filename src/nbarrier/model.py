@@ -190,6 +190,13 @@ class HullBounds:
         return any(hi == lo for hi, lo in zip(self.ubar, self.ulow))
 
 
+def vertex_peak(values: list) -> tuple:
+    """Largest of values and the simplex vertex e_i attaining it, a tuple of
+    0.0 and 1.0; on ties the vertex of the highest index i."""
+    largest, i = max(zip(values, range(len(values))))
+    return largest, tuple(float(j == i) for j in range(len(values)))
+
+
 def reaction_eval(reaction: ReactionSpec, u: Sequence[float]) -> tuple:
     """Evaluate the affine factors f_i(u) = sigma_i - sum_j c_ij u_j.
 
@@ -271,10 +278,11 @@ def verify_hypothesis_H(
     hull, built from the same quotients, satisfies H by construction at
     every scale of sigma.
 
-    The worst values are min_j f_j and max_j f_j at those vertices, computed
-    in floating point, where sigma_j - c_jk u_k cancels; they are
-    informational floats.  On a tie the vertex on the highest axis is
-    reported.
+    The worst values are min_j f_j and max_j f_j at those vertices, read
+    per axis k as sigma_j - c_jk u_k off column k of C, with no f evaluated
+    at a built point; they can cancel, so they are informational floats.
+    vertex_peak picks the worst axis, the highest on ties, and the inner one
+    as -max_k(-min_j), which keeps a worst value of 0.0 at +0.0.
 
     samples_per_face is still validated but does not change the result.
     The check refuses degenerate hulls, where the two regions touch.
@@ -286,27 +294,20 @@ def verify_hypothesis_H(
     if hull.is_degenerate():
         raise ValueError("hypothesis cannot be verified on a degenerate hull")
 
-    n = spec.n
-
-    def vertices(intercepts):
-        for k in reversed(range(n)):
-            yield tuple(intercepts[k] if i == k else 0.0 for i in range(n))
-
-    inner_val, inner_pt = min(
-        ((min(reaction_eval(spec.reaction, u)), u) for u in vertices(hull.ulow)),
-        key=lambda vu: vu[0])
-    outer_val, outer_pt = max(
-        ((max(reaction_eval(spec.reaction, u)), u) for u in vertices(hull.ubar)),
-        key=lambda vu: vu[0])
-    axes = axis_intercepts(spec.reaction.sigma, spec.reaction.C)
+    sigma, columns = spec.reaction.sigma, list(zip(*spec.reaction.C))
+    inner_peak, inner_t = vertex_peak([-min(s - c * lo for s, c in zip(sigma, col))
+                                       for col, lo in zip(columns, hull.ulow)])
+    outer_peak, outer_t = vertex_peak([max(s - c * hi for s, c in zip(sigma, col))
+                                       for col, hi in zip(columns, hull.ubar)])
+    axes = axis_intercepts(sigma, spec.reaction.C)
 
     return HypothesisReport(
         inner_ok=all(lo <= min(axis) for lo, axis in zip(hull.ulow, axes)),
         outer_ok=all(hi >= max(axis) for hi, axis in zip(hull.ubar, axes)),
-        worst_inner_point=inner_pt,
-        worst_inner_value=inner_val,
-        worst_outer_point=outer_pt,
-        worst_outer_value=outer_val,
+        worst_inner_point=tuple(t * lo for t, lo in zip(inner_t, hull.ulow)),
+        worst_inner_value=-inner_peak,
+        worst_outer_point=tuple(t * hi for t, hi in zip(outer_t, hull.ubar)),
+        worst_outer_value=outer_peak,
     )
 
 

@@ -46,9 +46,9 @@ class Trajectory:
 
     xs, u, w are the grid and states; p and q are the weighted totals
     sum alpha_i u_i and sum alpha_i d_i u_i^m for the alpha the trajectory
-    was integrated with.  truncated marks an early stop at the positivity
-    floor or at the first non-finite state; clamped marks any stored
-    component lifted from below zero.
+    was integrated with.  truncation_reason names an early stop at the
+    positivity floor or at the first non-finite state, and truncated whether
+    there is one; clamped marks a stored component lifted from below 0.
     """
 
     xs: np.ndarray
@@ -57,13 +57,16 @@ class Trajectory:
     p: np.ndarray
     q: np.ndarray
     alpha: tuple
-    truncated: bool
     truncation_reason: str | None
     clamped: bool
 
     @property
     def n(self) -> int:
         return self.u.shape[1]
+
+    @property
+    def truncated(self) -> bool:
+        return self.truncation_reason is not None
 
 
 def integrate(spec: SystemSpec, u0: Sequence[float], w0: Sequence[float],
@@ -153,8 +156,7 @@ def integrate(spec: SystemSpec, u0: Sequence[float], w0: Sequence[float],
         p_arr = u_arr @ alpha_vec
         q_arr = (u_arr ** spec.m) @ (alpha_vec * np.array(spec.d, dtype=float))
     return Trajectory(xs=np.array(xs), u=u_arr, w=w_arr, p=p_arr, q=q_arr,
-                      alpha=tuple(alpha), truncated=reason is not None,
-                      truncation_reason=reason, clamped=clamped)
+                      alpha=tuple(alpha), truncation_reason=reason, clamped=clamped)
 
 
 @dataclass(frozen=True)

@@ -335,6 +335,18 @@ def test_a_profile_checks_the_function_it_shows(tanh_sol):
         replace(front, derivs=scaled.derivs)
 
 
+@pytest.mark.parametrize("states", [1, 3])
+def test_a_callable_profile_names_a_wrong_species_count(tanh_sol, states):
+    # Both routes run call_form's statements, so both name the two counts
+    # rather than fail in an unpacking.
+    profile = Profile.of(2, 2.0, lambda x: ((1.0, 0.0, 0.0),) * states)
+    message = f"^profile derivs returned {states} species, expected 2$"
+    with pytest.raises(ValueError, match=message):
+        residual(tanh_sol.system(), profile, [0.0, 1.0])
+    with pytest.raises(ValueError, match=message):
+        profile.at(0.0)
+
+
 @pytest.mark.parametrize("form, constants", [
     (TANH_FORM, (60.0, 8.0, -120.0, 120.0)),
     (COS_FORM, ()),

@@ -81,8 +81,10 @@ def test_waves_names_resolve_from_the_package():
 
 
 # Tests cross-check the general envelope route against this two-species m = 2
-# transcription; it is kept as that reference and has no other caller.
-REFERENCE_ONLY = {"bounds_two_species_m2"}
+# transcription, and the residual kernels and the sign-hypothesis check
+# against reaction_eval's f evaluated at a point; each is kept as that
+# reference and has no other caller.
+REFERENCE_ONLY = {"bounds_two_species_m2", "reaction_eval"}
 
 
 def names_in(path):

@@ -1,7 +1,8 @@
 """Kinetics, hull intercepts and the sign-hypothesis check."""
 
 import math
-from dataclasses import replace
+import random
+from dataclasses import fields, replace
 from itertools import product
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from nbarrier import (
     HullBounds,
+    HypothesisReport,
     ReactionSpec,
     SystemSpec,
     hull_intercepts,
@@ -18,6 +20,7 @@ from nbarrier import (
     system_to_dict,
     verify_hypothesis_H,
 )
+from nbarrier.model import axis_intercepts
 
 # Classic two-species competition kinetics with crossed dominance.
 LV = ReactionSpec(sigma=(1.0, 1.0), C=((1.0, 2.0), (3.0, 1.0)))
@@ -214,6 +217,99 @@ def test_hypothesis_H_matches_a_lattice_sweep(data, n, inner_scale, outer_scale)
                 + [2.0 * c * hi for row in r.C for c, hi in zip(row, hull.ubar)])
     assert report.worst_inner_value == pytest.approx(inner, rel=0.0, abs=1e-12 * scale)
     assert report.worst_outer_value == pytest.approx(outer, rel=0.0, abs=1e-12 * scale)
+
+
+def hypothesis_H_by_vertex_walk(spec, hull):
+    """The report of verify_hypothesis_H from reaction_eval at every axis
+    vertex, the highest axis kept on ties, and the min_j f_j (inner) and
+    max_j f_j (outer) of each vertex, lowest axis first."""
+    n = spec.n
+
+    def walk(intercepts, pick):
+        values = [pick(reaction_eval(spec.reaction,
+                                     tuple(intercepts[k] if i == k else 0.0 for i in range(n))))
+                  for k in range(n)]
+        return values, [k for k in range(n) if values[k] == pick(values)][-1]
+
+    inner, i = walk(hull.ulow, min)
+    outer, o = walk(hull.ubar, max)
+    axes = axis_intercepts(spec.reaction.sigma, spec.reaction.C)
+    report = HypothesisReport(
+        inner_ok=all(lo <= min(axis) for lo, axis in zip(hull.ulow, axes)),
+        outer_ok=all(hi >= max(axis) for hi, axis in zip(hull.ubar, axes)),
+        worst_inner_point=tuple(hull.ulow[i] if k == i else 0.0 for k in range(n)),
+        worst_inner_value=inner[i],
+        worst_outer_point=tuple(hull.ubar[o] if k == o else 0.0 for k in range(n)),
+        worst_outer_value=outer[o])
+    return report, inner, outer
+
+
+def seeded_H_case(rng):
+    """A system of 1..7 species and a hull for it: coefficients repeated from
+    a few exact ratios (so that axes tie and worst values cancel to 0.0),
+    the same with C symmetric, or spread over six decades; the hull is the
+    intercept hull or one whose faces each move by a factor."""
+    n = rng.randint(1, 7)
+    kind = rng.choice(("repeated", "symmetric", "spread"))
+    if kind == "spread":
+        def draw():
+            return 10.0 ** rng.uniform(-3.0, 3.0)
+    else:
+        def draw():
+            return rng.choice((0.5, 1.0, 2.0, 3.0, 4.0))
+    sigma = tuple(draw() for _ in range(n))
+    C = [[draw() for _ in range(n)] for _ in range(n)]
+    if kind == "symmetric":
+        C = [[C[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    reaction = ReactionSpec(sigma=sigma, C=C)
+    spec = SystemSpec(n=n, m=2.0, d=(1.0,) * n, l=(1.0,) * n, theta=0.0, reaction=reaction)
+    base = hull_intercepts(reaction)
+    if rng.random() < 0.5:
+        return spec, base
+    factors = (0.5, 0.9, 1.0, 1.1, 2.0)
+    ulow = tuple(rng.choice(factors) * lo for lo in base.ulow)
+    ubar = tuple(rng.choice(factors) * hi for hi in base.ubar)
+    return spec, HullBounds(ubar=ubar, ulow=ulow) if all(map(float.__lt__, ulow, ubar)) else base
+
+
+# c_jk u_k overflows, so sigma_j - c_jk u_k is -inf on every vertex (C
+# uniform, every axis tied) or on some of them.
+OVERFLOW_CASES = [
+    (ReactionSpec(sigma=(1.0, 2.0), C=((1e300, 1e300), (1e300, 1e300))),
+     HullBounds(ubar=(2e10, 4e10), ulow=(1e10, 1e10))),
+    (ReactionSpec(sigma=(1.0, 1.0, 1.0), C=((1e300, 1.0, 1.0), (1.0, 1.0, 1.0),
+                                            (1.0, 1.0, 1e300))),
+     HullBounds(ubar=(4e10, 3.0, 4e10), ulow=(1e10, 0.5, 1e10))),
+]
+
+
+@pytest.mark.filterwarnings("ignore:degenerate hull")
+def test_hypothesis_H_equals_the_vertex_walk_bit_for_bit():
+    """Every report field equals the vertex walk's, and each worst value and
+    point entry has its sign, on 10,000 seeded systems and the overflows."""
+    rng = random.Random(22)
+    cases = [(SystemSpec(n=r.n, m=2.0, d=(1.0,) * r.n, l=(1.0,) * r.n, theta=0.0,
+                         reaction=r), hull) for r, hull in OVERFLOW_CASES]
+    while len(cases) < 10_000 + len(OVERFLOW_CASES):
+        spec, hull = seeded_H_case(rng)
+        if not hull.is_degenerate():
+            cases.append((spec, hull))
+    zeros = ties = infinite = 0
+    for spec, hull in cases:
+        got = verify_hypothesis_H(spec, hull, 1)
+        want, inner, outer = hypothesis_H_by_vertex_walk(spec, hull)
+        for field in fields(HypothesisReport):
+            assert getattr(got, field.name) == getattr(want, field.name), (spec, hull, field)
+        for g, w in zip((got.worst_inner_value, got.worst_outer_value, *got.worst_inner_point,
+                         *got.worst_outer_point),
+                        (want.worst_inner_value, want.worst_outer_value,
+                         *want.worst_inner_point, *want.worst_outer_point)):
+            assert math.copysign(1.0, g) == math.copysign(1.0, w), (spec, hull)
+        zeros += 0.0 in (got.worst_inner_value, got.worst_outer_value)
+        ties += inner.count(want.worst_inner_value) > 1 or outer.count(want.worst_outer_value) > 1
+        infinite += got.worst_inner_value == -math.inf
+    # The draws reach what a looser comparison would let through.
+    assert zeros > 1000 and ties > 1000 and infinite == len(OVERFLOW_CASES)
 
 
 def test_inner_simplex_keeps_kinetics_nonnegative():

@@ -484,8 +484,7 @@ def list_stepper_reference(spec, u0, w0, x_span, step, alpha=None):
         p_arr = u_arr @ alpha_vec
         q_arr = (u_arr ** spec.m) @ (alpha_vec * np.array(spec.d, dtype=float))
     return waves.Trajectory(xs=np.array(xs), u=u_arr, w=w_arr, p=p_arr, q=q_arr,
-                            alpha=tuple(alpha), truncated=reason is not None,
-                            truncation_reason=reason, clamped=clamped)
+                            alpha=tuple(alpha), truncation_reason=reason, clamped=clamped)
 
 
 def seeded_system(n, m, seed):
