@@ -25,14 +25,6 @@ FIELDS = ("sigma3", "floor_applicable", "lambda_floor", "floor_blocked",
           "cap_applicable", "lambda_cap", "cap_threshold", "cap_blocked")
 
 
-def _grid(spec: str) -> list:
-    """A, A + H, ... up to B, in full steps as the nbarrier CLI counts them."""
-    try:
-        return parse_grid(spec)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def _fmt(v) -> str:
     if v is None:
         return "-"
@@ -43,7 +35,7 @@ def _fmt(v) -> str:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--grid", type=_grid, default="0.5:44.5:2.0",
+    ap.add_argument("--grid", type=parse_grid, default="0.5:44.5:2.0",
                     help="sigma3 grid A:B:H")
     ap.add_argument("--w-minus-inf", type=float,
                     help="invader level at the left boundary")

@@ -36,15 +36,14 @@ from .waves import check_bounds, integrate
 RESIDUAL_TOL = 1e-8
 MAX_GRID_POINTS = 10 ** 6
 
-# Family name -> (solver, its parameter names in positional order).  The
-# names double as the --flags of exact and residual.
+# Family name -> (solver, its parameter names in positional order).  exact
+# and residual each have one subcommand per family, whose required --flags
+# are exactly these names.
 FAMILIES = {
     "tanh": (tanh_family, ("d1", "d2", "c11", "c22")),
     "cos": (cos_family, ("m1", "m2", "m3", "mu", "d1", "d2", "d3",
                          "c12", "c13", "c21", "c23", "c31", "c32")),
 }
-FAMILY_FLAGS = tuple(dict.fromkeys(name for _, names in FAMILIES.values()
-                                   for name in names))
 
 
 class _Usage(ValueError):
@@ -100,28 +99,30 @@ def _parse_pair(text: str, what: str) -> tuple:
 
 
 def parse_grid(text: str) -> list:
-    """The grid A, A + H, ... of an A:B:H spec, in full steps up to B.
+    """The grid A, A + H, ... of an A:B:H spec, in full steps up to B; the
+    argparse type of every --grid, so argparse names the flag in its error.
 
-    Raises a ValueError when the spec is malformed, not finite, has B <= A
-    or H <= 0, or would have more than MAX_GRID_POINTS points.
+    Raises an argparse.ArgumentTypeError when the spec is malformed, not
+    finite, has B <= A or H <= 0, or would have more than MAX_GRID_POINTS
+    points.
     """
     parts = text.split(":")
     if len(parts) != 3:
-        raise _Usage("grid must look like A:B:H")
+        raise argparse.ArgumentTypeError("grid must look like A:B:H")
     try:
         a, b, h = (float(p) for p in parts)
-    except ValueError as exc:
-        raise _Usage("grid must contain floats") from exc
+    except ValueError:
+        raise argparse.ArgumentTypeError("grid must contain floats") from None
     if not all(math.isfinite(v) for v in (a, b, h)):
-        raise _Usage("grid A, B and H must be finite")
+        raise argparse.ArgumentTypeError("grid A, B and H must be finite")
     if h <= 0 or b <= a:
-        raise _Usage("grid needs B > A and H > 0")
+        raise argparse.ArgumentTypeError("grid needs B > A and H > 0")
     span = (b - a) / h
     # Full steps only, as integrate counts them: no point lies past B.
     count = int(span + 1e-9) + 1 if math.isfinite(span) else math.inf
     if count > MAX_GRID_POINTS:
-        raise _Usage(f"grid would have {count:.7g} points, "
-                     f"more than the limit of {MAX_GRID_POINTS}")
+        raise argparse.ArgumentTypeError(f"grid would have {count:.7g} points, "
+                                         f"more than the limit of {MAX_GRID_POINTS}")
     return [a + i * h for i in range(count)]
 
 
@@ -202,13 +203,6 @@ def _cmd_verify_h(args) -> tuple:
 
 def _family_from_args(args):
     solve, names = FAMILIES[args.family]
-    foreign = [name for name in FAMILY_FLAGS
-               if name not in names and getattr(args, name) is not None]
-    if foreign:
-        raise _Usage(f"{args.family} family does not take --" + " --".join(foreign))
-    missing = [name for name in names if getattr(args, name) is None]
-    if missing:
-        raise _Usage(f"{args.family} family needs --" + " --".join(missing))
     values = [getattr(args, name) for name in names]
     for name, value in zip(names, values):
         if not math.isfinite(value):
@@ -224,25 +218,15 @@ def _solution_dict(sol) -> dict:
 
 def _cmd_exact(args) -> tuple:
     sol = _family_from_args(args)
-    if args.csv and not args.grid:
+    if args.csv and args.grid is None:
         raise _Usage("--csv needs --grid")
-    xs = parse_grid(args.grid) if args.grid else None
     if not args.csv:
         return _solution_dict(sol), 0, None
     profile = sol.profile()
     table = ("--csv", args.csv, ["x"] + [f"u{i + 1}" for i in range(profile.n)],
-             lambda: ([x, *(state[0] for state in profile.derivs(x))] for x in xs),
+             lambda: ([x, *(state[0] for state in profile.derivs(x))] for x in args.grid),
              "the profile overflows floating point")
     return _solution_dict(sol), 0, table
-
-
-def _default_residual_grid(args, sol) -> list:
-    if args.grid:
-        return parse_grid(args.grid)
-    if args.family == "tanh":
-        return parse_grid("-20:20:0.01")
-    period = sol.period
-    return [i * period / 2000.0 for i in range(2001)]
 
 
 def _cmd_residual(args) -> tuple:
@@ -250,7 +234,8 @@ def _cmd_residual(args) -> tuple:
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise _Usage("--tol must be positive and finite")
     spec = system_from_dict(_load_json(args.spec)) if args.spec else sol.system()
-    xs = _default_residual_grid(args, sol)
+    xs = args.grid or ([-20.0 + i * 0.01 for i in range(4001)] if args.family == "tanh"
+                       else [i * sol.period / 2000.0 for i in range(2001)])
     worst = residual(spec, sol.profile(), xs)
     ok = all(r <= args.tol for r in worst)
     return {"residuals": list(worst), "tol": args.tol, "ok": ok}, 0 if ok else 3, None
@@ -298,15 +283,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Barrier bounds, exact profiles and wave checks for "
                     "degenerate competition systems.")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", help="write the JSON document here, not to stdout")
 
-    p = sub.add_parser("bounds", help="closed-form bounds on the weighted total")
+    p = sub.add_parser("bounds", parents=[common],
+                       help="closed-form bounds on the weighted total")
     p.add_argument("spec", help="system JSON (path or inline)")
     p.add_argument("--alpha", required=True, help="comma-separated weights")
     p.add_argument("--chi", type=int, choices=(0, 1), default=1,
                    help="boundary characteristic (default 1)")
     p.set_defaults(fn=_cmd_bounds)
 
-    p = sub.add_parser("barrier", help="build one barrier envelope")
+    p = sub.add_parser("barrier", parents=[common], help="build one barrier envelope")
     p.add_argument("spec")
     p.add_argument("--alpha", required=True)
     p.add_argument("--orientation", choices=("lower", "upper"), required=True)
@@ -315,30 +303,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curve-csv", dest="curve_csv")
     p.set_defaults(fn=_cmd_barrier)
 
-    p = sub.add_parser("verify-h",
+    p = sub.add_parser("verify-h", parents=[common],
                        help="check the sign hypothesis exactly at the hull vertices")
     p.add_argument("spec")
     p.add_argument("--samples", type=_positive_int, default=50,
                    help="accepted for compatibility; does not change the result")
     p.set_defaults(fn=_cmd_verify_h)
 
-    for cmd, fn in (("exact", _cmd_exact), ("residual", _cmd_residual)):
-        p = sub.add_parser(cmd, help=("solve a closed-form family"
-                                      if cmd == "exact"
-                                      else "wave-equation residual of a family"))
-        p.add_argument("family", choices=tuple(FAMILIES))
-        for name in FAMILY_FLAGS:
-            p.add_argument(f"--{name}", type=float)
-        p.add_argument("--grid", help="A:B:H sample grid")
-        if cmd == "exact":
-            p.add_argument("--csv", help="write x,u1..un samples here")
-        else:
-            p.add_argument("--spec", help="check against this system instead "
-                                          "of the induced one")
-            p.add_argument("--tol", type=float, default=RESIDUAL_TOL)
-        p.set_defaults(fn=fn)
+    for cmd, fn, what in (("exact", _cmd_exact, "solve a closed-form family"),
+                          ("residual", _cmd_residual, "wave-equation residual of a family")):
+        families = sub.add_parser(cmd, help=what).add_subparsers(dest="family", required=True)
+        for family, (_, names) in FAMILIES.items():
+            p = families.add_parser(family, parents=[common], help=f"the {family} family")
+            for name in names:
+                p.add_argument(f"--{name}", type=float, required=True)
+            p.add_argument("--grid", type=parse_grid, help="A:B:H sample grid")
+            if cmd == "exact":
+                p.add_argument("--csv", help="write x,u1..un samples here")
+            else:
+                p.add_argument("--spec", help="check against this system instead "
+                                              "of the induced one")
+                p.add_argument("--tol", type=float, default=RESIDUAL_TOL)
+            p.set_defaults(fn=fn)
 
-    p = sub.add_parser("simulate", help="integrate a trajectory")
+    p = sub.add_parser("simulate", parents=[common], help="integrate a trajectory")
     p.add_argument("spec")
     p.add_argument("--u0", required=True)
     p.add_argument("--w0", required=True)
@@ -350,12 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chi", type=int, choices=(0, 1), default=1)
     p.set_defaults(fn=_cmd_simulate)
 
-    p = sub.add_parser("nonexistence", help="three-species wave blocking verdict")
+    p = sub.add_parser("nonexistence", parents=[common],
+                       help="three-species wave blocking verdict")
     p.add_argument("params", help="parameter JSON (path or inline)")
     p.set_defaults(fn=_cmd_nonexistence)
-
-    for p in sub.choices.values():
-        p.add_argument("--out")
     return parser
 
 

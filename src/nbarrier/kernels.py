@@ -15,7 +15,7 @@ written once in exact.py, and the grid loop runs them in place of a call.
 The constants are an argument of the kernel, so every member of a family
 shares one kernel per exponent-class pattern, and the same statements,
 compiled on first use, are the family's derivs(x).  Profile.of makes a bare
-callable a profile with call_form(n), which calls it and checks its count.
+callable a profile with call_form(n), which calls it and names a bad return.
 
 The exponents are m - 1, m - 2 and each l_i, and each has one of four
 classes: 0.0, 1.0, another integer, or a fraction.  A power to 1.0 is
@@ -69,9 +69,22 @@ UNROLL_LIMIT = 8
 
 _KERNELS: dict = {}
 
-# What compiled source reads besides its own names: mul and math's functions
-# and constants (inf, nan, tanh, cos, ...).
-_GLOBALS = {"mul": mul, **{k: v for k, v in vars(math).items() if not k.startswith("_")}}
+
+def _refuse_states(states, n: int):
+    """Raise a ValueError naming how states, a profile callable's return, is not n (u, u', u'')."""
+    if not hasattr(states, "__len__"):
+        raise ValueError(f"profile derivs returned a {type(states).__name__}, not {n} species")
+    if len(states) != n:
+        raise ValueError(f"profile derivs returned {len(states)} species, expected {n}")
+    i, state = next((i, s) for i, s in enumerate(states, 1)
+                    if not hasattr(s, "__len__") or len(s) != 3)
+    raise ValueError(f"profile derivs returned {state!r} for species {i}, expected (u, u', u'')")
+
+
+# What compiled source reads besides its own names: mul, math's functions
+# and constants (inf, nan, tanh, cos, ...) and call_form's refusal.
+_GLOBALS = {"mul": mul, "cf_refuse_states": _refuse_states,
+            **{k: v for k, v in vars(math).items() if not k.startswith("_")}}
 
 # Every name of a closed form but x, u_i, du_i and ddu_i starts with this,
 # and no kernel name does.
@@ -104,15 +117,11 @@ class ClosedForm:
     def __init__(self, n: int, names: tuple, source: str):
         self.n, self.names, self.source = n, names, source
 
-    def at(self, constants: tuple, x: float) -> tuple:
-        """One (u_i, u_i', u_i'') tuple per species at x, for the member
-        whose values of names are constants."""
-        return self._derivs(constants, x)
-
     @cached_property
-    def _derivs(self) -> Callable:
-        # Compiled on first use, so a process that only takes residuals
-        # never compiles it.
+    def at(self) -> Callable:
+        """at(constants, x): one (u_i, u_i', u_i'') tuple per species at x, for
+        the member whose values of names are constants.  Compiled on first
+        use, so a process that only takes residuals never compiles it."""
         return _compile("\n".join([
             "def kernel(constants, x):",
             f"    {_unpack(self)}",
@@ -129,11 +138,12 @@ def _unpack(form: ClosedForm) -> str:
 @lru_cache(maxsize=None)
 def call_form(n: int) -> ClosedForm:
     """The closed form of a profile given as a bare callable, the one constant:
-    call cf_derivs(x), refuse other than n states by name, and unpack them."""
+    call cf_derivs(x) and unpack its n states, or name how they are not."""
     return ClosedForm(n, ("cf_derivs",), f"""cf_states = cf_derivs(x)
-if len(cf_states) != {n}:
-    raise ValueError(f"profile derivs returned {{len(cf_states)}} species, expected {n}")
-{_tuple('(u{0}, du{0}, ddu{0})', n)}= cf_states""")
+try:
+    {_tuple('(u{0}, du{0}, ddu{0})', n)}= cf_states
+except (TypeError, ValueError):
+    cf_refuse_states(cf_states, {n})""")
 
 
 def _exponent_class(e: float) -> str:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from itertools import chain
-from math import isfinite
+from math import inf, isfinite
 from typing import Callable, Sequence
 
 REGION_REL_TOL = 1e-9      # relative tolerance for region membership
@@ -38,9 +38,10 @@ def require_finite(**fields) -> None:
 
 
 def require_positive(**fields) -> None:
-    """Raise a ValueError naming the first field with an entry <= 0."""
+    """Raise a ValueError naming the first field with a NaN, infinite or nonpositive entry."""
     for name, values in fields.items():
-        if any(v <= 0 for v in values):
+        if not all(0.0 < v < inf for v in values):
+            require_finite(**{name: values})
             raise ValueError(f"{name} must be strictly positive")
 
 

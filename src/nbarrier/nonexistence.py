@@ -38,7 +38,6 @@ class ThreeSpeciesParams:
         object.__setattr__(self, "d", tuple(self.d))
         object.__setattr__(self, "sigma", tuple(self.sigma))
         object.__setattr__(self, "C", tuple(tuple(row) for row in self.C))
-        require_finite(d=self.d)
         if len(self.d) != 3 or len(self.sigma) != 3:
             raise ValueError("three species means three of everything")
         require_positive(d=self.d)

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .bounds import BoundsResult
 from .kernels import rk4_march
-from .model import SystemSpec
+from .model import SystemSpec, require_finite
 
 if TYPE_CHECKING:
     import numpy as np
@@ -118,6 +118,7 @@ def integrate(spec: SystemSpec, u0: Sequence[float], w0: Sequence[float],
         alpha = (1.0,) * n
     elif len(alpha) != n:
         raise ValueError("alpha length must match the system")
+    require_finite(alpha=alpha)
     alpha_vec = np.asarray(alpha, dtype=float)
 
     march = rk4_march(spec, POSITIVITY_FLOOR)
@@ -179,6 +180,7 @@ def check_bounds(traj: Trajectory, alpha: Sequence[float],
 
     if len(alpha) != traj.n:
         raise ValueError("alpha length must match the trajectory")
+    require_finite(alpha=alpha)
     p = traj.u @ np.asarray(alpha, dtype=float)
     outside = (p < bounds.lower) | (p > bounds.upper)
     violations = tuple((float(x), float(pv)) for x, pv in
@@ -201,6 +203,7 @@ def flux_balance_defect(spec: SystemSpec, traj: Trajectory,
 
     if len(alpha) != traj.n:
         raise ValueError("alpha length must match the trajectory")
+    require_finite(alpha=alpha)
     alpha_vec = np.asarray(alpha, dtype=float)
     d_vec = np.asarray(spec.d, dtype=float)
     l_vec = np.asarray(spec.l, dtype=float)

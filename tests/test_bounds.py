@@ -172,3 +172,22 @@ def test_bands_match_a_50_digit_oracle_or_name_what_left_the_float_range():
         assert (band.lower, band.upper) == (envelopes[0][0].eta2, envelopes[1][0].eta2)
         answered += 1
     assert answered > 300
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: bounds_general((math.nan, 1.0), (3.0, 4.0), REMARK_HULL, 2.0, 1),
+     "alpha must be finite, got nan"),
+    (lambda: bounds_m1((1.0, 1.0), (math.inf, 4.0), REMARK_HULL, 1),
+     "d must be finite, got inf"),
+    (lambda: build_lower_barrier((1.0, 1.0), (math.nan, 1.0), REMARK_HULL.ulow, 2.0),
+     "d must be finite, got nan"),
+    (lambda: build_upper_barrier((1.0, math.inf), (3.0, 4.0), REMARK_HULL.ubar, 2.0),
+     "alpha must be finite, got inf"),
+    (lambda: two_species_m2_lower(math.nan, 1, 1, 1, 1, 1),
+     "parameters must be finite, got nan"),
+    (lambda: two_species_m2_upper(1, 1, 1, 1, 1, math.inf),
+     "parameters must be finite, got inf"),
+], ids=["general-alpha", "m1-d", "lower-d", "upper-alpha", "m2-lower", "m2-upper"])
+def test_a_nan_or_infinite_weight_is_named_not_blamed_on_overflow(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

@@ -270,10 +270,11 @@ def test_exact_missing_family_parameter_is_usage_error(capsys):
                        "--c11", "1")
     assert code == 2
     assert "c22" in err
-    code, _, err = run(capsys, "exact", "tanh", "--d1", "3",
-                       "--c11", "1", "--c22", "2")
-    assert code == 2
-    assert err == "error: tanh family needs --d2\n"
+    code, out, err = run(capsys, "exact", "tanh", "--d1", "3",
+                         "--c11", "1", "--c22", "2")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == ("nbarrier exact tanh: error: "
+                                    "the following arguments are required: --d2")
 
 
 @pytest.mark.parametrize("cmd", ["exact", "residual"])
@@ -285,11 +286,28 @@ def test_flag_of_the_other_family_is_usage_error(capsys, cmd):
                          "--c21", str(175 / 11), "--c23", str(6 / 11),
                          "--c31", "15", "--c32", str(11 / 12), "--c11", "99")
     assert (code, out) == (2, "")
-    assert err == "error: cos family does not take --c11\n"
+    assert err.splitlines()[-1] == "nbarrier: error: unrecognized arguments: --c11 99"
     code, out, err = run(capsys, cmd, "tanh", "--d1", "3", "--d2", "4",
                          "--c11", "1", "--c22", "2", "--d3", "1", "--mu", "2")
     assert (code, out) == (2, "")
-    assert err == "error: tanh family does not take --mu --d3\n"
+    assert err.splitlines()[-1] == "nbarrier: error: unrecognized arguments: --d3 1 --mu 2"
+
+
+@pytest.mark.parametrize("cmd, own", [
+    ("exact", ["--grid", "--csv"]),
+    ("residual", ["--grid", "--spec", "--tol"]),
+])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_a_family_command_takes_exactly_its_flags(capsys, cmd, own, family):
+    code, out, err = run(capsys, cmd, family, "--help")
+    assert (code, err) == (0, "")
+    usage = " ".join(out.split("\n\n")[0].split())
+    # --out, shared by every command, comes first; every family flag is
+    # required, so its usage has no brackets.
+    names = [f"--{name}" for name in FAMILIES[family][1]]
+    assert usage == " ".join([f"usage: nbarrier {cmd} {family} [-h] [--out OUT]",
+                              *(f"{name} {name[2:].upper()}" for name in names),
+                              *(f"[{flag} {flag[2:].upper()}]" for flag in own)])
 
 
 def test_residual_clean_and_perturbed(capsys):

@@ -347,6 +347,26 @@ def test_a_callable_profile_names_a_wrong_species_count(tanh_sol, states):
         profile.at(0.0)
 
 
+STATE = r"expected \(u, u', u''\)"
+
+
+@pytest.mark.parametrize("derivs, message", [
+    (lambda x: ((1.0, 0.0), (1.0, 0.0, 0.0)), rf"\(1.0, 0.0\) for species 1, {STATE}"),
+    (lambda x: ((1.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)),
+     rf"\(1.0, 0.0, 0.0, 0.0\) for species 2, {STATE}"),
+    (lambda x: ((1.0, 0.0, 0.0), 2.0), rf"2.0 for species 2, {STATE}"),
+    (lambda x: 1.0, "a float, not 2 species"),
+], ids=["short-state", "long-state", "float-state", "float"])
+def test_a_callable_profile_names_a_return_that_is_not_its_states(tanh_sol, derivs, message):
+    # Both routes run call_form's statements, so both name what is wrong
+    # rather than fail in an unpacking or a len().
+    profile = Profile.of(2, 2.0, derivs)
+    with pytest.raises(ValueError, match=f"^profile derivs returned {message}$"):
+        residual(tanh_sol.system(), profile, [0.0, 1.0])
+    with pytest.raises(ValueError, match=f"^profile derivs returned {message}$"):
+        profile.at(0.0)
+
+
 @pytest.mark.parametrize("form, constants", [
     (TANH_FORM, (60.0, 8.0, -120.0, 120.0)),
     (COS_FORM, ()),

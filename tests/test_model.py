@@ -20,7 +20,7 @@ from nbarrier import (
     system_to_dict,
     verify_hypothesis_H,
 )
-from nbarrier.model import axis_intercepts
+from nbarrier.model import axis_intercepts, require_positive
 
 # Classic two-species competition kinetics with crossed dominance.
 LV = ReactionSpec(sigma=(1.0, 1.0), C=((1.0, 2.0), (3.0, 1.0)))
@@ -391,3 +391,17 @@ def test_system_from_dict_names_unknown_keys():
 def test_system_from_dict_accepts_integral_numbers():
     doc = dict(system_to_dict(LV_SPEC), n=2.0, m=1, theta=0)
     assert system_from_dict(doc) == LV_SPEC
+
+
+@pytest.mark.parametrize("value, message", [
+    (math.nan, "weights must be finite, got nan"),
+    (math.inf, "weights must be finite, got inf"),
+    (-math.inf, "weights must be finite, got -inf"),
+    (0.0, "weights must be strictly positive"),
+    (-1.0, "weights must be strictly positive"),
+], ids=["nan", "inf", "-inf", "zero", "negative"])
+def test_require_positive_refuses_all_but_finite_positive_entries(value, message):
+    # NaN passes v <= 0, so a sign test alone lets it through.
+    require_positive(d=(1.0, 2.0), weights=(1.0, 5e-324, 1.7e308))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        require_positive(d=(1.0, 2.0), weights=(1.0, value))

@@ -622,3 +622,20 @@ def test_rk4_step_adds_edge_rows_as_sum_does(each_sum, products):
         return (h, z) if all(map(math.isfinite, z)) else "non-finite"
 
     assert outcome(step, y, 0.5) == outcome(reference_step, y, 0.5)
+
+
+def test_a_non_finite_alpha_is_refused(tanh_sol):
+    # A NaN weight passes every sign test; unchecked, integrate stores
+    # all-NaN p and q, and check_bounds reports ok with min_p = nan.
+    spec = tanh_sol.system()
+    start = tanh_sol.profile().at(0.0)
+    traj = integrate(spec, start.u, start.dum, (0.0, 0.1), 1e-2)
+    band = BoundsResult(lower=0.0, upper=1e9, chi=1, branch="general")
+    for alpha in ((math.nan, 1.0), (1.0, math.inf)):
+        message = f"^alpha must be finite, got {alpha[0] + alpha[1]!r}$"
+        with pytest.raises(ValueError, match=message):
+            integrate(spec, start.u, start.dum, (0.0, 0.1), 1e-2, alpha=alpha)
+        with pytest.raises(ValueError, match=message):
+            check_bounds(traj, alpha, band)
+        with pytest.raises(ValueError, match=message):
+            flux_balance_defect(spec, traj, alpha)
