@@ -25,7 +25,7 @@ from operator import mul, sub
 from sys import float_info
 from typing import Sequence
 
-from .model import REGION_REL_TOL, HullBounds, require_positive, vertex_peak
+from .model import REGION_REL_TOL, HullBounds, require_vectors, vertex_peak
 
 ORDER_REL_SLACK = 1e-12  # fp slack when validating envelope ordering
 
@@ -51,7 +51,7 @@ class BarrierEnvelope:
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(self.weights))
         object.__setattr__(self, "d", tuple(self.d))
-        _check_vectors(weights=self.weights, d=self.d)
+        require_vectors(weights=self.weights, d=self.d)
         if self.orientation not in ("lower", "upper"):
             raise ValueError("orientation must be 'lower' or 'upper'")
         _require_exponent_domain(self.m)
@@ -120,16 +120,6 @@ def _q_weights(alpha: Sequence[float], d: Sequence[float]) -> tuple:
     return w_q
 
 
-def _check_vectors(**vectors: Sequence[float]):
-    """Refuse vectors whose lengths disagree or that hold an entry <= 0,
-    naming the lengths or the vector."""
-    lengths = {name: len(v) for name, v in vectors.items()}
-    if len(set(lengths.values())) > 1:
-        raise ValueError("vector lengths must agree, got "
-                         + ", ".join(f"len({name}) = {k}" for name, k in lengths.items()))
-    require_positive(**vectors)
-
-
 def _tangency_sum(terms) -> float:
     """The sum S of powers of exponent -1/(m-1); a base that underflows to 0,
     a term that overflows and an S that is not normal raise a ValueError."""
@@ -169,7 +159,7 @@ def build_lower_barrier(alpha: Sequence[float], d: Sequence[float],
     ellipsoid_lambda1_in_inner_hull and ellipsoid_lambda2_in_plane_eta1.
     """
     _require_exponent_domain(m)
-    _check_vectors(alpha=alpha, d=d, ulow=ulow)
+    require_vectors(alpha=alpha, d=d, ulow=ulow)
     grow = max(_plane_vertices(alpha, d, m))
     w_q = _q_weights(alpha, d)
     lambda1 = _tangency_level(1.0, w_q, ulow, m)
@@ -190,7 +180,7 @@ def build_upper_barrier(alpha: Sequence[float], d: Sequence[float],
     eta2 is the closed-form upper bound on p.
     """
     _require_exponent_domain(m)
-    _check_vectors(alpha=alpha, d=d, ubar=ubar)
+    require_vectors(alpha=alpha, d=d, ubar=ubar)
     e = 1.0 / (m - 1.0)
     S = _tangency_sum(a * di ** -e for a, di in zip(alpha, d))
     grow = max(_plane_vertices(alpha, d, m))

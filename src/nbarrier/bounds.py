@@ -21,7 +21,7 @@ from typing import Sequence
 from dataclasses import asdict, dataclass
 
 from .barrier import ORDER_REL_SLACK, build_lower_barrier, build_upper_barrier
-from .model import HullBounds, SystemSpec, hull_intercepts, require_positive
+from .model import HullBounds, SystemSpec, hull_intercepts, require_positive, require_vectors
 
 BRANCH_M1 = "m1"
 BRANCH_GENERAL = "general"
@@ -56,9 +56,7 @@ class BoundsResult:
 def bounds_m1(alpha: Sequence[float], d: Sequence[float], hull: HullBounds,
               chi: int) -> BoundsResult:
     """Linear-diffusion bounds: extremal weighted intercepts times d-contrast."""
-    require_positive(alpha=alpha, d=d)
-    if len(alpha) != hull.n or len(d) != hull.n:
-        raise ValueError("alpha, d and hull dimensions must agree")
+    require_vectors(hull.n, alpha=alpha, d=d)
     dmax, dmin = max(d), min(d)
     upper = max(a * hi for a, hi in zip(alpha, hull.ubar)) * dmax / dmin
     lower = min(a * lo for a, lo in zip(alpha, hull.ulow)) * dmin / dmax * chi

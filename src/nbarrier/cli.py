@@ -165,10 +165,7 @@ def _write_csv(flag: str, path: str, header: list, rows, why: str) -> None:
 
 def _spec_and_alpha(args) -> tuple:
     spec = system_from_dict(_load_json(args.spec))
-    alpha = _parse_floats(args.alpha, "--alpha")
-    if len(alpha) != spec.n:
-        raise ValueError(f"--alpha needs {spec.n} entries, got {len(alpha)}")
-    return spec, alpha
+    return spec, _parse_floats(args.alpha, "--alpha")
 
 
 def _cmd_bounds(args) -> tuple:
@@ -279,14 +276,15 @@ def _cmd_nonexistence(args) -> tuple:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="nbarrier",
+        prog="nbarrier", allow_abbrev=False,
         description="Barrier bounds, exact profiles and wave checks for "
                     "degenerate competition systems.")
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the JSON document here, not to stdout")
+    command = {"parents": [common], "allow_abbrev": False}  # no flag prefixes
 
-    p = sub.add_parser("bounds", parents=[common],
+    p = sub.add_parser("bounds", **command,
                        help="closed-form bounds on the weighted total")
     p.add_argument("spec", help="system JSON (path or inline)")
     p.add_argument("--alpha", required=True, help="comma-separated weights")
@@ -294,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="boundary characteristic (default 1)")
     p.set_defaults(fn=_cmd_bounds)
 
-    p = sub.add_parser("barrier", parents=[common], help="build one barrier envelope")
+    p = sub.add_parser("barrier", **command, help="build one barrier envelope")
     p.add_argument("spec")
     p.add_argument("--alpha", required=True)
     p.add_argument("--orientation", choices=("lower", "upper"), required=True)
@@ -303,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curve-csv", dest="curve_csv")
     p.set_defaults(fn=_cmd_barrier)
 
-    p = sub.add_parser("verify-h", parents=[common],
+    p = sub.add_parser("verify-h", **command,
                        help="check the sign hypothesis exactly at the hull vertices")
     p.add_argument("spec")
     p.add_argument("--samples", type=_positive_int, default=50,
@@ -312,9 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     for cmd, fn, what in (("exact", _cmd_exact, "solve a closed-form family"),
                           ("residual", _cmd_residual, "wave-equation residual of a family")):
-        families = sub.add_parser(cmd, help=what).add_subparsers(dest="family", required=True)
+        families = sub.add_parser(cmd, help=what, allow_abbrev=False).add_subparsers(
+            dest="family", required=True)
         for family, (_, names) in FAMILIES.items():
-            p = families.add_parser(family, parents=[common], help=f"the {family} family")
+            p = families.add_parser(family, **command, help=f"the {family} family")
             for name in names:
                 p.add_argument(f"--{name}", type=float, required=True)
             p.add_argument("--grid", type=parse_grid, help="A:B:H sample grid")
@@ -326,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument("--tol", type=float, default=RESIDUAL_TOL)
             p.set_defaults(fn=fn)
 
-    p = sub.add_parser("simulate", parents=[common], help="integrate a trajectory")
+    p = sub.add_parser("simulate", **command, help="integrate a trajectory")
     p.add_argument("spec")
     p.add_argument("--u0", required=True)
     p.add_argument("--w0", required=True)
@@ -338,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chi", type=int, choices=(0, 1), default=1)
     p.set_defaults(fn=_cmd_simulate)
 
-    p = sub.add_parser("nonexistence", parents=[common],
+    p = sub.add_parser("nonexistence", **command,
                        help="three-species wave blocking verdict")
     p.add_argument("params", help="parameter JSON (path or inline)")
     p.set_defaults(fn=_cmd_nonexistence)

@@ -23,7 +23,7 @@ from math import nan, pi
 from typing import Callable, NamedTuple, Sequence
 
 from .kernels import ClosedForm, call_form, residual_maxima
-from .model import ReactionSpec, SystemSpec
+from .model import ReactionSpec, SystemSpec, require_finite, require_positive
 
 
 class ProfilePoint(NamedTuple):
@@ -160,11 +160,10 @@ class TanhSolution:
 def tanh_family(d1, d2, c11, c22) -> TanhSolution:
     """Solve the coefficient ties of the tanh front family.
 
-    Inputs must be positive; exact number types are preserved in the derived
-    coefficients.
+    Inputs must be finite and positive; exact number types are preserved in
+    the derived coefficients.
     """
-    if min(d1, d2, c11, c22) <= 0:
-        raise ValueError("family parameters must be strictly positive")
+    require_positive(d1=(d1,), d2=(d2,), c11=(c11,), c22=(c22,))
     return TanhSolution(
         d1=d1, d2=d2, c11=c11, c22=c22,
         k1=20 * d1 / c11,
@@ -239,8 +238,10 @@ def cos_family(m1, m2, m3, mu, d1, d2, d3,
     coefficients must be positive, otherwise the family member is not a valid
     profile and a ValueError is raised.  So the profile floor k_i - |m_i| is
     always 0: every cos profile touches zero.  Exact number types are
-    preserved in the derived coefficients.
+    preserved in the derived coefficients.  NaN and +-inf inputs are refused.
     """
+    # At entry the locals are exactly the thirteen parameters.
+    require_finite(**{name: (value,) for name, value in locals().items()})
     if m1 == 0 or m2 == 0 or m3 == 0:
         raise ValueError("amplitudes must be nonzero")
     if mu == 0:

@@ -7,6 +7,9 @@ types, the axis intercepts sigma_j / c_ji of the competition planes and the
 hull they bound, and an exact check of the sign hypothesis H on a hull.
 The compiled wave kernels live in kernels.
 
+Coefficient vectors (d, l, sigma, C, ubar, ulow, the band weights alpha)
+hold finite floats > 0 and share one length; require_vectors checks that.
+
 Since C > 0, H holds on a hull exactly when every ulow_k is at most and
 every ubar_k at least each intercept on axis k, so the verdict compares the
 hull with the intercepts and needs no tolerance; the intercept hull
@@ -43,6 +46,24 @@ def require_positive(**fields) -> None:
         if not all(0.0 < v < inf for v in values):
             require_finite(**{name: values})
             raise ValueError(f"{name} must be strictly positive")
+
+
+def require_vectors(n: int | None = None, **vectors) -> None:
+    """Refuse sequences whose lengths disagree with each other or with n,
+    naming the lengths, then any entry that require_positive refuses."""
+    expected = n
+    for values in vectors.values():
+        if expected is None:
+            expected = len(values)
+        if len(values) != expected or not all(0.0 < v < inf for v in values):
+            break
+    else:
+        return
+    if any(len(values) != expected for values in vectors.values()):
+        raise ValueError("vector lengths must agree, got " + ", ".join(
+            ([] if n is None else [f"n = {n}"])
+            + [f"len({name}) = {len(values)}" for name, values in vectors.items()]))
+    require_positive(**vectors)
 
 
 def number(value) -> float:
@@ -115,16 +136,12 @@ class ReactionSpec:
     def __post_init__(self):
         object.__setattr__(self, "sigma", tuple(self.sigma))
         object.__setattr__(self, "C", tuple(tuple(row) for row in self.C))
-        require_finite(sigma=self.sigma, C=chain.from_iterable(self.C))
+        require_positive(sigma=self.sigma, C=tuple(chain.from_iterable(self.C)))
         n = len(self.sigma)
         if n == 0:
             raise ValueError("reaction needs at least one species")
-        if any(s <= 0 for s in self.sigma):
-            raise ValueError("growth rates must be strictly positive")
         if len(self.C) != n or any(len(row) != n for row in self.C):
             raise ValueError(f"competition matrix must be {n}x{n}")
-        if any(c <= 0 for row in self.C for c in row):
-            raise ValueError("competition coefficients must be strictly positive")
 
     @property
     def n(self) -> int:
@@ -145,15 +162,12 @@ class SystemSpec:
     def __post_init__(self):
         object.__setattr__(self, "d", tuple(self.d))
         object.__setattr__(self, "l", tuple(self.l))
-        require_finite(m=(self.m,), d=self.d, l=self.l, theta=(self.theta,))
+        require_finite(m=(self.m,), theta=(self.theta,))
         if self.n < 1:
             raise ValueError("need at least one species")
+        require_vectors(self.n, d=self.d, l=self.l)
         if self.m < 1:
             raise ValueError("diffusion exponent m must be >= 1")
-        if len(self.d) != self.n or any(di <= 0 for di in self.d):
-            raise ValueError("d must be a positive vector of length n")
-        if len(self.l) != self.n or any(li <= 0 for li in self.l):
-            raise ValueError("l must be a positive vector of length n")
         if self.reaction.n != self.n:
             raise ValueError("reaction dimension does not match n")
 
@@ -174,10 +188,7 @@ class HullBounds:
         object.__setattr__(self, "ubar", tuple(self.ubar))
         object.__setattr__(self, "ulow", tuple(self.ulow))
         # sigma_j / c_ji overflows to inf for extreme finite rates.
-        require_finite(ubar=self.ubar, ulow=self.ulow)
-        if len(self.ubar) != len(self.ulow):
-            raise ValueError("ubar and ulow must have equal length")
-        require_positive(ulow=self.ulow)
+        require_vectors(ubar=self.ubar, ulow=self.ulow)
         if any(hi < lo for hi, lo in zip(self.ubar, self.ulow)):
             raise ValueError("ubar must dominate ulow componentwise")
         if self.is_degenerate():

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 from .bounds import two_species_m2_lower, two_species_m2_upper
 from .model import (ReactionSpec, axis_intercepts, fields_from_dict, float_matrix,
-                    float_vector, number, require_finite, require_positive)
+                    float_vector, number, require_finite, require_vectors)
 
 
 @dataclass(frozen=True)
@@ -38,9 +38,7 @@ class ThreeSpeciesParams:
         object.__setattr__(self, "d", tuple(self.d))
         object.__setattr__(self, "sigma", tuple(self.sigma))
         object.__setattr__(self, "C", tuple(tuple(row) for row in self.C))
-        if len(self.d) != 3 or len(self.sigma) != 3:
-            raise ValueError("three species means three of everything")
-        require_positive(d=self.d)
+        require_vectors(3, d=self.d, sigma=self.sigma)
         ReactionSpec(sigma=self.sigma, C=self.C)
         for name, w in (("w_minus_inf", self.w_minus_inf),
                         ("w_plus_inf", self.w_plus_inf)):

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .bounds import BoundsResult
 from .kernels import rk4_march
-from .model import SystemSpec, require_finite
+from .model import SystemSpec, require_finite, require_vectors
 
 if TYPE_CHECKING:
     import numpy as np
@@ -91,12 +91,10 @@ def integrate(spec: SystemSpec, u0: Sequence[float], w0: Sequence[float],
     import numpy as np
 
     n = spec.n
-    if len(u0) != n or len(w0) != n:
-        raise ValueError("initial data dimensions must match the system")
-    if not all(isfinite(v) for v in (*u0, *w0)):
-        raise ValueError("initial data must be finite")
-    if any(ui <= 0 for ui in u0):
-        raise ValueError("initial state must be strictly positive")
+    require_vectors(n, u0=u0)
+    if len(w0) != n:
+        raise ValueError(f"w0 needs {n} entries, got {len(w0)}")
+    require_finite(w0=w0)
     if step <= 0:
         raise ValueError("step must be positive")
     x0, x1 = float(x_span[0]), float(x_span[1])

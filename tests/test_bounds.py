@@ -69,7 +69,8 @@ def test_m1_branch_hand_values():
 @pytest.mark.parametrize("alpha, d, message", [
     ((0.0, 1.0), (1.0, 1.0), "alpha must be strictly positive"),
     ((1.0, 1.0), (1.0, -2.0), "d must be strictly positive"),
-    ((1.0, 1.0, 1.0), (1.0, 1.0, 1.0), "alpha, d and hull dimensions must agree"),
+    ((1.0, 1.0, 1.0), (1.0, 1.0, 1.0),
+     r"^vector lengths must agree, got n = 2, len\(alpha\) = 3, len\(d\) = 3$"),
 ], ids=["alpha", "d", "length"])
 def test_m1_branch_refuses_bad_vectors(alpha, d, message):
     with pytest.raises(ValueError, match=message):

@@ -681,6 +681,28 @@ def test_non_finite_family_flag_or_bad_tol_is_usage_error(capsys, argv, message)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+# A prefix is not taken for the flag it abbreviates: --c1 is not --c11.
+@pytest.mark.parametrize("argv, missing", [
+    (("exact", "tanh", "--d1", "3", "--d2", "4", "--c1", "1", "--c2", "2"), "--c11, --c22"),
+    (("barrier", FIG_SPEC, "--alpha", "1,2", "--orient", "lower"), "--orientation"),
+], ids=["family-flag-prefix", "orientation-prefix"])
+def test_a_flag_prefix_is_usage_error(capsys, argv, missing):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: the following arguments are required: {missing}\n")
+
+
+@pytest.mark.parametrize("argv, lengths", [
+    (("bounds", FIG_SPEC, "--alpha", "1,2,3"), "len(alpha) = 3, len(d) = 2, len(ubar) = 2"),
+    (("bounds", LV_SPEC, "--alpha", "1"), "n = 2, len(alpha) = 1, len(d) = 2"),
+    (("barrier", FIG_SPEC, "--alpha", "1", "--orientation", "lower"),
+     "len(alpha) = 1, len(d) = 2, len(ulow) = 2"),
+], ids=["bounds", "bounds-m1", "barrier"])
+def test_a_wrong_length_alpha_is_named_by_the_library(capsys, argv, lengths):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: vector lengths must agree, got {lengths}\n")
+
+
 def test_simulate_refuses_a_csv_whose_q_column_overflows(capsys, tmp_path):
     # u1^60 = 1e360 past the float range: the state is finite, the stored q is inf.
     spec = json.dumps({"n": 2, "m": 60, "d": [1, 1], "l": [1, 1], "theta": 0,

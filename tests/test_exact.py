@@ -43,6 +43,28 @@ def test_tanh_family_rejects_nonpositive_parameters():
         tanh_family(3, 4, 0, 2)
 
 
+def _cos_with(k, value):
+    args = [float(a) for a in COS_ARGS]
+    args[k] = value
+    return cos_family(*args)
+
+
+# NaN passes every sign and zero test, so without a finiteness check these
+# would return members with NaN or infinite coefficients.
+@pytest.mark.parametrize("solve, message", [
+    (lambda: tanh_family(math.nan, 4, 1, 2), "d1 must be finite, got nan"),
+    (lambda: tanh_family(math.inf, 4, 1, 2), "d1 must be finite, got inf"),
+    (lambda: tanh_family(3, 4, 1, -math.inf), "c22 must be finite, got -inf"),
+    (lambda: _cos_with(3, math.nan), "mu must be finite, got nan"),
+    (lambda: _cos_with(0, -math.inf), "m1 must be finite, got -inf"),
+    (lambda: _cos_with(12, math.inf), "c32 must be finite, got inf"),
+], ids=["tanh-nan-d1", "tanh-inf-d1", "tanh-minus-inf-c22", "cos-nan-mu",
+        "cos-minus-inf-m1", "cos-inf-c32"])
+def test_family_solvers_refuse_non_finite_parameters(solve, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        solve()
+
+
 def test_tanh_induced_system(tanh_sol):
     spec = tanh_sol.system()
     assert spec.n == 2 and spec.m == 2 and spec.theta == 0.0

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from dataclasses import fields, replace
 from itertools import product
 
@@ -20,7 +21,12 @@ from nbarrier import (
     system_to_dict,
     verify_hypothesis_H,
 )
+from nbarrier.barrier import BarrierEnvelope, build_lower_barrier, build_upper_barrier
+from nbarrier.bounds import bounds_m1
+from nbarrier.exact import tanh_family
 from nbarrier.model import axis_intercepts, require_positive
+from nbarrier.nonexistence import ThreeSpeciesParams
+from nbarrier.waves import integrate
 
 # Classic two-species competition kinetics with crossed dominance.
 LV = ReactionSpec(sigma=(1.0, 1.0), C=((1.0, 2.0), (3.0, 1.0)))
@@ -68,7 +74,7 @@ def test_system_spec_validation():
         SystemSpec(n=3, m=2.0, d=(1, 1, 1), l=(1, 1, 1), theta=0.0, reaction=LV)
     with pytest.raises(ValueError, match="need at least one species"):
         SystemSpec(n=0, m=2.0, d=(), l=(), theta=0.0, reaction=LV)
-    with pytest.raises(ValueError, match="l must be a positive vector"):
+    with pytest.raises(ValueError, match="^l must be strictly positive$"):
         SystemSpec(n=2, m=2.0, d=(1, 1), l=(1, 0), theta=0.0, reaction=LV)
 
 
@@ -103,7 +109,8 @@ def test_hull_bounds_rejects_bad_ordering():
         HullBounds(ubar=(1.0, 1.0), ulow=(2.0, 0.5))
     with pytest.raises(ValueError):
         HullBounds(ubar=(1.0, 1.0), ulow=(0.0, 0.5))
-    with pytest.raises(ValueError, match="equal length"):
+    with pytest.raises(ValueError, match=r"^vector lengths must agree, "
+                                         r"got len\(ubar\) = 2, len\(ulow\) = 1$"):
         HullBounds(ubar=(1.0, 1.0), ulow=(0.5,))
 
 
@@ -405,3 +412,56 @@ def test_require_positive_refuses_all_but_finite_positive_entries(value, message
     require_positive(d=(1.0, 2.0), weights=(1.0, 5e-324, 1.7e308))
     with pytest.raises(ValueError, match=f"^{message}$"):
         require_positive(d=(1.0, 2.0), weights=(1.0, value))
+
+
+
+# Every entry point that takes a coefficient vector: builds it from a vector of
+# n ones, with the named vector's second entry or length altered, and gives the
+# message for one extra entry, or None where no length can be got wrong alone.
+VECTOR_ENTRY_POINTS = {
+    "ReactionSpec-sigma": (lambda v: ReactionSpec(sigma=v, C=LV.C), "sigma", 2, None),
+    "ReactionSpec-C": (lambda v: ReactionSpec(sigma=LV.sigma, C=((1.0, 2.0), v)),
+                       "C", 2, None),
+    "SystemSpec-d": (lambda v: replace(LV_SPEC, d=v), "d", 2,
+                     "n = 2, len(d) = 3, len(l) = 2"),
+    "SystemSpec-l": (lambda v: replace(LV_SPEC, l=v), "l", 2,
+                     "n = 2, len(d) = 2, len(l) = 3"),
+    "HullBounds-ubar": (lambda v: HullBounds(ubar=v, ulow=(0.5, 0.5)), "ubar", 2,
+                        "len(ubar) = 3, len(ulow) = 2"),
+    "HullBounds-ulow": (lambda v: HullBounds(ubar=(2.0, 2.0), ulow=v), "ulow", 2,
+                        "len(ubar) = 2, len(ulow) = 3"),
+    "bounds_m1": (lambda v: bounds_m1(v, (1.0, 2.0), HullBounds((2.0, 2.0), (1.0, 1.0)), 1),
+                  "alpha", 2, "n = 2, len(alpha) = 3, len(d) = 2"),
+    "build_lower_barrier": (lambda v: build_lower_barrier((1.0, 2.0), (3.0, 4.0), v, 2.0),
+                            "ulow", 2, "len(alpha) = 2, len(d) = 2, len(ulow) = 3"),
+    "build_upper_barrier": (lambda v: build_upper_barrier((1.0, 2.0), v, (1.0, 1.0), 2.0),
+                            "d", 2, "len(alpha) = 2, len(d) = 3, len(ubar) = 2"),
+    "BarrierEnvelope": (lambda v: BarrierEnvelope(1.0, 1.0, 0.5, 0.5, "lower", v, 2.0,
+                                                  (3.0, 4.0)),
+                        "weights", 2, "len(weights) = 3, len(d) = 2"),
+    "ThreeSpeciesParams": (lambda v: ThreeSpeciesParams(
+        d=(1.0, 2.0, 1.0), sigma=v, C=((1.0, 1.0, 0.5), (1.0, 2.0, 0.5), (1.0, 1.0, 2.0))),
+        "sigma", 3, "n = 3, len(d) = 3, len(sigma) = 4"),
+    "integrate": (lambda v: integrate(replace(LV_SPEC, m=2.0), v, (0.0, 0.0), (0.0, 0.1), 0.1),
+                  "u0", 2, "n = 2, len(u0) = 3"),
+    "tanh_family": (lambda v: tanh_family(3.0, 4.0, 1.0, v[1]), "c22", 2, None),
+}
+BAD_ENTRIES = {"nan": (math.nan, "{name} must be finite, got nan"),
+               "inf": (math.inf, "{name} must be finite, got inf"),
+               "zero": (0.0, "{name} must be strictly positive"),
+               "negative": (-1.0, "{name} must be strictly positive")}
+
+
+@pytest.mark.parametrize("entry, bad", [
+    (entry, bad) for entry, (*_, length_message) in VECTOR_ENTRY_POINTS.items()
+    for bad in [*BAD_ENTRIES, "length"] if bad != "length" or length_message])
+def test_every_vector_entry_point_refuses_with_one_message_form(entry, bad):
+    build, name, n, length_message = VECTOR_ENTRY_POINTS[entry]
+    build((1.0,) * n)
+    if bad == "length":
+        vector, message = (1.0,) * (n + 1), f"vector lengths must agree, got {length_message}"
+    else:
+        value, message = BAD_ENTRIES[bad]
+        vector, message = (1.0, value) + (1.0,) * (n - 2), message.format(name=name)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(vector)
