@@ -18,19 +18,18 @@ barrier_curves samples the five pieces on one simplex lattice for plotting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import inf, isfinite
 from operator import mul, sub
 from sys import float_info
 from typing import Sequence
 
-from .model import REGION_REL_TOL, HullBounds, require_vectors, vertex_peak
+from .model import REGION_REL_TOL, HullBounds, record, require_vectors, vertex_peak
 
 ORDER_REL_SLACK = 1e-12  # fp slack when validating envelope ordering
 
 
-@dataclass(frozen=True)
+@record
 class BarrierEnvelope:
     """The four nested level values of one barrier, with their build data.
 
@@ -198,7 +197,7 @@ def build_upper_barrier(alpha: Sequence[float], d: Sequence[float],
                            orientation="upper", weights=tuple(alpha), m=m, d=tuple(d))
 
 
-@dataclass(frozen=True)
+@record
 class LinkReport:
     """One containment link: inner set's boundary against the outer inequality."""
 
@@ -208,8 +207,11 @@ class LinkReport:
     worst_point: tuple
 
 
-@dataclass(frozen=True)
+@record
 class ContainmentReport:
+    """The links of one envelope's containment chain, in chain order; ok when
+    every link holds."""
+
     links: tuple
 
     @property

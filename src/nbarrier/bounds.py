@@ -18,18 +18,22 @@ from __future__ import annotations
 from math import isfinite, sqrt
 from typing import Sequence
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 from .barrier import ORDER_REL_SLACK, build_lower_barrier, build_upper_barrier
-from .model import HullBounds, SystemSpec, hull_intercepts, require_positive, require_vectors
+from .model import (HullBounds, SystemSpec, hull_intercepts, record, require_positive,
+                    require_vectors)
 
 BRANCH_M1 = "m1"
 BRANCH_GENERAL = "general"
 BRANCH_TWO_SPECIES_M2 = "two_species_m2"
 
 
-@dataclass(frozen=True)
+@record
 class BoundsResult:
+    """Lower and upper bounds on a weighted species total, the boundary
+    characteristic chi, and the branch that computed them."""
+
     lower: float
     upper: float
     chi: int

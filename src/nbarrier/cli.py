@@ -23,7 +23,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .barrier import barrier_curves, build_lower_barrier, build_upper_barrier
@@ -208,7 +208,7 @@ def _family_from_args(args):
 
 
 def _solution_dict(sol) -> dict:
-    doc = {k: float(v) for k, v in vars(sol).items()}
+    doc = {f.name: float(getattr(sol, f.name)) for f in fields(sol)}
     doc["system"] = system_to_dict(sol.system())
     return doc
 

@@ -18,12 +18,11 @@ the written expression, so the floats are those of the expression itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import nan, pi
+from math import inf, nan, pi
 from typing import Callable, NamedTuple, Sequence
 
 from .kernels import ClosedForm, call_form, residual_maxima
-from .model import ReactionSpec, SystemSpec, require_finite, require_positive
+from .model import ReactionSpec, SystemSpec, record, require_finite, require_positive
 
 
 class ProfilePoint(NamedTuple):
@@ -72,7 +71,7 @@ du2 = cf_na3mu * cf_s
 ddu2 = cf_na3mu2 * cf_c""")
 
 
-@dataclass(frozen=True)
+@record
 class Profile:
     """Closed-form profile with exponent m: a ClosedForm of form.n species
     and the member constants its statements read, one per form.names.
@@ -122,7 +121,7 @@ def _power_derivs(m: float, u: float, du: float, ddu: float) -> tuple:
     return grad * du, m * (m - 1.0) * u ** (m - 2.0) * du * du + grad * ddu
 
 
-@dataclass(frozen=True)
+@record
 class TanhSolution:
     """Two-species tanh front.  Free: d1, d2, c11, c22.  Everything else tied.
 
@@ -160,23 +159,30 @@ class TanhSolution:
 def tanh_family(d1, d2, c11, c22) -> TanhSolution:
     """Solve the coefficient ties of the tanh front family.
 
-    Inputs must be finite and positive; exact number types are preserved in
-    the derived coefficients.
+    Inputs must be finite and positive, and so must the derived rates and
+    competition coefficients, which extreme inputs can overflow; exact number
+    types are preserved in the derived coefficients.
     """
     require_positive(d1=(d1,), d2=(d2,), c11=(c11,), c22=(c22,))
-    return TanhSolution(
-        d1=d1, d2=d2, c11=c11, c22=c22,
-        k1=20 * d1 / c11,
-        k2=4 * d2 / c22,
-        sigma1=80 * d1,
-        sigma2=8 * d2,
-        c12=18 * c22 * d1 / d2,
-        c21=3 * c11 * d2 / (10 * d1),
-        theta=0,
-    )
+    k1, k2 = 20 * d1 / c11, 4 * d2 / c22
+    sigma1, sigma2 = 80 * d1, 8 * d2
+    c12, c21 = 18 * c22 * d1 / d2, 3 * c11 * d2 / (10 * d1)
+    _require_finite_derived(sigma1=sigma1, sigma2=sigma2, c12=c12, c21=c21)
+    return TanhSolution(d1=d1, d2=d2, c11=c11, c22=c22, k1=k1, k2=k2,
+                        sigma1=sigma1, sigma2=sigma2, c12=c12, c21=c21, theta=0)
 
 
-@dataclass(frozen=True)
+def _require_finite_derived(**derived) -> None:
+    """Refuse a derived coefficient of the induced system that finite
+    parameters overflowed to +-inf, or to NaN as inf - inf, naming it, before
+    SystemSpec would blame a sigma or C that the caller never passed."""
+    for name, value in derived.items():
+        if not -inf < value < inf:
+            raise ValueError(f"derived coefficient {name} = {value!r} is not finite; "
+                             "the parameters overflow floating point")
+
+
+@record
 class CosSolution:
     """Three-species single-harmonic periodic profile u_i = k_i + m_i cos(mu x).
 
@@ -238,7 +244,8 @@ def cos_family(m1, m2, m3, mu, d1, d2, d3,
     coefficients must be positive, otherwise the family member is not a valid
     profile and a ValueError is raised.  So the profile floor k_i - |m_i| is
     always 0: every cos profile touches zero.  Exact number types are
-    preserved in the derived coefficients.  NaN and +-inf inputs are refused.
+    preserved in the derived coefficients.  NaN and +-inf inputs are refused,
+    and so are derived coefficients that finite inputs overflow.
     """
     # At entry the locals are exactly the thirteen parameters.
     require_finite(**{name: (value,) for name, value in locals().items()})
@@ -254,9 +261,11 @@ def cos_family(m1, m2, m3, mu, d1, d2, d3,
     c22 = -(c21 * m1 + c23 * m3 + 4 * d2 * musq * m2) / m2
     sigma3 = -2 * (c31 * m1 + 3 * d3 * musq * m3)
     c33 = -(c31 * m1 + c32 * m2 + 4 * d3 * musq * m3) / m3
+    _require_finite_derived(sigma1=sigma1, sigma2=sigma2, sigma3=sigma3,
+                            c11=c11, c22=c22, c33=c33)
     for name, value in (("k1", k1), ("k2", k2), ("k3", k3),
                         ("c11", c11), ("c22", c22), ("c33", c33)):
-        if value <= 0:
+        if not value > 0:
             raise ValueError(f"infeasible family member: {name} = {value} is not positive")
     return CosSolution(m1=m1, m2=m2, m3=m3, mu=mu, d1=d1, d2=d2, d3=d3,
                        c12=c12, c13=c13, c21=c21, c23=c23, c31=c31, c32=c32,

@@ -10,6 +10,13 @@ The compiled wave kernels live in kernels.
 Coefficient vectors (d, l, sigma, C, ubar, ulow, the band weights alpha)
 hold finite floats > 0 and share one length; require_vectors checks that.
 
+Every value type of the package is a record: the record decorator makes a
+frozen dataclass whose __init__, __repr__, __eq__, __hash__, __setattr__
+and __delattr__ are closures shared by all records, where
+@dataclass(frozen=True) would write and compile six methods per class each
+time the package is imported.  fields, asdict and replace work on records
+as on any dataclass.
+
 Since C > 0, H holds on a hull exactly when every ulow_k is at most and
 every ubar_k at least each intercept on axis k, so the verdict compares the
 hull with the intercepts and needs no tolerance; the intercept hull
@@ -19,12 +26,90 @@ satisfies H by construction.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
+from inspect import Parameter, Signature
 from itertools import chain
 from math import inf, isfinite
 from typing import Callable, Sequence
 
 REGION_REL_TOL = 1e-9      # relative tolerance for region membership
+
+
+def record(cls: type) -> type:
+    """Make cls a frozen value type over its annotated fields, as
+    @dataclass(frozen=True) does, without generating any method source.
+
+    cls stays a dataclass (fields, asdict, replace and __match_args__ work),
+    but its __init__, __repr__, __eq__, __hash__, __setattr__ and
+    __delattr__ are closures shared by every record, and __signature__ lists
+    the fields for inspect and help.  __init__ fills the instance dict from
+    the arguments and defaults, calls __post_init__ if there is one, and
+    refuses a missing, unknown or repeated argument or surplus positional
+    ones with a TypeError, as the generated one does.  Keyword arguments
+    enter the instance dict in the order they were passed, so vars() need
+    not list the fields in declared order; fields() does.  cls needs a
+    docstring of its own: dataclass would otherwise write one from a
+    signature it cannot see.
+    """
+    dataclass(cls, init=False, repr=False, eq=False)
+    declared = fields(cls)
+    names = tuple(f.name for f in declared)
+    count, field_set = len(names), frozenset(names)
+    defaults = {f.name: f.default for f in declared if f.default is not MISSING}
+    required = field_set.difference(defaults)
+    signature = Signature([Parameter(f.name, Parameter.POSITIONAL_OR_KEYWORD,
+                                     default=defaults.get(f.name, Parameter.empty),
+                                     annotation=f.type)
+                           for f in declared], return_annotation=None)
+    post_init = getattr(cls, "__post_init__", None)
+
+    def values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, names))
+
+    def arguments(args: tuple, kwargs: dict):
+        """The (field, value) pairs of a call that does not pass every field
+        by keyword, defaults included."""
+        if not args and required <= kwargs.keys() <= field_set:
+            return {**defaults, **kwargs}
+        if len(args) == count and not kwargs:
+            return zip(names, args)
+        try:
+            bound = signature.bind(*args, **kwargs)
+        except TypeError as exc:
+            raise TypeError(f"{cls.__qualname__}(): {exc}") from None
+        bound.apply_defaults()
+        return bound.arguments
+
+    def __init__(self, *args, **kwargs):
+        if args or kwargs.keys() != field_set:
+            kwargs = arguments(args, kwargs)
+        self.__dict__.update(kwargs)
+        if post_init is not None:
+            post_init(self)
+
+    def __repr__(self) -> str:
+        return self.__class__.__qualname__ + "(" + ", ".join(
+            f"{name}={value!r}" for name, value in zip(names, values(self))) + ")"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(values(self))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    for method in (__init__, __repr__, __eq__, __hash__, __setattr__, __delattr__):
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
+    cls.__signature__ = signature
+    return cls
 
 
 def require_finite(**fields) -> None:
@@ -123,7 +208,7 @@ def fields_from_dict(doc: dict, converters: dict[str, Callable], kind: str) -> d
     return out
 
 
-@dataclass(frozen=True)
+@record
 class ReactionSpec:
     """Affine competition kinetics: growth rates and competition matrix.
 
@@ -148,7 +233,7 @@ class ReactionSpec:
         return len(self.sigma)
 
 
-@dataclass(frozen=True)
+@record
 class SystemSpec:
     """Full wave-equation data: diffusion, degeneracy exponents, speed, kinetics."""
 
@@ -172,7 +257,7 @@ class SystemSpec:
             raise ValueError("reaction dimension does not match n")
 
 
-@dataclass(frozen=True)
+@record
 class HullBounds:
     """Outer and inner axis intercepts bracketing the coexistence region.
 
@@ -243,7 +328,7 @@ def hull_intercepts(reaction: ReactionSpec) -> HullBounds:
     return HullBounds(ubar=map(max, axes), ulow=map(min, axes))
 
 
-@dataclass(frozen=True)
+@record
 class HypothesisReport:
     """Outcome of the exact sign-hypothesis check on the two hull regions.
 

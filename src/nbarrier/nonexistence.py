@@ -16,14 +16,14 @@ always true).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 from .bounds import two_species_m2_lower, two_species_m2_upper
 from .model import (ReactionSpec, axis_intercepts, fields_from_dict, float_matrix,
-                    float_vector, number, require_finite, require_vectors)
+                    float_vector, number, record, require_finite, require_vectors)
 
 
-@dataclass(frozen=True)
+@record
 class ThreeSpeciesParams:
     """Parameters of the three-species system, plus optional boundary data
     w_minus_inf / w_plus_inf for the third species (case ii only)."""
@@ -49,7 +49,7 @@ class ThreeSpeciesParams:
                 raise ValueError(f"{name} must be nonnegative")
 
 
-@dataclass(frozen=True)
+@record
 class CaseIVerdict:
     """Floor-based blocking: applicable when both discounted rates are positive."""
 
@@ -62,7 +62,7 @@ class CaseIVerdict:
     blocked: bool
     profile_hypotheses_asserted: bool
 
-@dataclass(frozen=True)
+@record
 class CaseIIVerdict:
     """Cap-based blocking: needs boundary data for the third species.
 
@@ -79,8 +79,10 @@ class CaseIIVerdict:
     conclusive: bool
     profile_hypotheses_asserted: bool
 
-@dataclass(frozen=True)
+@record
 class NonexistenceVerdict:
+    """Both blocking criteria evaluated on one parameter set."""
+
     case_i: CaseIVerdict
     case_ii: CaseIIVerdict
 

@@ -25,13 +25,12 @@ subcommand except simulate) does not load it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isfinite
 from typing import TYPE_CHECKING, Sequence
 
 from .bounds import BoundsResult
 from .kernels import rk4_march
-from .model import SystemSpec, require_finite, require_vectors
+from .model import SystemSpec, record, require_finite, require_vectors
 
 if TYPE_CHECKING:
     import numpy as np
@@ -40,7 +39,7 @@ POSITIVITY_FLOOR = 1e-8
 MAX_STEPS = 10 ** 6
 
 
-@dataclass(frozen=True)
+@record
 class Trajectory:
     """Stored integration output on a fixed grid.
 
@@ -158,7 +157,7 @@ def integrate(spec: SystemSpec, u0: Sequence[float], w0: Sequence[float],
                       alpha=tuple(alpha), truncation_reason=reason, clamped=clamped)
 
 
-@dataclass(frozen=True)
+@record
 class BoundCheckReport:
     """Extrema of the weighted total and any excursions past the bounds."""
 

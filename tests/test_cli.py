@@ -754,6 +754,17 @@ def test_exact_refuses_a_csv_whose_profile_overflows(capsys, tmp_path):
     assert not csv_path.exists()
 
 
+@pytest.mark.parametrize("cmd", ["exact", "residual"])
+def test_a_family_whose_derived_coefficient_overflows_names_it(capsys, cmd):
+    # c12 = 18 c22 d1 / d2 overflows to inf from finite flags; the error
+    # names it rather than a C that was never passed.
+    code, out, err = run(capsys, cmd, "tanh", "--d1", "1e300", "--d2", "1e-10",
+                         "--c11", "1", "--c22", "1e10")
+    assert (code, out) == (1, "")
+    assert err == ("error: derived coefficient c12 = inf is not finite; "
+                   "the parameters overflow floating point\n")
+
+
 def test_residual_of_a_member_with_nan_residuals_exits_1(capsys):
     code, out, err = run(capsys, "residual", "tanh", "--d1", "1e102", "--d2", "4",
                          "--c11", "1", "--c22", "2")

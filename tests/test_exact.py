@@ -65,6 +65,25 @@ def test_family_solvers_refuse_non_finite_parameters(solve, message):
         solve()
 
 
+# Finite parameters whose derived system coefficient overflows: to inf, or
+# to NaN where two overflowed terms cancel.  The member is refused, naming
+# the derived coefficient, before SystemSpec would blame a sigma or C.
+@pytest.mark.parametrize("solve, name, value", [
+    (lambda: tanh_family(1e300, 1e-10, 1.0, 1e10), "c12", "inf"),
+    (lambda: tanh_family(1e-10, 1e300, 1e10, 1.0), "c21", "inf"),
+    (lambda: tanh_family(1e307, 1.0, 1.0, 1.0), "sigma1", "inf"),
+    (lambda: cos_family(-0.1, 2.0, 1 / 12, 2.0, 1e308, 1, 1, 1.7e308, 1, 1000.0,
+                        6 / 11, 100.0, 11 / 12), "sigma1", "nan"),
+    (lambda: _cos_with(4, 1e308), "sigma1", "-inf"),
+    (lambda: _cos_with(9, 1.7e308), "c22", "inf"),
+], ids=["tanh-c12", "tanh-c21", "tanh-sigma1", "cos-sigma1-nan", "cos-sigma1-minus-inf",
+        "cos-c22"])
+def test_family_solvers_refuse_overflowing_derived_coefficients(solve, name, value):
+    with pytest.raises(ValueError, match=f"^derived coefficient {name} = {value} is not "
+                                         "finite; the parameters overflow floating point$"):
+        solve()
+
+
 def test_tanh_induced_system(tanh_sol):
     spec = tanh_sol.system()
     assert spec.n == 2 and spec.m == 2 and spec.theta == 0.0

@@ -170,3 +170,47 @@ def test_only_main_writes_cli_outputs():
                 if name in {"_write_csv", "open", "write_text", "_json_text"}:
                     offenders.append(f"{fn.name}: {name}")
     assert len(commands) == 7 and offenders == []
+
+
+def dataclass_uses(node, owner=None):
+    """The enclosing function of each read of the name dataclass under node,
+    as a call or a bare decorator, dataclasses.dataclass included."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from dataclass_uses(child, child.name)
+            continue
+        if (isinstance(child, ast.Name) and child.id == "dataclass") or (
+                isinstance(child, ast.Attribute) and child.attr == "dataclass"):
+            yield owner
+        yield from dataclass_uses(child, owner)
+
+
+def record_classes():
+    """(module file, class node) for each class the package decorates with
+    record or dataclass."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef) and any(
+                    ast.unparse(deco).split("(")[0].split(".")[-1] in ("record", "dataclass")
+                    for deco in node.decorator_list):
+                yield path.name, node
+
+
+def test_dataclass_is_called_only_inside_record():
+    """Every value type is a record: dataclass generates no method for it,
+    so nothing else may call it."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        uses = list(dataclass_uses(ast.parse(path.read_text(), filename=str(path))))
+        if uses:
+            found[path.name] = uses
+    assert found == {"model.py": ["record"]}
+
+
+def test_every_record_has_its_own_docstring():
+    """dataclass writes a missing docstring from the class signature, which
+    under record's init=False would read "Name()"."""
+    records = list(record_classes())
+    assert len(records) == 17
+    assert [f"{name}: {node.name}" for name, node in records
+            if not ast.get_docstring(node)] == []
