@@ -18,7 +18,7 @@ the written expression, so the floats are those of the expression itself.
 
 from __future__ import annotations
 
-from math import inf, nan, pi
+from math import nan, pi
 from typing import Callable, NamedTuple, Sequence
 
 from .kernels import ClosedForm, call_form, residual_maxima
@@ -159,27 +159,17 @@ class TanhSolution:
 def tanh_family(d1, d2, c11, c22) -> TanhSolution:
     """Solve the coefficient ties of the tanh front family.
 
-    Inputs must be finite and positive, and so must the derived rates and
-    competition coefficients, which extreme inputs can overflow; exact number
-    types are preserved in the derived coefficients.
+    Inputs must be finite and positive, and so must the derived growth rates
+    and competition coefficients, which extreme inputs can overflow or
+    underflow; exact number types are preserved in the derived coefficients.
     """
     require_positive(d1=(d1,), d2=(d2,), c11=(c11,), c22=(c22,))
     k1, k2 = 20 * d1 / c11, 4 * d2 / c22
     sigma1, sigma2 = 80 * d1, 8 * d2
     c12, c21 = 18 * c22 * d1 / d2, 3 * c11 * d2 / (10 * d1)
-    _require_finite_derived(sigma1=sigma1, sigma2=sigma2, c12=c12, c21=c21)
+    require_positive(sigma1=(sigma1,), sigma2=(sigma2,), c12=(c12,), c21=(c21,))
     return TanhSolution(d1=d1, d2=d2, c11=c11, c22=c22, k1=k1, k2=k2,
                         sigma1=sigma1, sigma2=sigma2, c12=c12, c21=c21, theta=0)
-
-
-def _require_finite_derived(**derived) -> None:
-    """Refuse a derived coefficient of the induced system that finite
-    parameters overflowed to +-inf, or to NaN as inf - inf, naming it, before
-    SystemSpec would blame a sigma or C that the caller never passed."""
-    for name, value in derived.items():
-        if not -inf < value < inf:
-            raise ValueError(f"derived coefficient {name} = {value!r} is not finite; "
-                             "the parameters overflow floating point")
 
 
 @record
@@ -261,8 +251,8 @@ def cos_family(m1, m2, m3, mu, d1, d2, d3,
     c22 = -(c21 * m1 + c23 * m3 + 4 * d2 * musq * m2) / m2
     sigma3 = -2 * (c31 * m1 + 3 * d3 * musq * m3)
     c33 = -(c31 * m1 + c32 * m2 + 4 * d3 * musq * m3) / m3
-    _require_finite_derived(sigma1=sigma1, sigma2=sigma2, sigma3=sigma3,
-                            c11=c11, c22=c22, c33=c33)
+    require_finite(sigma1=(sigma1,), sigma2=(sigma2,), sigma3=(sigma3,),
+                   c11=(c11,), c22=(c22,), c33=(c33,))
     for name, value in (("k1", k1), ("k2", k2), ("k3", k3),
                         ("c11", c11), ("c22", c22), ("c33", c33)):
         if not value > 0:

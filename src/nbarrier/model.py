@@ -54,7 +54,7 @@ def record(cls: type) -> type:
     dataclass(cls, init=False, repr=False, eq=False)
     declared = fields(cls)
     names = tuple(f.name for f in declared)
-    count, field_set = len(names), frozenset(names)
+    field_set = frozenset(names)
     defaults = {f.name: f.default for f in declared if f.default is not MISSING}
     required = field_set.difference(defaults)
     signature = Signature([Parameter(f.name, Parameter.POSITIONAL_OR_KEYWORD,
@@ -67,12 +67,10 @@ def record(cls: type) -> type:
         return tuple(map(self.__dict__.__getitem__, names))
 
     def arguments(args: tuple, kwargs: dict):
-        """The (field, value) pairs of a call that does not pass every field
+        """The field -> value dict of a call that does not pass every field
         by keyword, defaults included."""
         if not args and required <= kwargs.keys() <= field_set:
             return {**defaults, **kwargs}
-        if len(args) == count and not kwargs:
-            return zip(names, args)
         try:
             bound = signature.bind(*args, **kwargs)
         except TypeError as exc:

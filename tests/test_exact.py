@@ -66,21 +66,22 @@ def test_family_solvers_refuse_non_finite_parameters(solve, message):
 
 
 # Finite parameters whose derived system coefficient overflows: to inf, or
-# to NaN where two overflowed terms cancel.  The member is refused, naming
-# the derived coefficient, before SystemSpec would blame a sigma or C.
-@pytest.mark.parametrize("solve, name, value", [
-    (lambda: tanh_family(1e300, 1e-10, 1.0, 1e10), "c12", "inf"),
-    (lambda: tanh_family(1e-10, 1e300, 1e10, 1.0), "c21", "inf"),
-    (lambda: tanh_family(1e307, 1.0, 1.0, 1.0), "sigma1", "inf"),
+# to NaN where two overflowed terms cancel, or underflows to 0 where tanh
+# needs it positive.  The member is refused, naming the derived coefficient,
+# before SystemSpec would blame a sigma or C that was never passed.
+@pytest.mark.parametrize("solve, message", [
+    (lambda: tanh_family(1e300, 1e-10, 1.0, 1e10), "c12 must be finite, got inf"),
+    (lambda: tanh_family(1e-10, 1e300, 1e10, 1.0), "c21 must be finite, got inf"),
+    (lambda: tanh_family(1e307, 1.0, 1.0, 1.0), "sigma1 must be finite, got inf"),
+    (lambda: tanh_family(1.0, 1e-200, 1e-200, 1e-200), "c21 must be strictly positive"),
     (lambda: cos_family(-0.1, 2.0, 1 / 12, 2.0, 1e308, 1, 1, 1.7e308, 1, 1000.0,
-                        6 / 11, 100.0, 11 / 12), "sigma1", "nan"),
-    (lambda: _cos_with(4, 1e308), "sigma1", "-inf"),
-    (lambda: _cos_with(9, 1.7e308), "c22", "inf"),
-], ids=["tanh-c12", "tanh-c21", "tanh-sigma1", "cos-sigma1-nan", "cos-sigma1-minus-inf",
-        "cos-c22"])
-def test_family_solvers_refuse_overflowing_derived_coefficients(solve, name, value):
-    with pytest.raises(ValueError, match=f"^derived coefficient {name} = {value} is not "
-                                         "finite; the parameters overflow floating point$"):
+                        6 / 11, 100.0, 11 / 12), "sigma1 must be finite, got nan"),
+    (lambda: _cos_with(4, 1e308), "sigma1 must be finite, got -inf"),
+    (lambda: _cos_with(9, 1.7e308), "c22 must be finite, got inf"),
+], ids=["tanh-c12", "tanh-c21", "tanh-sigma1", "tanh-c21-underflow", "cos-sigma1-nan",
+        "cos-sigma1-minus-inf", "cos-c22"])
+def test_family_solvers_refuse_out_of_range_derived_coefficients(solve, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         solve()
 
 
