@@ -18,11 +18,9 @@ from __future__ import annotations
 from math import isfinite, sqrt
 from typing import Sequence
 
-from dataclasses import asdict
-
 from .barrier import ORDER_REL_SLACK, build_lower_barrier, build_upper_barrier
-from .model import (HullBounds, SystemSpec, hull_intercepts, record, require_positive,
-                    require_vectors)
+from .model import (HullBounds, SystemSpec, hull_intercepts, record, record_dict,
+                    require_positive, require_vectors)
 
 BRANCH_M1 = "m1"
 BRANCH_GENERAL = "general"
@@ -54,7 +52,7 @@ class BoundsResult:
             raise ValueError("lower bound exceeds upper bound")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return record_dict(self)
 
 
 def bounds_m1(alpha: Sequence[float], d: Sequence[float], hull: HullBounds,

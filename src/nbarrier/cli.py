@@ -23,13 +23,13 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, fields
 from pathlib import Path
 
 from .barrier import barrier_curves, build_lower_barrier, build_upper_barrier
 from .bounds import bounds_for
 from .exact import cos_family, residual, tanh_family
-from .model import hull_intercepts, system_from_dict, system_to_dict, verify_hypothesis_H
+from .model import (hull_intercepts, record_dict, system_from_dict, system_to_dict,
+                    verify_hypothesis_H)
 from .nonexistence import check, params_from_dict
 from .waves import check_bounds, integrate
 
@@ -195,7 +195,7 @@ def _cmd_barrier(args) -> tuple:
 def _cmd_verify_h(args) -> tuple:
     spec = system_from_dict(_load_json(args.spec))
     report = verify_hypothesis_H(spec, hull_intercepts(spec.reaction), args.samples)
-    return asdict(report), 0 if report.ok else 3, None
+    return record_dict(report), 0 if report.ok else 3, None
 
 
 def _family_from_args(args):
@@ -208,7 +208,7 @@ def _family_from_args(args):
 
 
 def _solution_dict(sol) -> dict:
-    doc = {f.name: float(getattr(sol, f.name)) for f in fields(sol)}
+    doc = {name: float(value) for name, value in record_dict(sol).items()}
     doc["system"] = system_to_dict(sol.system())
     return doc
 

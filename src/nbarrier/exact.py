@@ -159,15 +159,17 @@ class TanhSolution:
 def tanh_family(d1, d2, c11, c22) -> TanhSolution:
     """Solve the coefficient ties of the tanh front family.
 
-    Inputs must be finite and positive, and so must the derived growth rates
-    and competition coefficients, which extreme inputs can overflow or
-    underflow; exact number types are preserved in the derived coefficients.
+    Inputs must be finite and positive, and so must the derived growth rates,
+    competition coefficients and amplitudes k1, k2, which extreme inputs can
+    overflow or underflow; exact number types are preserved in the derived
+    coefficients.
     """
     require_positive(d1=(d1,), d2=(d2,), c11=(c11,), c22=(c22,))
     k1, k2 = 20 * d1 / c11, 4 * d2 / c22
     sigma1, sigma2 = 80 * d1, 8 * d2
     c12, c21 = 18 * c22 * d1 / d2, 3 * c11 * d2 / (10 * d1)
-    require_positive(sigma1=(sigma1,), sigma2=(sigma2,), c12=(c12,), c21=(c21,))
+    require_positive(sigma1=(sigma1,), sigma2=(sigma2,), c12=(c12,), c21=(c21,),
+                     k1=(k1,), k2=(k2,))
     return TanhSolution(d1=d1, d2=d2, c11=c11, c22=c22, k1=k1, k2=k2,
                         sigma1=sigma1, sigma2=sigma2, c12=c12, c21=c21, theta=0)
 

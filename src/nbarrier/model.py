@@ -11,11 +11,14 @@ Coefficient vectors (d, l, sigma, C, ubar, ulow, the band weights alpha)
 hold finite floats > 0 and share one length; require_vectors checks that.
 
 Every value type of the package is a record: the record decorator makes a
-frozen dataclass whose __init__, __repr__, __eq__, __hash__, __setattr__
+frozen value type whose __init__, __repr__, __eq__, __hash__, __setattr__
 and __delattr__ are closures shared by all records, where
 @dataclass(frozen=True) would write and compile six methods per class each
-time the package is imported.  fields, asdict and replace work on records
-as on any dataclass.
+time the package is imported.  record reads the fields from the class
+annotations and imports neither dataclasses nor inspect; a record's
+dataclass metadata and __signature__ are built on first use, so fields,
+asdict, replace and inspect.signature work on records as on any dataclass.
+record_dict turns records into the dicts that the CLI emits.
 
 Since C > 0, H holds on a hull exactly when every ulow_k is at most and
 every ubar_k at least each intercept on axis k, so the verdict compares the
@@ -26,42 +29,72 @@ satisfies H by construction.
 from __future__ import annotations
 
 import warnings
-from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
-from inspect import Parameter, Signature
 from itertools import chain
 from math import inf, isfinite
 from typing import Callable, Sequence
 
 REGION_REL_TOL = 1e-9      # relative tolerance for region membership
 
+_RECORD_FIELDS: dict = {}  # record class -> its field names, in declared order
+
+
+class _BuiltOnFirstRead:
+    """A class attribute of a record that build() makes the first time it is
+    read, on the class or on an instance; build stores the value on the
+    class in place of this descriptor and returns it."""
+
+    def __init__(self, build: Callable):
+        self.build = build
+
+    def __get__(self, instance, owner=None):
+        return self.build()
+
 
 def record(cls: type) -> type:
     """Make cls a frozen value type over its annotated fields, as
-    @dataclass(frozen=True) does, without generating any method source.
+    @dataclass(frozen=True) does, without generating any method source and
+    without importing dataclasses or inspect.
 
-    cls stays a dataclass (fields, asdict, replace and __match_args__ work),
-    but its __init__, __repr__, __eq__, __hash__, __setattr__ and
-    __delattr__ are closures shared by every record, and __signature__ lists
-    the fields for inspect and help.  __init__ fills the instance dict from
-    the arguments and defaults, calls __post_init__ if there is one, and
-    refuses a missing, unknown or repeated argument or surplus positional
-    ones with a TypeError, as the generated one does.  Keyword arguments
-    enter the instance dict in the order they were passed, so vars() need
-    not list the fields in declared order; fields() does.  cls needs a
-    docstring of its own: dataclass would otherwise write one from a
-    signature it cannot see.
+    The fields are cls's own annotations, in order, and a class attribute of
+    the same name is the field's default.  cls is a dataclass to whoever
+    asks: __dataclass_fields__ and __signature__ are built on first read (by
+    is_dataclass, fields, asdict, replace or inspect.signature, whose
+    callers have imported dataclasses or inspect already), and
+    __match_args__ lists the fields.  __init__, __repr__, __eq__, __hash__,
+    __setattr__ and __delattr__ are closures shared by every record.
+    __init__ fills the instance dict from keyword arguments and defaults,
+    calls __post_init__ if there is one, and binds any other call through
+    __signature__, so that a missing, unknown or repeated argument or
+    surplus positional ones raise a TypeError, as the generated __init__
+    does.  Keyword arguments enter the instance dict in the order they were
+    passed, so vars() need not list the fields in declared order;
+    record_dict does.  Setting or deleting an attribute raises
+    dataclasses.FrozenInstanceError.  cls needs a docstring of its own:
+    dataclass would otherwise write one from a signature it cannot see.
     """
-    dataclass(cls, init=False, repr=False, eq=False)
-    declared = fields(cls)
-    names = tuple(f.name for f in declared)
+    names = tuple(cls.__annotations__)
     field_set = frozenset(names)
-    defaults = {f.name: f.default for f in declared if f.default is not MISSING}
+    defaults = {name: vars(cls)[name] for name in names if name in vars(cls)}
     required = field_set.difference(defaults)
-    signature = Signature([Parameter(f.name, Parameter.POSITIONAL_OR_KEYWORD,
-                                     default=defaults.get(f.name, Parameter.empty),
-                                     annotation=f.type)
-                           for f in declared], return_annotation=None)
     post_init = getattr(cls, "__post_init__", None)
+    _RECORD_FIELDS[cls] = names
+
+    def dataclass_fields() -> dict:
+        # dataclass stores __dataclass_fields__ on cls; with eq=False it
+        # leaves __hash__ alone, and cls's docstring keeps it from writing
+        # one through inspect.
+        from dataclasses import dataclass
+        dataclass(cls, init=False, repr=False, eq=False)
+        return cls.__dataclass_fields__
+
+    def signature():
+        from inspect import Parameter, Signature
+        cls.__signature__ = Signature(
+            [Parameter(name, Parameter.POSITIONAL_OR_KEYWORD,
+                       default=defaults.get(name, Parameter.empty), annotation=annotation)
+             for name, annotation in cls.__annotations__.items()],
+            return_annotation=None)
+        return cls.__signature__
 
     def values(self) -> tuple:
         return tuple(map(self.__dict__.__getitem__, names))
@@ -72,7 +105,7 @@ def record(cls: type) -> type:
         if not args and required <= kwargs.keys() <= field_set:
             return {**defaults, **kwargs}
         try:
-            bound = signature.bind(*args, **kwargs)
+            bound = cls.__signature__.bind(*args, **kwargs)
         except TypeError as exc:
             raise TypeError(f"{cls.__qualname__}(): {exc}") from None
         bound.apply_defaults()
@@ -98,16 +131,32 @@ def record(cls: type) -> type:
         return hash(values(self))
 
     def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     for method in (__init__, __repr__, __eq__, __hash__, __setattr__, __delattr__):
         method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
         setattr(cls, method.__name__, method)
-    cls.__signature__ = signature
+    cls.__match_args__ = names
+    cls.__dataclass_fields__ = _BuiltOnFirstRead(dataclass_fields)
+    cls.__signature__ = _BuiltOnFirstRead(signature)
     return cls
+
+
+def record_dict(value):
+    """value with every record in it made a dict of its fields in declared
+    order, through lists and tuples too, as dataclasses.asdict does; the
+    values are not copied."""
+    names = _RECORD_FIELDS.get(type(value))
+    if names is not None:
+        return {name: record_dict(getattr(value, name)) for name in names}
+    if type(value) in (list, tuple):
+        return type(value)(map(record_dict, value))
+    return value
 
 
 def require_finite(**fields) -> None:

@@ -16,11 +16,10 @@ always true).
 
 from __future__ import annotations
 
-from dataclasses import asdict
-
 from .bounds import two_species_m2_lower, two_species_m2_upper
 from .model import (ReactionSpec, axis_intercepts, fields_from_dict, float_matrix,
-                    float_vector, number, record, require_finite, require_vectors)
+                    float_vector, number, record, record_dict, require_finite,
+                    require_vectors)
 
 
 @record
@@ -87,7 +86,7 @@ class NonexistenceVerdict:
     case_ii: CaseIIVerdict
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return record_dict(self)
 
 
 def check_case_i(params: ThreeSpeciesParams) -> CaseIVerdict:

@@ -1,7 +1,7 @@
 """Shared fixtures: the two closed-form wave families used across the suite,
-seeded members from the benchmark's parameter ranges, builtin sum with the
-rounding it has from Python 3.12 on, and a 50-digit evaluation of the
-barrier envelope chains."""
+seeded members from the benchmark's parameter ranges, one instance of every
+record, builtin sum with the rounding it has from Python 3.12 on, and a
+50-digit evaluation of the barrier envelope chains."""
 
 import builtins
 import math
@@ -11,7 +11,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from nbarrier import cos_family, tanh_family
+from nbarrier import (ThreeSpeciesParams, bounds_general, build_lower_barrier, check,
+                      check_bounds, cos_family, hull_intercepts, integrate, tanh_family,
+                      verify_containment, verify_hypothesis_H)
 
 # Worked three-species member with unit growth rates and unit self-limitation.
 COS_ARGS = (Fraction(-1, 10), Fraction(1, 11), Fraction(1, 12), 2,
@@ -40,6 +42,28 @@ def bench_range_member(rng, kind):
     c31 = (c32 * m2 + 4 * d3 * w * m3 + rng.uniform(0.05, 0.5)) / -m1
     sol = cos_family(m1, m2, m3, mu, d1, d2, d3, c12, c13, c21, c23, c31, c32)
     return sol, [i * sol.period / 100 for i in range(101)]
+
+
+def record_samples() -> dict:
+    """One library-built instance of every record, by class."""
+    sol = tanh_family(3.0, 4.0, 1.0, 2.0)
+    spec = sol.system()
+    hull = hull_intercepts(spec.reaction)
+    alpha = (0.5, 0.25)
+    env = build_lower_barrier(alpha, spec.d, hull.ulow, spec.m)
+    containment = verify_containment(env, hull, 1)
+    bounds = bounds_general(alpha, spec.d, hull, spec.m, 1)
+    traj = integrate(spec, (1.0, 2.0), (-0.1, 0.1), (0.0, 0.05), 0.01, alpha=alpha)
+    params = ThreeSpeciesParams(d=(1.0, 2.0, 1.0), sigma=(10.0, 12.0, 40.0),
+                                C=((1.0, 1.0, 0.5), (1.0, 2.0, 0.5), (1.0, 1.0, 2.0)),
+                                w_minus_inf=4.0)
+    verdict = check(params)
+    cos = cos_family(*[float(a) for a in COS_ARGS])
+    found = [spec.reaction, spec, hull, verify_hypothesis_H(spec, hull, 1), env,
+             containment.links[0], containment, bounds, sol.profile(), sol, cos,
+             params, verdict.case_i, verdict.case_ii, verdict, traj,
+             check_bounds(traj, alpha, bounds)]
+    return {type(obj): obj for obj in found}
 
 
 @pytest.fixture(scope="session")

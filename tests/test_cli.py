@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, JSON/CSV output, determinism."""
 
 import contextlib
+import importlib.util
 import io
 import json
 import math
@@ -464,6 +465,54 @@ def test_readme_examples_run_without_numpy():
     assert proc.stdout == "".join(example["stdout"] for example in examples)
 
 
+# Prints which of the watched modules are loaded after the import of
+# nbarrier.cli, and the exit code and the loaded ones after main has run
+# each (name, argv) pair of argv[1], in order, in the same interpreter.
+STARTUP_PROBE = """
+import contextlib, io, json, sys
+WATCHED = {"dataclasses", "inspect", "numpy"}
+from nbarrier.cli import main
+report = {"import": [0, sorted(WATCHED & sys.modules.keys())]}
+for name, argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        report[name] = [main(argv), sorted(WATCHED & sys.modules.keys())]
+print(json.dumps(report))
+"""
+
+
+def bare_python_json(script, *args):
+    """The JSON that script prints when run by python -S, so that no site
+    hook imports anything first, with the package and numpy importable."""
+    numpy_dir = Path(importlib.util.find_spec("numpy").origin).parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(nbarrier.__file__).parents[1]), str(numpy_dir)]))
+    proc = subprocess.run([sys.executable, "-S", "-c", script, *args],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_subcommands_start_without_dataclasses_inspect_or_numpy():
+    """The CLI and the README commands of every subcommand but simulate load
+    none of dataclasses, inspect or numpy.  simulate, run last, loads numpy
+    and nothing else that numpy's own import does not load (numpy 2 imports
+    inspect)."""
+    examples = json.loads(README_FIXTURE.read_text())["examples"]
+    runs = [(example["name"], example["argv"]) for example in examples]
+    runs.append(("simulate", ["simulate", FIG_SPEC, "--u0", "0.2,0.4", "--w0", "0,0",
+                              "--span", "0:10", "--step", "0.001", "--alpha", "1,2",
+                              "--check-bounds"]))
+    report = bare_python_json(STARTUP_PROBE, json.dumps(runs))
+    numpy_alone = bare_python_json(
+        "import json, sys, numpy; print(json.dumps(sorted("
+        "{'dataclasses', 'inspect', 'numpy'} & sys.modules.keys())))")
+    assert "numpy" in numpy_alone and "dataclasses" not in numpy_alone
+    assert len(report) == 9
+    simulate = report.pop("simulate")
+    assert report == {name: [0, []] for name in report}
+    assert simulate == [0, numpy_alone]
+
+
 @pytest.mark.parametrize("argv, named", [
     (("bounds", FIG_SPEC, "--alpha", "1,nan"), "--alpha"),
     (("barrier", FIG_SPEC, "--alpha", "inf,1", "--orientation", "upper"), "--alpha"),
@@ -732,13 +781,13 @@ def test_residual_checks_the_profile_against_the_spec_m(capsys, m):
 
 
 def test_exact_csv_is_not_written_when_the_document_is_not_finite(capsys, tmp_path):
-    # k1 = 20 d1 / c11 overflows to inf, so the command exits 1.
+    # k1 = 20 d1 / c11 overflows to inf, so the command exits 1, naming k1.
     csv_path = tmp_path / "profile.csv"
     code, out, err = run(capsys, "exact", "tanh", "--d1", "1e300", "--d2", "1",
                          "--c11", "1e-10", "--c22", "1", "--grid=0:1:0.5",
                          "--csv", str(csv_path))
     assert (code, out) == (1, "")
-    assert err.startswith("error: result holds a NaN or infinite value")
+    assert err == "error: k1 must be finite, got inf\n"
     assert not csv_path.exists()
 
 

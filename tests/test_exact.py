@@ -65,21 +65,24 @@ def test_family_solvers_refuse_non_finite_parameters(solve, message):
         solve()
 
 
-# Finite parameters whose derived system coefficient overflows: to inf, or
-# to NaN where two overflowed terms cancel, or underflows to 0 where tanh
-# needs it positive.  The member is refused, naming the derived coefficient,
-# before SystemSpec would blame a sigma or C that was never passed.
+# Finite parameters whose derived system coefficient or tanh amplitude k_i
+# overflows: to inf, or to NaN where two overflowed terms cancel, or
+# underflows to 0 where tanh needs it positive.  The member is refused,
+# naming the derived value, before SystemSpec would blame a sigma or C that
+# was never passed, or an infinite k_i reached the profile.
 @pytest.mark.parametrize("solve, message", [
     (lambda: tanh_family(1e300, 1e-10, 1.0, 1e10), "c12 must be finite, got inf"),
     (lambda: tanh_family(1e-10, 1e300, 1e10, 1.0), "c21 must be finite, got inf"),
     (lambda: tanh_family(1e307, 1.0, 1.0, 1.0), "sigma1 must be finite, got inf"),
     (lambda: tanh_family(1.0, 1e-200, 1e-200, 1e-200), "c21 must be strictly positive"),
+    (lambda: tanh_family(1e300, 1, 1e-10, 1), "k1 must be finite, got inf"),
+    (lambda: tanh_family(1, 1e300, 1, 1e-10), "k2 must be finite, got inf"),
     (lambda: cos_family(-0.1, 2.0, 1 / 12, 2.0, 1e308, 1, 1, 1.7e308, 1, 1000.0,
                         6 / 11, 100.0, 11 / 12), "sigma1 must be finite, got nan"),
     (lambda: _cos_with(4, 1e308), "sigma1 must be finite, got -inf"),
     (lambda: _cos_with(9, 1.7e308), "c22 must be finite, got inf"),
-], ids=["tanh-c12", "tanh-c21", "tanh-sigma1", "tanh-c21-underflow", "cos-sigma1-nan",
-        "cos-sigma1-minus-inf", "cos-c22"])
+], ids=["tanh-c12", "tanh-c21", "tanh-sigma1", "tanh-c21-underflow", "tanh-k1", "tanh-k2",
+        "cos-sigma1-nan", "cos-sigma1-minus-inf", "cos-c22"])
 def test_family_solvers_refuse_out_of_range_derived_coefficients(solve, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         solve()

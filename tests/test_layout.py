@@ -173,11 +173,12 @@ def test_only_main_writes_cli_outputs():
 
 
 def dataclass_uses(node, owner=None):
-    """The enclosing function of each read of the name dataclass under node,
-    as a call or a bare decorator, dataclasses.dataclass included."""
+    """The outermost enclosing function of each read of the name dataclass
+    under node, as a call or a bare decorator, dataclasses.dataclass
+    included; a function nested in another is credited to the outer one."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from dataclass_uses(child, child.name)
+            yield from dataclass_uses(child, owner or child.name)
             continue
         if (isinstance(child, ast.Name) and child.id == "dataclass") or (
                 isinstance(child, ast.Attribute) and child.attr == "dataclass"):

@@ -1,24 +1,27 @@
 """Records against their generated twins: each value type made by
 model.record behaves as the @dataclass(frozen=True) class with the same
-fields does."""
+fields does, also when its dataclass metadata is first read in a process
+that imported the package before dataclasses and inspect."""
 
 import copy
 import inspect
 import operator
+import os
 import re
+import subprocess
 import sys
 from dataclasses import (MISSING, FrozenInstanceError, asdict, field, fields,
                          is_dataclass, make_dataclass, replace)
+from pathlib import Path
 from unittest.mock import ANY
 
 import pytest
 
 import nbarrier
-from nbarrier import (ThreeSpeciesParams, bounds_general, build_lower_barrier, check,
-                      check_bounds, hull_intercepts, integrate, tanh_family,
-                      verify_containment, verify_hypothesis_H)
+from nbarrier import ThreeSpeciesParams
+from nbarrier.model import record_dict
 
-from conftest import COS_ARGS
+from conftest import record_samples
 
 MODULES = ("model", "barrier", "bounds", "exact", "nonexistence", "waves")
 RECORDS = sorted((cls for name in MODULES
@@ -27,29 +30,7 @@ RECORDS = sorted((cls for name in MODULES
                   and cls.__module__ == f"nbarrier.{name}"), key=lambda cls: cls.__name__)
 
 
-def samples() -> dict:
-    """One library-built instance of every record, by class."""
-    sol = tanh_family(3.0, 4.0, 1.0, 2.0)
-    spec = sol.system()
-    hull = hull_intercepts(spec.reaction)
-    alpha = (0.5, 0.25)
-    env = build_lower_barrier(alpha, spec.d, hull.ulow, spec.m)
-    containment = verify_containment(env, hull, 1)
-    bounds = bounds_general(alpha, spec.d, hull, spec.m, 1)
-    traj = integrate(spec, (1.0, 2.0), (-0.1, 0.1), (0.0, 0.05), 0.01, alpha=alpha)
-    params = ThreeSpeciesParams(d=(1.0, 2.0, 1.0), sigma=(10.0, 12.0, 40.0),
-                                C=((1.0, 1.0, 0.5), (1.0, 2.0, 0.5), (1.0, 1.0, 2.0)),
-                                w_minus_inf=4.0)
-    verdict = check(params)
-    cos = nbarrier.cos_family(*[float(a) for a in COS_ARGS])
-    found = [spec.reaction, spec, hull, verify_hypothesis_H(spec, hull, 1), env,
-             containment.links[0], containment, bounds, sol.profile(), sol, cos,
-             params, verdict.case_i, verdict.case_ii, verdict, traj,
-             check_bounds(traj, alpha, bounds)]
-    return {type(obj): obj for obj in found}
-
-
-SAMPLES = samples()
+SAMPLES = record_samples()
 
 
 def twin_of(cls):
@@ -147,7 +128,7 @@ def test_record_dataclass_api_matches_the_twin(cls):
     assert inspect.signature(cls) == inspect.signature(Twin)
     assert str(inspect.signature(cls)) == str(inspect.signature(Twin))
     # asdict deep-copies values, so an object's address differs between calls.
-    assert scrubbed(asdict(obj)) == scrubbed(asdict(twin))
+    assert scrubbed(asdict(obj)) == scrubbed(asdict(twin)) == scrubbed(record_dict(obj))
     unchanged = field_values(obj)
     assert repr(replace(obj, **unchanged)) == repr(obj)
     assert repr(replace(twin, **unchanged)) == repr(twin)
@@ -178,3 +159,60 @@ def test_record_defaults_match_the_twin():
     assert made.w_minus_inf is made.w_plus_inf is None
     assert repr(ThreeSpeciesParams(obj.d, obj.sigma, obj.C, 1.0)) == repr(
         type(twin)(obj.d, obj.sigma, obj.C, 1.0))
+
+
+# Imports the package before dataclasses and inspect, builds one sample of
+# each record, checks that none has its dataclass metadata or signature yet,
+# then runs every dataclass check on each record.  The checks take turns at
+# being the first to read a record's metadata.  Prints the failed checks.
+LAZY_PROBE = """
+import sys
+import nbarrier
+assert not {"dataclasses", "inspect"} & sys.modules.keys(), "loaded by nbarrier"
+import dataclasses, inspect
+from conftest import record_samples
+
+
+def frozen(cls, obj, names):
+    try:
+        setattr(obj, names[0], None)
+    except dataclasses.FrozenInstanceError as exc:
+        return type(exc) is dataclasses.FrozenInstanceError
+    return False
+
+
+CHECKS = {
+    "is_dataclass": lambda cls, obj, names: (dataclasses.is_dataclass(obj)
+                                             and dataclasses.is_dataclass(cls)),
+    "fields": lambda cls, obj, names: tuple(
+        f.name for f in dataclasses.fields(obj)) == names,
+    "asdict": lambda cls, obj, names: tuple(dataclasses.asdict(obj)) == names,
+    "replace": lambda cls, obj, names: repr(dataclasses.replace(obj)) == repr(obj),
+    "signature": lambda cls, obj, names: tuple(inspect.signature(cls).parameters) == names,
+    "positional": lambda cls, obj, names: repr(
+        cls(*[getattr(obj, name) for name in names])) == repr(obj),
+    "frozen": frozen,
+}
+samples = sorted(record_samples().items(), key=lambda item: item[0].__name__)
+failed = [f"{cls.__name__}: built early" for cls, _ in samples
+          if isinstance(vars(cls)["__dataclass_fields__"], dict)
+          or isinstance(vars(cls)["__signature__"], inspect.Signature)]
+kinds = list(CHECKS)
+for k, (cls, obj) in enumerate(samples):
+    for kind in kinds[k % len(kinds):] + kinds[:k % len(kinds)]:
+        if not CHECKS[kind](cls, obj, cls.__match_args__):
+            failed.append(f"{cls.__name__}: {kind}")
+print(len(samples), *failed, sep="\\n")
+"""
+
+
+def test_records_are_full_dataclasses_when_their_metadata_is_built_on_first_use():
+    # python -S runs no site hook that could import dataclasses first; this
+    # interpreter's path still finds numpy and pytest.
+    tests = Path(__file__).parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(nbarrier.__file__).parents[1]), str(tests), *sys.path]))
+    proc = subprocess.run([sys.executable, "-S", "-c", LAZY_PROBE], cwd=tests, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["17", ""]
