@@ -80,7 +80,10 @@ class BarrierEnvelope:
 
 
 def _require_exponent_domain(m: float):
-    if m <= 1:
+    if not 1 < m < inf:
+        # A NaN or infinite m is named as such, not as m <= 1 or a level fault.
+        if not isfinite(m):
+            raise ValueError(f"m must be finite, got {m!r}")
         raise ValueError("tangency exponents 1/(m-1) need m > 1")
 
 

@@ -38,12 +38,13 @@ class BoundsResult:
     branch: str
 
     def __post_init__(self):
+        # First, as a NaN or infinite chi makes the lower bound non-finite.
+        if self.chi not in (0, 1):
+            raise ValueError("chi must be 0 or 1")
         # Weighted intercepts can overflow to inf (and inf * chi = 0 to NaN).
         if not (isfinite(self.lower) and isfinite(self.upper)):
             raise ValueError(f"bounds must be finite, got lower {self.lower!r} and upper "
                              f"{self.upper!r}; the parameters overflow floating point")
-        if self.chi not in (0, 1):
-            raise ValueError("chi must be 0 or 1")
         if self.chi == 0 and self.lower != 0.0:
             raise ValueError("chi = 0 forces a zero lower bound")
         if self.upper <= 0:

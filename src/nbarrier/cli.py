@@ -15,6 +15,12 @@ family flag, a --tol that is not positive and finite, a bad or oversized
 curve lattice is oversized, an unreadable input or unwritable output path),
 3 computation succeeded but a verification check failed.  All output is
 deterministic; floats use shortest round-trip formatting.
+
+build_parser makes one parser per subcommand, but adds a subcommand's
+arguments, --out first, only when that subcommand first parses; exact and
+residual build their tanh and cos parsers then, and each of those adds its
+flags on its own first parse.  A process so builds the arguments of the one
+path it parses, and --help and usage errors read as from the full tree.
 """
 
 from __future__ import annotations
@@ -274,73 +280,101 @@ def _cmd_nonexistence(args) -> tuple:
     return check(params_from_dict(_load_json(args.params))).to_dict(), 0, None
 
 
+# Command name -> (its help line, the function that runs it).  exact and
+# residual run theirs from one subcommand per family.
+COMMANDS = {
+    "bounds": ("closed-form bounds on the weighted total", _cmd_bounds),
+    "barrier": ("build one barrier envelope", _cmd_barrier),
+    "verify-h": ("check the sign hypothesis exactly at the hull vertices", _cmd_verify_h),
+    "exact": ("solve a closed-form family", _cmd_exact),
+    "residual": ("wave-equation residual of a family", _cmd_residual),
+    "simulate": ("integrate a trajectory", _cmd_simulate),
+    "nonexistence": ("three-species wave blocking verdict", _cmd_nonexistence),
+}
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """The parser of one command, or of one family of exact or residual,
+    which adds its arguments the first time it parses.  A process parses one
+    path through the command tree, so it builds the arguments of that path
+    alone; --help and usage errors come after the build, so they read the
+    same as from a tree built in full."""
+
+    def __init__(self, *args, command: str, family: str | None = None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._unbuilt = (command, family)
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._unbuilt:
+            command, family = self._unbuilt
+            self._unbuilt = None
+            _add_arguments(self, command, family)
+        return super().parse_known_args(args, namespace)
+
+
+def _add_arguments(p: argparse.ArgumentParser, command: str, family: str | None) -> None:
+    """Add command's arguments to its parser p, --out first.  exact and
+    residual without a family get one subcommand per family instead, whose
+    parser adds that family's flags on its own first parse."""
+    if family is None and command in ("exact", "residual"):
+        families = p.add_subparsers(dest="family", required=True)
+        for name in FAMILIES:
+            families.add_parser(name, help=f"the {name} family", allow_abbrev=False,
+                                command=command, family=name)
+        return
+    p.add_argument("--out", help="write the JSON document here, not to stdout")
+    if command == "bounds":
+        p.add_argument("spec", help="system JSON (path or inline)")
+        p.add_argument("--alpha", required=True, help="comma-separated weights")
+        p.add_argument("--chi", type=int, choices=(0, 1), default=1,
+                       help="boundary characteristic (default 1)")
+    elif command == "barrier":
+        p.add_argument("spec")
+        p.add_argument("--alpha", required=True)
+        p.add_argument("--orientation", choices=("lower", "upper"), required=True)
+        p.add_argument("--samples", type=_positive_int, default=100,
+                       help="lattice resolution for --curve-csv")
+        p.add_argument("--curve-csv", dest="curve_csv")
+    elif command == "verify-h":
+        p.add_argument("spec")
+        p.add_argument("--samples", type=_positive_int, default=50,
+                       help="accepted for compatibility; does not change the result")
+    elif command in ("exact", "residual"):
+        for name in FAMILIES[family][1]:
+            p.add_argument(f"--{name}", type=float, required=True)
+        p.add_argument("--grid", type=parse_grid, help="A:B:H sample grid")
+        if command == "exact":
+            p.add_argument("--csv", help="write x,u1..un samples here")
+        else:
+            p.add_argument("--spec", help="check against this system instead "
+                                          "of the induced one")
+            p.add_argument("--tol", type=float, default=RESIDUAL_TOL)
+    elif command == "simulate":
+        p.add_argument("spec")
+        p.add_argument("--u0", required=True)
+        p.add_argument("--w0", required=True)
+        p.add_argument("--span", required=True, help="A:B")
+        p.add_argument("--step", type=float, required=True)
+        p.add_argument("--alpha")
+        p.add_argument("--csv")
+        p.add_argument("--check-bounds", dest="check_bounds", action="store_true")
+        p.add_argument("--chi", type=int, choices=(0, 1), default=1)
+    else:
+        p.add_argument("params", help="parameter JSON (path or inline)")
+    p.set_defaults(fn=COMMANDS[command][1])
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The nbarrier parser; each command's parser adds its arguments on its
+    first parse (_CommandParser)."""
     parser = argparse.ArgumentParser(
         prog="nbarrier", allow_abbrev=False,
         description="Barrier bounds, exact profiles and wave checks for "
                     "degenerate competition systems.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="write the JSON document here, not to stdout")
-    command = {"parents": [common], "allow_abbrev": False}  # no flag prefixes
-
-    p = sub.add_parser("bounds", **command,
-                       help="closed-form bounds on the weighted total")
-    p.add_argument("spec", help="system JSON (path or inline)")
-    p.add_argument("--alpha", required=True, help="comma-separated weights")
-    p.add_argument("--chi", type=int, choices=(0, 1), default=1,
-                   help="boundary characteristic (default 1)")
-    p.set_defaults(fn=_cmd_bounds)
-
-    p = sub.add_parser("barrier", **command, help="build one barrier envelope")
-    p.add_argument("spec")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--orientation", choices=("lower", "upper"), required=True)
-    p.add_argument("--samples", type=_positive_int, default=100,
-                   help="lattice resolution for --curve-csv")
-    p.add_argument("--curve-csv", dest="curve_csv")
-    p.set_defaults(fn=_cmd_barrier)
-
-    p = sub.add_parser("verify-h", **command,
-                       help="check the sign hypothesis exactly at the hull vertices")
-    p.add_argument("spec")
-    p.add_argument("--samples", type=_positive_int, default=50,
-                   help="accepted for compatibility; does not change the result")
-    p.set_defaults(fn=_cmd_verify_h)
-
-    for cmd, fn, what in (("exact", _cmd_exact, "solve a closed-form family"),
-                          ("residual", _cmd_residual, "wave-equation residual of a family")):
-        families = sub.add_parser(cmd, help=what, allow_abbrev=False).add_subparsers(
-            dest="family", required=True)
-        for family, (_, names) in FAMILIES.items():
-            p = families.add_parser(family, **command, help=f"the {family} family")
-            for name in names:
-                p.add_argument(f"--{name}", type=float, required=True)
-            p.add_argument("--grid", type=parse_grid, help="A:B:H sample grid")
-            if cmd == "exact":
-                p.add_argument("--csv", help="write x,u1..un samples here")
-            else:
-                p.add_argument("--spec", help="check against this system instead "
-                                              "of the induced one")
-                p.add_argument("--tol", type=float, default=RESIDUAL_TOL)
-            p.set_defaults(fn=fn)
-
-    p = sub.add_parser("simulate", **command, help="integrate a trajectory")
-    p.add_argument("spec")
-    p.add_argument("--u0", required=True)
-    p.add_argument("--w0", required=True)
-    p.add_argument("--span", required=True, help="A:B")
-    p.add_argument("--step", type=float, required=True)
-    p.add_argument("--alpha")
-    p.add_argument("--csv")
-    p.add_argument("--check-bounds", dest="check_bounds", action="store_true")
-    p.add_argument("--chi", type=int, choices=(0, 1), default=1)
-    p.set_defaults(fn=_cmd_simulate)
-
-    p = sub.add_parser("nonexistence", **command,
-                       help="three-species wave blocking verdict")
-    p.add_argument("params", help="parameter JSON (path or inline)")
-    p.set_defaults(fn=_cmd_nonexistence)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    for command, (what, _) in COMMANDS.items():
+        # No parser takes a flag prefix.
+        sub.add_parser(command, help=what, allow_abbrev=False, command=command)
     return parser
 
 

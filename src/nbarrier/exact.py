@@ -9,19 +9,22 @@ arithmetic so exact number types (fractions.Fraction) pass through unchanged.
 Profiles carry analytic first and second derivatives; residuals of the wave
 equation are evaluated from those, never from finite differences, so a true
 family member shows nothing but roundoff.  Each family writes its closed
-form once, as the statements of a kernels.ClosedForm (TANH_FORM, COS_FORM);
-the residual kernel inlines them in its grid loop, and Profile.derivs runs
-the same statements.  profile() computes the member constants they read,
-each factor that hoists exactly computed once with the operands and order of
-the written expression, so the floats are those of the expression itself.
+form once, as the statements of a ClosedForm (TANH_FORM, COS_FORM), a class
+defined here and re-exported by kernels; the residual kernel inlines them in
+its grid loop, and Profile.derivs runs the same statements.  profile()
+computes the member constants they read, each factor that hoists exactly
+computed once with the operands and order of the written expression, so the
+floats are those of the expression itself.  kernels, which writes and
+compiles that code, is imported on first use: ClosedForm.at, Profile.of and
+residual import it in their bodies, so this module loads without it.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import nan, pi
 from typing import Callable, NamedTuple, Sequence
 
-from .kernels import ClosedForm, call_form, residual_maxima
 from .model import ReactionSpec, SystemSpec, record, require_finite, require_positive
 
 
@@ -33,6 +36,31 @@ class ProfilePoint(NamedTuple):
     ddu: tuple
     dum: tuple
     ddum: tuple
+
+
+class ClosedForm:
+    """A family's closed form for n species, written once as statements.
+
+    source is straight-line statements that read x, math's names and the
+    member constants named in names, and bind u_i, du_i and ddu_i (u_i, u_i'
+    and u_i'') for each species i < n.  Every other name that they bind, and
+    every name in names, starts with kernels.FORM_PREFIX, so that none of
+    them shadows a kernel name.  The residual kernel writes the statements
+    into its grid loop, and at(constants, x) runs them.  A plain class, not a
+    record: every CLI process builds the two family forms at import.
+    """
+
+    def __init__(self, n: int, names: tuple, source: str):
+        self.n, self.names, self.source = n, names, source
+
+    @cached_property
+    def at(self) -> Callable:
+        """at(constants, x): one (u_i, u_i', u_i'') tuple per species at x, for
+        the member whose values of names are constants.  Compiled on first
+        use, so a process that only takes residuals never compiles it, and
+        one that evaluates no profile never loads kernels."""
+        from .kernels import compile_at
+        return compile_at(self)
 
 
 # u = k1 (1 - tanh x)^2, v = k2 (1 + tanh x), with s = 1 - t^2 = tanh'(x).
@@ -94,6 +122,7 @@ class Profile:
     @classmethod
     def of(cls, n: int, m: float, derivs: Callable[[float], tuple]) -> Profile:
         """The profile whose derivs(x) is the callable derivs, over n species."""
+        from .kernels import call_form
         return cls(m, call_form(n), (derivs,))
 
     @property
@@ -279,4 +308,5 @@ def residual(spec: SystemSpec, profile: Profile, grid: Sequence[float]) -> tuple
         raise ValueError("profile dimension does not match system")
     if len(grid) == 0:
         raise ValueError("residual needs a grid of at least one point, got an empty grid")
+    from .kernels import residual_maxima
     return residual_maxima(spec, profile.form, profile.constants, grid)

@@ -10,12 +10,18 @@ from the spec and picks the source, so one kernel serves every spec with n
 species whose exponents write the same source.
 
 The residual kernel inlines the family's closed form: a ClosedForm is the
-statements that bind u_i, u_i' and u_i'' at x from named member constants,
-written once in exact.py, and the grid loop runs them in place of a call.
+statements that bind u_i, u_i' and u_i'' at x from named member constants.
+The class lives in exact.py, next to the families that write one, and this
+module re-exports it; the grid loop runs the statements in place of a call.
 The constants are an argument of the kernel, so every member of a family
 shares one kernel per exponent-class pattern, and the same statements,
-compiled on first use, are the family's derivs(x).  Profile.of makes a bare
-callable a profile with call_form(n), which calls it and names a bad return.
+compiled on first use by compile_at, are the family's derivs(x).
+Profile.of makes a bare callable a profile with call_form(n), which calls it
+and names a bad return.
+
+No module imports this one at load: ClosedForm.at, Profile.of,
+exact.residual and waves.rk4_march import it in their bodies, so importing
+the package, and every subcommand but residual and simulate, never loads it.
 
 The exponents are m - 1, m - 2 and each l_i, and each has one of four
 classes: 0.0, 1.0, another integer, or a fraction.  A power to 1.0 is
@@ -51,9 +57,11 @@ the list stepper it replaced, in the same order, so both give the floats of thos
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import mul
 from typing import TYPE_CHECKING, Callable, Sequence
+
+from .exact import ClosedForm  # re-exported
 
 if TYPE_CHECKING:
     from .model import SystemSpec
@@ -102,32 +110,15 @@ def _compile(source: str, label: str) -> Callable:
     return kernel
 
 
-class ClosedForm:
-    """A family's closed form for n species, written once as statements.
-
-    source is straight-line statements that read x, math's names and the
-    member constants named in names, and bind u_i, du_i and ddu_i (u_i, u_i'
-    and u_i'') for each species i < n.  Every other name that they bind, and
-    every name in names, starts with FORM_PREFIX, so that none of them
-    shadows a kernel name.  The residual kernel writes the statements into
-    its grid loop, and at(constants, x) runs them.  A plain class, not a
-    dataclass: every CLI process builds it at import.
-    """
-
-    def __init__(self, n: int, names: tuple, source: str):
-        self.n, self.names, self.source = n, names, source
-
-    @cached_property
-    def at(self) -> Callable:
-        """at(constants, x): one (u_i, u_i', u_i'') tuple per species at x, for
-        the member whose values of names are constants.  Compiled on first
-        use, so a process that only takes residuals never compiles it."""
-        return _compile("\n".join([
-            "def kernel(constants, x):",
-            f"    {_unpack(self)}",
-            *("    " + line for line in self.source.splitlines()),
-            f"    return ({_tuple('(u{0}, du{0}, ddu{0})', self.n)})",
-            ""]), f"derivs, n = {self.n}")
+def compile_at(form: ClosedForm) -> Callable:
+    """form.at: at(constants, x), one (u_i, u_i', u_i'') tuple per species at
+    x for the member whose values of form.names are constants."""
+    return _compile("\n".join([
+        "def kernel(constants, x):",
+        f"    {_unpack(form)}",
+        *("    " + line for line in form.source.splitlines()),
+        f"    return ({_tuple('(u{0}, du{0}, ddu{0})', form.n)})",
+        ""]), f"derivs, n = {form.n}")
 
 
 def _unpack(form: ClosedForm) -> str:

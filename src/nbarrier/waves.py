@@ -26,10 +26,9 @@ subcommand except simulate) does not load it.
 from __future__ import annotations
 
 from math import isfinite
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .bounds import BoundsResult
-from .kernels import rk4_march
 from .model import SystemSpec, record, require_finite, require_vectors
 
 if TYPE_CHECKING:
@@ -37,6 +36,14 @@ if TYPE_CHECKING:
 
 POSITIVITY_FLOOR = 1e-8
 MAX_STEPS = 10 ** 6
+
+
+def rk4_march(spec: SystemSpec, floor: float) -> Callable:
+    """kernels.rk4_march(spec, floor), loading kernels on first use: integrate
+    takes its step loop through this name, and among the subcommands only
+    simulate integrates."""
+    from . import kernels
+    return kernels.rk4_march(spec, floor)
 
 
 @record

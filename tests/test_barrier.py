@@ -117,6 +117,20 @@ def test_tangency_rejects_degenerate_exponent_and_level():
         build_lower_barrier((1.0, 1.0), (1.0,), (1.0, 1.0), 2.0)
 
 
+@pytest.mark.parametrize("m", [math.nan, math.inf])
+@pytest.mark.parametrize("build", [
+    lambda m: build_lower_barrier(*FIG1_ARGS[:3], m),
+    lambda m: build_upper_barrier(*FIG1_ARGS[:2], (1.0, 1.0), m),
+    lambda m: BarrierEnvelope(lambda1=1.0, eta1=1.0, lambda2=0.5, eta2=0.5,
+                              orientation="lower", weights=(1.0, 1.0), m=m, d=(1.0, 1.0)),
+], ids=["lower", "upper", "envelope"])
+def test_a_non_finite_exponent_is_refused_by_name(build, m):
+    # NaN passes m <= 1, and inf makes Lambda underflow; neither is an
+    # overflow or underflow of the parameters.
+    with pytest.raises(ValueError, match=f"^m must be finite, got {m!r}$"):
+        build(m)
+
+
 @given(st.data(), exponents, st.integers(min_value=2, max_value=4))
 @settings(max_examples=60, deadline=None)
 def test_tangency_level_is_m_homogeneous_in_theta(data, m, n):

@@ -110,6 +110,25 @@ def test_bounds_result_validation():
     assert set(doc) == {"lower", "upper", "chi", "branch"}
 
 
+@pytest.mark.parametrize("chi", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("bounds", [
+    lambda chi: bounds_m1((0.5, 1 / 3), (3.0, 4.0), REMARK_HULL, chi),
+    lambda chi: bounds_general((0.5, 1 / 3), (3.0, 4.0), REMARK_HULL, 2.0, chi),
+    lambda chi: bounds_two_species_m2(0.5, 1 / 3, 3.0, 4.0, REMARK_HULL, chi),
+], ids=["m1", "general", "two_species_m2"])
+def test_a_non_finite_chi_is_refused_by_name(bounds, chi):
+    # chi scales the lower bound, which it makes NaN or infinite; that is
+    # not an overflow of the parameters.
+    with pytest.raises(ValueError, match="^chi must be 0 or 1$"):
+        bounds(chi)
+
+
+@pytest.mark.parametrize("m", [math.nan, math.inf])
+def test_bounds_general_refuses_a_non_finite_m_by_name(m):
+    with pytest.raises(ValueError, match=f"^m must be finite, got {m!r}$"):
+        bounds_general((0.5, 1 / 3), (3.0, 4.0), REMARK_HULL, m, 1)
+
+
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_bound_monotonicity_in_hull(data):

@@ -294,21 +294,38 @@ def test_flag_of_the_other_family_is_usage_error(capsys, cmd):
     assert err.splitlines()[-1] == "nbarrier: error: unrecognized arguments: --d3 1 --mu 2"
 
 
-@pytest.mark.parametrize("cmd, own", [
-    ("exact", ["--grid", "--csv"]),
-    ("residual", ["--grid", "--spec", "--tol"]),
+# A plain command's usage after [-h] [--out OUT]: its own flags, then its
+# positional argument.
+PLAIN_USAGE = {
+    "bounds": "--alpha ALPHA [--chi {0,1}] spec",
+    "barrier": "--alpha ALPHA --orientation {lower,upper} [--samples SAMPLES] "
+               "[--curve-csv CURVE_CSV] spec",
+    "verify-h": "[--samples SAMPLES] spec",
+    "simulate": "--u0 U0 --w0 W0 --span SPAN --step STEP [--alpha ALPHA] [--csv CSV] "
+                "[--check-bounds] [--chi {0,1}] spec",
+    "nonexistence": "params",
+}
+FAMILY_FLAGS = [("exact", ["--grid", "--csv"]), ("residual", ["--grid", "--spec", "--tol"])]
+
+
+# The family cases keep the ids of the family x (cmd, own) grid.
+@pytest.mark.parametrize("cmd, family, own", [
+    *(pytest.param(cmd, family, own, id=f"{family}-{cmd}-own{k}")
+      for family in sorted(FAMILIES) for k, (cmd, own) in enumerate(FAMILY_FLAGS)),
+    *(pytest.param(cmd, None, usage, id=cmd) for cmd, usage in PLAIN_USAGE.items()),
 ])
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_a_family_command_takes_exactly_its_flags(capsys, cmd, own, family):
-    code, out, err = run(capsys, cmd, family, "--help")
+def test_a_family_command_takes_exactly_its_flags(capsys, cmd, family, own):
+    code, out, err = run(capsys, cmd, *([family] if family else []), "--help")
     assert (code, err) == (0, "")
     usage = " ".join(out.split("\n\n")[0].split())
-    # --out, shared by every command, comes first; every family flag is
-    # required, so its usage has no brackets.
-    names = [f"--{name}" for name in FAMILIES[family][1]]
-    assert usage == " ".join([f"usage: nbarrier {cmd} {family} [-h] [--out OUT]",
-                              *(f"{name} {name[2:].upper()}" for name in names),
-                              *(f"[{flag} {flag[2:].upper()}]" for flag in own)])
+    if family:
+        # Every family flag is required, so its usage has no brackets.
+        names = [f"--{name}" for name in FAMILIES[family][1]]
+        own = " ".join([*(f"{name} {name[2:].upper()}" for name in names),
+                        *(f"[{flag} {flag[2:].upper()}]" for flag in own)])
+        cmd = f"{cmd} {family}"
+    # --out, shared by every command, comes first.
+    assert usage == f"usage: nbarrier {cmd} [-h] [--out OUT] {own}"
 
 
 def test_residual_clean_and_perturbed(capsys):
@@ -466,13 +483,16 @@ def test_readme_examples_run_without_numpy():
 
 
 # Prints which of the watched modules are loaded after the import of
-# nbarrier.cli, and the exit code and the loaded ones after main has run
-# each (name, argv) pair of argv[1], in order, in the same interpreter.
+# nbarrier and then of nbarrier.cli, and the exit code and the loaded ones
+# after main has run each (name, argv) pair of argv[1], in order, in the
+# same interpreter.
 STARTUP_PROBE = """
 import contextlib, io, json, sys
-WATCHED = {"dataclasses", "inspect", "numpy"}
+WATCHED = {"dataclasses", "inspect", "numpy", "nbarrier.kernels"}
+import nbarrier
+report = {"package": [0, sorted(WATCHED & sys.modules.keys())]}
 from nbarrier.cli import main
-report = {"import": [0, sorted(WATCHED & sys.modules.keys())]}
+report["import"] = [0, sorted(WATCHED & sys.modules.keys())]
 for name, argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         report[name] = [main(argv), sorted(WATCHED & sys.modules.keys())]
@@ -493,24 +513,30 @@ def bare_python_json(script, *args):
 
 
 def test_subcommands_start_without_dataclasses_inspect_or_numpy():
-    """The CLI and the README commands of every subcommand but simulate load
-    none of dataclasses, inspect or numpy.  simulate, run last, loads numpy
-    and nothing else that numpy's own import does not load (numpy 2 imports
-    inspect)."""
+    """The package, the CLI and the README commands of every subcommand but
+    simulate load none of dataclasses, inspect or numpy, and those of every
+    subcommand but residual do not load nbarrier.kernels either.  residual,
+    run last, loads kernels alone.  simulate, in an interpreter of its own,
+    loads kernels and numpy and nothing else that numpy's own import does
+    not load (numpy 2 imports inspect)."""
     examples = json.loads(README_FIXTURE.read_text())["examples"]
-    runs = [(example["name"], example["argv"]) for example in examples]
-    runs.append(("simulate", ["simulate", FIG_SPEC, "--u0", "0.2,0.4", "--w0", "0,0",
-                              "--span", "0:10", "--step", "0.001", "--alpha", "1,2",
-                              "--check-bounds"]))
+    runs = sorted(((example["name"], example["argv"]) for example in examples),
+                  key=lambda run: run[1][0] == "residual")
     report = bare_python_json(STARTUP_PROBE, json.dumps(runs))
+    simulate = bare_python_json(STARTUP_PROBE, json.dumps([(
+        "simulate", ["simulate", FIG_SPEC, "--u0", "0.2,0.4", "--w0", "0,0",
+                     "--span", "0:10", "--step", "0.001", "--alpha", "1,2",
+                     "--check-bounds"])]))
     numpy_alone = bare_python_json(
         "import json, sys, numpy; print(json.dumps(sorted("
         "{'dataclasses', 'inspect', 'numpy'} & sys.modules.keys())))")
     assert "numpy" in numpy_alone and "dataclasses" not in numpy_alone
     assert len(report) == 9
-    simulate = report.pop("simulate")
+    residual = report.pop("residual_tanh")
     assert report == {name: [0, []] for name in report}
-    assert simulate == [0, numpy_alone]
+    assert residual == [0, ["nbarrier.kernels"]]
+    assert simulate == {"package": [0, []], "import": [0, []],
+                        "simulate": [0, sorted(numpy_alone + ["nbarrier.kernels"])]}
 
 
 @pytest.mark.parametrize("argv, named", [
