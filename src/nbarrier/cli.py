@@ -21,6 +21,11 @@ arguments, --out first, only when that subcommand first parses; exact and
 residual build their tanh and cos parsers then, and each of those adds its
 flags on its own first parse.  A process so builds the arguments of the one
 path it parses, and --help and usage errors read as from the full tree.
+
+No subcommand needs numpy.  simulate steps and summarises its trajectory in
+plain Python, through waves.integrate_rows and waves.summarise_rows, and
+loads numpy only to re-run a step whose float arithmetic overflowed or
+divided by zero.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from .exact import cos_family, residual, tanh_family
 from .model import (hull_intercepts, record_dict, system_from_dict, system_to_dict,
                     verify_hypothesis_H)
 from .nonexistence import check, params_from_dict
-from .waves import check_bounds, integrate
+from .waves import integrate_rows, summarise_rows
 
 RESIDUAL_TOL = 1e-8
 MAX_GRID_POINTS = 10 ** 6
@@ -250,29 +255,26 @@ def _cmd_simulate(args) -> tuple:
     w0 = _parse_floats(args.w0, "--w0")
     span = _parse_pair(args.span, "--span")
     alpha = _parse_floats(args.alpha, "--alpha") if args.alpha else None
-    traj = integrate(spec, u0, w0, span, args.step, alpha=alpha)
+    xs, ys, alpha, reason = integrate_rows(spec, u0, w0, span, args.step, alpha=alpha)
+    bounds = bounds_for(spec, alpha, args.chi) if args.check_bounds else None
+    rows, clamped, report = summarise_rows(spec, xs, ys, alpha, bounds)
     summary = {
-        "points": len(traj.xs),
-        "min_p": float(traj.p.min()),
-        "max_p": float(traj.p.max()),
-        "truncated": traj.truncated,
-        "truncation_reason": traj.truncation_reason,
-        "clamped": traj.clamped,
+        "points": len(xs),
+        "min_p": report.min_p,
+        "max_p": report.max_p,
+        "truncated": reason is not None,
+        "truncation_reason": reason,
+        "clamped": clamped,
     }
     code = 0
-    if args.check_bounds:
-        bounds = bounds_for(spec, traj.alpha, args.chi)
-        report = check_bounds(traj, traj.alpha, bounds)
+    if bounds is not None:
         summary["bounds"] = bounds.to_dict()
         summary["violations"] = [list(v) for v in report.violations]
         if not report.ok:
             code = 3
-    header = (["x"] + [f"u{i + 1}" for i in range(traj.n)]
-              + [f"w{i + 1}" for i in range(traj.n)] + ["p", "q"])
-    table = ("--csv", args.csv, header,
-             lambda: ([traj.xs[k]] + list(traj.u[k]) + list(traj.w[k])
-                      + [traj.p[k], traj.q[k]] for k in range(len(traj.xs))),
-             "the weighted total overflows floating point")
+    header = (["x"] + [f"u{i + 1}" for i in range(spec.n)]
+              + [f"w{i + 1}" for i in range(spec.n)] + ["p", "q"])
+    table = ("--csv", args.csv, header, rows, "the weighted total overflows floating point")
     return summary, code, table if args.csv else None
 
 

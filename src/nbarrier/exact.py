@@ -107,7 +107,8 @@ class Profile:
     derivs(x) runs the statements, one (u_i, u_i', u_i'') tuple per species,
     so at(x) evaluates the family's transcendental functions once per point,
     and residual inlines the same statements with the same constants.
-    Profile.of(n, m, derivs) makes a bare callable a profile.
+    Profile.of(n, m, derivs) makes a bare callable a profile.  m must be
+    finite and at least 1, as a SystemSpec's.
     """
 
     m: float
@@ -115,6 +116,9 @@ class Profile:
     constants: tuple
 
     def __post_init__(self):
+        require_finite(m=(self.m,))
+        if self.m < 1:
+            raise ValueError("diffusion exponent m must be >= 1")
         if len(self.constants) != len(self.form.names):
             raise ValueError(f"profile constants must match the form's names, got "
                              f"{len(self.constants)} for {len(self.form.names)} names")

@@ -8,24 +8,29 @@ RK4 on Python floats; outputs are bit-reproducible for identical inputs.
 
 The step loop is the compiled kernel kernels.rk4_march, called once for
 the full steps and once for a final partial step; each call returns how it
-stopped, which names the truncation.  It stores one state tuple
-y = (u.., w..) per grid point, and the stored history is one array split
-once into its column halves, Trajectory.u and .w.
+stopped, which names the truncation.  integrate_rows runs the input checks
+and that march on Python floats, and returns one state tuple
+y = (u.., w..) per grid point; integrate stores the history as one array
+split once into its column halves, Trajectory.u and .w.
 
-numpy only builds the stored Trajectory arrays, once after the loop, and
-re-runs on float64 scalars a step whose float arithmetic overflowed or
-divided by zero, so such a step ends in inf as IEEE arithmetic has it; the
-march on Python floats resumes after it.
-check_bounds and flux_balance_defect stay vectorised over the stored
-arrays; flux_balance_defect evaluates the reaction with numpy, so it checks
-the stepper independently.  numpy is imported inside these three
-functions, not at module level, so importing the package (and every CLI
-subcommand except simulate) does not load it.
+integrate_rows loads numpy only to re-run on float64 scalars a step whose
+float arithmetic overflowed or divided by zero, so such a step ends in inf
+as IEEE arithmetic has it; the march on Python floats resumes after it.
+summarise_rows computes integrate's stored columns and check_bounds's
+report from those rows in plain Python, so the simulate subcommand, which
+takes these two routes, loads numpy only for such a re-run.  integrate
+builds its Trajectory arrays with numpy once after the loop; check_bounds
+and flux_balance_defect stay vectorised over the stored arrays, and
+flux_balance_defect evaluates the reaction with numpy, so it checks the
+stepper independently.  numpy is imported inside functions, not at module
+level, so importing the package does not load it.
 """
 
 from __future__ import annotations
 
-from math import isfinite
+from itertools import repeat
+from math import inf, isfinite, isnan, nan
+from operator import add, mul
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .bounds import BoundsResult
@@ -75,27 +80,16 @@ class Trajectory:
         return self.truncation_reason is not None
 
 
-def integrate(spec: SystemSpec, u0: Sequence[float], w0: Sequence[float],
-              x_span: tuple, step: float,
-              alpha: Sequence[float] | None = None) -> Trajectory:
-    """Integrate the first-order reduction over x_span with fixed-step RK4.
+def integrate_rows(spec: SystemSpec, u0: Sequence[float], w0: Sequence[float],
+                   x_span: tuple, step: float,
+                   alpha: Sequence[float] | None = None) -> tuple:
+    """The RK4 march of integrate, with its input checks, on Python floats.
 
-    Args:
-        spec: system to integrate.
-        u0: strictly positive initial state.
-        w0: initial flux state w_i = (u_i^m)'(x0) (= u_i'(x0) when m = 1).
-        x_span: (x0, x1) with x1 > x0; a final short step lands exactly on x1
-            when the span is not an integer multiple of step.
-        step: positive grid spacing; x_span and step must be finite and give
-            at most MAX_STEPS steps.
-        alpha: weights for the stored p and q columns (default all ones).
-
-    Returns a Trajectory, truncated early if any species reaches the
-    positivity floor while m > 1, or stopped at the first state with a NaN
-    or infinite component, which is not stored.
+    Returns (xs, ys, alpha, reason): the grid, one state tuple
+    (u_0.., w_0..) per grid point, unclamped, the checked alpha as a tuple
+    (all ones by default) and the truncation reason, None for a full span.
+    numpy is loaded only to re-run a step whose float arithmetic raised.
     """
-    import numpy as np
-
     n = spec.n
     require_vectors(n, u0=u0)
     if len(w0) != n:
@@ -123,7 +117,6 @@ def integrate(spec: SystemSpec, u0: Sequence[float], w0: Sequence[float],
     elif len(alpha) != n:
         raise ValueError("alpha length must match the system")
     require_finite(alpha=alpha)
-    alpha_vec = np.asarray(alpha, dtype=float)
 
     march = rk4_march(spec, POSITIVITY_FLOOR)
     xs = [x0]
@@ -138,6 +131,7 @@ def integrate(spec: SystemSpec, u0: Sequence[float], w0: Sequence[float],
             # Python floats raise on overflow and on division by zero, where
             # the step may still end finite (w / inf is 0).  float64 scalars
             # give IEEE inf there, so that step alone is re-run on them.
+            import numpy as np
             with np.errstate(all="ignore"):
                 finished = march(tuple(map(np.float64, ys[-1])), xs[-1], h, 1, xs, ys)
             if finished:
@@ -150,7 +144,33 @@ def integrate(spec: SystemSpec, u0: Sequence[float], w0: Sequence[float],
                   f"near x = {xs[-1] + h:.6g}")
     else:
         reason = None if finished else f"non-finite state at x = {xs[-1] + h:.6g}"
+    return xs, ys, tuple(alpha), reason
 
+
+def integrate(spec: SystemSpec, u0: Sequence[float], w0: Sequence[float],
+              x_span: tuple, step: float,
+              alpha: Sequence[float] | None = None) -> Trajectory:
+    """Integrate the first-order reduction over x_span with fixed-step RK4.
+
+    Args:
+        spec: system to integrate.
+        u0: strictly positive initial state.
+        w0: initial flux state w_i = (u_i^m)'(x0) (= u_i'(x0) when m = 1).
+        x_span: (x0, x1) with x1 > x0; a final short step lands exactly on x1
+            when the span is not an integer multiple of step.
+        step: positive grid spacing; x_span and step must be finite and give
+            at most MAX_STEPS steps.
+        alpha: weights for the stored p and q columns (default all ones).
+
+    Returns a Trajectory, truncated early if any species reaches the
+    positivity floor while m > 1, or stopped at the first state with a NaN
+    or infinite component, which is not stored.
+    """
+    import numpy as np
+
+    xs, ys, alpha, reason = integrate_rows(spec, u0, w0, x_span, step, alpha)
+    n = spec.n
+    alpha_vec = np.asarray(alpha, dtype=float)
     y_arr = np.array(ys)
     u_arr, w_arr = y_arr[:, :n], y_arr[:, n:]
     clamped = bool(np.any(u_arr < 0.0))
@@ -161,7 +181,7 @@ def integrate(spec: SystemSpec, u0: Sequence[float], w0: Sequence[float],
         p_arr = u_arr @ alpha_vec
         q_arr = (u_arr ** spec.m) @ (alpha_vec * np.array(spec.d, dtype=float))
     return Trajectory(xs=np.array(xs), u=u_arr, w=w_arr, p=p_arr, q=q_arr,
-                      alpha=tuple(alpha), truncation_reason=reason, clamped=clamped)
+                      alpha=alpha, truncation_reason=reason, clamped=clamped)
 
 
 @record
@@ -191,6 +211,61 @@ def check_bounds(traj: Trajectory, alpha: Sequence[float],
                        zip(traj.xs[outside], p[outside]))
     return BoundCheckReport(min_p=float(p.min()), max_p=float(p.max()),
                             violations=violations)
+
+
+def _weighted_sum(weights: Sequence[float], columns: list) -> list:
+    """sum_i weights_i columns_i per row of the columns (iterables), the
+    terms added in order."""
+    total = repeat(0.0)
+    for weight, column in zip(weights, columns):
+        total = map(add, total, map(mul, repeat(weight), column))
+    return list(total)
+
+
+def _power(v: float, m: float) -> float:
+    """v ** m for v >= 0, inf past the float range as IEEE has it."""
+    try:
+        return v ** m
+    except OverflowError:
+        return inf
+
+
+def summarise_rows(spec: SystemSpec, xs: Sequence[float], ys: Sequence[tuple],
+                   alpha: tuple, bounds: BoundsResult | None = None) -> tuple:
+    """The columns integrate stores and check_bounds's report on them, from
+    the grid, rows and alpha of integrate_rows, in plain Python.
+
+    Returns (rows, clamped, report).  rows() iterates over one
+    (x, u.., w.., p, q) tuple per grid point: u is lifted to 0.0 in every
+    row if some stored component is below 0 (then clamped is True),
+    p = sum alpha_i u_i and q = sum alpha_i d_i u_i^m, a u^m past the float
+    range being inf as in integrate's q; q is computed on each call, so a
+    caller that writes no table pays nothing for it.  p and q add their
+    terms in order, so they may differ in the last bits from integrate's,
+    which numpy's @ adds.  report is check_bounds's BoundCheckReport of p
+    against bounds (no violations when bounds is None); a NaN p makes min_p
+    and max_p NaN, as numpy's min and max have it.
+    """
+    n = spec.n
+    columns = list(zip(*ys))
+    us, ws = columns[:n], columns[n:]
+    clamped = min(map(min, us)) < 0.0
+    if clamped:
+        us = [[max(v, 0.0) for v in u] for u in us]
+    p = _weighted_sum(alpha, us)
+    if any(map(isnan, p)):
+        min_p = max_p = nan
+    else:
+        min_p, max_p = min(p), max(p)
+    violations = () if bounds is None else tuple(
+        (x, v) for x, v in zip(xs, p) if v < bounds.lower or v > bounds.upper)
+
+    def rows():
+        q = _weighted_sum([a * float(d) for a, d in zip(alpha, spec.d)],
+                          [map(_power, u, repeat(spec.m)) for u in us])
+        return zip(xs, *us, *ws, p, q)
+
+    return rows, clamped, BoundCheckReport(min_p=min_p, max_p=max_p, violations=violations)
 
 
 def flux_balance_defect(spec: SystemSpec, traj: Trajectory,

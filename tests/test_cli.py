@@ -16,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nbarrier
-from nbarrier import (bounds_general, hull_intercepts, system_to_dict, tanh_family,
-                      verify_containment)
+from nbarrier import (ReactionSpec, SystemSpec, bounds_for, bounds_general, check_bounds,
+                      hull_intercepts, integrate, system_from_dict, system_to_dict,
+                      tanh_family, verify_containment)
 from nbarrier.cli import FAMILIES, main
 
 from conftest import decimal_chains, rel_gap
@@ -32,6 +33,9 @@ FIG_SPEC = json.dumps({
     "n": 2, "m": 2, "d": [3.0, 4.0], "l": [2, 2], "theta": 0.0,
     "sigma": [1.0, 1.0], "C": [[1.0, 2.0], [3.0, 1.0]],
 })
+# m = 60 system whose u^59 and u^60 overflow at u = 1e6.
+OVERFLOW_SPEC = json.dumps({"n": 2, "m": 60, "d": [1, 1], "l": [1, 1], "theta": 0,
+                            "sigma": [1, 1], "C": [[1, 0.5], [0.4, 1.2]]})
 README_FIXTURE = Path(__file__).parents[1] / "bench" / "fixtures" / "readme_cli.json"
 NONEX_PARAMS = json.dumps({
     "d": [1.0, 2.0, 1.0], "sigma": [10.0, 12.0, 40.0],
@@ -513,12 +517,14 @@ def bare_python_json(script, *args):
 
 
 def test_subcommands_start_without_dataclasses_inspect_or_numpy():
-    """The package, the CLI and the README commands of every subcommand but
-    simulate load none of dataclasses, inspect or numpy, and those of every
-    subcommand but residual do not load nbarrier.kernels either.  residual,
-    run last, loads kernels alone.  simulate, in an interpreter of its own,
-    loads kernels and numpy and nothing else that numpy's own import does
-    not load (numpy 2 imports inspect)."""
+    """The package, the CLI and the README commands of every subcommand
+    load none of dataclasses, inspect or numpy, and those of every
+    subcommand but residual and simulate do not load nbarrier.kernels
+    either.  residual, run last, loads kernels alone, and so does simulate
+    in an interpreter of its own.  A step whose float arithmetic overflows
+    is re-run on numpy's float64, so simulate loads numpy for it, and
+    nothing else that numpy's own import does not load (numpy 2 imports
+    inspect)."""
     examples = json.loads(README_FIXTURE.read_text())["examples"]
     runs = sorted(((example["name"], example["argv"]) for example in examples),
                   key=lambda run: run[1][0] == "residual")
@@ -527,6 +533,10 @@ def test_subcommands_start_without_dataclasses_inspect_or_numpy():
         "simulate", ["simulate", FIG_SPEC, "--u0", "0.2,0.4", "--w0", "0,0",
                      "--span", "0:10", "--step", "0.001", "--alpha", "1,2",
                      "--check-bounds"])]))
+    # u1^59 = 1e354 overflows in u1' = w1 / (60 u1^59) at every step.
+    rerun = bare_python_json(STARTUP_PROBE, json.dumps([(
+        "simulate", ["simulate", OVERFLOW_SPEC, "--u0", "1e6,1", "--w0", "0,0",
+                     "--span", "0:1", "--step", "0.01"])]))
     numpy_alone = bare_python_json(
         "import json, sys, numpy; print(json.dumps(sorted("
         "{'dataclasses', 'inspect', 'numpy'} & sys.modules.keys())))")
@@ -536,7 +546,9 @@ def test_subcommands_start_without_dataclasses_inspect_or_numpy():
     assert report == {name: [0, []] for name in report}
     assert residual == [0, ["nbarrier.kernels"]]
     assert simulate == {"package": [0, []], "import": [0, []],
-                        "simulate": [0, sorted(numpy_alone + ["nbarrier.kernels"])]}
+                        "simulate": [0, ["nbarrier.kernels"]]}
+    assert rerun == {"package": [0, []], "import": [0, []],
+                     "simulate": [0, sorted(numpy_alone + ["nbarrier.kernels"])]}
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -793,6 +805,87 @@ def test_simulate_refuses_a_csv_whose_q_column_overflows(capsys, tmp_path):
     assert not csv_path.exists()
 
 
+def _tanh_window(x0, x1, step):
+    sol = tanh_family(3, 4, 1, 2)
+    start = sol.profile().at(x0)
+    return sol.system(), start.u, start.dum, (x0, x1), step, (0.5, 1 / 3)
+
+
+def _lv(m, u0, w0, span=(0.0, 1.0), step=0.01):
+    spec = SystemSpec(n=2, m=m, d=(1.0, 1.0), l=(1.0, 1.0), theta=0.7,
+                      reaction=ReactionSpec(sigma=(1.0, 1.0), C=((1.0, 2.0), (3.0, 1.0))))
+    return spec, u0, w0, span, step, (1.0, 2.0)
+
+
+# name -> (spec, u0, w0, x_span, step, alpha, whether to check the bounds)
+AGREEMENT_CASES = {
+    "tanh": (*_tanh_window(-1.0, 1.0, 1e-3), True),
+    # u1 crosses 0 near x = 0.1 at m = 1, where nothing stops it.
+    "clamped-m1": (*_lv(1.0, (0.1, 0.5), (-1.0, 0.0), (0.0, 0.5)), False),
+    # Every step is re-run on float64, and q = u1^60 overflows at every point.
+    "overflow-rerun": (system_from_dict(json.loads(OVERFLOW_SPEC)), (1e6, 1.0), (1.0, 0.0),
+                       (0.0, 1.0), 0.01, (0.5, 2.0), False),
+    # One step mid-span overflows u^49 at a stage and is re-run on float64.
+    "rerun-mid-span": (SystemSpec(n=1, m=50.0, d=(0.209092,), l=(1.0,), theta=8.5396,
+                                  reaction=ReactionSpec(sigma=(14.747076,), C=((1.302177,),))),
+                       (0.98127,), (3.396215,), (0.0, 1.0), 0.01, (1.0,), False),
+    # Shot from the far tail, the front leaves its orbit for the floor.
+    "floor": (*_tanh_window(-10.0, 10.0, 1e-3), True),
+}
+
+
+def _within_ulps(got, want, terms):
+    """got is want, or within len(terms) ulps of the sum of |terms|."""
+    return got == want or abs(got - want) <= len(terms) * math.ulp(math.fsum(map(abs, terms)))
+
+
+@pytest.mark.parametrize("name", list(AGREEMENT_CASES))
+def test_simulate_agrees_with_integrate(capsys, tmp_path, name):
+    spec, u0, w0, (x0, x1), step, alpha, check = AGREEMENT_CASES[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate(spec, u0, w0, (x0, x1), step, alpha=alpha)
+    argv = ["simulate", json.dumps(system_to_dict(spec)),
+            "--u0=" + ",".join(map(repr, u0)), "--w0=" + ",".join(map(repr, w0)),
+            f"--span={x0!r}:{x1!r}", f"--step={step!r}", "--alpha=" + ",".join(map(repr, alpha)),
+            *(["--check-bounds"] if check else [])]
+    csv_path = tmp_path / "traj.csv"
+    code, out, err = run(capsys, *argv, "--csv", str(csv_path))
+    overflows = [x for x, q in zip(traj.xs.tolist(), traj.q.tolist()) if not math.isfinite(q)]
+    if overflows:
+        assert (code, out, err) == (1, "", f"error: --csv column q is not finite at "
+                                           f"x = {overflows[0]!r}; the weighted total "
+                                           "overflows floating point\n")
+        code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    want = {"points": len(traj.xs), "truncated": traj.truncated,
+            "truncation_reason": traj.truncation_reason, "clamped": traj.clamped}
+    if check:
+        bounds = bounds_for(spec, alpha, 1)
+        want["bounds"] = bounds.to_dict()
+        assert doc["violations"] == [list(v) for v in check_bounds(traj, alpha, bounds).violations]
+    assert {key: doc[key] for key in want} == want
+    p = traj.p.tolist()
+    for key, extreme in (("min_p", min), ("max_p", max)):
+        k = p.index(extreme(p))
+        assert _within_ulps(doc[key], p[k], [a * u for a, u in zip(alpha, traj.u[k].tolist())])
+    if overflows:
+        return
+    lines = csv_path.read_text().splitlines()
+    n = spec.n
+    assert len(lines) == len(traj.xs) + 1
+    for k, line in enumerate(lines[1:]):
+        cells = line.split(",")
+        x, u, w = traj.xs[k], traj.u[k].tolist(), traj.w[k].tolist()
+        # x, u and w bit for bit, -0.0 and 0.0 told apart.
+        assert cells[:2 * n + 1] == [repr(float(v)) for v in (x, *u, *w)], k
+        p_cli, q_cli = float(cells[-2]), float(cells[-1])
+        assert _within_ulps(p_cli, traj.p[k], [a * v for a, v in zip(alpha, u)]), k
+        assert _within_ulps(q_cli, traj.q[k], [a * d * v ** spec.m for a, d, v
+                                               in zip(alpha, spec.d, u)]), k
+
+
 # The README tanh member's coefficients with m = 3 or m = 1: the profile solves
 # only the m = 2 system, so a check against these must fail.
 @pytest.mark.parametrize("m", [3, 1])
@@ -857,6 +950,17 @@ def test_simulate_reports_a_non_finite_state_as_truncation(capsys):
     assert doc["truncation_reason"] == "non-finite state at x = 0.1"
     assert math.isfinite(doc["min_p"]) and math.isfinite(doc["max_p"])
 
+
+
+def test_simulate_refuses_a_weighted_total_that_is_nan(capsys):
+    # p = 0 at the start; once both u_i pass 1, alpha_i u_i overflows to
+    # inf and -inf, whose sum is NaN, and min_p and max_p are NaN with it.
+    spec = json.dumps({"n": 2, "m": 1, "d": [1, 1], "theta": 0, "l": [1, 1],
+                       "sigma": [1, 1], "C": [[1, 0.5], [0.4, 1.2]]})
+    code, out, err = run(capsys, "simulate", spec, "--u0", "1,1", "--w0", "1,1",
+                         "--span", "0:0.1", "--step", "0.01", "--alpha=1.7e308,-1.7e308")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: result holds a NaN or infinite value")
 
 # Fuzzing: a valid document, flag list or family flag set with up to two
 # entries (or whole keys) replaced by a value from every class the boundary

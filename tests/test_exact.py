@@ -3,6 +3,7 @@
 import ast
 import math
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -421,6 +422,22 @@ def test_a_profile_refuses_constants_that_do_not_match_its_form(form, constants)
     with pytest.raises(ValueError, match="^profile constants must match the form's names, "
                                          f"got {len(constants)} for {len(form.names)} names$"):
         Profile(m=2.0, form=form, constants=constants)
+
+
+@pytest.mark.parametrize("m, message", [
+    (math.nan, "m must be finite, got nan"),
+    (math.inf, "m must be finite, got inf"),
+    (-math.inf, "m must be finite, got -inf"),
+    (0.5, "diffusion exponent m must be >= 1"),
+    (0.0, "diffusion exponent m must be >= 1"),
+], ids=["nan", "inf", "-inf", "half", "zero"])
+def test_a_profile_refuses_an_exponent_a_system_refuses(m, message):
+    # Unchecked, at() of such a profile returned NaN or numbers for an
+    # exponent that no SystemSpec takes.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Profile(m=m, form=TANH_FORM, constants=(60.0, 8.0, -120.0, 120.0, -16.0))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Profile.of(2, m, lambda x: ((1.0, 0.0, 0.0),) * 2)
 
 
 def closed_form_by_hand(sol):
