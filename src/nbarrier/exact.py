@@ -306,7 +306,8 @@ def residual(spec: SystemSpec, profile: Profile, grid: Sequence[float]) -> tuple
     with spec's own m, from the profile's analytic derivatives, by the
     compiled kernel kernels.residual_maxima.  A species with a NaN residual
     at any grid point reports NaN.  An empty grid is refused, as it would
-    report a residual of 0.0 over no points.
+    report a residual of 0.0 over no points, and a residual that overflows
+    floating point raises a ValueError naming the species and the point.
     """
     if profile.n != spec.n:
         raise ValueError("profile dimension does not match system")

@@ -40,18 +40,27 @@ runs to megabytes (3.6 MB and 2.1 s to compile at n = 3000), every new
 pattern of l pays that compile again.
 
 Every row of C in a reaction term u_i^{l_i} (sigma_i - sum_j c_ij u_j) is
-added over the products reaction_eval adds, in its order, and rounds as its
-builtin sum does on any interpreter.  A row of one or two products is the
-+ chain (0.0 + c_i0 u_0 + c_i1 u_1); a row of three up to UNROLL_LIMIT is
-sum((c_i0 u_0, ...)); a longer row is sum(map(mul, C_i, U)).  The chain is
-exact for one or two addends: plain sum (Python 3.11 and earlier) is that
-chain, 0.0 being its start, and the compensated sum of Python 3.12 on adds
-the first addend a to 0.0 exactly and keeps for the second, b, the exact
-rounding error of fl(a + b), which added back rounds to fl(a + b) again (a
-non-finite one it drops).  From three addends on the two can round
+added over the products reaction_eval adds, in its order, and the term
+rounds as with its builtin sum on any interpreter.  A row of one or two
+products is the + chain (c_i0 u_0 + c_i1 u_1), started as
+(0.0 + c_i0 u_0 + c_i1 u_1) where sigma_i is 0.0; a row of three up to
+UNROLL_LIMIT is sum((c_i0 u_0, ...)); a longer row is
+sum(map(mul, C_i, U)).  The chain from 0.0 is exact for one or two
+addends: plain sum (Python 3.11 and earlier) is that chain, 0.0 being its
+start, and the compensated sum of Python 3.12 on adds the first addend a
+to 0.0 exactly and keeps for the second, b, the exact rounding error of
+fl(a + b), which added back rounds to fl(a + b) again (a non-finite one it
+drops).  Without the 0.0 the chain differs from it only in the sign of a
+zero row (-0.0 + -0.0 is -0.0, 0.0 + -0.0 is 0.0), and sigma_i - row hides
+that sign unless sigma_i is itself a zero; SystemSpec refuses a sigma_i
+that is not positive, so only a rate that skips its checks keeps the 0.0.
+From three addends on the chain and the compensated sum can round
 differently, so those rows stay with sum.  The residual takes (u_i^m)'' by
-the chain rule of Profile.at, and each RK4 step performs the operations of
-the list stepper it replaced, in the same order, so both give the floats of those routes bit for bit.
+the chain rule of Profile.at and keeps, per species, the largest and the
+smallest signed residual, whose larger magnitude is the largest absolute
+one; each RK4 step performs the operations of the list stepper it
+replaced, in the same order, so both give the floats of those routes bit
+for bit.
 """
 
 from __future__ import annotations
@@ -179,17 +188,20 @@ def _kernel(head: str, n: int, body: list) -> str:
         ""])
 
 
-def _reaction_terms(n: int, l_classes: tuple) -> list:
+def _reaction_terms(n: int, l_classes: tuple, zero_rates: tuple) -> list:
     """Lines that read a state u0..u{n-1} and bind the reaction terms t0..,
     u{i} ** l{i} folded by its class; row i of C is
-    (0.0 + c{i}_0 * u0 + c{i}_1 * u1) for n <= 2, which rounds as sum does
-    with one or two addends under plain and compensated sum alike,
-    sum((c{i}_0 * u0, ...)) up to UNROLL_LIMIT species, and
-    sum(map(mul, C{i}, U)) beyond."""
+    (c{i}_0 * u0 + c{i}_1 * u1) for n <= 2, sum((c{i}_0 * u0, ...)) up to
+    UNROLL_LIMIT species, and sum(map(mul, C{i}, U)) beyond.  A + chain
+    starts (0.0 + ...) where zero_rates[i] is true (sigma_i == 0.0), and so
+    rounds as sum does with one or two addends under plain and compensated
+    sum alike.  Elsewhere it leaves the 0.0 out, which changes at most the
+    sign of a zero row, and s{i} - row hides that sign for any s{i} but a
+    zero."""
     lines = []
     if n <= 2:
-        sums = ["(0.0" + "".join(f" + c{i}_{j} * u{j}" for j in range(n)) + ")"
-                for i in range(n)]
+        sums = [("(0.0 + " if zero else "(") + " + ".join(f"c{i}_{j} * u{j}" for j in range(n))
+                + ")" for i, zero in enumerate(zero_rates)]
     elif n <= UNROLL_LIMIT:
         sums = [f"sum(({_tuple(f'c{i}_{{0}} * u{{0}}', n)}))" for i in range(n)]
     else:
@@ -199,10 +211,17 @@ def _reaction_terms(n: int, l_classes: tuple) -> list:
                     for i, cls in enumerate(l_classes)]
 
 
+def _split(n: int, classes: tuple) -> tuple:
+    """(class of m - 1, class of m - 2, l classes, zero-rate flags) from the
+    classes of _bind; flags that classes leaves out are false."""
+    m1, m2, *rest = classes
+    return m1, m2, rest[:n], tuple(rest[n:]) or (False,) * n
+
+
 @lru_cache(maxsize=None)
 def _rk4_source(n: int, classes: tuple) -> str:
     """Source of the RK4 kernel for n species, classes being the exponent
-    classes of _bind.
+    classes and zero-rate flags of _bind.
 
     kernel(floor, ...) returns march(y, x, h, count, xs, ys), which takes
     up to count RK4 steps of size h from the state y = (u_0.., w_0..) at x,
@@ -217,8 +236,8 @@ def _rk4_source(n: int, classes: tuple) -> str:
     u_i' = w_i / (m u_i^(m-1)) (else u_i' = w_i) for every species, then
     every reaction term, then w_i' = (-theta u_i' - t_i) / d_i.
     """
-    m1, _, *l_classes = classes
-    terms = _reaction_terms(n, l_classes)
+    m1, _, l_classes, zero_rates = _split(n, classes)
+    terms = _reaction_terms(n, l_classes, zero_rates)
     floor_exit = [f"if {' or '.join(f'u{i} < floor' for i in range(n))}:", "    return None"]
 
     rng2 = range(2 * n)
@@ -264,18 +283,24 @@ def _rk4_source(n: int, classes: tuple) -> str:
 @lru_cache(maxsize=None)
 def _residual_source(form: ClosedForm, classes: tuple) -> str:
     """Source of the residual kernel for form's n species, classes being
-    the exponent classes of _bind.
+    the exponent classes and zero-rate flags of _bind.
 
     kernel(constants, grid, ...) unpacks constants into form's names and
     per grid point runs form's statements, binds every reaction term, and
     then per species takes (u_i^m)'' by Profile.at's chain rule (grad
-    first, then the u^(m-2) term), the residual d_i (u_i^m)'' + theta u_i'
-    + t_i and its running maximum, which a NaN residual replaces and keeps.
-    A species with a fractional exponent takes a complex residual as NaN.
+    first, then the u^(m-2) term) and the residual
+    r_i = d_i (u_i^m)'' + theta u_i' + t_i.  It keeps the signed running
+    maximum hi_i and minimum lo_i of r_i, both from 0.0, and returns
+    hi_i if hi_i >= -lo_i else abs(lo_i), which is max |r_i| with no abs
+    per point; a NaN r_i sets both and stays, and the return is then NaN.
+    A species with a fractional exponent takes a complex residual as NaN
+    and keeps the running maximum of abs(r_i) in hi_i, which a NaN
+    replaces and keeps.
     """
     n = form.n
-    m1, m2, *l_classes = classes
-    point = [*form.source.splitlines(), *_reaction_terms(n, l_classes)]
+    m1, m2, l_classes, zero_rates = _split(n, classes)
+    point = [*form.source.splitlines(), *_reaction_terms(n, l_classes, zero_rates)]
+    ends = []
     for i in range(n):
         if m1 == "0":
             ddum = f"ddu{i}"
@@ -286,27 +311,38 @@ def _residual_source(form: ClosedForm, classes: tuple) -> str:
         residual = f"d{i} * {ddum} + theta * du{i} + t{i}"
         if "frac" in (m1, l_classes[i]):
             point += [f"e{i} = {residual}",
-                      f"r{i} = nan if e{i}.__class__ is complex else abs(e{i})"]
+                      f"r{i} = nan if e{i}.__class__ is complex else abs(e{i})",
+                      f"if r{i} > hi{i} or r{i} != r{i}:",
+                      f"    hi{i} = r{i}"]
+            ends.append(f"hi{i}")
         else:
-            point.append(f"r{i} = abs({residual})")
-        point += [f"if r{i} > w{i} or r{i} != r{i}:",
-                  f"    w{i} = r{i}"]
+            point += [f"r{i} = {residual}",
+                      f"if r{i} > hi{i}:",
+                      f"    hi{i} = r{i}",
+                      f"elif r{i} < lo{i}:",
+                      f"    lo{i} = r{i}",
+                      f"elif r{i} != r{i}:",
+                      f"    hi{i} = lo{i} = r{i}"]
+            ends.append(f"hi{i} if hi{i} >= -lo{i} else abs(lo{i})")
     body = [_unpack(form),
-            f"{_tuple('w{}', n)}= {'0.0, ' * n}", "for x in grid:",
-            *("    " + line for line in point), f"return ({_tuple('w{}', n)})"]
+            f"{_tuple('hi{}', n)}= {_tuple('lo{}', n)}= {'0.0, ' * n}", "for x in grid:",
+            *("    " + line for line in point), f"return ({''.join(e + ', ' for e in ends)})"]
     return _kernel("constants, grid", n, body)
 
 
 def _bind(kind: str, write: Callable[[object, tuple], str], shape, spec: SystemSpec, *head):
     """kernel(*head, m, theta, d, l, s, C) with every coefficient from spec,
-    the kernel written by write(shape, _exponent_class of m - 1, m - 2 and
-    each l_i) and compiled once per distinct source."""
+    the kernel written by write(shape, classes) and compiled once per
+    distinct source.  classes is the _exponent_class of m - 1, m - 2 and
+    each l_i, then one flag per species, true where sigma_i == 0.0: only
+    such a row starts its + chain from 0.0, since any other sigma_i hides
+    the sign of a zero row, the one thing that start can change."""
     n, m, l = spec.n, float(spec.m), tuple(map(float, spec.l))
-    kernel = _compile(write(shape, tuple(map(_exponent_class, (m - 1.0, m - 2.0, *l)))),
-                      f"{kind} kernel, n = {n}")
     reaction = spec.reaction
-    return kernel(*head, m, float(spec.theta), tuple(map(float, spec.d)), l,
-                  tuple(map(float, reaction.sigma)),
+    sigma = tuple(map(float, reaction.sigma))
+    classes = (*map(_exponent_class, (m - 1.0, m - 2.0, *l)), *(s == 0.0 for s in sigma))
+    kernel = _compile(write(shape, classes), f"{kind} kernel, n = {n}")
+    return kernel(*head, m, float(spec.theta), tuple(map(float, spec.d)), l, sigma,
                   tuple(tuple(map(float, row)) for row in reaction.C))
 
 
@@ -323,5 +359,33 @@ def residual_maxima(spec: SystemSpec, form: ClosedForm, constants: tuple,
     """Max |d_i (u_i^m)'' + theta u_i' + u_i^{l_i} f_i(u)| per species over
     grid, from the u_i, u_i', u_i'' that form's statements bind with
     constants and from spec's own m; a species with a NaN or complex
-    residual at any point reports NaN."""
-    return _bind("residual", _residual_source, form, spec, constants, grid)
+    residual at any point reports NaN, and a residual that overflows
+    raises a ValueError naming its species and grid point."""
+    try:
+        return _bind("residual", _residual_source, form, spec, constants, grid)
+    except OverflowError:
+        _name_overflow(spec, form, constants, grid)
+        raise
+
+
+def _name_overflow(spec: SystemSpec, form: ClosedForm, constants: tuple,
+                   grid: Sequence[float]) -> None:
+    """Raise a ValueError naming the first grid point, and a species there,
+    where a power that the residual takes overflows: u_i^{l_i}, and unless
+    m is 1, u_i^(m-1) and u_i^(m-2).  These are the only operations of the
+    residual kernel, besides form's own statements, that raise
+    OverflowError.  Returns if none overflows."""
+    m = float(spec.m)
+    exponents = () if m == 1.0 else (m - 1.0, m - 2.0)
+    at = compile_at(form)
+    for x in grid:
+        for i, ((u, _, _), l) in enumerate(zip(at(constants, x), spec.l), 1):
+            for e in (*exponents, float(l)):
+                try:
+                    u ** e
+                except OverflowError:
+                    raise ValueError(f"residual of species {i} overflows floating point at "
+                                     f"x = {x!r}; the parameters overflow floating point") from None
+                except ZeroDivisionError:
+                    # 0.0 to a negative m - 2; the kernel overflowed elsewhere.
+                    pass

@@ -10,8 +10,10 @@ The step loop is the compiled kernel kernels.rk4_march, called once for
 the full steps and once for a final partial step; each call returns how it
 stopped, which names the truncation.  integrate_rows runs the input checks
 and that march on Python floats, and returns one state tuple
-y = (u.., w..) per grid point; integrate stores the history as one array
-split once into its column halves, Trajectory.u and .w.
+y = (u.., w..) per grid point; integrate packs those tuples into one array
+in a single np.fromiter pass over their chained components, and splits it
+once into its column halves, Trajectory.u and .w; the grid takes one
+np.fromiter pass too.
 
 integrate_rows loads numpy only to re-run on float64 scalars a step whose
 float arithmetic overflowed or divided by zero, so such a step ends in inf
@@ -28,7 +30,7 @@ level, so importing the package does not load it.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import chain, repeat
 from math import inf, isfinite, isnan, nan
 from operator import add, mul
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -171,7 +173,8 @@ def integrate(spec: SystemSpec, u0: Sequence[float], w0: Sequence[float],
     xs, ys, alpha, reason = integrate_rows(spec, u0, w0, x_span, step, alpha)
     n = spec.n
     alpha_vec = np.asarray(alpha, dtype=float)
-    y_arr = np.array(ys)
+    rows, width = len(ys), 2 * n
+    y_arr = np.fromiter(chain.from_iterable(ys), float, rows * width).reshape(rows, width)
     u_arr, w_arr = y_arr[:, :n], y_arr[:, n:]
     clamped = bool(np.any(u_arr < 0.0))
     if clamped:
@@ -180,7 +183,7 @@ def integrate(spec: SystemSpec, u0: Sequence[float], w0: Sequence[float],
     with np.errstate(all="ignore"):
         p_arr = u_arr @ alpha_vec
         q_arr = (u_arr ** spec.m) @ (alpha_vec * np.array(spec.d, dtype=float))
-    return Trajectory(xs=np.array(xs), u=u_arr, w=w_arr, p=p_arr, q=q_arr,
+    return Trajectory(xs=np.fromiter(xs, float, rows), u=u_arr, w=w_arr, p=p_arr, q=q_arr,
                       alpha=alpha, truncation_reason=reason, clamped=clamped)
 
 

@@ -135,15 +135,23 @@ EDGE_ROWS = {
 }
 
 
-def unchecked_system(n, m):
+# (products, sigma) for the edge-row tests: each row at sigma = -0.0, which
+# lets the sign of a zero row through to the result, and at the valid rate
+# 1.0, where the kernels write the row with no 0.0 start.
+EDGE_CASES = {**{name: (row, -0.0) for name, row in EDGE_ROWS.items()},
+              **{f"{name}-sigma1": (row, 1.0) for name, row in EDGE_ROWS.items()}}
+
+
+def unchecked_system(n, m, sigma=-0.0):
     """The fields of an n-species SystemSpec with exponent m, unit d, l and C,
-    theta = -1 and sigma = -0.0, without SystemSpec's checks.
+    theta = -1 and every sigma_i = sigma (-0.0 by default), without
+    SystemSpec's checks.
 
     The kernels and the test oracles read only these fields.  A valid sigma
     is positive and hides the sign of a zero row in sigma_i - row; -0.0 lets
     it through to the result.
     """
-    reaction = SimpleNamespace(n=n, sigma=(-0.0,) * n, C=((1.0,) * n,) * n)
+    reaction = SimpleNamespace(n=n, sigma=(sigma,) * n, C=((1.0,) * n,) * n)
     return SimpleNamespace(n=n, m=m, d=(1.0,) * n, l=(1.0,) * n, theta=-1.0,
                            reaction=reaction)
 

@@ -932,6 +932,15 @@ def test_a_family_whose_derived_coefficient_overflows_names_it(capsys, cmd):
     assert err == "error: c12 must be finite, got inf\n"
 
 
+def test_a_residual_that_overflows_names_the_species_and_the_point(capsys):
+    # k1 = 20 d1 / c11 = 2e306, so u1^2 overflows at x = 0.0.
+    code, out, err = run(capsys, "residual", "tanh", "--d1", "1e300", "--d2", "4",
+                         "--c11", "1e-5", "--c22", "2", "--grid=0:1:0.5")
+    assert (code, out) == (1, "")
+    assert err == ("error: residual of species 1 overflows floating point at x = 0.0; "
+                   "the parameters overflow floating point\n")
+
+
 def test_residual_of_a_member_with_nan_residuals_exits_1(capsys):
     code, out, err = run(capsys, "residual", "tanh", "--d1", "1e102", "--d2", "4",
                          "--c11", "1", "--c22", "2")

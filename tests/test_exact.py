@@ -19,7 +19,7 @@ from nbarrier import (ReactionSpec, SystemSpec, cos_family, kernels, reaction_ev
 from nbarrier.exact import COS_FORM, TANH_FORM, Profile, TanhSolution
 from nbarrier.kernels import FORM_PREFIX, UNROLL_LIMIT, ClosedForm
 
-from conftest import COS_ARGS, EDGE_ROWS, bench_range_member, unchecked_system
+from conftest import COS_ARGS, EDGE_CASES, bench_range_member, unchecked_system
 
 
 def test_tanh_coefficient_ties():
@@ -106,6 +106,16 @@ def test_tanh_residual_vanishes(tanh_sol):
 def test_residual_refuses_an_empty_grid(tanh_sol, grid):
     with pytest.raises(ValueError, match="empty grid"):
         residual(tanh_sol.system(), tanh_sol.profile(), grid)
+
+
+def test_a_residual_that_overflows_names_the_species_and_the_point():
+    # k2 = 4 d2 / c22 = 4e305: u2 = k2 (1 + tanh x) is 0.0 at x = -30 and
+    # k2 at x = 0, where u2^2 overflows; species 1 stays in range.
+    sol = tanh_family(3, 1e300, 1, 1e-5)
+    with pytest.raises(ValueError, match=re.escape(
+            "residual of species 2 overflows floating point at x = 0.0; "
+            "the parameters overflow floating point")):
+        residual(sol.system(), sol.profile(), [-30.0, 0.0, 1.0])
 
 
 def test_residual_reads_a_numpy_grid(tanh_sol):
@@ -227,17 +237,20 @@ def test_residual_rejects_mismatched_profile(tanh_sol, cos_sol):
 
 def residual_via_profile_points(spec, profile, grid):
     """The residual built from Profile.at and reaction_eval, point by point;
-    a complex residual (a negative base to a fractional power) is NaN, and a
-    NaN residual is kept as the maximum, as residual keeps it."""
+    a complex residual (a negative base to a fractional power) is NaN, a
+    NaN residual is kept as the maximum, as residual keeps it, and an
+    overflow is a ValueError, as residual raises it."""
     worst = [0.0] * spec.n
     for x in grid:
-        pt = profile.at(x)
-        f = reaction_eval(spec.reaction, pt.u)
-        for i in range(spec.n):
-            res = (spec.d[i] * pt.ddum[i]
-                   + spec.theta * pt.du[i]
-                   + pt.u[i] ** spec.l[i] * f[i])
-            r = math.nan if isinstance(res, complex) else abs(res)
+        try:
+            pt = profile.at(x)
+            f = reaction_eval(spec.reaction, pt.u)
+            res = [spec.d[i] * pt.ddum[i] + spec.theta * pt.du[i] + pt.u[i] ** spec.l[i] * f[i]
+                   for i in range(spec.n)]
+        except OverflowError:
+            raise ValueError(f"residual overflows floating point at x = {x!r}") from None
+        for i, e in enumerate(res):
+            r = math.nan if isinstance(e, complex) else abs(e)
             if r > worst[i] or r != r:
                 worst[i] = r
     return tuple(worst)
@@ -334,11 +347,11 @@ def outcome(f, *args):
 
 # At m = 3 the overflowing rows' u = 1e308 also overflows u^(m - 1), which
 # both routes raise.
-@pytest.mark.parametrize("products", list(EDGE_ROWS.values()), ids=list(EDGE_ROWS))
+@pytest.mark.parametrize("products, sigma", list(EDGE_CASES.values()), ids=list(EDGE_CASES))
 @pytest.mark.parametrize("m", [1.0, 2.0, 3.0])
-def test_residual_adds_edge_rows_as_sum_does(each_sum, m, products):
+def test_residual_adds_edge_rows_as_sum_does(each_sum, m, products, sigma):
     n = len(products)
-    spec = unchecked_system(n, m)
+    spec = unchecked_system(n, m, sigma)
     profile = Profile.of(n, m, lambda x: tuple((u, 0.5, 0.25) for u in products))
     assert (outcome(residual, spec, profile, [0.0])
             == outcome(residual_via_profile_points, spec, profile, [0.0]))

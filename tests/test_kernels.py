@@ -120,10 +120,19 @@ def test_kernel_source_nests_no_deeper_as_n_grows(writer):
 @pytest.mark.parametrize("writer", WRITERS, ids=WRITER_IDS)
 def test_only_rows_of_one_or_two_products_are_a_plus_chain(writer):
     # A compensated sum (Python 3.12 on) rounds one or two addends as a +
-    # chain from 0.0 does, but may round three or more otherwise.
+    # chain from 0.0 does, but may round three or more otherwise.  A chain
+    # without the 0.0 differs at most in the sign of a zero row, which a
+    # nonzero rate hides, so only a row whose rate is zero starts from 0.0.
+    write, m_classes, l_class = writer
     for n in (1, 2):
-        source = written(writer, n)
-        assert "sum(" not in source and "(0.0 + c0_0 * u0" in source, n
+        for zero_rates in ((), (True,) * n, (False,) * n, (True, False)[:n]):
+            source = write(shape(write, n), m_classes + (l_class,) * n + zero_rates)
+            rows = dict(re.findall(r"\bt(\d+) = (.*)", source))
+            assert "sum(" not in source and len(rows) == n, (n, zero_rates)
+            flags = zero_rates or (False,) * n
+            for i, row in rows.items():
+                chain = " + ".join(f"c{i}_{j} * u{j}" for j in range(n))
+                assert row.endswith(f" - ({'0.0 + ' * flags[int(i)]}{chain}))"), (n, zero_rates)
     for n in range(3, UNROLL_LIMIT + 1):
         rows = re.findall(r"\bt(\d+) = (.*)", written(writer, n))
         assert {int(i) for i, _ in rows} == set(range(n)), n

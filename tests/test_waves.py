@@ -25,7 +25,7 @@ from nbarrier import kernels, waves
 from nbarrier.kernels import UNROLL_LIMIT
 from nbarrier.waves import MAX_STEPS, POSITIVITY_FLOOR, flux_balance_defect
 
-from conftest import EDGE_ROWS, unchecked_system
+from conftest import EDGE_CASES, unchecked_system
 
 LV = SystemSpec(n=2, m=1.0, d=(1.0, 1.0), l=(1.0, 1.0), theta=0.7,
                 reaction=ReactionSpec(sigma=(1.0, 1.0),
@@ -599,12 +599,12 @@ def outcome(f, *args):
         return type(exc).__name__
 
 
-@pytest.mark.parametrize("products", list(EDGE_ROWS.values()), ids=list(EDGE_ROWS))
-def test_rk4_step_adds_edge_rows_as_sum_does(each_sum, products):
+@pytest.mark.parametrize("products, sigma", list(EDGE_CASES.values()), ids=list(EDGE_CASES))
+def test_rk4_step_adds_edge_rows_as_sum_does(each_sum, products, sigma):
     # The first stage state has these row products; its fluxes are -0.0.
     # One step is a march with count = 1, which stores only a finite state.
     n = len(products)
-    spec = unchecked_system(n, 1.0)
+    spec = unchecked_system(n, 1.0, sigma)
     y = (*products, *(-0.0,) * n)
     march = kernels.rk4_march(spec, POSITIVITY_FLOOR)
 
