@@ -14,13 +14,19 @@ is a level factor times a function of a point t of the simplex: a convex
 sum of t_i^m, which peaks at a vertex, or a ratio sum_i a_i t_i / q(t)^(1/m),
 which peaks at its Hölder point; on an ellipsoid that is the tangent point.
 barrier_curves samples the five pieces on one simplex lattice for plotting.
+
+Levels, weights, peaks and points are computed element by element at C
+level, by map over operator functions and itertools.repeat, under the rule
+that model states: the same operations on the same operands in the same
+order as a plain loop, so each float and each refusal is the loop's, and
+model's element-wise check is the only path that refuses a vector.
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, repeat
 from math import inf, isfinite
-from operator import mul, sub
+from operator import mul, pow, sub, truediv
 from sys import float_info
 from typing import Sequence
 
@@ -56,7 +62,7 @@ class BarrierEnvelope:
         _require_exponent_domain(self.m)
         levels = (self.lambda1, self.eta1, self.lambda2, self.eta2)
         # A product of finite factors can overflow to inf for extreme weights.
-        if not all(isfinite(v) for v in levels):
+        if not all(map(isfinite, levels)):
             raise ValueError(f"envelope levels must be finite, got {levels}; "
                              "the parameters overflow floating point")
         if min(levels) <= 0:
@@ -112,7 +118,7 @@ def _level(name: str, value: float) -> float:
 
 def _q_weights(alpha: Sequence[float], d: Sequence[float]) -> tuple:
     """The weights alpha_i d_i of q; 0 or inf means a product under- or overflowed."""
-    w_q = tuple(a * di for a, di in zip(alpha, d))
+    w_q = tuple(map(mul, alpha, d))
     if 0.0 in w_q:
         i = w_q.index(0.0) + 1
         raise _underflow(f"weight alpha_{i} d_{i}")
@@ -144,7 +150,7 @@ def _tangency_level(Theta: float, w_q: tuple, ulow: Sequence[float], m: float) -
     it, and a Lambda below the smallest normal float raise a ValueError.
     """
     e = 1.0 / (m - 1.0)
-    S = _tangency_sum((w * lo ** m) ** -e for w, lo in zip(w_q, ulow))
+    S = _tangency_sum(map(pow, map(mul, w_q, map(pow, ulow, repeat(m))), repeat(-e)))
     return _normal("tangency level Lambda", Theta ** m * S ** (1.0 - m))
 
 
@@ -166,7 +172,7 @@ def build_lower_barrier(alpha: Sequence[float], d: Sequence[float],
     w_q = _q_weights(alpha, d)
     lambda1 = _tangency_level(1.0, w_q, ulow, m)
     eta1 = _level("eta1", lambda1 / grow) ** (1.0 / m)
-    lambda2 = _tangency_level(eta1, w_q, tuple(1.0 / a for a in alpha), m)
+    lambda2 = _tangency_level(eta1, w_q, tuple(map(truediv, repeat(1.0), alpha)), m)
     eta2 = _level("eta2", lambda2 / grow) ** (1.0 / m)
     return BarrierEnvelope(lambda1=lambda1, eta1=eta1, lambda2=lambda2, eta2=eta2,
                            orientation="lower", weights=tuple(alpha), m=m, d=tuple(d))
@@ -184,10 +190,10 @@ def build_upper_barrier(alpha: Sequence[float], d: Sequence[float],
     _require_exponent_domain(m)
     require_vectors(alpha=alpha, d=d, ubar=ubar)
     e = 1.0 / (m - 1.0)
-    S = _tangency_sum(a * di ** -e for a, di in zip(alpha, d))
+    S = _tangency_sum(map(mul, alpha, map(pow, d, repeat(-e))))
     grow = max(_plane_vertices(alpha, d, m))
     try:
-        lambda1 = _level("lambda1", max(a * di * hi ** m for a, di, hi in zip(alpha, d, ubar)))
+        lambda1 = _level("lambda1", max(map(mul, map(mul, alpha, d), map(pow, ubar, repeat(m)))))
     except OverflowError:
         raise _overflow("envelope level lambda1") from None
     eta1 = _level("eta1", lambda1 ** (1.0 / m) * S ** ((m - 1.0) / m))
@@ -261,14 +267,14 @@ def _pieces(envelope: BarrierEnvelope, hull: HullBounds, w_q: tuple) -> dict:
             factor = eta ** m
         except OverflowError:  # eta2^m of an upper envelope, which no link uses
             factor = inf
-        return factor, lambda t: tuple(eta * ti / a for ti, a in zip(t, alpha))
+        return factor, lambda t: tuple(map(truediv, map(mul, repeat(eta), t), alpha))
 
     def ellipsoid(lam):
         root = lam ** inv_m
 
         def point(t):
-            scale = root / sum(map(mul, w_q, [ti ** m for ti in t])) ** inv_m
-            return tuple(scale * ti for ti in t)
+            scale = root / sum(map(mul, w_q, map(pow, t, repeat(m)))) ** inv_m
+            return tuple(map(mul, repeat(scale), t))
         return root, point
 
     return {
@@ -276,7 +282,7 @@ def _pieces(envelope: BarrierEnvelope, hull: HullBounds, w_q: tuple) -> dict:
         "plane_eta2": plane(envelope.eta2),
         "ellipsoid_lambda1": ellipsoid(envelope.lambda1),
         "ellipsoid_lambda2": ellipsoid(envelope.lambda2),
-        "hull_face": (1.0, lambda t: tuple(ti * ci for ti, ci in zip(t, face))),
+        "hull_face": (1.0, lambda t: tuple(map(mul, t, face))),
     }
 
 
@@ -304,7 +310,7 @@ def _plane_vertices(alpha: Sequence[float], d: Sequence[float], m: float) -> lis
     by a 0 peak or meets a bare OverflowError.
     """
     try:
-        values = [di * a ** (1.0 - m) for a, di in zip(alpha, d)]
+        values = list(map(mul, d, map(pow, alpha, repeat(1.0 - m))))
     except OverflowError:  # m > 1, so the smallest alpha_i overflows first
         i = alpha.index(min(alpha)) + 1
         raise _overflow(f"power alpha_{i}^(1-m)") from None
@@ -322,14 +328,14 @@ def _dual_peak(a: Sequence[float], w_q: tuple, m: float) -> tuple:
     cannot overflow as m' grows near m = 1.
     """
     dual = m / (m - 1.0)
-    r = [ai / wi ** (1.0 / m) for ai, wi in zip(a, w_q)]
+    r = list(map(truediv, a, map(pow, w_q, repeat(1.0 / m))))
     top = max(r)
     if top == 0.0:  # every r_i underflowed: no ratio exceeds the smallest float
         return vertex_peak(r)
-    terms = [(ri / top) ** dual for ri in r]
-    t = [x / ai for x, ai in zip(terms, a)]
+    terms = list(map(pow, map(truediv, r, repeat(top)), repeat(dual)))
+    t = list(map(truediv, terms, a))
     norm = sum(t)
-    return top * sum(terms) ** (1.0 / dual), tuple(ti / norm for ti in t)
+    return top * sum(terms) ** (1.0 / dual), tuple(map(truediv, t, repeat(norm)))
 
 
 def verify_containment(envelope: BarrierEnvelope, hull: HullBounds, samples: int,
@@ -377,9 +383,9 @@ def verify_containment(envelope: BarrierEnvelope, hull: HullBounds, samples: int
     plane_peak = vertex_peak(_plane_vertices(alpha, d, m))
     ray_peak = _dual_peak(alpha, w_q, m)
     if lower:
-        hull_peak = _dual_peak([1.0 / lo for lo in hull.ulow], w_q, m)
+        hull_peak = _dual_peak(list(map(truediv, repeat(1.0), hull.ulow)), w_q, m)
     else:
-        hull_peak = vertex_peak([w * hi ** m for w, hi in zip(w_q, hull.ubar)])
+        hull_peak = vertex_peak(list(map(mul, w_q, map(pow, hull.ubar, repeat(m)))))
 
     lam1, eta1, lam2, eta2 = envelope.lambda1, envelope.eta1, envelope.lambda2, envelope.eta2
     # (name, peak and maximiser t, inner piece, outer level), innermost link first.

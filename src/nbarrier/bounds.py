@@ -16,6 +16,7 @@ at either end collapses it to zero.
 from __future__ import annotations
 
 from math import isfinite, sqrt
+from operator import mul
 from typing import Sequence
 
 from .barrier import ORDER_REL_SLACK, build_lower_barrier, build_upper_barrier
@@ -61,8 +62,8 @@ def bounds_m1(alpha: Sequence[float], d: Sequence[float], hull: HullBounds,
     """Linear-diffusion bounds: extremal weighted intercepts times d-contrast."""
     require_vectors(hull.n, alpha=alpha, d=d)
     dmax, dmin = max(d), min(d)
-    upper = max(a * hi for a, hi in zip(alpha, hull.ubar)) * dmax / dmin
-    lower = min(a * lo for a, lo in zip(alpha, hull.ulow)) * dmin / dmax * chi
+    upper = max(map(mul, alpha, hull.ubar)) * dmax / dmin
+    lower = min(map(mul, alpha, hull.ulow)) * dmin / dmax * chi
     return BoundsResult(lower=lower, upper=upper, chi=chi, branch=BRANCH_M1)
 
 

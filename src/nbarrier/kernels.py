@@ -359,22 +359,24 @@ def residual_maxima(spec: SystemSpec, form: ClosedForm, constants: tuple,
     """Max |d_i (u_i^m)'' + theta u_i' + u_i^{l_i} f_i(u)| per species over
     grid, from the u_i, u_i', u_i'' that form's statements bind with
     constants and from spec's own m; a species with a NaN or complex
-    residual at any point reports NaN, and a residual that overflows
-    raises a ValueError naming its species and grid point."""
+    residual at any point reports NaN, and a residual that overflows, or
+    that takes 0 to the negative power m - 2 (1 < m < 2), raises a
+    ValueError naming its species and grid point."""
     try:
         return _bind("residual", _residual_source, form, spec, constants, grid)
-    except OverflowError:
-        _name_overflow(spec, form, constants, grid)
+    except (OverflowError, ZeroDivisionError) as exc:
+        _name_power_fault(spec, form, constants, grid, type(exc))
         raise
 
 
-def _name_overflow(spec: SystemSpec, form: ClosedForm, constants: tuple,
-                   grid: Sequence[float]) -> None:
+def _name_power_fault(spec: SystemSpec, form: ClosedForm, constants: tuple,
+                      grid: Sequence[float], fault: type) -> None:
     """Raise a ValueError naming the first grid point, and a species there,
-    where a power that the residual takes overflows: u_i^{l_i}, and unless
+    where a power that the residual takes raises fault: u_i^{l_i}, and unless
     m is 1, u_i^(m-1) and u_i^(m-2).  These are the only operations of the
     residual kernel, besides form's own statements, that raise
-    OverflowError.  Returns if none overflows."""
+    OverflowError or ZeroDivisionError; the latter is u_i = 0 to a negative
+    m - 2.  Returns if no power raises fault."""
     m = float(spec.m)
     exponents = () if m == 1.0 else (m - 1.0, m - 2.0)
     at = compile_at(form)
@@ -383,9 +385,14 @@ def _name_overflow(spec: SystemSpec, form: ClosedForm, constants: tuple,
             for e in (*exponents, float(l)):
                 try:
                     u ** e
-                except OverflowError:
-                    raise ValueError(f"residual of species {i} overflows floating point at "
-                                     f"x = {x!r}; the parameters overflow floating point") from None
-                except ZeroDivisionError:
-                    # 0.0 to a negative m - 2; the kernel overflowed elsewhere.
+                except fault:
+                    if fault is OverflowError:
+                        raise ValueError(f"residual of species {i} overflows floating point at "
+                                         f"x = {x!r}; the parameters overflow floating point"
+                                         ) from None
+                    raise ValueError(f"residual of species {i} is undefined at x = {x!r}, "
+                                     f"where u{i} is 0 and the exponent m - 2 = {e!r} is "
+                                     "negative") from None
+                except ArithmeticError:
+                    # The other fault of the two; the kernel raised fault elsewhere.
                     pass

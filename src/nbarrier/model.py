@@ -10,6 +10,16 @@ The compiled wave kernels live in kernels.
 Coefficient vectors (d, l, sigma, C, ubar, ulow, the band weights alpha)
 hold finite floats > 0 and share one length; require_vectors checks that.
 
+The per-element work of this module and of barrier, bounds and
+nonexistence runs at C level: map over operator functions and
+itertools.repeat, and builtins applied to tuples, in place of generator
+expressions.  Each such expression applies the same operations to the same
+operands in the same order as the element-wise loop it stands for, so every
+float, verdict, worst point, message and exception class is that loop's.
+Validation has one definition, the element-wise 0.0 < v < inf: the filter
+_in_range lets through only what that check accepts, and that check is the
+only path that refuses.
+
 Every value type of the package is a record: the record decorator makes a
 frozen value type whose __init__, __repr__, __eq__, __hash__, __setattr__
 and __delattr__ are closures shared by all records, where
@@ -29,8 +39,9 @@ satisfies H by construction.
 from __future__ import annotations
 
 import warnings
-from itertools import chain
+from itertools import chain, islice, repeat
 from math import inf, isfinite
+from operator import eq, ge, le, lt, mul, neg, sub, truediv
 from typing import Callable, Sequence
 
 REGION_REL_TOL = 1e-9      # relative tolerance for region membership
@@ -172,10 +183,28 @@ def require_finite(**fields) -> None:
                 raise ValueError(f"{name} must be finite, got {v!r}")
 
 
+def _in_range(values) -> bool:
+    """A filter for 0.0 < v < inf over a sequence of numbers: True only when
+    every entry passes that check.
+
+    min(values) is above 0.0 only if every entry but a NaN is, and a NaN or
+    an infinite entry makes the sum NaN or inf.  A sum that overflows, an
+    empty sequence, an int too large for a float and entries that do not
+    compare or add give False, and the element-wise check then decides.
+    """
+    try:
+        return 0.0 < min(values) and sum(values) < inf
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 def require_positive(**fields) -> None:
-    """Raise a ValueError naming the first field with a NaN, infinite or nonpositive entry."""
+    """Raise a ValueError naming the first field with a NaN, infinite or
+    nonpositive entry; each keyword maps a field name to a sequence of its
+    numbers.  _in_range lets most fields through at C level; the
+    element-wise 0.0 < v < inf decides the others and alone refuses."""
     for name, values in fields.items():
-        if not all(0.0 < v < inf for v in values):
+        if not _in_range(values) and not all(0.0 < v < inf for v in values):
             require_finite(**{name: values})
             raise ValueError(f"{name} must be strictly positive")
 
@@ -187,7 +216,7 @@ def require_vectors(n: int | None = None, **vectors) -> None:
     for values in vectors.values():
         if expected is None:
             expected = len(values)
-        if len(values) != expected or not all(0.0 < v < inf for v in values):
+        if len(values) != expected or not _in_range(values):
             break
     else:
         return
@@ -267,12 +296,12 @@ class ReactionSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "sigma", tuple(self.sigma))
-        object.__setattr__(self, "C", tuple(tuple(row) for row in self.C))
+        object.__setattr__(self, "C", tuple(map(tuple, self.C)))
         require_positive(sigma=self.sigma, C=tuple(chain.from_iterable(self.C)))
         n = len(self.sigma)
         if n == 0:
             raise ValueError("reaction needs at least one species")
-        if len(self.C) != n or any(len(row) != n for row in self.C):
+        if len(self.C) != n or set(map(len, self.C)) != {n}:
             raise ValueError(f"competition matrix must be {n}x{n}")
 
     @property
@@ -321,7 +350,7 @@ class HullBounds:
         object.__setattr__(self, "ulow", tuple(self.ulow))
         # sigma_j / c_ji overflows to inf for extreme finite rates.
         require_vectors(ubar=self.ubar, ulow=self.ulow)
-        if any(hi < lo for hi, lo in zip(self.ubar, self.ulow)):
+        if any(map(lt, self.ubar, self.ulow)):
             raise ValueError("ubar must dominate ulow componentwise")
         if self.is_degenerate():
             warnings.warn("degenerate hull: ubar_i == ulow_i for some i", stacklevel=3)
@@ -331,14 +360,16 @@ class HullBounds:
         return len(self.ubar)
 
     def is_degenerate(self) -> bool:
-        return any(hi == lo for hi, lo in zip(self.ubar, self.ulow))
+        return any(map(eq, self.ubar, self.ulow))
 
 
 def vertex_peak(values: list) -> tuple:
     """Largest of values and the simplex vertex e_i attaining it, a tuple of
     0.0 and 1.0; on ties the vertex of the highest index i."""
     largest, i = max(zip(values, range(len(values))))
-    return largest, tuple(float(j == i) for j in range(len(values)))
+    vertex = [0.0] * len(values)
+    vertex[i] = 1.0
+    return largest, tuple(vertex)
 
 
 def reaction_eval(reaction: ReactionSpec, u: Sequence[float]) -> tuple:
@@ -362,7 +393,7 @@ def axis_intercepts(sigma: Sequence[float], C: Sequence[Sequence[float]]) -> lis
     row of C may be longer than sigma: only its first len(sigma) entries
     are read.
     """
-    return [[s / row[i] for s, row in zip(sigma, C)] for i in range(len(sigma))]
+    return [list(map(truediv, sigma, column)) for column in islice(zip(*C), len(sigma))]
 
 
 def hull_intercepts(reaction: ReactionSpec) -> HullBounds:
@@ -439,20 +470,26 @@ def verify_hypothesis_H(
         raise ValueError("hypothesis cannot be verified on a degenerate hull")
 
     sigma, columns = spec.reaction.sigma, list(zip(*spec.reaction.C))
-    inner_peak, inner_t = vertex_peak([-min(s - c * lo for s, c in zip(sigma, col))
-                                       for col, lo in zip(columns, hull.ulow)])
-    outer_peak, outer_t = vertex_peak([max(s - c * hi for s, c in zip(sigma, col))
-                                       for col, hi in zip(columns, hull.ubar)])
+    inner_peak, inner_t = vertex_peak(list(map(neg, map(min, _axis_values(
+        sigma, columns, hull.ulow)))))
+    outer_peak, outer_t = vertex_peak(list(map(max, _axis_values(sigma, columns, hull.ubar))))
     axes = axis_intercepts(sigma, spec.reaction.C)
 
     return HypothesisReport(
-        inner_ok=all(lo <= min(axis) for lo, axis in zip(hull.ulow, axes)),
-        outer_ok=all(hi >= max(axis) for hi, axis in zip(hull.ubar, axes)),
-        worst_inner_point=tuple(t * lo for t, lo in zip(inner_t, hull.ulow)),
+        inner_ok=all(map(le, hull.ulow, map(min, axes))),
+        outer_ok=all(map(ge, hull.ubar, map(max, axes))),
+        worst_inner_point=tuple(map(mul, inner_t, hull.ulow)),
         worst_inner_value=-inner_peak,
-        worst_outer_point=tuple(t * hi for t, hi in zip(outer_t, hull.ubar)),
+        worst_outer_point=tuple(map(mul, outer_t, hull.ubar)),
         worst_outer_value=outer_peak,
     )
+
+
+def _axis_values(sigma: Sequence[float], columns: list, u: Sequence[float]):
+    """Per axis k, the values f_j(u_k e_k) = sigma_j - c_jk u_k over j, each
+    a lazy iterator, from column k of C."""
+    return map(map, repeat(sub), repeat(sigma),
+               map(map, repeat(mul), columns, map(repeat, u)))
 
 
 def system_to_dict(spec: SystemSpec) -> dict:

@@ -36,7 +36,7 @@ class ThreeSpeciesParams:
     def __post_init__(self):
         object.__setattr__(self, "d", tuple(self.d))
         object.__setattr__(self, "sigma", tuple(self.sigma))
-        object.__setattr__(self, "C", tuple(tuple(row) for row in self.C))
+        object.__setattr__(self, "C", tuple(map(tuple, self.C)))
         require_vectors(3, d=self.d, sigma=self.sigma)
         ReactionSpec(sigma=self.sigma, C=self.C)
         for name, w in (("w_minus_inf", self.w_minus_inf),

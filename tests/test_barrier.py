@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 from nbarrier import (
     BarrierEnvelope,
     HullBounds,
+    ReactionSpec,
     barrier_curves,
     build_lower_barrier,
     build_upper_barrier,
+    hull_intercepts,
     verify_containment,
 )
 from nbarrier import barrier as barrier_module
@@ -658,3 +660,186 @@ def test_tangency_level_answers_where_the_tangent_point_leaves_the_float_range(a
     # (alpha_1 ulow_1)^(-2) = 1e400 overflows; Lambda needs neither.
     lower, _ = decimal_chains(alpha, (1.0, 1.0), ulow, ulow, 1.5)
     assert rel_gap(_tangency_level(1.0, alpha, ulow, 1.5), lower["lambda1"]) < 1e-12
+
+
+# Plain-loop twins of the geometry layer: the operations of hull_intercepts,
+# both builders and verify_containment, one element at a time in the same
+# order, with the builtin sum, min and max over the lists they build, so
+# that they round as the library does on every interpreter.
+
+def hull_by_loops(sigma, C):
+    ubar, ulow = [], []
+    for i in range(len(sigma)):
+        axis = []
+        for s, row in zip(sigma, C):
+            axis.append(s / row[i])
+        ubar.append(max(axis))
+        ulow.append(min(axis))
+    return tuple(ubar), tuple(ulow)
+
+
+def plane_vertices_by_loops(alpha, d, m):
+    values = []
+    for a, di in zip(alpha, d):
+        values.append(di * a ** (1.0 - m))
+    return values
+
+
+def q_weights_by_loops(alpha, d):
+    w_q = []
+    for a, di in zip(alpha, d):
+        w_q.append(a * di)
+    return w_q
+
+
+def vertex_by_loops(values):
+    """The largest value and its vertex, the highest index on ties."""
+    k = 0
+    for i in range(1, len(values)):
+        if values[i] >= values[k]:
+            k = i
+    vertex = []
+    for i in range(len(values)):
+        vertex.append(1.0 if i == k else 0.0)
+    return values[k], tuple(vertex)
+
+
+def tangency_by_loops(theta, w_q, ulow, m):
+    e = 1.0 / (m - 1.0)
+    terms = []
+    for w, lo in zip(w_q, ulow):
+        terms.append((w * lo ** m) ** -e)
+    return theta ** m * sum(terms) ** (1.0 - m)
+
+
+def lower_by_loops(alpha, d, ulow, m):
+    grow = max(plane_vertices_by_loops(alpha, d, m))
+    w_q = q_weights_by_loops(alpha, d)
+    lambda1 = tangency_by_loops(1.0, w_q, ulow, m)
+    eta1 = (lambda1 / grow) ** (1.0 / m)
+    inverse = []
+    for a in alpha:
+        inverse.append(1.0 / a)
+    lambda2 = tangency_by_loops(eta1, w_q, inverse, m)
+    return lambda1, eta1, lambda2, (lambda2 / grow) ** (1.0 / m)
+
+
+def upper_by_loops(alpha, d, ubar, m):
+    e = 1.0 / (m - 1.0)
+    terms, peaks = [], []
+    for a, di, hi in zip(alpha, d, ubar):
+        terms.append(a * di ** -e)
+        peaks.append(a * di * hi ** m)
+    S = sum(terms)
+    grow = max(plane_vertices_by_loops(alpha, d, m))
+    lambda1 = max(peaks)
+    eta1 = lambda1 ** (1.0 / m) * S ** ((m - 1.0) / m)
+    lambda2 = eta1 ** m * grow
+    return lambda1, eta1, lambda2, lambda2 ** (1.0 / m) * S ** ((m - 1.0) / m)
+
+
+def dual_peak_by_loops(a, w_q, m):
+    dual = m / (m - 1.0)
+    r = []
+    for ai, wi in zip(a, w_q):
+        r.append(ai / wi ** (1.0 / m))
+    top = max(r)
+    terms, t = [], []
+    for ri, ai in zip(r, a):
+        terms.append((ri / top) ** dual)
+        t.append(terms[-1] / ai)
+    norm = sum(t)
+    point = []
+    for ti in t:
+        point.append(ti / norm)
+    return top * sum(terms) ** (1.0 / dual), tuple(point)
+
+
+def links_by_loops(env, hull):
+    """(name, ok, worst margin, worst point) per link of verify_containment."""
+    alpha, d, m = env.weights, env.d, env.m
+    w_q = q_weights_by_loops(alpha, d)
+    lower = env.orientation == "lower"
+
+    def plane(eta):
+        def point(t):
+            u = []
+            for ti, a in zip(t, alpha):
+                u.append(eta * ti / a)
+            return tuple(u)
+        return eta ** m, point
+
+    def ellipsoid(lam):
+        root = lam ** (1.0 / m)
+
+        def point(t):
+            q = []
+            for w, ti in zip(w_q, t):
+                q.append(w * ti ** m)
+            scale = root / sum(q) ** (1.0 / m)
+            u = []
+            for ti in t:
+                u.append(scale * ti)
+            return tuple(u)
+        return root, point
+
+    def face(t):
+        u = []
+        for ti, ci in zip(t, hull.ubar):
+            u.append(ti * ci)
+        return tuple(u)
+
+    plane_peak = vertex_by_loops(plane_vertices_by_loops(alpha, d, m))
+    ray_peak = dual_peak_by_loops(alpha, w_q, m)
+    if lower:
+        inverse = []
+        for lo in hull.ulow:
+            inverse.append(1.0 / lo)
+        hull_peak = dual_peak_by_loops(inverse, w_q, m)
+    else:
+        values = []
+        for w, hi in zip(w_q, hull.ubar):
+            values.append(w * hi ** m)
+        hull_peak = vertex_by_loops(values)
+    lam1, eta1, lam2, eta2 = env.lambda1, env.eta1, env.lambda2, env.eta2
+    if lower:
+        links = (("plane_eta2_in_ellipsoid_lambda2", plane_peak, plane(eta2), lam2),
+                 ("ellipsoid_lambda2_in_plane_eta1", ray_peak, ellipsoid(lam2), eta1),
+                 ("plane_eta1_in_ellipsoid_lambda1", plane_peak, plane(eta1), lam1),
+                 ("ellipsoid_lambda1_in_inner_hull", hull_peak, ellipsoid(lam1), 1.0))
+    else:
+        links = (("outer_hull_face_in_ellipsoid_lambda1", hull_peak, (1.0, face), lam1),
+                 ("ellipsoid_lambda1_in_plane_eta1", ray_peak, ellipsoid(lam1), eta1),
+                 ("plane_eta1_in_ellipsoid_lambda2", plane_peak, plane(eta1), lam2),
+                 ("ellipsoid_lambda2_in_plane_eta2", ray_peak, ellipsoid(lam2), eta2))
+    out = []
+    for name, (largest, t), (factor, point), limit in links:
+        value = factor * largest
+        out.append((name, value <= limit * (1.0 + REGION_REL_TOL), (limit - value) / limit,
+                    point(t)))
+    return out
+
+
+@pytest.mark.filterwarnings("ignore:degenerate hull")  # n = 1
+def test_geometry_layer_equals_its_plain_loop_twins_bit_for_bit():
+    """hull_intercepts, the four levels of both builders and every link's
+    verdict, worst margin and worst point equal the plain-loop twins', float
+    for float, on seeded systems n = 1..6 at m = 1.5, 2 and 3."""
+    rng = random.Random(30)
+    for k in range(600):
+        n, m = 1 + k % 6, (1.5, 2.0, 3.0)[k // 6 % 3]
+        sigma = [10 ** rng.uniform(-1.0, 1.0) for _ in range(n)]
+        C = [[10 ** rng.uniform(-1.0, 1.0) * (3.0 if i == j else 1.0) for j in range(n)]
+             for i in range(n)]
+        alpha = [10 ** rng.uniform(-1.0, 1.0) for _ in range(n)]
+        d = [10 ** rng.uniform(-1.0, 1.0) for _ in range(n)]
+        hull = hull_intercepts(ReactionSpec(sigma=sigma, C=C))
+        assert (hull.ubar, hull.ulow) == hull_by_loops(sigma, C), k
+        lower = build_lower_barrier(alpha, d, hull.ulow, m)
+        upper = build_upper_barrier(alpha, d, hull.ubar, m)
+        for env, twin in ((lower, lower_by_loops(alpha, d, hull.ulow, m)),
+                          (upper, upper_by_loops(alpha, d, hull.ubar, m))):
+            assert (env.lambda1, env.eta1, env.lambda2, env.eta2) == twin, (k, env)
+            links = [(link.name, link.ok, link.worst_margin, link.worst_point)
+                     for link in verify_containment(env, hull, 1).links]
+            assert links == links_by_loops(env, hull), (k, env)

@@ -941,6 +941,19 @@ def test_a_residual_that_overflows_names_the_species_and_the_point(capsys):
                    "the parameters overflow floating point\n")
 
 
+def test_a_residual_that_takes_zero_to_a_negative_power_names_the_species_and_the_point(
+        capsys):
+    # At m = 1.5, u2 = k2 (1 + tanh x) is exactly 0.0 at the default grid's
+    # first point, x = -20, and u2^(m - 2) divides by it.
+    spec = {"n": 2, "m": 1.5, "d": [3, 4], "l": [2, 2], "theta": 0, "sigma": [240, 32],
+            "C": [[1, 27], [0.4, 2]]}
+    code, out, err = run(capsys, "residual", "tanh", "--d1", "3", "--d2", "4", "--c11", "1",
+                         "--c22", "2", "--spec", json.dumps(spec))
+    assert (code, out) == (1, "")
+    assert err == ("error: residual of species 2 is undefined at x = -20.0, where u2 is 0 "
+                   "and the exponent m - 2 = -0.5 is negative\n")
+
+
 def test_residual_of_a_member_with_nan_residuals_exits_1(capsys):
     code, out, err = run(capsys, "residual", "tanh", "--d1", "1e102", "--d2", "4",
                          "--c11", "1", "--c22", "2")

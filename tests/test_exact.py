@@ -118,6 +118,27 @@ def test_a_residual_that_overflows_names_the_species_and_the_point():
         residual(sol.system(), sol.profile(), [-30.0, 0.0, 1.0])
 
 
+def test_a_zero_profile_value_below_m_2_names_the_species_and_the_point(tanh_sol):
+    # At 1 < m < 2, (u^m)'' takes u^(m - 2), 0.0 to a negative power where
+    # u2 = k2 (1 + tanh x) is exactly 0.0, as at x = -20 and not at x = 0;
+    # species 1 is positive at both.
+    spec = replace(tanh_sol.system(), m=1.5)
+    profile = tanh_sol.profile()
+    grid = [0.0, -20.0, -30.0]
+    assert profile.at(-20.0).u[1] == 0.0 < profile.at(0.0).u[1]
+    with pytest.raises(ValueError, match="^" + re.escape(
+            "residual of species 2 is undefined at x = -20.0, where u2 is 0 and "
+            "the exponent m - 2 = -0.5 is negative") + "$"):
+        residual(spec, profile, grid)
+    # The profile-point route meets the same raise, and both refuse the grid.
+    assert (outcome(residual, spec, profile, grid)
+            == outcome(residual_via_profile_points, spec, replace(profile, m=1.5), grid)
+            == "ValueError")
+    # Where u2 is positive, both routes give the same finite maxima.
+    assert residual(spec, profile, grid[:1]) == residual_via_profile_points(
+        spec, replace(profile, m=1.5), grid[:1])
+
+
 def test_residual_reads_a_numpy_grid(tanh_sol):
     grid = [-1.0, 0.0, 1.0]
     spec, profile = tanh_sol.system(), tanh_sol.profile()
@@ -239,7 +260,8 @@ def residual_via_profile_points(spec, profile, grid):
     """The residual built from Profile.at and reaction_eval, point by point;
     a complex residual (a negative base to a fractional power) is NaN, a
     NaN residual is kept as the maximum, as residual keeps it, and an
-    overflow is a ValueError, as residual raises it."""
+    overflow or a zero to a negative power is a ValueError, as residual
+    raises it."""
     worst = [0.0] * spec.n
     for x in grid:
         try:
@@ -247,8 +269,8 @@ def residual_via_profile_points(spec, profile, grid):
             f = reaction_eval(spec.reaction, pt.u)
             res = [spec.d[i] * pt.ddum[i] + spec.theta * pt.du[i] + pt.u[i] ** spec.l[i] * f[i]
                    for i in range(spec.n)]
-        except OverflowError:
-            raise ValueError(f"residual overflows floating point at x = {x!r}") from None
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise ValueError(f"residual fails at x = {x!r}: {exc}") from None
         for i, e in enumerate(res):
             r = math.nan if isinstance(e, complex) else abs(e)
             if r > worst[i] or r != r:

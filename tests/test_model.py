@@ -4,10 +4,11 @@ import math
 import random
 import re
 from dataclasses import fields, replace
+from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nbarrier import (
@@ -24,7 +25,7 @@ from nbarrier import (
 from nbarrier.barrier import BarrierEnvelope, build_lower_barrier, build_upper_barrier
 from nbarrier.bounds import bounds_m1
 from nbarrier.exact import tanh_family
-from nbarrier.model import axis_intercepts, require_positive
+from nbarrier.model import axis_intercepts, require_positive, require_vectors
 from nbarrier.nonexistence import ThreeSpeciesParams
 from nbarrier.waves import integrate
 
@@ -413,6 +414,121 @@ def test_require_positive_refuses_all_but_finite_positive_entries(value, message
     with pytest.raises(ValueError, match=f"^{message}$"):
         require_positive(d=(1.0, 2.0), weights=(1.0, value))
 
+
+def refusal_by_the_element_wise_rule(n, vectors):
+    """(exception class, message) that require_vectors(n, **vectors) must
+    raise, or None where it must accept, from plain loops over the
+    element-wise 0.0 < v < inf: unequal lengths first, then the first vector
+    with an entry that fails, named by its first non-finite entry if it has
+    one."""
+    lengths = [len(values) for values in vectors.values()]
+    expected = n if n is not None else lengths[0] if lengths else None
+    for length in lengths:
+        if length != expected:
+            return ValueError, "vector lengths must agree, got " + ", ".join(
+                ([] if n is None else [f"n = {n}"])
+                + [f"len({name}) = {len(values)}" for name, values in vectors.items()])
+    for name, values in vectors.items():
+        for v in values:
+            if not 0.0 < v < math.inf:
+                for w in values:
+                    if not math.isfinite(w):
+                        return ValueError, f"{name} must be finite, got {w!r}"
+                return ValueError, f"{name} must be strictly positive"
+    return None
+
+
+def refusal(check, *args, **vectors):
+    try:
+        check(*args, **vectors)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def assert_one_validation_rule(n, vectors):
+    want = refusal_by_the_element_wise_rule(n, vectors)
+    assert refusal(require_vectors, n, **vectors) == want, (n, vectors)
+    # require_positive checks the entries alone, field by field.
+    want_positive = None
+    for name, values in vectors.items():
+        want_positive = refusal_by_the_element_wise_rule(None, {name: values})
+        if want_positive:
+            break
+    assert refusal(require_positive, **vectors) == want_positive, vectors
+
+
+# A NaN fails every comparison, so min and max skip one that is not first:
+# only a check that compares each entry, or a sum that a NaN turns NaN, sees
+# it in the middle or last.  A sum of large entries can overflow while every
+# entry is finite, and an empty vector has no min.
+EDGE_VECTORS = {
+    "nan-first": (math.nan, 1.0, 2.0),
+    "nan-middle": (1.0, math.nan, 2.0),
+    "nan-last": (1.0, 2.0, math.nan),
+    "nan-alone": (math.nan,),
+    "inf": (1.0, math.inf),
+    "-inf-first": (-math.inf, 1.0),
+    "inf-and-nan": (math.inf, math.nan),
+    "zero": (1.0, 0.0),
+    "minus-zero": (-0.0, 1.0),
+    "negative-middle": (1.0, -2.0, 3.0),
+    "subnormal": (5e-324, 2.5e-310),
+    "sum-overflows": (1e308, 1e308),
+    "sum-overflows-then-nan": (1e308, 1e308, math.nan),
+    "empty": (),
+    "ints": (1, 2, 3),
+    "int-zero": (3, 0),
+    "fractions": (Fraction(1, 3), Fraction(7, 2)),
+    "negative-fraction": (Fraction(1, 3), Fraction(-1, 2)),
+    "mixed-exact": (2, Fraction(1, 3), 0.5),
+}
+ACCEPTED = {"subnormal", "sum-overflows", "empty", "ints", "fractions", "mixed-exact"}
+
+
+@pytest.mark.parametrize("name", list(EDGE_VECTORS))
+def test_require_vectors_keeps_the_element_wise_rule_on_edge_entries(name):
+    vector = EDGE_VECTORS[name]
+    assert (refusal_by_the_element_wise_rule(None, {"x": vector}) is None) == (name in ACCEPTED)
+    for vectors in ({"x": vector}, {"x": vector, "y": (1.0,) * len(vector)},
+                    {"y": (1.0,) * len(vector), "x": list(vector)}):
+        assert_one_validation_rule(None, vectors)
+        assert_one_validation_rule(len(vector), vectors)
+        assert_one_validation_rule(len(vector) + 1, vectors)
+
+
+ENTRIES = st.one_of(
+    st.floats(min_value=0.1, max_value=10.0),
+    st.floats(),
+    st.sampled_from((math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1e308,
+                     1.7976931348623157e308)),
+    st.integers(min_value=-2, max_value=2 ** 70),
+    st.fractions(min_value=-1, max_value=10 ** 6),
+)
+
+
+@st.composite
+def vector_sets(draw):
+    """n and one to three named vectors, mostly of one length."""
+    size = draw(st.integers(min_value=0, max_value=6))
+    vectors = {}
+    for name in "xyz"[:draw(st.integers(min_value=1, max_value=3))]:
+        length = size if draw(st.integers(min_value=0, max_value=9)) else draw(
+            st.integers(min_value=0, max_value=7))
+        entries = draw(st.lists(ENTRIES, min_size=length, max_size=length))
+        vectors[name] = tuple(entries) if draw(st.booleans()) else entries
+    return draw(st.sampled_from((None, None, size, size + 1))), vectors
+
+
+@settings(max_examples=300, deadline=None)
+@given(vector_sets())
+@example((None, {"x": (1.0, math.nan, 2.0)}))
+@example((2, {"x": (1.0, 2.0), "y": (3.0, math.nan)}))
+@example((None, {"x": (1e308, 1e308), "y": (5e-324, 1.0)}))
+@example((0, {"x": (), "y": []}))
+def test_require_vectors_accepts_and_refuses_as_the_element_wise_check(case):
+    n, vectors = case
+    assert_one_validation_rule(n, vectors)
 
 
 # Every entry point that takes a coefficient vector: builds it from a vector of
