@@ -390,9 +390,9 @@ def _name_power_fault(spec: SystemSpec, form: ClosedForm, constants: tuple,
                         raise ValueError(f"residual of species {i} overflows floating point at "
                                          f"x = {x!r}; the parameters overflow floating point"
                                          ) from None
-                    raise ValueError(f"residual of species {i} is undefined at x = {x!r}, "
-                                     f"where u{i} is 0 and the exponent m - 2 = {e!r} is "
-                                     "negative") from None
+                    raise ValueError(f"residual of species {i} cannot be evaluated in "
+                                     f"floating point at x = {x!r}: u{i} rounds to 0.0 there "
+                                     f"and the exponent m - 2 = {e!r} is negative") from None
                 except ArithmeticError:
                     # The other fault of the two; the kernel raised fault elsewhere.
                     pass

@@ -16,9 +16,10 @@ itertools.repeat, and builtins applied to tuples, in place of generator
 expressions.  Each such expression applies the same operations to the same
 operands in the same order as the element-wise loop it stands for, so every
 float, verdict, worst point, message and exception class is that loop's.
-Validation has one definition, the element-wise 0.0 < v < inf: the filter
-_in_range lets through only what that check accepts, and that check is the
-only path that refuses.
+Validation has one definition and one path, the element-wise
+0.0 < v < inf over every entry v of a coefficient vector.  It stays a
+generator expression, as require_finite stays a plain loop: on vectors of
+2 to 6 entries both measured faster than their map equivalents.
 
 Every value type of the package is a record: the record decorator makes a
 frozen value type whose __init__, __repr__, __eq__, __hash__, __setattr__
@@ -183,28 +184,10 @@ def require_finite(**fields) -> None:
                 raise ValueError(f"{name} must be finite, got {v!r}")
 
 
-def _in_range(values) -> bool:
-    """A filter for 0.0 < v < inf over a sequence of numbers: True only when
-    every entry passes that check.
-
-    min(values) is above 0.0 only if every entry but a NaN is, and a NaN or
-    an infinite entry makes the sum NaN or inf.  A sum that overflows, an
-    empty sequence, an int too large for a float and entries that do not
-    compare or add give False, and the element-wise check then decides.
-    """
-    try:
-        return 0.0 < min(values) and sum(values) < inf
-    except (TypeError, ValueError, OverflowError):
-        return False
-
-
 def require_positive(**fields) -> None:
-    """Raise a ValueError naming the first field with a NaN, infinite or
-    nonpositive entry; each keyword maps a field name to a sequence of its
-    numbers.  _in_range lets most fields through at C level; the
-    element-wise 0.0 < v < inf decides the others and alone refuses."""
+    """Raise a ValueError naming the first field with a NaN, infinite or nonpositive entry."""
     for name, values in fields.items():
-        if not _in_range(values) and not all(0.0 < v < inf for v in values):
+        if not all(0.0 < v < inf for v in values):
             require_finite(**{name: values})
             raise ValueError(f"{name} must be strictly positive")
 
@@ -216,7 +199,7 @@ def require_vectors(n: int | None = None, **vectors) -> None:
     for values in vectors.values():
         if expected is None:
             expected = len(values)
-        if len(values) != expected or not _in_range(values):
+        if len(values) != expected or not all(0.0 < v < inf for v in values):
             break
     else:
         return

@@ -950,8 +950,9 @@ def test_a_residual_that_takes_zero_to_a_negative_power_names_the_species_and_th
     code, out, err = run(capsys, "residual", "tanh", "--d1", "3", "--d2", "4", "--c11", "1",
                          "--c22", "2", "--spec", json.dumps(spec))
     assert (code, out) == (1, "")
-    assert err == ("error: residual of species 2 is undefined at x = -20.0, where u2 is 0 "
-                   "and the exponent m - 2 = -0.5 is negative\n")
+    assert err == ("error: residual of species 2 cannot be evaluated in floating point at "
+                   "x = -20.0: u2 rounds to 0.0 there and the exponent m - 2 = -0.5 is "
+                   "negative\n")
 
 
 def test_residual_of_a_member_with_nan_residuals_exits_1(capsys):

@@ -459,9 +459,9 @@ def assert_one_validation_rule(n, vectors):
 
 
 # A NaN fails every comparison, so min and max skip one that is not first:
-# only a check that compares each entry, or a sum that a NaN turns NaN, sees
-# it in the middle or last.  A sum of large entries can overflow while every
-# entry is finite, and an empty vector has no min.
+# only a check that compares each entry sees it in the middle or last.  A sum
+# of large entries can overflow while every entry is finite, and an empty
+# vector has no min.
 EDGE_VECTORS = {
     "nan-first": (math.nan, 1.0, 2.0),
     "nan-middle": (1.0, math.nan, 2.0),
