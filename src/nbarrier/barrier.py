@@ -19,7 +19,8 @@ Levels, weights, peaks and points are computed element by element at C
 level, by map over operator functions and itertools.repeat, under the rule
 that model states: the same operations on the same operands in the same
 order as a plain loop, so each float and each refusal is the loop's, and
-model's one check of 0.0 < v < inf is the only path that refuses a vector.
+model's one check of 0.0 < v <= FLOAT_MAX is the only path that refuses a
+vector.
 """
 
 from __future__ import annotations

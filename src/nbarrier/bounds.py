@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from math import isfinite, sqrt
 from operator import mul
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .barrier import ORDER_REL_SLACK, build_lower_barrier, build_upper_barrier
 from .model import (HullBounds, SystemSpec, hull_intercepts, record, record_dict,
@@ -122,7 +122,24 @@ def bounds_two_species_m2(alpha1: float, alpha2: float, d1: float, d2: float,
     """
     if hull.n != 2:
         raise ValueError("two-species branch needs a 2d hull")
-    upper = two_species_m2_upper(alpha1, alpha2, d1, d2, hull.ubar[0], hull.ubar[1])
-    lower = two_species_m2_lower(alpha1, alpha2, d1, d2, hull.ulow[0], hull.ulow[1]) * chi
+    upper = _named_range_fault("upper", two_species_m2_upper,
+                               alpha1, alpha2, d1, d2, hull.ubar[0], hull.ubar[1])
+    lower = _named_range_fault("lower", two_species_m2_lower,
+                               alpha1, alpha2, d1, d2, hull.ulow[0], hull.ulow[1]) * chi
     return BoundsResult(lower=lower, upper=upper, chi=chi,
                         branch=BRANCH_TWO_SPECIES_M2)
+
+
+def _named_range_fault(end: str, closed_form: Callable, *args) -> float:
+    """closed_form(*args), the bound at end ("upper" or "lower"), with a
+    ValueError naming that end where a square of a hull entry overflows
+    (OverflowError) or the lower form's squares both underflow to 0
+    (ZeroDivisionError)."""
+    try:
+        return closed_form(*args)
+    except OverflowError:
+        raise ValueError(f"{end} bound overflows; the parameters overflow floating point"
+                         ) from None
+    except ZeroDivisionError:
+        raise ValueError(f"{end} bound divides by squares of the hull entries that underflow "
+                         "to 0; the parameters underflow floating point") from None

@@ -39,28 +39,26 @@ share one compile, but a new source pays one: at large n, where a source
 runs to megabytes (3.6 MB and 2.1 s to compile at n = 3000), every new
 pattern of l pays that compile again.
 
-Every row of C in a reaction term u_i^{l_i} (sigma_i - sum_j c_ij u_j) is
-added over the products reaction_eval adds, in its order, and the term
-rounds as with its builtin sum on any interpreter.  A row of one or two
-products is the + chain (c_i0 u_0 + c_i1 u_1), started as
-(0.0 + c_i0 u_0 + c_i1 u_1) where sigma_i is 0.0; a row of three up to
-UNROLL_LIMIT is sum((c_i0 u_0, ...)); a longer row is
-sum(map(mul, C_i, U)).  The chain from 0.0 is exact for one or two
-addends: plain sum (Python 3.11 and earlier) is that chain, 0.0 being its
-start, and the compensated sum of Python 3.12 on adds the first addend a
-to 0.0 exactly and keeps for the second, b, the exact rounding error of
-fl(a + b), which added back rounds to fl(a + b) again (a non-finite one it
-drops).  Without the 0.0 the chain differs from it only in the sign of a
-zero row (-0.0 + -0.0 is -0.0, 0.0 + -0.0 is 0.0), and sigma_i - row hides
-that sign unless sigma_i is itself a zero; SystemSpec refuses a sigma_i
-that is not positive, so only a rate that skips its checks keeps the 0.0.
-From three addends on the chain and the compensated sum can round
-differently, so those rows stay with sum.  The residual takes (u_i^m)'' by
-the chain rule of Profile.at and keeps, per species, the largest and the
-smallest signed residual, whose larger magnitude is the largest absolute
-one; each RK4 step performs the operations of the list stepper it
-replaced, in the same order, so both give the floats of those routes bit
-for bit.
+A row of C in a reaction term u_i^{l_i} (sigma_i - sum_j c_ij u_j) of up
+to UNROLL_LIMIT products is the + chain (c_i0 u_0 + c_i1 u_1 + ...), added
+left to right, and started as (0.0 + c_i0 u_0 + ...) where sigma_i is 0.0;
+reaction_eval adds the same products in the same order from 0.0, so both
+round alike on every interpreter.  Without the 0.0 the chain differs only in
+the sign of a zero row (-0.0 + -0.0 is -0.0, 0.0 + -0.0 is 0.0), and
+sigma_i - row hides that sign unless sigma_i is itself a zero; SystemSpec
+refuses a sigma_i that is not positive, so only a rate that skips its checks
+keeps the 0.0.  A longer row is sum(map(mul, C_i, U)), the interpreter's
+builtin sum: plain + from 0 on Python 3.11 and earlier, compensated from 3.12
+on.  So n > UNROLL_LIMIT is the one case whose last bits depend on the
+interpreter.  On 3.12 and later the shorter rows give up the compensated
+sum's last-bit accuracy, orders of magnitude below the CLI's residual
+tolerance (cli.RESIDUAL_TOL, 1e-8) and the RK4 truncation error.
+
+The residual takes (u_i^m)'' by the chain rule of Profile.at and keeps, per
+species, the largest and the smallest signed residual, whose larger
+magnitude is the largest absolute one; each RK4 step performs the
+operations of the list stepper it replaced, in the same order, so both give
+the floats of those routes bit for bit.
 """
 
 from __future__ import annotations
@@ -75,13 +73,12 @@ from .exact import ClosedForm  # re-exported
 if TYPE_CHECKING:
     from .model import SystemSpec
 
-# Rows of C are added over written-out products up to this many species (as
-# a + chain for one or two, by sum over a tuple display for three on), and
-# with sum(map(mul, ...)) over one state tuple beyond it.  The written-out row
-# is the faster one at every n measured (2 to 24: an RK4 step 10-35% faster),
-# but it makes the source O(n^2) long and its compile time grows with it (an
-# RK4 kernel at n = 24: 16-18 ms, against 6-7 ms), so above 8 species the
-# source is kept O(n); at n = 8 the written-out rows cost about 1 ms more.
+# Rows of C are added as a + chain of written-out products up to this many
+# species, and with sum(map(mul, ...)) over one state tuple beyond it.  The
+# chain is the faster one at every n measured (2 to 24: an RK4 step 10-35%
+# faster), but it makes the source O(n^2) long and its compile time grows with
+# it (an RK4 kernel at n = 24: 16-18 ms, against 6-7 ms), so above 8 species
+# the source is kept O(n); at n = 8 the written-out rows cost about 1 ms more.
 UNROLL_LIMIT = 8
 
 _KERNELS: dict = {}
@@ -190,20 +187,14 @@ def _kernel(head: str, n: int, body: list) -> str:
 
 def _reaction_terms(n: int, l_classes: tuple, zero_rates: tuple) -> list:
     """Lines that read a state u0..u{n-1} and bind the reaction terms t0..,
-    u{i} ** l{i} folded by its class; row i of C is
-    (c{i}_0 * u0 + c{i}_1 * u1) for n <= 2, sum((c{i}_0 * u0, ...)) up to
-    UNROLL_LIMIT species, and sum(map(mul, C{i}, U)) beyond.  A + chain
-    starts (0.0 + ...) where zero_rates[i] is true (sigma_i == 0.0), and so
-    rounds as sum does with one or two addends under plain and compensated
-    sum alike.  Elsewhere it leaves the 0.0 out, which changes at most the
-    sign of a zero row, and s{i} - row hides that sign for any s{i} but a
-    zero."""
+    u{i} ** l{i} folded by its class; row i of C is the + chain
+    (c{i}_0 * u0 + c{i}_1 * u1 + ...) up to UNROLL_LIMIT species, started
+    (0.0 + ...) where zero_rates[i] is true (sigma_i == 0.0), and
+    sum(map(mul, C{i}, U)) beyond."""
     lines = []
-    if n <= 2:
+    if n <= UNROLL_LIMIT:
         sums = [("(0.0 + " if zero else "(") + " + ".join(f"c{i}_{j} * u{j}" for j in range(n))
                 + ")" for i, zero in enumerate(zero_rates)]
-    elif n <= UNROLL_LIMIT:
-        sums = [f"sum(({_tuple(f'c{i}_{{0}} * u{{0}}', n)}))" for i in range(n)]
     else:
         sums = [f"sum(map(mul, C{i}, U))" for i in range(n)]
         lines = [f"U = ({_tuple('u{}', n)})"]

@@ -17,7 +17,9 @@ expressions.  Each such expression applies the same operations to the same
 operands in the same order as the element-wise loop it stands for, so every
 float, verdict, worst point, message and exception class is that loop's.
 Validation has one definition and one path, the element-wise
-0.0 < v < inf over every entry v of a coefficient vector.  It stays a
+0.0 < v <= FLOAT_MAX over every entry v of a coefficient vector, which for
+a float is 0.0 < v < inf.  An int or Fraction above FLOAT_MAX fails it too,
+and is refused as not finite where no float holds it.  The check stays a
 generator expression, as require_finite stays a plain loop: on vectors of
 2 to 6 entries both measured faster than their map equivalents.
 
@@ -40,12 +42,15 @@ satisfies H by construction.
 from __future__ import annotations
 
 import warnings
+from functools import reduce
 from itertools import chain, islice, repeat
-from math import inf, isfinite
-from operator import eq, ge, le, lt, mul, neg, sub, truediv
+from math import isfinite
+from operator import add, eq, ge, le, lt, mul, neg, sub, truediv
+from sys import float_info
 from typing import Callable, Sequence
 
 REGION_REL_TOL = 1e-9      # relative tolerance for region membership
+FLOAT_MAX = float_info.max  # the largest float
 
 _RECORD_FIELDS: dict = {}  # record class -> its field names, in declared order
 
@@ -172,24 +177,32 @@ def record_dict(value):
 
 
 def require_finite(**fields) -> None:
-    """Raise a ValueError naming the first field with a NaN or +-inf entry.
+    """Raise a ValueError naming the first field with a NaN or +-inf entry, or
+    an int or Fraction that no float holds.
 
     Each keyword maps a field name to an iterable of its numbers.  NaN
     passes every sign check (NaN <= 0 is False), so specs call this before
     their range checks.
     """
-    for name, values in fields.items():
-        for v in values:
-            if not isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v!r}")
+    try:
+        for name, values in fields.items():
+            for v in values:
+                if not isfinite(v):
+                    raise ValueError(f"{name} must be finite, got {v!r}")
+    except OverflowError:  # from isfinite's conversion of v to float
+        raise ValueError(f"{name} must be finite, got a number beyond the largest float"
+                         ) from None
 
 
 def require_positive(**fields) -> None:
-    """Raise a ValueError naming the first field with a NaN, infinite or nonpositive entry."""
+    """Raise a ValueError naming the first field with a NaN, infinite or
+    nonpositive entry, or an int or Fraction that no float holds.  An int
+    above FLOAT_MAX that rounds to it passes."""
     for name, values in fields.items():
-        if not all(0.0 < v < inf for v in values):
+        if not all(0.0 < v <= FLOAT_MAX for v in values):
             require_finite(**{name: values})
-            raise ValueError(f"{name} must be strictly positive")
+            if not all(0.0 < v for v in values):
+                raise ValueError(f"{name} must be strictly positive")
 
 
 def require_vectors(n: int | None = None, **vectors) -> None:
@@ -199,7 +212,7 @@ def require_vectors(n: int | None = None, **vectors) -> None:
     for values in vectors.values():
         if expected is None:
             expected = len(values)
-        if len(values) != expected or not all(0.0 < v < inf for v in values):
+        if len(values) != expected or not all(0.0 < v <= FLOAT_MAX for v in values):
             break
     else:
         return
@@ -359,14 +372,18 @@ def reaction_eval(reaction: ReactionSpec, u: Sequence[float]) -> tuple:
     """Evaluate the affine factors f_i(u) = sigma_i - sum_j c_ij u_j.
 
     Returns the bracketed competition factor only, without the u_i^{l_i}
-    prefactor that multiplies it in the wave equation.
+    prefactor that multiplies it in the wave equation.  Each row adds its
+    products c_ij u_j as the wave kernels do: left to right from 0.0 up to
+    kernels.UNROLL_LIMIT species, and with builtin sum beyond.
     """
+    from .kernels import UNROLL_LIMIT
+
     if len(u) != reaction.n:
         raise ValueError(f"state has length {len(u)}, reaction expects {reaction.n}")
-    return tuple(
-        s - sum(c * uj for c, uj in zip(row, u))
-        for s, row in zip(reaction.sigma, reaction.C)
-    )
+    if reaction.n <= UNROLL_LIMIT:
+        return tuple(s - reduce(add, map(mul, row, u), 0.0)
+                     for s, row in zip(reaction.sigma, reaction.C))
+    return tuple(s - sum(map(mul, row, u)) for s, row in zip(reaction.sigma, reaction.C))
 
 
 def axis_intercepts(sigma: Sequence[float], C: Sequence[Sequence[float]]) -> list:

@@ -100,28 +100,20 @@ def compensated_sum(values, start=0):
     return total + comp if comp and math.isfinite(comp) else total
 
 
-@pytest.fixture
-def builtin_sum_compensated(monkeypatch):
-    """Builtin sum replaced by compensated_sum for one test, so the routes
-    that must agree bit for bit are compared under the rounding sum has on
-    Python 3.12 and later."""
-    monkeypatch.setattr(builtins, "sum", compensated_sum)
-
-
 @pytest.fixture(params=["plain-sum", "compensated-sum"])
-def each_sum(request):
-    """Runs a test once with builtin sum as it is and once under
-    builtin_sum_compensated."""
+def each_sum(request, monkeypatch):
+    """Runs a test once with builtin sum as it is and once with compensated_sum
+    in its place.  Only rows beyond UNROLL_LIMIT products are added with sum."""
     if request.param == "compensated-sum":
-        request.getfixturevalue("builtin_sum_compensated")
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
 
 
-# Rows of C for the kernel routes to add as builtin sum does, as their row
-# products; a row of n products is read at n species.  The one- and
-# two-product rows are the cases where a + chain written otherwise than from
-# 0.0 could differ from sum: a sign of zero, an exact cancellation, an
-# overflow and non-finite addends.  The three-product row is one that a +
-# chain (1.0) and a compensated sum (1.0000000000000002) round apart.
+# Rows of C as their row products; a row of n products is read at n species.
+# Every route adds them as the + chain from 0.0, under either sum.  The one-
+# and two-product rows are the cases where a chain written otherwise than
+# from 0.0 could differ: a sign of zero, an exact cancellation, an overflow
+# and non-finite addends.  The three-product row is one that the chain (1.0)
+# and a compensated sum (1.0000000000000002) round apart.
 _EDGE_PAIRS = {
     "minus-zeros": (-0.0, -0.0),
     "cancelling": (0.3, -0.3),

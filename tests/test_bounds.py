@@ -97,6 +97,28 @@ def test_two_species_branch_needs_two_dimensions():
         bounds_two_species_m2(1.0, 1.0, 1.0, 1.0, hull3, 1)
 
 
+# Beyond float range the transcription names the end that fails, as the
+# envelope route names its level: ubar_2^2 overflows, and both ulow_i^2
+# underflow to 0 under a division.
+@pytest.mark.parametrize("hull, message", [
+    (HullBounds(ubar=(8.3e-33, 3.9e164), ulow=(1e-33, 1.0)),
+     "upper bound overflows; the parameters overflow floating point"),
+    (HullBounds(ubar=(1.0, 1.0), ulow=(3.0e-200, 2.7e-165)),
+     "lower bound divides by squares of the hull entries that underflow to 0; "
+     "the parameters underflow floating point"),
+], ids=["upper-overflows", "lower-underflows"])
+def test_two_species_branch_names_the_end_beyond_float_range(hull, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        bounds_two_species_m2(1.0, 1.0, 1.0, 1.0, hull, 1)
+
+
+def test_bounds_m1_refuses_an_int_beyond_float_range_by_name():
+    hull = HullBounds(ubar=(1.0,), ulow=(0.5,))
+    with pytest.raises(ValueError,
+                       match="^alpha must be finite, got a number beyond the largest float$"):
+        bounds_m1((10 ** 400,), (1.0,), hull, 1)
+
+
 def test_bounds_result_validation():
     with pytest.raises(ValueError):
         BoundsResult(lower=0.5, upper=1.0, chi=2, branch="general")

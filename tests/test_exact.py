@@ -1,6 +1,7 @@
 """Closed-form wave families and their induced systems."""
 
 import ast
+import builtins
 import math
 import random
 import re
@@ -19,7 +20,8 @@ from nbarrier import (ReactionSpec, SystemSpec, cos_family, kernels, reaction_ev
 from nbarrier.exact import COS_FORM, TANH_FORM, Profile, TanhSolution
 from nbarrier.kernels import FORM_PREFIX, UNROLL_LIMIT, ClosedForm
 
-from conftest import COS_ARGS, EDGE_CASES, bench_range_member, unchecked_system
+from conftest import (COS_ARGS, EDGE_CASES, bench_range_member, compensated_sum,
+                      unchecked_system)
 
 
 def test_tanh_coefficient_ties():
@@ -346,17 +348,21 @@ def test_residual_takes_m_from_the_system(tanh_sol, m):
     assert min(worst) > 1e-8
 
 
-# The kernel writes a row of one or two products as a + chain from 0.0, which
-# a compensated sum matches: its first addend joins 0.0 exactly, and the
-# compensation it keeps for the second is the rounding error of fl(a + b),
-# which added back rounds to fl(a + b).  From three species on the two can
-# round a row differently, so the kernel sums those rows with sum.
+# Every route adds a row of up to UNROLL_LIMIT products as a + chain from 0.0
+# and calls no builtin sum for it, so a compensated sum (Python 3.12 on) moves
+# no bit of those residuals.  Longer rows take builtin sum on every route, so
+# the routes agree under either sum.
 @pytest.mark.parametrize("n", range(1, UNROLL_LIMIT + 3))
-def test_residual_routes_agree_under_a_compensated_sum(builtin_sum_compensated, n):
+def test_residual_routes_agree_under_a_compensated_sum(monkeypatch, n):
     member = sine_member(n, 2.0, 20 + n)
     spec, profile = member.system(), member.profile()
-    assert (residual(spec, profile, SINE_GRID)
-            == residual_via_profile_points(spec, profile, SINE_GRID))
+    plain = residual(spec, profile, SINE_GRID)
+    assert plain == residual_via_profile_points(spec, profile, SINE_GRID)
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    compensated = residual(spec, profile, SINE_GRID)
+    assert compensated == residual_via_profile_points(spec, profile, SINE_GRID)
+    if n <= UNROLL_LIMIT:
+        assert compensated == plain
 
 
 def outcome(f, *args):
@@ -374,6 +380,11 @@ def outcome(f, *args):
 def test_residual_adds_edge_rows_as_sum_does(each_sum, m, products, sigma):
     n = len(products)
     spec = unchecked_system(n, m, sigma)
+    # Every unit row is the chain from 0.0, whichever sum is builtin.
+    chain = 0.0
+    for p in products:
+        chain = chain + p
+    assert repr(reaction_eval(spec.reaction, products)) == repr((sigma - chain,) * n)
     profile = Profile.of(n, m, lambda x: tuple((u, 0.5, 0.25) for u in products))
     assert (outcome(residual, spec, profile, [0.0])
             == outcome(residual_via_profile_points, spec, profile, [0.0]))

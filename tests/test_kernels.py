@@ -7,6 +7,7 @@ import random
 import re
 from dataclasses import replace
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,7 @@ from nbarrier import ReactionSpec, SystemSpec, integrate, kernels, residual
 from nbarrier.exact import COS_FORM, TANH_FORM, Profile
 from nbarrier.kernels import UNROLL_LIMIT, _residual_source, _rk4_source, call_form
 
+import kernel_bits
 from conftest import bench_range_member
 
 # (writer, classes of m - 1 and m - 2, class of every l_i): the variants
@@ -119,13 +121,14 @@ def test_kernel_source_nests_no_deeper_as_n_grows(writer):
 
 @pytest.mark.parametrize("writer", WRITERS, ids=WRITER_IDS)
 def test_only_rows_of_one_or_two_products_are_a_plus_chain(writer):
-    # A compensated sum (Python 3.12 on) rounds one or two addends as a +
-    # chain from 0.0 does, but may round three or more otherwise.  A chain
+    # Every row of 1 to UNROLL_LIMIT products is a + chain, which rounds alike
+    # on every interpreter; longer rows are sum(map(mul, ...)).  A chain
     # without the 0.0 differs at most in the sign of a zero row, which a
     # nonzero rate hides, so only a row whose rate is zero starts from 0.0.
     write, m_classes, l_class = writer
-    for n in (1, 2):
-        for zero_rates in ((), (True,) * n, (False,) * n, (True, False)[:n]):
+    for n in range(1, UNROLL_LIMIT + 1):
+        alternate = tuple(i % 2 == 0 for i in range(n))
+        for zero_rates in ((), (True,) * n, (False,) * n, alternate):
             source = write(shape(write, n), m_classes + (l_class,) * n + zero_rates)
             rows = dict(re.findall(r"\bt(\d+) = (.*)", source))
             assert "sum(" not in source and len(rows) == n, (n, zero_rates)
@@ -133,10 +136,10 @@ def test_only_rows_of_one_or_two_products_are_a_plus_chain(writer):
             for i, row in rows.items():
                 chain = " + ".join(f"c{i}_{j} * u{j}" for j in range(n))
                 assert row.endswith(f" - ({'0.0 + ' * flags[int(i)]}{chain}))"), (n, zero_rates)
-    for n in range(3, UNROLL_LIMIT + 1):
+    for n in (UNROLL_LIMIT + 1, UNROLL_LIMIT + 2):
         rows = re.findall(r"\bt(\d+) = (.*)", written(writer, n))
         assert {int(i) for i, _ in rows} == set(range(n)), n
-        assert all(" - sum((" in row and " + " not in row for _, row in rows), n
+        assert all(row.endswith(f" - sum(map(mul, C{i}, U)))") for i, row in rows), n
 
 
 @pytest.mark.parametrize("writer", WRITERS, ids=WRITER_IDS)
@@ -161,3 +164,10 @@ def test_family_members_share_one_residual_kernel_per_class_pattern(monkeypatch)
         _residual_source(form, m_classes + l_classes)
         for form, l_classes in ((TANH_FORM, ("int", "int")), (COS_FORM, ("1", "1", "1")))
         for m_classes in (M_CLASSES[2.0], M_CLASSES[3.0])}
+
+
+def test_kernel_results_match_the_digest_pinned_for_every_interpreter():
+    # kernel_bits also runs as a plain script, without numpy, and prints this
+    # digest on Python 3.10 to 3.13 alike.
+    pinned = Path(__file__).with_name("kernel_bits.sha256").read_text().split()[0]
+    assert kernel_bits.digest() == pinned

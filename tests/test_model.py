@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import sys
 from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import product
@@ -413,6 +414,19 @@ def test_require_positive_refuses_all_but_finite_positive_entries(value, message
     require_positive(d=(1.0, 2.0), weights=(1.0, 5e-324, 1.7e308))
     with pytest.raises(ValueError, match=f"^{message}$"):
         require_positive(d=(1.0, 2.0), weights=(1.0, value))
+
+
+@pytest.mark.parametrize("value", [10 ** 400, -10 ** 400, Fraction(10 ** 400, 3)],
+                         ids=["int", "negative-int", "fraction"])
+def test_a_number_no_float_holds_is_refused_by_name(value):
+    # isfinite converts to float first, which overflows; an int that rounds
+    # to the largest float is held by one.
+    message = "^{} must be finite, got a number beyond the largest float$"
+    with pytest.raises(ValueError, match=message.format("m")):
+        replace(LV_SPEC, m=value)
+    with pytest.raises(ValueError, match=message.format("weights")):
+        require_positive(weights=(1.0, value))
+    require_positive(weights=(1.0, int(sys.float_info.max) + 1))
 
 
 def refusal_by_the_element_wise_rule(n, vectors):

@@ -1,12 +1,13 @@
 """Fixed-step RK4 reduction of the wave system and trajectory checks."""
 
+import builtins
 import math
 import operator
 import random
 import re
 import warnings
 from dataclasses import replace
-from functools import partial
+from functools import partial, reduce
 from itertools import product
 
 import numpy as np
@@ -25,7 +26,7 @@ from nbarrier import kernels, waves
 from nbarrier.kernels import UNROLL_LIMIT
 from nbarrier.waves import MAX_STEPS, POSITIVITY_FLOOR, flux_balance_defect
 
-from conftest import EDGE_CASES, unchecked_system
+from conftest import EDGE_CASES, compensated_sum, unchecked_system
 
 LV = SystemSpec(n=2, m=1.0, d=(1.0, 1.0), l=(1.0, 1.0), theta=0.7,
                 reaction=ReactionSpec(sigma=(1.0, 1.0),
@@ -398,8 +399,13 @@ def list_rk4_step(spec, floor_hit):
                  for li, s, row in zip(spec.l, spec.reaction.sigma, spec.reaction.C))
     degenerate = m > 1
 
+    def row_sum(products):
+        # As the kernels add a row: left to right from 0.0 up to UNROLL_LIMIT
+        # species, with builtin sum beyond.
+        return reduce(operator.add, products, 0.0) if n <= UNROLL_LIMIT else sum(products)
+
     def terms(u):
-        return [ui ** li * (s - sum(map(operator.mul, row, u)))
+        return [ui ** li * (s - row_sum(map(operator.mul, row, u)))
                 for ui, (li, s, row) in zip(u, rows)]
 
     def rhs(y):
@@ -579,16 +585,20 @@ def test_integrate_equals_the_list_stepper_bit_for_bit(tanh_sol, cos_sol, name):
     assert_same_trajectory(traj, list_stepper_reference(*case))
 
 
-# The kernel writes a row of one or two products as a + chain from 0.0, which
-# a compensated sum matches: its first addend joins 0.0 exactly, and the
-# compensation it keeps for the second is the rounding error of fl(a + b),
-# which added back rounds to fl(a + b).  From three species on the two can
-# round a row differently, so the kernel sums those rows with sum.
+# Every route adds a row of up to UNROLL_LIMIT products as a + chain from 0.0
+# and calls no builtin sum for it, so a compensated sum (Python 3.12 on) moves
+# no bit of those trajectories.  Longer rows take builtin sum on every route,
+# so the routes agree under either sum.
 @pytest.mark.parametrize("n", range(1, UNROLL_LIMIT + 3))
-def test_integrate_equals_the_list_stepper_under_a_compensated_sum(
-        builtin_sum_compensated, n):
+def test_integrate_equals_the_list_stepper_under_a_compensated_sum(monkeypatch, n):
     case = seeded_system(n, 2.0, 60 + n)
-    assert_same_trajectory(integrate(*case), list_stepper_reference(*case))
+    plain = integrate(*case)
+    assert_same_trajectory(plain, list_stepper_reference(*case))
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    compensated = integrate(*case)
+    assert_same_trajectory(compensated, list_stepper_reference(*case))
+    if n <= UNROLL_LIMIT:
+        assert_same_trajectory(compensated, plain)
 
 
 def outcome(f, *args):
