@@ -41,18 +41,14 @@ pattern of l pays that compile again.
 
 A row of C in a reaction term u_i^{l_i} (sigma_i - sum_j c_ij u_j) of up
 to UNROLL_LIMIT products is the + chain (c_i0 u_0 + c_i1 u_1 + ...), added
-left to right, and started as (0.0 + c_i0 u_0 + ...) where sigma_i is 0.0;
-reaction_eval adds the same products in the same order from 0.0, so both
-round alike on every interpreter.  Without the 0.0 the chain differs only in
-the sign of a zero row (-0.0 + -0.0 is -0.0, 0.0 + -0.0 is 0.0), and
-sigma_i - row hides that sign unless sigma_i is itself a zero; SystemSpec
-refuses a sigma_i that is not positive, so only a rate that skips its checks
-keeps the 0.0.  A longer row is sum(map(mul, C_i, U)), the interpreter's
-builtin sum: plain + from 0 on Python 3.11 and earlier, compensated from 3.12
-on.  So n > UNROLL_LIMIT is the one case whose last bits depend on the
-interpreter.  On 3.12 and later the shorter rows give up the compensated
-sum's last-bit accuracy, orders of magnitude below the CLI's residual
-tolerance (cli.RESIDUAL_TOL, 1e-8) and the RK4 truncation error.
+left to right from its first product; reaction_eval adds the same products
+in the same order, so both round alike on every interpreter.  A longer row
+is sum(map(mul, C_i, U)), the interpreter's builtin sum: plain + from 0 on
+Python 3.11 and earlier, compensated from 3.12 on.  So n > UNROLL_LIMIT is
+the one case whose last bits depend on the interpreter.  On 3.12 and later
+the shorter rows give up the compensated sum's last-bit accuracy, orders of
+magnitude below the CLI's residual tolerance (cli.RESIDUAL_TOL, 1e-8) and
+the RK4 truncation error.
 
 The residual takes (u_i^m)'' by the chain rule of Profile.at and keeps, per
 species, the largest and the smallest signed residual, whose larger
@@ -185,16 +181,14 @@ def _kernel(head: str, n: int, body: list) -> str:
         ""])
 
 
-def _reaction_terms(n: int, l_classes: tuple, zero_rates: tuple) -> list:
+def _reaction_terms(n: int, l_classes: list) -> list:
     """Lines that read a state u0..u{n-1} and bind the reaction terms t0..,
     u{i} ** l{i} folded by its class; row i of C is the + chain
-    (c{i}_0 * u0 + c{i}_1 * u1 + ...) up to UNROLL_LIMIT species, started
-    (0.0 + ...) where zero_rates[i] is true (sigma_i == 0.0), and
+    (c{i}_0 * u0 + c{i}_1 * u1 + ...) up to UNROLL_LIMIT species and
     sum(map(mul, C{i}, U)) beyond."""
     lines = []
     if n <= UNROLL_LIMIT:
-        sums = [("(0.0 + " if zero else "(") + " + ".join(f"c{i}_{j} * u{j}" for j in range(n))
-                + ")" for i, zero in enumerate(zero_rates)]
+        sums = ["(" + " + ".join(f"c{i}_{j} * u{j}" for j in range(n)) + ")" for i in range(n)]
     else:
         sums = [f"sum(map(mul, C{i}, U))" for i in range(n)]
         lines = [f"U = ({_tuple('u{}', n)})"]
@@ -202,17 +196,10 @@ def _reaction_terms(n: int, l_classes: tuple, zero_rates: tuple) -> list:
                     for i, cls in enumerate(l_classes)]
 
 
-def _split(n: int, classes: tuple) -> tuple:
-    """(class of m - 1, class of m - 2, l classes, zero-rate flags) from the
-    classes of _bind; flags that classes leaves out are false."""
-    m1, m2, *rest = classes
-    return m1, m2, rest[:n], tuple(rest[n:]) or (False,) * n
-
-
 @lru_cache(maxsize=None)
 def _rk4_source(n: int, classes: tuple) -> str:
     """Source of the RK4 kernel for n species, classes being the exponent
-    classes and zero-rate flags of _bind.
+    classes of _bind.
 
     kernel(floor, ...) returns march(y, x, h, count, xs, ys), which takes
     up to count RK4 steps of size h from the state y = (u_0.., w_0..) at x,
@@ -227,8 +214,8 @@ def _rk4_source(n: int, classes: tuple) -> str:
     u_i' = w_i / (m u_i^(m-1)) (else u_i' = w_i) for every species, then
     every reaction term, then w_i' = (-theta u_i' - t_i) / d_i.
     """
-    m1, _, l_classes, zero_rates = _split(n, classes)
-    terms = _reaction_terms(n, l_classes, zero_rates)
+    m1, _, *l_classes = classes
+    terms = _reaction_terms(n, l_classes)
     floor_exit = [f"if {' or '.join(f'u{i} < floor' for i in range(n))}:", "    return None"]
 
     rng2 = range(2 * n)
@@ -274,7 +261,7 @@ def _rk4_source(n: int, classes: tuple) -> str:
 @lru_cache(maxsize=None)
 def _residual_source(form: ClosedForm, classes: tuple) -> str:
     """Source of the residual kernel for form's n species, classes being
-    the exponent classes and zero-rate flags of _bind.
+    the exponent classes of _bind.
 
     kernel(constants, grid, ...) unpacks constants into form's names and
     per grid point runs form's statements, binds every reaction term, and
@@ -284,14 +271,12 @@ def _residual_source(form: ClosedForm, classes: tuple) -> str:
     maximum hi_i and minimum lo_i of r_i, both from 0.0, and returns
     hi_i if hi_i >= -lo_i else abs(lo_i), which is max |r_i| with no abs
     per point; a NaN r_i sets both and stays, and the return is then NaN.
-    A species with a fractional exponent takes a complex residual as NaN
-    and keeps the running maximum of abs(r_i) in hi_i, which a NaN
-    replaces and keeps.
+    A species with a fractional exponent first takes a complex residual as
+    NaN.
     """
     n = form.n
-    m1, m2, l_classes, zero_rates = _split(n, classes)
-    point = [*form.source.splitlines(), *_reaction_terms(n, l_classes, zero_rates)]
-    ends = []
+    m1, m2, *l_classes = classes
+    point = [*form.source.splitlines(), *_reaction_terms(n, l_classes)]
     for i in range(n):
         if m1 == "0":
             ddum = f"ddu{i}"
@@ -302,22 +287,19 @@ def _residual_source(form: ClosedForm, classes: tuple) -> str:
         residual = f"d{i} * {ddum} + theta * du{i} + t{i}"
         if "frac" in (m1, l_classes[i]):
             point += [f"e{i} = {residual}",
-                      f"r{i} = nan if e{i}.__class__ is complex else abs(e{i})",
-                      f"if r{i} > hi{i} or r{i} != r{i}:",
-                      f"    hi{i} = r{i}"]
-            ends.append(f"hi{i}")
+                      f"r{i} = nan if e{i}.__class__ is complex else e{i}"]
         else:
-            point += [f"r{i} = {residual}",
-                      f"if r{i} > hi{i}:",
-                      f"    hi{i} = r{i}",
-                      f"elif r{i} < lo{i}:",
-                      f"    lo{i} = r{i}",
-                      f"elif r{i} != r{i}:",
-                      f"    hi{i} = lo{i} = r{i}"]
-            ends.append(f"hi{i} if hi{i} >= -lo{i} else abs(lo{i})")
+            point.append(f"r{i} = {residual}")
+        point += [f"if r{i} > hi{i}:",
+                  f"    hi{i} = r{i}",
+                  f"elif r{i} < lo{i}:",
+                  f"    lo{i} = r{i}",
+                  f"elif r{i} != r{i}:",
+                  f"    hi{i} = lo{i} = r{i}"]
     body = [_unpack(form),
             f"{_tuple('hi{}', n)}= {_tuple('lo{}', n)}= {'0.0, ' * n}", "for x in grid:",
-            *("    " + line for line in point), f"return ({''.join(e + ', ' for e in ends)})"]
+            *("    " + line for line in point),
+            f"return ({_tuple('hi{0} if hi{0} >= -lo{0} else abs(lo{0})', n)})"]
     return _kernel("constants, grid", n, body)
 
 
@@ -325,15 +307,13 @@ def _bind(kind: str, write: Callable[[object, tuple], str], shape, spec: SystemS
     """kernel(*head, m, theta, d, l, s, C) with every coefficient from spec,
     the kernel written by write(shape, classes) and compiled once per
     distinct source.  classes is the _exponent_class of m - 1, m - 2 and
-    each l_i, then one flag per species, true where sigma_i == 0.0: only
-    such a row starts its + chain from 0.0, since any other sigma_i hides
-    the sign of a zero row, the one thing that start can change."""
+    each l_i."""
     n, m, l = spec.n, float(spec.m), tuple(map(float, spec.l))
     reaction = spec.reaction
-    sigma = tuple(map(float, reaction.sigma))
-    classes = (*map(_exponent_class, (m - 1.0, m - 2.0, *l)), *(s == 0.0 for s in sigma))
+    classes = tuple(map(_exponent_class, (m - 1.0, m - 2.0, *l)))
     kernel = _compile(write(shape, classes), f"{kind} kernel, n = {n}")
-    return kernel(*head, m, float(spec.theta), tuple(map(float, spec.d)), l, sigma,
+    return kernel(*head, m, float(spec.theta), tuple(map(float, spec.d)), l,
+                  tuple(map(float, reaction.sigma)),
                   tuple(tuple(map(float, row)) for row in reaction.C))
 
 

@@ -19,7 +19,8 @@ float, verdict, worst point, message and exception class is that loop's.
 Validation has one definition and one path, the element-wise
 0.0 < v <= FLOAT_MAX over every entry v of a coefficient vector, which for
 a float is 0.0 < v < inf.  An int or Fraction above FLOAT_MAX fails it too,
-and is refused as not finite where no float holds it.  The check stays a
+and is refused as not finite where no float holds it, and so does a Decimal
+NaN, whose comparison raises instead of failing.  The check stays a
 generator expression, as require_finite stays a plain loop: on vectors of
 2 to 6 entries both measured faster than their map equivalents.
 
@@ -184,14 +185,19 @@ def require_finite(**fields) -> None:
     passes every sign check (NaN <= 0 is False), so specs call this before
     their range checks.
     """
-    try:
-        for name, values in fields.items():
+    for name, values in fields.items():
+        try:
             for v in values:
                 if not isfinite(v):
-                    raise ValueError(f"{name} must be finite, got {v!r}")
-    except OverflowError:  # from isfinite's conversion of v to float
-        raise ValueError(f"{name} must be finite, got a number beyond the largest float"
-                         ) from None
+                    break
+            else:
+                continue
+        except OverflowError:  # from isfinite's conversion of v to float
+            raise ValueError(f"{name} must be finite, got a number beyond the largest float"
+                             ) from None
+        except ValueError:  # the same conversion of a signaling Decimal NaN
+            pass
+        raise ValueError(f"{name} must be finite, got {v!r}")
 
 
 def require_positive(**fields) -> None:
@@ -199,7 +205,13 @@ def require_positive(**fields) -> None:
     nonpositive entry, or an int or Fraction that no float holds.  An int
     above FLOAT_MAX that rounds to it passes."""
     for name, values in fields.items():
-        if not all(0.0 < v <= FLOAT_MAX for v in values):
+        # Comparing a Decimal NaN raises decimal.InvalidOperation; its base
+        # ArithmeticError is caught, so that validation imports no decimal.
+        try:
+            positive = all(0.0 < v <= FLOAT_MAX for v in values)
+        except ArithmeticError:
+            positive = False
+        if not positive:
             require_finite(**{name: values})
             if not all(0.0 < v for v in values):
                 raise ValueError(f"{name} must be strictly positive")
@@ -209,13 +221,16 @@ def require_vectors(n: int | None = None, **vectors) -> None:
     """Refuse sequences whose lengths disagree with each other or with n,
     naming the lengths, then any entry that require_positive refuses."""
     expected = n
-    for values in vectors.values():
-        if expected is None:
-            expected = len(values)
-        if len(values) != expected or not all(0.0 < v <= FLOAT_MAX for v in values):
-            break
-    else:
-        return
+    try:
+        for values in vectors.values():
+            if expected is None:
+                expected = len(values)
+            if len(values) != expected or not all(0.0 < v <= FLOAT_MAX for v in values):
+                break
+        else:
+            return
+    except ArithmeticError:  # comparing a Decimal NaN, as in require_positive
+        pass
     if any(len(values) != expected for values in vectors.values()):
         raise ValueError("vector lengths must agree, got " + ", ".join(
             ([] if n is None else [f"n = {n}"])
@@ -373,15 +388,15 @@ def reaction_eval(reaction: ReactionSpec, u: Sequence[float]) -> tuple:
 
     Returns the bracketed competition factor only, without the u_i^{l_i}
     prefactor that multiplies it in the wave equation.  Each row adds its
-    products c_ij u_j as the wave kernels do: left to right from 0.0 up to
-    kernels.UNROLL_LIMIT species, and with builtin sum beyond.
+    products c_ij u_j as the wave kernels do: left to right from the first
+    up to kernels.UNROLL_LIMIT species, and with builtin sum beyond.
     """
     from .kernels import UNROLL_LIMIT
 
     if len(u) != reaction.n:
         raise ValueError(f"state has length {len(u)}, reaction expects {reaction.n}")
     if reaction.n <= UNROLL_LIMIT:
-        return tuple(s - reduce(add, map(mul, row, u), 0.0)
+        return tuple(s - reduce(add, map(mul, row, u))
                      for s, row in zip(reaction.sigma, reaction.C))
     return tuple(s - sum(map(mul, row, u)) for s, row in zip(reaction.sigma, reaction.C))
 

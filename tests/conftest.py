@@ -109,11 +109,11 @@ def each_sum(request, monkeypatch):
 
 
 # Rows of C as their row products; a row of n products is read at n species.
-# Every route adds them as the + chain from 0.0, under either sum.  The one-
-# and two-product rows are the cases where a chain written otherwise than
-# from 0.0 could differ: a sign of zero, an exact cancellation, an overflow
-# and non-finite addends.  The three-product row is one that the chain (1.0)
-# and a compensated sum (1.0000000000000002) round apart.
+# Every route adds them as the + chain from the first product, under either
+# sum.  The one- and two-product rows are a sign of zero, an exact
+# cancellation, an overflow and non-finite addends.  The three-product row is
+# one that the chain (1.0) and a compensated sum (1.0000000000000002) round
+# apart.
 _EDGE_PAIRS = {
     "minus-zeros": (-0.0, -0.0),
     "cancelling": (0.3, -0.3),
@@ -129,7 +129,7 @@ EDGE_ROWS = {
 
 # (products, sigma) for the edge-row tests: each row at sigma = -0.0, which
 # lets the sign of a zero row through to the result, and at the valid rate
-# 1.0, where the kernels write the row with no 0.0 start.
+# 1.0, which hides it.
 EDGE_CASES = {**{name: (row, -0.0) for name, row in EDGE_ROWS.items()},
               **{f"{name}-sigma1": (row, 1.0) for name, row in EDGE_ROWS.items()}}
 
@@ -140,8 +140,8 @@ def unchecked_system(n, m, sigma=-0.0):
     SystemSpec's checks.
 
     The kernels and the test oracles read only these fields.  A valid sigma
-    is positive and hides the sign of a zero row in sigma_i - row; -0.0 lets
-    it through to the result.
+    is positive; -0.0 lets the sign of a zero row through sigma_i - row, so
+    the routes must add the row alike to agree.
     """
     reaction = SimpleNamespace(n=n, sigma=(sigma,) * n, C=((1.0,) * n,) * n)
     return SimpleNamespace(n=n, m=m, d=(1.0,) * n, l=(1.0,) * n, theta=-1.0,

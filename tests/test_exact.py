@@ -348,10 +348,10 @@ def test_residual_takes_m_from_the_system(tanh_sol, m):
     assert min(worst) > 1e-8
 
 
-# Every route adds a row of up to UNROLL_LIMIT products as a + chain from 0.0
-# and calls no builtin sum for it, so a compensated sum (Python 3.12 on) moves
-# no bit of those residuals.  Longer rows take builtin sum on every route, so
-# the routes agree under either sum.
+# Every route adds a row of up to UNROLL_LIMIT products as a + chain from
+# its first product and calls no builtin sum for it, so a compensated sum
+# (Python 3.12 on) moves no bit of those residuals.  Longer rows take
+# builtin sum on every route, so the routes agree under either sum.
 @pytest.mark.parametrize("n", range(1, UNROLL_LIMIT + 3))
 def test_residual_routes_agree_under_a_compensated_sum(monkeypatch, n):
     member = sine_member(n, 2.0, 20 + n)
@@ -377,12 +377,13 @@ def outcome(f, *args):
 # both routes raise.
 @pytest.mark.parametrize("products, sigma", list(EDGE_CASES.values()), ids=list(EDGE_CASES))
 @pytest.mark.parametrize("m", [1.0, 2.0, 3.0])
-def test_residual_adds_edge_rows_as_sum_does(each_sum, m, products, sigma):
+def test_residual_adds_edge_rows_as_a_plus_chain(each_sum, m, products, sigma):
     n = len(products)
     spec = unchecked_system(n, m, sigma)
-    # Every unit row is the chain from 0.0, whichever sum is builtin.
-    chain = 0.0
-    for p in products:
+    # Every unit row is the chain from its first product, whichever sum is
+    # builtin.
+    chain, *rest = products
+    for p in rest:
         chain = chain + p
     assert repr(reaction_eval(spec.reaction, products)) == repr((sigma - chain,) * n)
     profile = Profile.of(n, m, lambda x: tuple((u, 0.5, 0.25) for u in products))
@@ -399,16 +400,27 @@ LV_FRACTIONAL = SystemSpec(n=2, m=1.5, d=(1.0, 1.0), l=(1.5, 1.5), theta=0.7,
 def test_a_negative_base_to_a_fractional_power_is_a_nan_residual():
     # u_1 = -0.5 at x = 0 only; u_2 stays positive.  At m = 1.5 both
     # u_1^(m - 1) and u_1^1.5 are a complex there, at m = 2 only u_1^1.5.
+    # At x = 3 both residuals are finite and negative, and larger in
+    # magnitude than at x = 1, where u_1's is positive, so in the second
+    # grid the complex point follows a larger finite one.
     for m in (1.5, 2.0):
         spec = replace(LV_FRACTIONAL, m=m)
         profile = Profile.of(2, m, lambda x: ((x - 0.5, 1.0, 0.0), (1.0 + x, 1.0, 0.0)))
-        worst = residual(spec, profile, [0.0, 1.0])
-        # repr, since nan != nan.
-        assert repr(worst) == repr(residual_via_profile_points(spec, profile, [0.0, 1.0])), m
-        assert math.isnan(worst[0]) and math.isfinite(worst[1]), m
+        for grid in ([0.0, 1.0], [3.0, 1.0, 0.0, 1.0]):
+            worst = residual(spec, profile, grid)
+            # repr, since nan != nan.
+            assert repr(worst) == repr(residual_via_profile_points(spec, profile, grid)), m
+            assert math.isnan(worst[0]) and math.isfinite(worst[1]), m
         point = profile.at(0.0)
         assert math.isnan(point.dum[0]) == math.isnan(point.ddum[0]) == (m == 1.5)
         assert math.isfinite(point.dum[1]) and math.isfinite(point.ddum[1])
+        # u_1 is NaN at x = 0.5 alone, and reaches u_2's residual through C.
+        gap = Profile.of(2, m, lambda x: ((math.nan if x == 0.5 else 1.0 + x, 1.0, 0.0),
+                                          (1.0 + x, 1.0, 0.0)))
+        grid = [3.0, 0.5, 1.0]
+        worst = residual(spec, gap, grid)
+        assert repr(worst) == repr(residual_via_profile_points(spec, gap, grid)), m
+        assert all(map(math.isnan, worst)), m
 
 
 def test_a_profile_checks_the_function_it_shows(tanh_sol):

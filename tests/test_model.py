@@ -5,6 +5,7 @@ import random
 import re
 import sys
 from dataclasses import fields, replace
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 
@@ -26,7 +27,7 @@ from nbarrier import (
 from nbarrier.barrier import BarrierEnvelope, build_lower_barrier, build_upper_barrier
 from nbarrier.bounds import bounds_m1
 from nbarrier.exact import tanh_family
-from nbarrier.model import axis_intercepts, require_positive, require_vectors
+from nbarrier.model import axis_intercepts, require_finite, require_positive, require_vectors
 from nbarrier.nonexistence import ThreeSpeciesParams
 from nbarrier.waves import integrate
 
@@ -429,12 +430,17 @@ def test_a_number_no_float_holds_is_refused_by_name(value):
     require_positive(weights=(1.0, int(sys.float_info.max) + 1))
 
 
+def is_nan(v):
+    """Whether v is a NaN; a Decimal one is asked, since comparing it signals."""
+    return v.is_nan() if isinstance(v, Decimal) else v != v
+
+
 def refusal_by_the_element_wise_rule(n, vectors):
     """(exception class, message) that require_vectors(n, **vectors) must
     raise, or None where it must accept, from plain loops over the
-    element-wise 0.0 < v < inf: unequal lengths first, then the first vector
-    with an entry that fails, named by its first non-finite entry if it has
-    one."""
+    element-wise 0.0 < v < inf, which a NaN fails: unequal lengths first,
+    then the first vector with an entry that fails, named by its first
+    non-finite entry if it has one."""
     lengths = [len(values) for values in vectors.values()]
     expected = n if n is not None else lengths[0] if lengths else None
     for length in lengths:
@@ -444,9 +450,9 @@ def refusal_by_the_element_wise_rule(n, vectors):
                 + [f"len({name}) = {len(values)}" for name, values in vectors.items()])
     for name, values in vectors.items():
         for v in values:
-            if not 0.0 < v < math.inf:
+            if is_nan(v) or not 0.0 < v < math.inf:
                 for w in values:
-                    if not math.isfinite(w):
+                    if is_nan(w) or not math.isfinite(w):
                         return ValueError, f"{name} must be finite, got {w!r}"
                 return ValueError, f"{name} must be strictly positive"
     return None
@@ -496,6 +502,9 @@ EDGE_VECTORS = {
     "fractions": (Fraction(1, 3), Fraction(7, 2)),
     "negative-fraction": (Fraction(1, 3), Fraction(-1, 2)),
     "mixed-exact": (2, Fraction(1, 3), 0.5),
+    # Comparing a Decimal NaN signals, and no float holds a signaling one.
+    "decimal-nan": (1.0, Decimal("NaN")),
+    "decimal-snan": (Decimal("sNaN"), 2.0),
 }
 ACCEPTED = {"subnormal", "sum-overflows", "empty", "ints", "fractions", "mixed-exact"}
 
@@ -504,6 +513,9 @@ ACCEPTED = {"subnormal", "sum-overflows", "empty", "ints", "fractions", "mixed-e
 def test_require_vectors_keeps_the_element_wise_rule_on_edge_entries(name):
     vector = EDGE_VECTORS[name]
     assert (refusal_by_the_element_wise_rule(None, {"x": vector}) is None) == (name in ACCEPTED)
+    non_finite = [v for v in vector if is_nan(v) or not math.isfinite(v)]
+    assert refusal(require_finite, x=vector) == (
+        (ValueError, f"x must be finite, got {non_finite[0]!r}") if non_finite else None)
     for vectors in ({"x": vector}, {"x": vector, "y": (1.0,) * len(vector)},
                     {"y": (1.0,) * len(vector), "x": list(vector)}):
         assert_one_validation_rule(None, vectors)

@@ -400,9 +400,9 @@ def list_rk4_step(spec, floor_hit):
     degenerate = m > 1
 
     def row_sum(products):
-        # As the kernels add a row: left to right from 0.0 up to UNROLL_LIMIT
-        # species, with builtin sum beyond.
-        return reduce(operator.add, products, 0.0) if n <= UNROLL_LIMIT else sum(products)
+        # As the kernels add a row: left to right from the first product up
+        # to UNROLL_LIMIT species, with builtin sum beyond.
+        return reduce(operator.add, products) if n <= UNROLL_LIMIT else sum(products)
 
     def terms(u):
         return [ui ** li * (s - row_sum(map(operator.mul, row, u)))
@@ -585,10 +585,10 @@ def test_integrate_equals_the_list_stepper_bit_for_bit(tanh_sol, cos_sol, name):
     assert_same_trajectory(traj, list_stepper_reference(*case))
 
 
-# Every route adds a row of up to UNROLL_LIMIT products as a + chain from 0.0
-# and calls no builtin sum for it, so a compensated sum (Python 3.12 on) moves
-# no bit of those trajectories.  Longer rows take builtin sum on every route,
-# so the routes agree under either sum.
+# Every route adds a row of up to UNROLL_LIMIT products as a + chain from
+# its first product and calls no builtin sum for it, so a compensated sum
+# (Python 3.12 on) moves no bit of those trajectories.  Longer rows take
+# builtin sum on every route, so the routes agree under either sum.
 @pytest.mark.parametrize("n", range(1, UNROLL_LIMIT + 3))
 def test_integrate_equals_the_list_stepper_under_a_compensated_sum(monkeypatch, n):
     case = seeded_system(n, 2.0, 60 + n)
@@ -610,7 +610,7 @@ def outcome(f, *args):
 
 
 @pytest.mark.parametrize("products, sigma", list(EDGE_CASES.values()), ids=list(EDGE_CASES))
-def test_rk4_step_adds_edge_rows_as_sum_does(each_sum, products, sigma):
+def test_rk4_step_adds_edge_rows_as_a_plus_chain(each_sum, products, sigma):
     # The first stage state has these row products; its fluxes are -0.0.
     # One step is a march with count = 1, which stores only a finite state.
     n = len(products)
