@@ -377,7 +377,7 @@ def outcome(f, *args):
 # both routes raise.
 @pytest.mark.parametrize("products, sigma", list(EDGE_CASES.values()), ids=list(EDGE_CASES))
 @pytest.mark.parametrize("m", [1.0, 2.0, 3.0])
-def test_residual_adds_edge_rows_as_a_plus_chain(each_sum, m, products, sigma):
+def test_residual_adds_edge_rows_as_sum_does(each_sum, m, products, sigma):
     n = len(products)
     spec = unchecked_system(n, m, sigma)
     # Every unit row is the chain from its first product, whichever sum is

@@ -610,7 +610,7 @@ def outcome(f, *args):
 
 
 @pytest.mark.parametrize("products, sigma", list(EDGE_CASES.values()), ids=list(EDGE_CASES))
-def test_rk4_step_adds_edge_rows_as_a_plus_chain(each_sum, products, sigma):
+def test_rk4_step_adds_edge_rows_as_sum_does(each_sum, products, sigma):
     # The first stage state has these row products; its fluxes are -0.0.
     # One step is a march with count = 1, which stores only a finite state.
     n = len(products)
