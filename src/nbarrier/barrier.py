@@ -13,7 +13,10 @@ walked.  p is homogeneous of degree 1 and q of degree m, so a link's value
 is a level factor times a function of a point t of the simplex: a convex
 sum of t_i^m, which peaks at a vertex, or a ratio sum_i a_i t_i / q(t)^(1/m),
 which peaks at its Hölder point; on an ellipsoid that is the tangent point.
-barrier_curves samples the five pieces on one simplex lattice for plotting.
+Three module-level point maps take t onto a piece: onto a plane, an
+ellipsoid or the hull face.  verify_containment applies them once per link,
+at the peak's t, for the worst point, and barrier_curves maps one simplex
+lattice through them to sample the five pieces for plotting.
 
 Levels, weights, peaks and points are computed element by element at C
 level, by map over operator functions and itertools.repeat, under the rule
@@ -55,8 +58,8 @@ class BarrierEnvelope:
     d: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(self.weights))
-        object.__setattr__(self, "d", tuple(self.d))
+        self.__dict__["weights"] = tuple(self.weights)
+        self.__dict__["d"] = tuple(self.d)
         require_vectors(weights=self.weights, d=self.d)
         if self.orientation not in ("lower", "upper"):
             raise ValueError("orientation must be 'lower' or 'upper'")
@@ -111,10 +114,6 @@ def _normal(what: str, value: float) -> float:
         raise ValueError(f"{what} underflows below the smallest normal float; "
                          "the parameters underflow floating point")
     return value
-
-
-def _level(name: str, value: float) -> float:
-    return _normal(f"envelope level {name}", value)
 
 
 def _q_weights(alpha: Sequence[float], d: Sequence[float]) -> tuple:
@@ -172,9 +171,9 @@ def build_lower_barrier(alpha: Sequence[float], d: Sequence[float],
     grow = max(_plane_vertices(alpha, d, m))
     w_q = _q_weights(alpha, d)
     lambda1 = _tangency_level(1.0, w_q, ulow, m)
-    eta1 = _level("eta1", lambda1 / grow) ** (1.0 / m)
+    eta1 = _normal("envelope level eta1", lambda1 / grow) ** (1.0 / m)
     lambda2 = _tangency_level(eta1, w_q, tuple(map(truediv, repeat(1.0), alpha)), m)
-    eta2 = _level("eta2", lambda2 / grow) ** (1.0 / m)
+    eta2 = _normal("envelope level eta2", lambda2 / grow) ** (1.0 / m)
     return BarrierEnvelope(lambda1=lambda1, eta1=eta1, lambda2=lambda2, eta2=eta2,
                            orientation="lower", weights=tuple(alpha), m=m, d=tuple(d))
 
@@ -194,15 +193,16 @@ def build_upper_barrier(alpha: Sequence[float], d: Sequence[float],
     S = _tangency_sum(map(mul, alpha, map(pow, d, repeat(-e))))
     grow = max(_plane_vertices(alpha, d, m))
     try:
-        lambda1 = _level("lambda1", max(map(mul, map(mul, alpha, d), map(pow, ubar, repeat(m)))))
+        lambda1 = _normal("envelope level lambda1",
+                          max(map(mul, map(mul, alpha, d), map(pow, ubar, repeat(m)))))
     except OverflowError:
         raise _overflow("envelope level lambda1") from None
-    eta1 = _level("eta1", lambda1 ** (1.0 / m) * S ** ((m - 1.0) / m))
+    eta1 = _normal("envelope level eta1", lambda1 ** (1.0 / m) * S ** ((m - 1.0) / m))
     try:
-        lambda2 = _level("lambda2", _normal("power eta1^m", eta1 ** m) * grow)
+        lambda2 = _normal("envelope level lambda2", _normal("power eta1^m", eta1 ** m) * grow)
     except OverflowError:
         raise _overflow("envelope level lambda2") from None
-    eta2 = _level("eta2", lambda2 ** (1.0 / m) * S ** ((m - 1.0) / m))
+    eta2 = _normal("envelope level eta2", lambda2 ** (1.0 / m) * S ** ((m - 1.0) / m))
     return BarrierEnvelope(lambda1=lambda1, eta1=eta1, lambda2=lambda2, eta2=eta2,
                            orientation="upper", weights=tuple(alpha), m=m, d=tuple(d))
 
@@ -250,41 +250,32 @@ def _simplex_lattice(n: int, resolution: int):
         yield tuple(map(weights.__getitem__, k))
 
 
-def _pieces(envelope: BarrierEnvelope, hull: HullBounds, w_q: tuple) -> dict:
-    """The five barrier pieces by name, as (level factor, boundary point of t).
+def _plane_point(t: Sequence[float], eta: float, alpha: Sequence[float]) -> tuple:
+    """The point eta t_i / alpha_i of the plane p = eta over simplex point t."""
+    return tuple(map(truediv, map(mul, repeat(eta), t), alpha))
 
-    Points and factors are those verify_containment lists.  The ellipsoid
-    scale lambda^(1/m) / q(t)^(1/m) cannot overflow where (lambda / q(t))^(1/m)
-    does.  The hull face is the ulow face for a lower envelope and the ubar
-    face for an upper one.  w_q are the weights alpha_i d_i of q, as
-    _q_weights checks them.
-    """
-    alpha, m = envelope.weights, envelope.m
-    inv_m = 1.0 / m
-    face = hull.ulow if envelope.orientation == "lower" else hull.ubar
 
-    def plane(eta):
-        try:
-            factor = eta ** m
-        except OverflowError:  # eta2^m of an upper envelope, which no link uses
-            factor = inf
-        return factor, lambda t: tuple(map(truediv, map(mul, repeat(eta), t), alpha))
+def _ellipsoid_point(t: Sequence[float], root: float, w_q: tuple, m: float) -> tuple:
+    """The point root t / q(t)^(1/m) of the ellipsoid q = root^m over simplex
+    point t; w_q are the weights alpha_i d_i of q, as _q_weights checks them.
+    The scale root / q(t)^(1/m) cannot overflow where (lambda / q(t))^(1/m)
+    does."""
+    scale = root / sum(map(mul, w_q, map(pow, t, repeat(m)))) ** (1.0 / m)
+    return tuple(map(mul, repeat(scale), t))
 
-    def ellipsoid(lam):
-        root = lam ** inv_m
 
-        def point(t):
-            scale = root / sum(map(mul, w_q, map(pow, t, repeat(m)))) ** inv_m
-            return tuple(map(mul, repeat(scale), t))
-        return root, point
+def _face_point(t: Sequence[float], face: Sequence[float]) -> tuple:
+    """The point face_i t_i of the hull face through the axis points face_i e_i."""
+    return tuple(map(mul, t, face))
 
-    return {
-        "plane_eta1": plane(envelope.eta1),
-        "plane_eta2": plane(envelope.eta2),
-        "ellipsoid_lambda1": ellipsoid(envelope.lambda1),
-        "ellipsoid_lambda2": ellipsoid(envelope.lambda2),
-        "hull_face": (1.0, lambda t: tuple(map(mul, t, face))),
-    }
+
+def _plane_factor(eta: float, m: float) -> float:
+    """eta^m, the level factor of q on the plane p = eta; inf where it
+    overflows, so that the link is refused by name."""
+    try:
+        return eta ** m
+    except OverflowError:
+        return inf
 
 
 def barrier_curves(envelope: BarrierEnvelope, hull: HullBounds, samples: int) -> tuple:
@@ -297,9 +288,16 @@ def barrier_curves(envelope: BarrierEnvelope, hull: HullBounds, samples: int) ->
     """
     if samples < 1:
         raise ValueError("samples must be positive")
-    w_q = _q_weights(envelope.weights, envelope.d)
-    return tuple((name, map(point, _simplex_lattice(len(w_q), samples)))
-                 for name, (_, point) in _pieces(envelope, hull, w_q).items())
+    alpha, m = envelope.weights, envelope.m
+    w_q = _q_weights(alpha, envelope.d)
+    face = hull.ulow if envelope.orientation == "lower" else hull.ubar
+    pieces = (("plane_eta1", _plane_point, (envelope.eta1, alpha)),
+              ("plane_eta2", _plane_point, (envelope.eta2, alpha)),
+              ("ellipsoid_lambda1", _ellipsoid_point, (envelope.lambda1 ** (1.0 / m), w_q, m)),
+              ("ellipsoid_lambda2", _ellipsoid_point, (envelope.lambda2 ** (1.0 / m), w_q, m)),
+              ("hull_face", _face_point, (face,)))
+    return tuple((name, map(point, _simplex_lattice(len(w_q), samples), *map(repeat, args)))
+                 for name, point, args in pieces)
 
 
 def _plane_vertices(alpha: Sequence[float], d: Sequence[float], m: float) -> list:
@@ -380,7 +378,6 @@ def verify_containment(envelope: BarrierEnvelope, hull: HullBounds, samples: int
     alpha, d, m = envelope.weights, envelope.d, envelope.m
     lower = envelope.orientation == "lower"
     w_q = _q_weights(alpha, d)
-    pieces = _pieces(envelope, hull, w_q)
     plane_peak = vertex_peak(_plane_vertices(alpha, d, m))
     ray_peak = _dual_peak(alpha, w_q, m)
     if lower:
@@ -389,25 +386,34 @@ def verify_containment(envelope: BarrierEnvelope, hull: HullBounds, samples: int
         hull_peak = vertex_peak(list(map(mul, w_q, map(pow, hull.ubar, repeat(m)))))
 
     lam1, eta1, lam2, eta2 = envelope.lambda1, envelope.eta1, envelope.lambda2, envelope.eta2
-    # (name, peak and maximiser t, inner piece, outer level), innermost link first.
+    root1, root2 = lam1 ** (1.0 / m), lam2 ** (1.0 / m)
+    # (name, peak and maximiser t, level factor, outer level, point map of the
+    # inner piece and its arguments after t), innermost link first.
     if lower:
-        links = (("plane_eta2_in_ellipsoid_lambda2", plane_peak, "plane_eta2", lam2),
-                 ("ellipsoid_lambda2_in_plane_eta1", ray_peak, "ellipsoid_lambda2", eta1),
-                 ("plane_eta1_in_ellipsoid_lambda1", plane_peak, "plane_eta1", lam1),
-                 ("ellipsoid_lambda1_in_inner_hull", hull_peak, "ellipsoid_lambda1", 1.0))
+        links = (("plane_eta2_in_ellipsoid_lambda2", plane_peak, _plane_factor(eta2, m), lam2,
+                  _plane_point, (eta2, alpha)),
+                 ("ellipsoid_lambda2_in_plane_eta1", ray_peak, root2, eta1,
+                  _ellipsoid_point, (root2, w_q, m)),
+                 ("plane_eta1_in_ellipsoid_lambda1", plane_peak, _plane_factor(eta1, m), lam1,
+                  _plane_point, (eta1, alpha)),
+                 ("ellipsoid_lambda1_in_inner_hull", hull_peak, root1, 1.0,
+                  _ellipsoid_point, (root1, w_q, m)))
     else:
-        links = (("outer_hull_face_in_ellipsoid_lambda1", hull_peak, "hull_face", lam1),
-                 ("ellipsoid_lambda1_in_plane_eta1", ray_peak, "ellipsoid_lambda1", eta1),
-                 ("plane_eta1_in_ellipsoid_lambda2", plane_peak, "plane_eta1", lam2),
-                 ("ellipsoid_lambda2_in_plane_eta2", ray_peak, "ellipsoid_lambda2", eta2))
+        links = (("outer_hull_face_in_ellipsoid_lambda1", hull_peak, 1.0, lam1,
+                  _face_point, (hull.ubar,)),
+                 ("ellipsoid_lambda1_in_plane_eta1", ray_peak, root1, eta1,
+                  _ellipsoid_point, (root1, w_q, m)),
+                 ("plane_eta1_in_ellipsoid_lambda2", plane_peak, _plane_factor(eta1, m), lam2,
+                  _plane_point, (eta1, alpha)),
+                 ("ellipsoid_lambda2_in_plane_eta2", ray_peak, root2, eta2,
+                  _ellipsoid_point, (root2, w_q, m)))
     reports = []
-    for name, (largest, t), inner, limit in links:
-        factor, point = pieces[inner]
+    for name, (largest, t), factor, limit, point, args in links:
         value = factor * largest
         if not isfinite(value):
             raise ValueError(f"containment link {name} is not finite; "
                              "the parameters overflow floating point")
         reports.append(LinkReport(name=name, ok=value <= limit * (1.0 + REGION_REL_TOL),
                                   worst_margin=(limit - value) / limit,
-                                  worst_point=point(t)))
+                                  worst_point=point(t, *args)))
     return ContainmentReport(links=tuple(reports))

@@ -32,6 +32,12 @@ time the package is imported.  record reads the fields from the class
 annotations and imports neither dataclasses nor inspect; a record's
 dataclass metadata and __signature__ are built on first use, so fields,
 asdict, replace and inspect.signature work on records as on any dataclass.
+A call that passes every field by keyword takes the fast path: __init__
+checks the keyword count and that each keyword is a field, and copies them
+into the instance dict.  A keyword call that leaves out fields with
+defaults gets the defaults merged in, and any other call is bound through
+__signature__.  A post-init that normalises a field, to a tuple say,
+writes the instance dict, since __setattr__ refuses every write.
 record_dict turns records into the dicts that the CLI emits.
 
 Since C > 0, H holds on a hull exactly when every ulow_k is at most and
@@ -91,7 +97,7 @@ def record(cls: type) -> type:
     dataclass would otherwise write one from a signature it cannot see.
     """
     names = tuple(cls.__annotations__)
-    field_set = frozenset(names)
+    nfields, field_set = len(names), frozenset(names)
     defaults = {name: vars(cls)[name] for name in names if name in vars(cls)}
     required = field_set.difference(defaults)
     post_init = getattr(cls, "__post_init__", None)
@@ -130,7 +136,7 @@ def record(cls: type) -> type:
         return bound.arguments
 
     def __init__(self, *args, **kwargs):
-        if args or kwargs.keys() != field_set:
+        if args or len(kwargs) != nfields or not field_set.issuperset(kwargs):
             kwargs = arguments(args, kwargs)
         self.__dict__.update(kwargs)
         if post_init is not None:
@@ -306,8 +312,8 @@ class ReactionSpec:
     C: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma", tuple(self.sigma))
-        object.__setattr__(self, "C", tuple(map(tuple, self.C)))
+        self.__dict__["sigma"] = tuple(self.sigma)
+        self.__dict__["C"] = tuple(map(tuple, self.C))
         require_positive(sigma=self.sigma, C=tuple(chain.from_iterable(self.C)))
         n = len(self.sigma)
         if n == 0:
@@ -332,8 +338,8 @@ class SystemSpec:
     reaction: ReactionSpec
 
     def __post_init__(self):
-        object.__setattr__(self, "d", tuple(self.d))
-        object.__setattr__(self, "l", tuple(self.l))
+        self.__dict__["d"] = tuple(self.d)
+        self.__dict__["l"] = tuple(self.l)
         require_finite(m=(self.m,), theta=(self.theta,))
         if self.n < 1:
             raise ValueError("need at least one species")
@@ -357,8 +363,8 @@ class HullBounds:
     ulow: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "ubar", tuple(self.ubar))
-        object.__setattr__(self, "ulow", tuple(self.ulow))
+        self.__dict__["ubar"] = tuple(self.ubar)
+        self.__dict__["ulow"] = tuple(self.ulow)
         # sigma_j / c_ji overflows to inf for extreme finite rates.
         require_vectors(ubar=self.ubar, ulow=self.ulow)
         if any(map(lt, self.ubar, self.ulow)):

@@ -16,6 +16,9 @@ always true).
 
 from __future__ import annotations
 
+from math import isfinite
+from sys import float_info
+
 from .bounds import two_species_m2_lower, two_species_m2_upper
 from .model import (ReactionSpec, axis_intercepts, fields_from_dict, float_matrix,
                     float_vector, number, record, record_dict, require_finite,
@@ -34,9 +37,9 @@ class ThreeSpeciesParams:
     w_plus_inf: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "d", tuple(self.d))
-        object.__setattr__(self, "sigma", tuple(self.sigma))
-        object.__setattr__(self, "C", tuple(map(tuple, self.C)))
+        self.__dict__["d"] = tuple(self.d)
+        self.__dict__["sigma"] = tuple(self.sigma)
+        self.__dict__["C"] = tuple(map(tuple, self.C))
         require_vectors(3, d=self.d, sigma=self.sigma)
         ReactionSpec(sigma=self.sigma, C=self.C)
         for name, w in (("w_minus_inf", self.w_minus_inf),
@@ -96,7 +99,11 @@ def check_case_i(params: ThreeSpeciesParams) -> CaseIVerdict:
     sigma3/c33.  Both must be strictly positive (a tie fails); then the
     intercept floors u*, v* feed the two-species m = 2 lower closed form with
     weights (c31, c32), and the wave is blocked when that floor level already
-    reaches sigma3.
+    reaches sigma3.  A floor level that is not finite, or whose closed form
+    divides by zero, raises a ValueError naming lambda_star: where the
+    squares of the floors underflow, as for the screening system of
+    scripts/screen_nonexistence.py with sigma scaled by 1e-156, the level
+    would otherwise read inf and block a wave that the exact level does not.
     """
     (d1, d2, _), (s1, s2, s3), C = params.d, params.sigma, params.C
     phi1 = s1 - C[0][2] * s3 / C[2][2]
@@ -107,12 +114,31 @@ def check_case_i(params: ThreeSpeciesParams) -> CaseIVerdict:
                             blocked=False,
                             profile_hypotheses_asserted=True)
     ulow_star, vlow_star = map(min, axis_intercepts((phi1, phi2), C[:2]))
-    lambda_star = two_species_m2_lower(C[2][0], C[2][1], d1, d2,
-                                       ulow_star, vlow_star)
+    lambda_star = _floor_level(C[2][0], C[2][1], d1, d2, ulow_star, vlow_star)
     return CaseIVerdict(applicable=True, phi1=phi1, phi2=phi2,
                         ulow_star=ulow_star, vlow_star=vlow_star,
                         lambda_star=lambda_star, blocked=lambda_star >= s3,
                         profile_hypotheses_asserted=True)
+
+
+def _floor_level(c31: float, c32: float, d1: float, d2: float,
+                 ulow_star: float, vlow_star: float) -> float:
+    """lambda_star, the two-species m = 2 lower form at the floors, if it is
+    finite; a ValueError naming lambda_star where it is not, or where the
+    form's denominator underflows to 0."""
+    try:
+        lambda_star = two_species_m2_lower(c31, c32, d1, d2, ulow_star, vlow_star)
+    except ZeroDivisionError:
+        raise ValueError("lambda_star divides by a denominator that underflows to 0; "
+                         "the parameters underflow floating point") from None
+    if isfinite(lambda_star):
+        return lambda_star
+    if min(ulow_star, vlow_star) ** 2 < float_info.min:
+        raise ValueError(f"lambda_star is not finite, got {lambda_star!r}: squares of the "
+                         "floors ulow*, vlow* underflow below the smallest normal float; "
+                         "the parameters underflow floating point")
+    raise ValueError(f"lambda_star is not finite, got {lambda_star!r}; "
+                     "the parameters under- or overflow floating point")
 
 
 def check_case_ii(params: ThreeSpeciesParams) -> CaseIIVerdict:

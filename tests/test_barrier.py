@@ -540,6 +540,17 @@ def test_containment_refuses_a_link_value_that_overflows():
         verify_containment(env, hull, 10)
 
 
+def test_containment_refuses_a_plane_power_that_overflows():
+    # eta2^m = (1e200)^2 overflows in **, which raises where * gives inf; the
+    # factor is taken as inf, so the link is refused by name.
+    env = BarrierEnvelope(lambda1=1e300, eta1=1e200, lambda2=1e300, eta2=1e200,
+                          orientation="lower", weights=(1.0, 1.0), m=2.0, d=(1.0, 1.0))
+    hull = HullBounds(ubar=(2.0, 2.0), ulow=(1.0, 1.0))
+    with pytest.raises(ValueError, match="^containment link plane_eta2_in_ellipsoid_lambda2 "
+                                         "is not finite"):
+        verify_containment(env, hull, 10)
+
+
 def test_lower_envelope_names_a_level_that_underflows():
     # lambda1 * shrink = 1e-120 * 1e-240 underflows, so eta1 would be 0.
     with pytest.raises(ValueError, match="^envelope level eta1 underflows to 0"):

@@ -120,7 +120,7 @@ def test_kernel_source_nests_no_deeper_as_n_grows(writer):
 
 
 @pytest.mark.parametrize("writer", WRITERS, ids=WRITER_IDS)
-def test_only_rows_of_one_or_two_products_are_a_plus_chain(writer):
+def test_rows_of_up_to_unroll_limit_products_are_a_plus_chain(writer):
     # Every row of 1 to UNROLL_LIMIT products is a + chain from its first
     # product, which rounds alike on every interpreter; longer rows are
     # sum(map(mul, ...)).

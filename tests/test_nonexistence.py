@@ -43,6 +43,37 @@ def test_case_i_blocks_when_floor_reaches_sigma3():
     assert verdict.blocked
 
 
+def screening_params(k):
+    """The screening system of scripts/screen_nonexistence.py with sigma =
+    k (10, 12, 2.5)."""
+    return ThreeSpeciesParams(d=BASE["d"], sigma=(10.0 * k, 12.0 * k, 2.5 * k), C=BASE["C"])
+
+
+def test_case_i_floor_level_scales_with_sigma_down_to_1e_155():
+    # lambda_star is homogeneous of degree 1 in sigma: 2.49 k < 2.5 k = sigma3.
+    unit = check_case_i(screening_params(1.0)).lambda_star
+    verdict = check_case_i(screening_params(1e-155))
+    assert verdict.lambda_star == pytest.approx(unit * 1e-155, rel=1e-13)
+    assert not verdict.blocked
+
+
+SQUARES_BELOW_NORMAL = "is not finite, got inf: squares of the floors ulow\\*, vlow\\* underflow"
+DENOMINATOR_AT_ZERO = "divides by a denominator that underflows to 0"
+
+
+@pytest.mark.parametrize("k, cause", [
+    (3e-156, SQUARES_BELOW_NORMAL), (1e-156, SQUARES_BELOW_NORMAL),
+    (1e-162, SQUARES_BELOW_NORMAL), (1e-163, DENOMINATOR_AT_ZERO), (1e-300, DENOMINATOR_AT_ZERO),
+], ids=["3e-156", "1e-156", "1e-162", "1e-163", "1e-300"])
+def test_case_i_refuses_a_floor_level_that_underflows_by_name(k, cause):
+    # The squares of floors near 1e-156 underflow, so the closed form read
+    # lambda_star = inf, and so blocked, where the exact level is 2.49 k.
+    with pytest.raises(ValueError, match=f"^lambda_star {cause}"):
+        check_case_i(screening_params(k))
+    with pytest.raises(ValueError, match=f"^lambda_star {cause}"):
+        check(screening_params(k))
+
+
 def test_case_i_inapplicable_when_discounts_go_negative():
     verdict = check_case_i(params(48.0))
     assert not verdict.applicable

@@ -10,8 +10,9 @@ import pytest
 ROOT = Path(__file__).parents[1]
 
 
-def run_script(name, *args):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def run_script(name, *args, path=()):
+    """Run scripts/name with src, after the directories path, on PYTHONPATH."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([*map(str, path), str(ROOT / "src")]))
     return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
                           env=env, capture_output=True, text=True, timeout=60)
 
@@ -40,3 +41,17 @@ def test_screen_nonexistence_rejects_a_bad_grid(grid):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "argument --grid:" in proc.stderr
+
+
+def test_capture_bits_slices_match_their_pinned_digests_without_numpy(tmp_path):
+    # A numpy package that refuses to load comes first on the path, so the
+    # capture runs as it does on an interpreter without numpy.  The pins of
+    # at most 3000 cases are one slice per section, each well under 2 s;
+    # CI checks the full captures too.
+    (tmp_path / "numpy").mkdir()
+    (tmp_path / "numpy" / "__init__.py").write_text("raise ImportError('numpy is blocked')\n")
+    proc = run_script("capture_bits.py", "--check", str(ROOT / "tests" / "capture_bits.sha256"),
+                      "--max-cases", "3000", path=[tmp_path])
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert [line.split()[:2] for line in proc.stdout.splitlines()] == [
+        ["ok", "geometry"], ["ok", "nonexistence"]]
