@@ -34,7 +34,8 @@ from operator import mul, pow, sub, truediv
 from sys import float_info
 from typing import Sequence
 
-from .model import REGION_REL_TOL, HullBounds, record, require_vectors, vertex_peak
+from .model import (FLOAT_MAX, REGION_REL_TOL, HullBounds, record, require_finite,
+                    require_vectors, vertex_peak)
 
 ORDER_REL_SLACK = 1e-12  # fp slack when validating envelope ordering
 
@@ -90,11 +91,12 @@ class BarrierEnvelope:
 
 
 def _require_exponent_domain(m: float):
-    if not 1 < m < inf:
-        # A NaN or infinite m is named as such, not as m <= 1 or a level fault.
-        if not isfinite(m):
-            raise ValueError(f"m must be finite, got {m!r}")
-        raise ValueError("tangency exponents 1/(m-1) need m > 1")
+    if not 1 < m <= FLOAT_MAX:
+        # A NaN or infinite m, or an int no float holds, is named as such, not
+        # as m <= 1, a level fault or a bare OverflowError.
+        require_finite(m=(m,))
+        if not 1 < m:
+            raise ValueError("tangency exponents 1/(m-1) need m > 1")
 
 
 def _underflow(what: str) -> ValueError:

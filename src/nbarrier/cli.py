@@ -26,11 +26,21 @@ No subcommand needs numpy.  simulate steps and summarises its trajectory in
 plain Python, through waves.integrate_rows and waves.summarise_rows, and
 loads numpy only to re-run a step whose float arithmetic overflowed or
 divided by zero.
+
+run is the program entry, of both the nbarrier console script and
+python -m nbarrier.cli: it runs main on sys.argv, then freezes the
+garbage collector and exits with main's code.  The freeze moves every
+object the imports and the command made out of the collector's reach, so
+interpreter shutdown does not walk them all in a collection whose result
+the exiting process never uses; exit handlers, stream flushes and module
+teardown still run.  main(argv) is the in-process entry, for tests and
+library callers, and freezes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -406,5 +416,12 @@ def main(argv=None) -> int:
     return code
 
 
+def run():
+    """Exit with main's code on sys.argv, after freezing the collector."""
+    code = main()
+    gc.freeze()
+    raise SystemExit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

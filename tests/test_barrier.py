@@ -18,6 +18,7 @@ from nbarrier import (
     barrier_curves,
     build_lower_barrier,
     build_upper_barrier,
+    bounds_general,
     hull_intercepts,
     verify_containment,
 )
@@ -119,17 +120,21 @@ def test_tangency_rejects_degenerate_exponent_and_level():
         build_lower_barrier((1.0, 1.0), (1.0,), (1.0, 1.0), 2.0)
 
 
-@pytest.mark.parametrize("m", [math.nan, math.inf])
+@pytest.mark.parametrize("m", [math.nan, math.inf, 10 ** 400], ids=["nan", "inf", "huge-int"])
 @pytest.mark.parametrize("build", [
     lambda m: build_lower_barrier(*FIG1_ARGS[:3], m),
     lambda m: build_upper_barrier(*FIG1_ARGS[:2], (1.0, 1.0), m),
+    lambda m: bounds_general(*FIG1_ARGS[:2], HullBounds(ulow=FIG1_ARGS[2], ubar=(1.0, 1.0)),
+                             m, 1),
     lambda m: BarrierEnvelope(lambda1=1.0, eta1=1.0, lambda2=0.5, eta2=0.5,
                               orientation="lower", weights=(1.0, 1.0), m=m, d=(1.0, 1.0)),
-], ids=["lower", "upper", "envelope"])
+], ids=["lower", "upper", "bounds-general", "envelope"])
 def test_a_non_finite_exponent_is_refused_by_name(build, m):
-    # NaN passes m <= 1, and inf makes Lambda underflow; neither is an
+    # NaN passes m <= 1, and inf makes Lambda underflow; 1 < 10**400 < inf
+    # holds, but 1 / (m - 1) cannot convert it to a float.  None is an
     # overflow or underflow of the parameters.
-    with pytest.raises(ValueError, match=f"^m must be finite, got {m!r}$"):
+    got = "a number beyond the largest float" if isinstance(m, int) else repr(m)
+    with pytest.raises(ValueError, match=f"^m must be finite, got {got}$"):
         build(m)
 
 

@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, JSON/CSV output, determinism."""
 
+import ast
 import contextlib
+import gc
 import importlib.util
 import io
 import json
@@ -19,6 +21,7 @@ import nbarrier
 from nbarrier import (ReactionSpec, SystemSpec, bounds_for, bounds_general, check_bounds,
                       hull_intercepts, integrate, system_from_dict, system_to_dict,
                       tanh_family, verify_containment)
+from nbarrier import cli
 from nbarrier.cli import FAMILIES, main
 
 from conftest import decimal_chains, rel_gap
@@ -484,6 +487,84 @@ def test_readme_examples_run_without_numpy():
     assert proc.returncode == 0, proc.stderr
     examples = json.loads(README_FIXTURE.read_text())["examples"]
     assert proc.stdout == "".join(example["stdout"] for example in examples)
+
+
+@pytest.mark.parametrize("code", [0, 1, 2, 3])
+def test_run_exits_with_mains_code_and_freezes_after_main(monkeypatch, code):
+    events = []
+
+    def fake_main(argv=None):
+        events.append(("main", argv))
+        return code
+
+    monkeypatch.setattr(cli, "main", fake_main)
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == code
+    assert events == [("main", None), "freeze"]
+
+
+def test_run_parses_sys_argv(capsys, monkeypatch):
+    argv = ["bounds", FIG_SPEC, "--alpha", "1,2"]
+    want = run(capsys, *argv)
+    monkeypatch.setattr(sys, "argv", ["nbarrier", *argv])
+    monkeypatch.setattr(gc, "freeze", lambda: None)
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out, captured.err) == want
+
+
+def test_in_process_main_freezes_nothing(capsys):
+    before = gc.get_freeze_count()
+    assert run(capsys, "barrier", FIG_SPEC, "--alpha", "1,2", "--orientation", "upper")[0] == 0
+    assert run(capsys, "bounds", FIG_SPEC, "--alpha", "nan,1")[0] == 2
+    assert gc.get_freeze_count() == before
+
+
+def test_both_program_entries_are_run():
+    """python -m nbarrier.cli and the nbarrier console script both enter
+    through run, not main."""
+    module = ast.parse(Path(cli.__file__).read_text())
+    guard = module.body[-1]
+    assert ast.unparse(guard) == "if __name__ == '__main__':\n    run()"
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    scripts = pyproject.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert scripts.strip() == 'nbarrier = "nbarrier.cli:run"'
+
+
+# Each command ends with the flag of the file it writes; the path follows.
+FILE_COMMANDS = {
+    "barrier-curve-csv": ["barrier", FIG_SPEC, "--alpha", "1,2", "--orientation", "lower",
+                          "--curve-csv"],
+    "exact-csv": ["exact", "tanh", "--d1", "3", "--d2", "4", "--c11", "1", "--c22", "2",
+                  "--grid=-1:1:0.5", "--csv"],
+    "simulate-csv": ["simulate", FIG_SPEC, "--u0", "0.2,0.4", "--w0", "0,0", "--span", "0:1",
+                     "--step", "0.01", "--alpha", "1,2", "--check-bounds", "--csv"],
+    "bounds-out": ["bounds", FIG_SPEC, "--alpha", "1,2", "--out"],
+}
+
+
+@pytest.mark.parametrize("name", FILE_COMMANDS)
+def test_a_process_writes_its_file_in_full_before_the_frozen_exit(capsys, tmp_path, name):
+    """A frozen exit finalizes no cyclic garbage, so no write may wait for a
+    finalizer: main's file is complete when it returns, and under -X dev and
+    -W error a process exits 0 with nothing on stderr and writes the same
+    bytes."""
+    argv = FILE_COMMANDS[name]
+    main_out, process_out = tmp_path / "main.out", tmp_path / "process.out"
+    code, out, err = run(capsys, *argv, str(main_out))
+    assert (code, err) == (0, "")
+    written = main_out.read_bytes()
+    gc.collect()  # a write left to a finalizer would land only now
+    assert written and main_out.read_bytes() == written
+    env = dict(os.environ, PYTHONPATH=str(Path(nbarrier.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "nbarrier.cli",
+                           *argv, str(process_out)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", out)
+    assert process_out.read_bytes() == written
 
 
 # Prints which of the watched modules are loaded after the import of
