@@ -1,4 +1,4 @@
-"""Print one line per seeded geometry or nonexistence call, for same-bits checks.
+"""Print one line per seeded call of a capture section, for same-bits checks.
 
 Each line names a case and a call, then gives the repr of its result, or
 the exception class and message of a refusal, then the category and
@@ -6,7 +6,7 @@ message of every warning the call raised.  The cases are drawn from --seed:
 systems of n = 1..6 species with m in {1, 1.5, 2, 3} and entries
 10^U(-s, s) for s up to 150, some with one edge entry (NaN, +-inf, 0.0, a
 subnormal, an int, an int no float holds, a Fraction) or a vector of the
-wrong length.  Two sections:
+wrong length; the kernels section draws sine profiles.  Three sections:
 
   geometry      hull_intercepts, verify_hypothesis_H on the intercept hull
                 and on hulls moved off it so that H fails, both barrier
@@ -16,7 +16,11 @@ wrong length.  Two sections:
   nonexistence  check_case_i, check_case_ii and check on three-species
                 parameters, first on the screening system of
                 screen_nonexistence.py with sigma scaled by 10^-140 .. 10^-170,
-                then on drawn ones.
+                then on drawn ones;
+  kernels       residual of a sine profile over a grid and at each point,
+                integrate_rows over 0:0.5 (0:0.1 at m = 1, so that no step
+                re-runs on numpy) and summarise_rows; three cases in turn per
+                n = 1..UNROLL_LIMIT + 1, m in EXPONENTS and l in KERNEL_LS.
 
 The script imports no numpy, so it runs as a plain script on every
 supported Python:
@@ -26,10 +30,10 @@ supported Python:
     PYTHONPATH=src python scripts/capture_bits.py --check tests/capture_bits.sha256
 
 Builtin sum is compensated from Python 3.12 on, and the tangency sum, the
-dual peak and the ellipsoid points use it, so a capture has one digest on
-3.10 and 3.11 and another on 3.12 and later.  --check recomputes every
-digest that a pin file lists for the running interpreter's family and
-exits 1 on any difference.
+dual peak, the ellipsoid points and kernel rows beyond UNROLL_LIMIT use it,
+so a capture has one digest on 3.10 and 3.11 and another on 3.12 and
+later.  --check recomputes every digest that a pin file lists for the
+running interpreter's family and exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -40,15 +44,17 @@ import random
 import sys
 import warnings
 from fractions import Fraction
-from math import inf, nan
+from itertools import chain, islice, product, repeat
+from math import cos, inf, nan, sin
 
-from nbarrier import (HullBounds, ReactionSpec, SystemSpec, ThreeSpeciesParams,
+from nbarrier import (HullBounds, Profile, ReactionSpec, SystemSpec, ThreeSpeciesParams,
                       barrier_curves, bounds_general, bounds_m1, bounds_two_species_m2,
                       build_lower_barrier, build_upper_barrier, check, check_case_i,
-                      check_case_ii, hull_intercepts, verify_containment,
+                      check_case_ii, hull_intercepts, residual, verify_containment,
                       verify_hypothesis_H)
+from nbarrier.kernels import UNROLL_LIMIT
+from nbarrier.waves import integrate_rows, summarise_rows
 
-DEFAULT_CASES = {"geometry": 5000, "nonexistence": 10000}
 SCALES = (1, 3, 30, 150)
 EXPONENTS = (1.0, 1.5, 2.0, 3.0)
 VALUE_EDGES = (nan, inf, -inf, 0.0, 5e-324, 1e-310, "int", "huge-int", "fraction")
@@ -56,6 +62,8 @@ LENGTH_EDGES = ("short", "long")
 # The screening system of scripts/screen_nonexistence.py, sigma3 = 2.5.
 SCREEN = {"d": (1.0, 2.0, 1.0), "sigma": (10.0, 12.0, 2.5),
           "C": ((1.0, 1.0, 0.5), (1.0, 2.0, 0.5), (1.0, 1.0, 2.0))}
+KERNEL_LS = (1.0, 1.5, 2.0)
+KERNEL_GRID = [-2.0 + k * 0.1 for k in range(41)]
 
 
 def family() -> str:
@@ -225,16 +233,69 @@ def screening_ladder():
         yield SCREEN["d"], tuple(k * s for s in SCREEN["sigma"]), SCREEN["C"], None, None
 
 
+def nonexistence_cases(rng):
+    """The screening ladder's cases, then drawn ones."""
+    return map(nonexistence_case, chain(screening_ladder(), map(three_species, repeat(rng))))
+
+
+def sine_case(rng, n: int, m: float, l: float):
+    """A system with n species, exponent m and every l_i = l, a sine profile
+    u_i = a_i + b_i sin(c_i x) and its initial state at x = 0, from rng."""
+    spec = SystemSpec(
+        n=n, m=m, d=tuple(rng.uniform(0.3, 3.0) for _ in range(n)), l=(l,) * n,
+        theta=rng.uniform(-1.0, 1.0),
+        reaction=ReactionSpec(
+            sigma=tuple(rng.uniform(0.5, 2.0) for _ in range(n)),
+            C=tuple(tuple(rng.uniform(0.1, 2.0) for _ in range(n)) for _ in range(n))))
+    harmonics = tuple((rng.uniform(1.0, 2.0), rng.uniform(-0.5, 0.5), rng.uniform(0.5, 3.0))
+                      for _ in range(n))
+
+    def derivs(x):
+        return tuple((a + b * sin(c * x), b * c * cos(c * x), -b * c * c * sin(c * x))
+                     for a, b, c in harmonics)
+
+    u0 = tuple(a for a, _, _ in harmonics)
+    w0 = tuple(rng.uniform(-0.5, 0.5) for _ in range(n))
+    return spec, Profile.of(n, m, derivs), u0, w0
+
+
+def residuals(spec, profile):
+    """residual over KERNEL_GRID, then at each of its points alone: |r_i| there."""
+    return residual(spec, profile, KERNEL_GRID), tuple(
+        residual(spec, profile, (x,)) for x in KERNEL_GRID)
+
+
+def summary(spec, xs, ys, alpha):
+    """summarise_rows' rows, clamped and report, as simulate takes them."""
+    rows, clamped, report = summarise_rows(spec, xs, ys, alpha)
+    return tuple(rows()), clamped, report
+
+
+def kernel_case(rng, n: int, m: float, l: float):
+    spec, profile, u0, w0 = sine_case(rng, n, m, l)
+    yield "residual", outcome(residuals, spec, profile)[2]
+    span = (0.0, 0.1 if m == 1.0 else 0.5)
+    ok, trajectory, text = outcome(integrate_rows, spec, u0, w0, span, 0.01)
+    yield "integrate_rows", text
+    if ok:
+        yield "summarise_rows", outcome(summary, spec, *trajectory[:3])[2]
+
+
+def kernel_cases(rng):
+    """Three sine cases per n = 1..UNROLL_LIMIT + 1, m and l, in that order."""
+    grid = product(range(1, UNROLL_LIMIT + 2), EXPONENTS, KERNEL_LS, range(3))
+    return (kernel_case(rng, n, m, l) for n, m, l, _ in grid)
+
+
+# Each section's cases, from its rng, and its default number of them.
+SECTIONS = {"geometry": (lambda rng: map(geometry_case, repeat(rng)), 5000),
+            "nonexistence": (nonexistence_cases, 10000), "kernels": (kernel_cases, 324)}
+
+
 def lines(section: str, seed: int, cases: int):
     """One line per call of the first cases cases of a section."""
-    rng = random.Random(seed)
-    if section == "geometry":
-        drawn = (geometry_case(rng) for _ in range(cases))
-    else:
-        ladder = list(screening_ladder())
-        drawn = (nonexistence_case(ladder[k] if k < len(ladder) else three_species(rng))
-                 for k in range(cases))
-    for k, case in enumerate(drawn):
+    drawn = SECTIONS[section][0](random.Random(seed))
+    for k, case in enumerate(islice(drawn, cases)):
         for call, text in case:
             yield f"{k} {call}: {text}"
 
@@ -243,21 +304,26 @@ def digest(section: str, seed: int, cases: int) -> str:
     return hashlib.sha256("\n".join(lines(section, seed, cases)).encode()).hexdigest()
 
 
-def pins(path: str):
+def pins(path: str) -> list:
     """(digest, section, seed, cases, family) per line of a pin file; lines
-    starting with # are comments."""
+    starting with # are comments.  The type of --check, so that a pin of an
+    unknown section is a usage error."""
+    found = []
     with open(path) as fh:
         for line in fh:
             if line.strip() and not line.startswith("#"):
                 pinned, section, seed, cases, fam = line.split()
-                yield pinned, section, int(seed), int(cases), fam
+                if section not in SECTIONS:
+                    raise argparse.ArgumentTypeError(f"{path} pins an unknown section {section!r}")
+                found.append((pinned, section, int(seed), int(cases), fam))
+    return found
 
 
-def check_pins(path: str, max_cases: int | None) -> int:
-    """Recompute every pin of path for this interpreter's family with at most
-    max_cases cases; 0 when each matches and at least one was checked."""
+def check_pins(entries: list, max_cases: int | None) -> int:
+    """Recompute every pin of entries for this interpreter's family with at
+    most max_cases cases; 0 when each matches and at least one was checked."""
     checked = failed = 0
-    for pinned, section, seed, cases, fam in pins(path):
+    for pinned, section, seed, cases, fam in entries:
         if fam != family() or (max_cases is not None and cases > max_cases):
             continue
         got = digest(section, seed, cases)
@@ -266,26 +332,27 @@ def check_pins(path: str, max_cases: int | None) -> int:
         print(f"{'ok' if got == pinned else 'MISMATCH'} {section} --seed {seed} "
               f"--cases {cases} ({fam}): {got}")
     if not checked:
-        print(f"{path} pins no capture for Python {family()}", file=sys.stderr)
+        print(f"no capture is pinned for Python {family()}", file=sys.stderr)
     return 1 if failed or not checked else 0
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--section", choices=sorted(DEFAULT_CASES), default="geometry")
+    ap.add_argument("--section", choices=sorted(SECTIONS), default="geometry")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--cases", type=int,
-                    help="cases to draw (default: 5000 geometry, 10000 nonexistence)")
+                    help="cases to draw (default: 5000 geometry, 10000 nonexistence, "
+                         "324 kernels)")
     ap.add_argument("--digest", action="store_true",
                     help="print the SHA-256 of the lines instead of the lines")
-    ap.add_argument("--check", metavar="PINS",
+    ap.add_argument("--check", metavar="PINS", type=pins,
                     help="recompute the digests pinned in PINS for this Python")
     ap.add_argument("--max-cases", type=int,
                     help="with --check, skip pins of more cases than this")
     args = ap.parse_args()
-    if args.check:
+    if args.check is not None:
         return check_pins(args.check, args.max_cases)
-    cases = DEFAULT_CASES[args.section] if args.cases is None else args.cases
+    cases = SECTIONS[args.section][1] if args.cases is None else args.cases
     if args.digest:
         print(digest(args.section, args.seed, cases))
     else:

@@ -288,6 +288,8 @@ def barrier_curves(envelope: BarrierEnvelope, hull: HullBounds, samples: int) ->
     upper one), each sampled at lattice resolution samples.  The point sets
     are lazy iterators of tuples.
     """
+    if hull.n != len(envelope.weights):
+        raise ValueError("hull dimension does not match envelope")
     if samples < 1:
         raise ValueError("samples must be positive")
     alpha, m = envelope.weights, envelope.m

@@ -281,6 +281,8 @@ def flux_balance_defect(spec: SystemSpec, traj: Trajectory,
     the left side evaluated with trapezoidal quadrature on the stored grid;
     small means the stored states are consistent with the system.
     """
+    if spec.n != traj.n:
+        raise ValueError(f"system has {spec.n} species, the trajectory {traj.n}")
     import numpy as np
 
     if len(alpha) != traj.n:

@@ -241,7 +241,9 @@ def test_containment_orientation_mismatch_is_an_error():
      "hull dimension does not match envelope"),
     (lambda env, hull: verify_containment(env, hull, 0), "samples must be positive"),
     (lambda env, hull: barrier_curves(env, hull, 0), "samples must be positive"),
-], ids=["containment-hull", "containment-samples", "curves-samples"])
+    (lambda env, hull: barrier_curves(env, HullBounds(ubar=(1.0,) * 3, ulow=(0.5,) * 3), 3),
+     "hull dimension does not match envelope"),
+], ids=["containment-hull", "containment-samples", "curves-samples", "curves-hull"])
 def test_containment_and_curves_refuse_a_malformed_call(call, message):
     hull = HullBounds(ubar=(1.0, 1.0), ulow=(1 / 3, 1 / 2))
     with pytest.raises(ValueError, match=message):

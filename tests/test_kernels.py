@@ -15,7 +15,7 @@ from nbarrier import ReactionSpec, SystemSpec, integrate, kernels, residual
 from nbarrier.exact import COS_FORM, TANH_FORM, Profile
 from nbarrier.kernels import UNROLL_LIMIT, _residual_source, _rk4_source, call_form
 
-import kernel_bits
+import capture_bits
 from conftest import bench_range_member
 
 # (writer, classes of m - 1 and m - 2, class of every l_i): the variants
@@ -162,7 +162,10 @@ def test_family_members_share_one_residual_kernel_per_class_pattern(monkeypatch)
 
 
 def test_kernel_results_match_the_digest_pinned_for_every_interpreter():
-    # kernel_bits also runs as a plain script, without numpy, and prints this
-    # digest on Python 3.10 to 3.13 alike.
-    pinned = Path(__file__).with_name("kernel_bits.sha256").read_text().split()[0]
-    assert kernel_bits.digest() == pinned
+    # In process with numpy importable; tests/test_scripts.py checks the same
+    # pins without numpy, and the 288-case one is pinned alike on 3.10 to 3.13.
+    pinned = [pin for pin in capture_bits.pins(Path(__file__).with_name("capture_bits.sha256"))
+              if pin[1] == "kernels" and pin[4] == capture_bits.family()]
+    assert [pin[3] for pin in pinned] == [288, 324]
+    for want, section, seed, cases, _ in pinned:
+        assert capture_bits.digest(section, seed, cases) == want

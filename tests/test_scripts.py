@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from capture_bits import family
 
 ROOT = Path(__file__).parents[1]
 
@@ -46,12 +47,21 @@ def test_screen_nonexistence_rejects_a_bad_grid(grid):
 def test_capture_bits_slices_match_their_pinned_digests_without_numpy(tmp_path):
     # A numpy package that refuses to load comes first on the path, so the
     # capture runs as it does on an interpreter without numpy.  The pins of
-    # at most 3000 cases are one slice per section, each well under 2 s;
-    # CI checks the full captures too.
+    # at most 3000 cases are one slice per section and two of kernels, each
+    # well under 2 s; CI checks the full captures too.
     (tmp_path / "numpy").mkdir()
     (tmp_path / "numpy" / "__init__.py").write_text("raise ImportError('numpy is blocked')\n")
     proc = run_script("capture_bits.py", "--check", str(ROOT / "tests" / "capture_bits.sha256"),
                       "--max-cases", "3000", path=[tmp_path])
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert [line.split()[:2] for line in proc.stdout.splitlines()] == [
-        ["ok", "geometry"], ["ok", "nonexistence"]]
+        ["ok", "geometry"], ["ok", "nonexistence"], ["ok", "kernels"], ["ok", "kernels"]]
+
+
+def test_capture_bits_refuses_a_pin_of_an_unknown_section(tmp_path):
+    pins = tmp_path / "pins.sha256"
+    pins.write_text(f"{'0' * 64}  geometrie  1  10  {family()}\n")
+    proc = run_script("capture_bits.py", "--check", str(pins))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "unknown section 'geometrie'" in proc.stderr

@@ -194,6 +194,12 @@ def test_flux_balance_holds_along_accurate_trajectories(tanh_sol):
         flux_balance_defect(spec, traj, (1.0,))
 
 
+def test_flux_balance_refuses_a_system_of_another_species_count():
+    traj = integrate(LV, (1.0, 1.0), (0.0, 0.0), (0.0, 0.1), 1e-2)
+    with pytest.raises(ValueError, match="system has 1 species, the trajectory 2"):
+        flux_balance_defect(SINGLE, traj, (1.0, 1.0))
+
+
 @pytest.mark.parametrize("u0, w0", [
     ((1.0, math.nan), (0.0, 0.0)),
     ((math.inf, 1.0), (0.0, 0.0)),
